@@ -21,6 +21,7 @@ from .core import (
     Predictor,
     SimilarityMetric,
     ValidationError,
+    unit_ball_points,
 )
 
 
@@ -160,10 +161,7 @@ class UnitBallSampler:
     dimension: int
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        g = rng.standard_normal((count, self.dimension))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-        radii = rng.random(count) ** (1.0 / self.dimension)
-        return g * radii[:, None]
+        return unit_ball_points(rng, count, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -250,17 +248,26 @@ def group_fairness_profile(
 def is_perfectly_fair(h, pairs, d: SimilarityMetric, tolerance: float = 0.0):
     """Check |h(x) - h(x')| <= d(x, x') + tolerance on every given pair.
 
+    `pairs` is a sequence of (x, x') pairs of Examples or feature vectors.
     Returns (ok, violating_pairs) where each violation records the pair and
     its gap/distance.
     """
-    violations = []
-    for x, x2 in pairs:
-        xf = x.features if isinstance(x, Example) else np.asarray(x, dtype=np.float64)
-        yf = x2.features if isinstance(x2, Example) else np.asarray(x2, dtype=np.float64)
-        gap = abs(h.predict(xf) - h.predict(yf))
-        dist = d.distance(xf, yf)
-        if gap > dist + tolerance:
-            violations.append((xf, yf, gap, dist))
+    pairs = list(pairs)
+    if not pairs:
+        return True, []
+
+    def features(x):
+        return x.features if isinstance(x, Example) else x
+
+    k = len(pairs)
+    points = np.array([features(x) for x, _ in pairs] + [features(y) for _, y in pairs],
+                      dtype=np.float64)
+    xs, ys = points[:k], points[k:]
+    values = h.predict_batch(points)
+    gaps = np.abs(values[:k] - values[k:])
+    dists = d.pair_distances(xs, ys)
+    violations = [(xs[t], ys[t], float(gaps[t]), float(dists[t]))
+                  for t in np.flatnonzero(gaps > dists + tolerance).tolist()]
     return (len(violations) == 0), violations
 
 

@@ -137,31 +137,58 @@ class LabeledDataset:
         return (self.example(i) for i in range(len(self)))
 
 
+def unit_ball_points(rng: np.random.Generator, count: int, dimension: int) -> np.ndarray:
+    """`count` points drawn uniformly from the `dimension`-dimensional unit
+    ball: Gaussian directions, then radii U ** (1 / dimension)."""
+    g = rng.standard_normal((count, dimension))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    radii = rng.random(count) ** (1.0 / dimension)
+    return g * radii[:, None]
+
+
 # ---------------------------------------------------------------------------
 # Similarity metrics
 # ---------------------------------------------------------------------------
 
 
-class SimilarityMetric:
-    """Pairwise distance with outputs in [0, 1] and d(x, x) = 0."""
+#: pairs per pair_distances call when a pairwise matrix is built in blocks
+_PAIR_BLOCK = 65_536
 
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        raise NotImplementedError
+
+def _pair_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of a pair batch as equal-length 2-d float arrays."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    return np.broadcast_arrays(xs, ys)
+
+
+class SimilarityMetric:
+    """Pairwise distance with outputs in [0, 1] and d(x, x) = 0.
+
+    A metric implements `pair_distances`; `distance` and the default
+    `pairwise_matrix` are derived from it.
+    """
 
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Row-wise distances d(xs[i], ys[i]). Default loops over `distance`."""
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
-        return np.array([self.distance(a, b) for a, b in zip(xs, ys)])
+        """Row-wise distances d(xs[i], ys[i])."""
+        raise NotImplementedError
+
+    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
+        """d(x, y) for two single points."""
+        return float(self.pair_distances(x, y)[0])
 
     def pairwise_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Full m x m distance matrix over the rows of `xs`."""
+        """Full m x m distance matrix over the rows of `xs`, evaluated on the
+        pairs i < j in blocks of about _PAIR_BLOCK pairs; the diagonal is 0."""
         xs = np.atleast_2d(xs)
         m = xs.shape[0]
         out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                out[i, j] = out[j, i] = self.distance(xs[i], xs[j])
+        rows = max(1, _PAIR_BLOCK // max(m, 1))
+        for r0 in range(0, m, rows):
+            # pairs (r0 + a, j) with j > r0 + a, for a in [0, rows)
+            a, j = np.triu_indices(min(rows, m - r0), r0 + 1, m)
+            i = a + r0
+            out[i, j] = out[j, i] = self.pair_distances(xs[i], xs[j])
         return out
 
 
@@ -175,12 +202,8 @@ class ConstantMetric(SimilarityMetric):
         if not 0.0 <= self.c <= 1.0:
             raise ValidationError(f"constant distance must be in [0, 1], got {self.c}")
 
-    def distance(self, x, y) -> float:
-        return 0.0 if np.array_equal(x, y) else self.c
-
     def pair_distances(self, xs, ys) -> np.ndarray:
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
+        xs, ys = _pair_rows(xs, ys)
         same = np.all(xs == ys, axis=1)
         return np.where(same, 0.0, self.c)
 
@@ -202,12 +225,8 @@ class ScaledEuclideanMetric(SimilarityMetric):
         if self.scale < 0:
             raise ValidationError("scale must be non-negative")
 
-    def distance(self, x, y) -> float:
-        return min(1.0, self.scale * float(np.linalg.norm(np.asarray(x) - np.asarray(y))))
-
     def pair_distances(self, xs, ys) -> np.ndarray:
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
+        xs, ys = _pair_rows(xs, ys)
         return np.minimum(1.0, self.scale * np.linalg.norm(xs - ys, axis=1))
 
     def pairwise_matrix(self, xs) -> np.ndarray:
@@ -244,17 +263,20 @@ class MatrixMetric(SimilarityMetric):
                 raise ValidationError(f"index map entry {dataset_row} out of range")
             self._row_of[points[dataset_row].tobytes()] = row
 
-    def _lookup(self, x: np.ndarray) -> int:
-        key = np.ascontiguousarray(np.asarray(x, dtype=np.float64)).tobytes()
+    def _lookup(self, xs: np.ndarray) -> np.ndarray:
+        """Matrix rows of the points in `xs`, one dictionary lookup each."""
+        xs = np.ascontiguousarray(xs)
         try:
-            return self._row_of[key]
+            return np.array([self._row_of[x.tobytes()] for x in xs], dtype=np.intp)
         except KeyError:
             raise MetricUndefinedError("metric undefined for pair") from None
 
-    def distance(self, x, y) -> float:
-        if np.array_equal(x, y):
-            return 0.0
-        return float(self.matrix[self._lookup(x), self._lookup(y)])
+    def pair_distances(self, xs, ys) -> np.ndarray:
+        xs, ys = _pair_rows(xs, ys)
+        out = np.zeros(xs.shape[0])
+        differ = ~np.all(xs == ys, axis=1)
+        out[differ] = self.matrix[self._lookup(xs[differ]), self._lookup(ys[differ])]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +597,10 @@ class MetricValidationReport:
         }
 
 
+#: triples per block in validate_metric; bounds its memory for any n_triples
+_TRIPLE_BLOCK = 2048
+
+
 def validate_metric(
     metric: SimilarityMetric,
     dataset: LabeledDataset,
@@ -583,41 +609,50 @@ def validate_metric(
     tolerance: float = 1e-12,
 ) -> MetricValidationReport:
     """Check symmetry, range, reflexivity and the triangle inequality on
-    `n_triples` index triples sampled with replacement."""
+    `n_triples` index triples sampled with replacement.
+
+    For each triple (a, b, c), d(a, b), d(a, c) and d(c, b) are evaluated
+    with the smaller index first and compared against d(b, a) and d(a, a).
+    Triples are drawn and checked in blocks of _TRIPLE_BLOCK; drawing a block
+    at a time continues the generator's stream, so the triples do not depend
+    on the block size.
+    """
+    if n_triples < 1:
+        raise ValidationError("n_triples must be >= 1")
     rng = np.random.default_rng(seed)
     m = len(dataset)
     X = dataset.features
-    idx = rng.integers(0, m, size=(n_triples, 3))
     symmetry = []
     rng_viol = []
     triangle = []
-    cache: dict[tuple[int, int], float] = {}
 
-    def d(i: int, j: int) -> float:
-        if i == j:
-            return metric.distance(X[i], X[j])
-        key = (i, j) if i < j else (j, i)
-        if key not in cache:
-            cache[key] = metric.distance(X[key[0]], X[key[1]])
-        return cache[key]
+    def sorted_pair(i, j):
+        return metric.pair_distances(X[np.minimum(i, j)], X[np.maximum(i, j)])
 
-    for a, b, c in idx:
-        a, b, c = int(a), int(b), int(c)
-        dab = d(a, b)
-        dba = metric.distance(X[b], X[a])
-        dac = d(a, c)
-        dcb = d(c, b)
-        daa = d(a, a)
-        if abs(dab - dba) > tolerance:
-            symmetry.append((a, b, dab, dba))
-        for val in (dab, dac, dcb):
-            if not -tolerance <= val <= 1.0 + tolerance:
-                rng_viol.append((a, b, c, val))
-                break
-        if abs(daa) > tolerance:
-            rng_viol.append((a, a, a, daa))
-        if dab > dac + dcb + tolerance:
-            triangle.append((a, b, c, dab, dac, dcb))
+    for start in range(0, n_triples, _TRIPLE_BLOCK):
+        idx = rng.integers(0, m, size=(min(_TRIPLE_BLOCK, n_triples - start), 3))
+        a, b, c = idx.T
+        dab = sorted_pair(a, b)
+        dba = metric.pair_distances(X[b], X[a])
+        dac = sorted_pair(a, c)
+        dcb = sorted_pair(c, b)
+        daa = metric.pair_distances(X[a], X[a])
+        sides = np.stack([dab, dac, dcb])
+        out_of_range = ~((sides >= -tolerance) & (sides <= 1.0 + tolerance))
+        first_bad = np.argmax(out_of_range, axis=0)
+        range_bad = out_of_range.any(axis=0)
+        reflexive_bad = np.abs(daa) > tolerance
+        for t in np.flatnonzero(np.abs(dab - dba) > tolerance).tolist():
+            symmetry.append((int(a[t]), int(b[t]), float(dab[t]), float(dba[t])))
+        for t in np.flatnonzero(range_bad | reflexive_bad).tolist():
+            at = int(a[t])
+            if range_bad[t]:
+                rng_viol.append((at, int(b[t]), int(c[t]), float(sides[first_bad[t], t])))
+            if reflexive_bad[t]:
+                rng_viol.append((at, at, at, float(daa[t])))
+        for t in np.flatnonzero(dab > dac + dcb + tolerance).tolist():
+            triangle.append((int(a[t]), int(b[t]), int(c[t]),
+                             float(dab[t]), float(dac[t]), float(dcb[t])))
     return MetricValidationReport(
         n_triples=n_triples,
         symmetry_violations=tuple(symmetry),

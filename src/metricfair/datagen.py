@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, ValidationError
+from .core import LabeledDataset, ValidationError, unit_ball_points
 from .hardness import sample_hardness_distribution
 
 GENERATORS = ("unit-ball", "separable", "hardness-pairs")
@@ -33,18 +33,11 @@ class SyntheticSpec:
             raise ValidationError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
 
 
-def _unit_ball_points(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    g = rng.standard_normal((m, n))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = rng.random(m) ** (1.0 / n)
-    return g * radii[:, None]
-
-
 def generate_dataset_with_meta(spec: SyntheticSpec):
     """Generate a dataset plus generator metadata (e.g. the hidden separator)."""
     rng = np.random.default_rng(spec.seed)
     if spec.generator == "unit-ball":
-        X = _unit_ball_points(rng, spec.m, spec.n)
+        X = unit_ball_points(rng, spec.m, spec.n)
         w_star = rng.standard_normal(spec.n)
         w_star /= max(float(np.linalg.norm(w_star)), 1e-300)
         labels = np.where(X @ w_star >= 0, 1, -1)
@@ -58,7 +51,7 @@ def generate_dataset_with_meta(spec: SyntheticSpec):
         for i in range(spec.m):
             # orthogonal part in the ball of radius sqrt(1 - margin^2), then a
             # separating component of magnitude >= margin along w_star
-            ortho = _unit_ball_points(rng, 1, spec.n)[0]
+            ortho = unit_ball_points(rng, 1, spec.n)[0]
             ortho -= np.dot(ortho, w_star) * w_star
             cap = np.sqrt(max(1.0 - spec.margin**2, 0.0))
             onorm = float(np.linalg.norm(ortho))

@@ -29,6 +29,7 @@ from .core import (
     Predictor,
     SimilarityMetric,
     ValidationError,
+    _pair_rows,
 )
 from .learners import (
     KernelLearner,
@@ -51,18 +52,33 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
+def _expand_seeds(seed_rows: np.ndarray) -> np.ndarray:
+    """Expand each row of a (k, n-1) 0/1 matrix into 2n bits: row t of the
+    result is the first 2n bits of SHAKE-128 over the length prefix and the
+    packed row t, so trailing pad bits are dropped when 2n is not a multiple
+    of 8."""
+    k, seed_len = seed_rows.shape
+    out_bits = 2 * (seed_len + 1)
+    out_bytes = (out_bits + 7) // 8
+    prefix = seed_len.to_bytes(4, "big")
+    packed = np.packbits(seed_rows, axis=1)
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    digests = b"".join(
+        hashlib.shake_128(prefix + buf[t * width:(t + 1) * width]).digest(out_bytes)
+        for t in range(k)
+    )
+    digest_rows = np.frombuffer(digests, dtype=np.uint8).reshape(k, out_bytes)
+    return np.unpackbits(digest_rows, axis=1)[:, :out_bits]
+
+
 def expand_seed(seed_bits) -> np.ndarray:
     """Expand n-1 seed bits into 2n output bits with SHAKE-128.
 
     Deterministic; the seed length is bound into the hash input so distinct
     lengths cannot alias after bit packing.
     """
-    s = _as_bits(seed_bits)
-    n = s.shape[0] + 1
-    out_bits = 2 * n
-    payload = len(s).to_bytes(4, "big") + np.packbits(s).tobytes()
-    digest = hashlib.shake_128(payload).digest((out_bits + 7) // 8)
-    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8))[:out_bits].copy()
+    return _expand_seeds(_as_bits(seed_bits)[None, :])[0].copy()
 
 
 @dataclass(frozen=True)
@@ -103,24 +119,26 @@ class HardnessMetric(SimilarityMetric):
         self.handle = handle
         self._n = handle.n
 
-    def _sign_bits(self, x: np.ndarray) -> np.ndarray:
-        if np.any(x == 0.0):
-            raise SignUndefinedError("sign undefined: zero coordinate")
-        return (x < 0).astype(np.uint8)
-
-    def distance(self, x, y) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape[-1] != self._n or y.shape[-1] != self._n:
+    def pair_distances(self, xs, ys) -> np.ndarray:
+        """Identical rows are at distance 0 and rows on the same side of the
+        last coordinate at distance 1. Each cross-side pair is at distance 0
+        exactly when the expansion of its first n-1 sign disagreements is y;
+        only those pairs are hashed."""
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if xs.shape[-1] != self._n or ys.shape[-1] != self._n:
             raise ValidationError(f"hardness metric expects dimension {self._n}")
-        if np.array_equal(x, y):
-            return 0.0
-        sx = self._sign_bits(x)
-        sy = self._sign_bits(y)
-        if sx[-1] == sy[-1]:
-            return 1.0
-        delta = sx[: self._n - 1] ^ sy[: self._n - 1]
-        return 0.0 if np.array_equal(expand_seed(delta), self.handle.y) else 1.0
+        xs, ys = _pair_rows(xs, ys)
+        differ = ~np.all(xs == ys, axis=1)
+        if np.any(((xs == 0.0) | (ys == 0.0))[differ]):
+            raise SignUndefinedError("sign undefined: zero coordinate")
+        sx, sy = xs < 0, ys < 0
+        cross = differ & (sx[:, -1] != sy[:, -1])
+        delta = (sx[cross, :-1] ^ sy[cross, :-1]).astype(np.uint8)
+        hit = np.all(_expand_seeds(delta) == self.handle.y, axis=1)
+        out = differ.astype(np.float64)
+        out[cross] = np.where(hit, 0.0, 1.0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -212,25 +230,33 @@ def averaged_fair_paired_error(h, paired: HardPairedDataset, metric: SimilarityM
     values = h.predict_batch(paired.dataset.features)
     targets = paired.dataset.targets01
     X = paired.dataset.features
-    total = 0.0
-    for i, j in paired.pairs:
-        vi, vj = values[i], values[j]
-        if metric.distance(X[i], X[j]) == 0.0:
-            vi = vj = 0.5 * (values[i] + values[j])
-        total += abs(vi - targets[i]) + abs(vj - targets[j])
-    return total / (2.0 * paired.k)
+    left, right = np.array(paired.pairs, dtype=np.intp).reshape(-1, 2).T
+    vi, vj = values[left], values[right]
+    fair = metric.pair_distances(X[left], X[right]) == 0.0
+    average = 0.5 * (vi + vj)
+    vi = np.where(fair, average, vi)
+    vj = np.where(fair, average, vj)
+    per_pair = np.abs(vi - targets[left]) + np.abs(vj - targets[right])
+    # cumsum adds left to right, as the report's pinned bits require
+    return float(np.cumsum(per_pair)[-1]) / (2.0 * paired.k)
 
 
 def _audit_pairs(paired: HardPairedDataset, rng: np.random.Generator, n_audit: int):
-    """All within-pair edges, then random distinct cross pairs up to n_audit."""
-    X = paired.dataset.features
-    pairs = [(X[i], X[j]) for i, j in paired.pairs[: n_audit]]
+    """All within-pair edges, then random distinct cross pairs up to n_audit.
+
+    Cross pairs are drawn in bulk and those with i == j dropped; bulk draws
+    continue the generator's stream, so the pairs match one-at-a-time draws.
+    """
+    left = [i for i, _ in paired.pairs[:n_audit]]
+    right = [j for _, j in paired.pairs[:n_audit]]
     m = len(paired.dataset)
-    while len(pairs) < n_audit:
-        i, j = rng.integers(0, m, size=2)
-        if i != j:
-            pairs.append((X[int(i)], X[int(j)]))
-    return pairs
+    while len(left) < n_audit:
+        i, j = rng.integers(0, m, size=(n_audit - len(left), 2)).T
+        keep = i != j
+        left.extend(i[keep].tolist())
+        right.extend(j[keep].tolist())
+    X = paired.dataset.features
+    return [(X[i], X[j]) for i, j in zip(left, right)]
 
 
 @dataclass(frozen=True)
@@ -297,6 +323,8 @@ def run_hardness_experiment(
     """Sample the hard distributions and demonstrate the fairness/accuracy
     tension: averaged-fair error 1/2 under U, a perfectly fair zero-error
     reference classifier under V, and trained-learner errors per mode."""
+    if n_audit_pairs < 0:
+        raise ValidationError("n_audit_pairs must be >= 0")
     base = np.random.SeedSequence(seed)
     seq_u, seq_v, seq_audit = base.spawn(3)
     if trainer is None:

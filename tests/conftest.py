@@ -1,7 +1,11 @@
 """Shared test factories: random datasets, predictors, and metrics."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from metricfair import (
     ConstantMetric,
@@ -11,6 +15,27 @@ from metricfair import (
     LogisticPredictor,
     ScaledEuclideanMetric,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run neither depends on nor writes a .hypothesis/ directory.
+settings.register_profile("metricfair", derandomize=True, database=None)
+settings.load_profile("metricfair")
+
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    """While collecting, Hypothesis caches the constants it parses from source
+    files even without an example database; keep that cache in a temporary
+    directory removed at the end of the run instead of .hypothesis/."""
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 def unit_ball_points(rng, m, n):

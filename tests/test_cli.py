@@ -200,6 +200,16 @@ class TestValidateMetricCommand:
         body = json.loads((tmp_path / "v.json").read_text())
         assert body["results"]["ok"] is True
 
+    @pytest.mark.parametrize("triples", ["0", "-5"])
+    def test_non_positive_triples_exit_two(self, capsys, dataset_file, tmp_path, triples):
+        out = tmp_path / "v.json"
+        code, _, err = run(capsys, "validate-metric", "--data", str(dataset_file),
+                           "--metric", "euclidean:0.7", "--triples", triples,
+                           "--seed", "2", "--out", str(out))
+        assert code == 2
+        assert "n_triples must be >= 1" in err
+        assert not out.exists()
+
 
 class TestHardnessCommand:
     def test_mode_v_report(self, capsys, tmp_path):
@@ -211,6 +221,15 @@ class TestHardnessCommand:
         body = json.loads(report.read_text())
         assert body["results"]["reference_error"]["V"] == 0.0
         assert body["results"]["perfect_fairness_audit"]["V"]["n_violations"] == 0
+
+    def test_negative_audit_pairs_exit_two(self, capsys, tmp_path):
+        out = tmp_path / "hardness.json"
+        code, _, err = run(capsys, "hardness-demo", "--n", "8", "--pairs", "20",
+                           "--mode", "v", "--seed", "4", "--audit-pairs", "-1",
+                           "--skip-training", "--out", str(out))
+        assert code == 2
+        assert "n_audit_pairs must be >= 0" in err
+        assert not out.exists()
 
     def test_mode_u_report(self, capsys, tmp_path):
         report = tmp_path / "hardness-u.json"

@@ -1,13 +1,16 @@
 """Domain types: datasets, metrics, predictors, matchings, metric validation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as scalar
 from conftest import random_dataset, unit_ball_points
+from metricfair import core
 from metricfair import (
     ConstantMetric,
     ConstantPredictor,
@@ -23,6 +26,7 @@ from metricfair import (
     MetricUndefinedError,
     RandomPermutation,
     ScaledEuclideanMetric,
+    SimilarityMetric,
     ValidationError,
     VovkHalfKernel,
     build_matching,
@@ -222,6 +226,18 @@ class TestValidateMetric:
         with pytest.raises(MetricUndefinedError, match="metric undefined"):
             metric.distance(np.array([0.3, 0.3]), X[0])
 
+    def test_matrix_metric_pair_distances_unknown_row(self):
+        X = np.array([[0.1, 0.0], [0.0, 0.1]])
+        metric = MatrixMetric(np.array([[0.0, 0.4], [0.4, 0.0]]), X)
+        unknown = np.array([0.3, 0.3])
+        assert metric.pair_distances(X, X[::-1]).tolist() == [0.4, 0.4]
+        # identical rows are at distance 0 whether or not the metric knows them
+        assert metric.pair_distances(np.stack([X[0], unknown]), np.stack([X[0], unknown])).tolist() == [0.0, 0.0]
+        with pytest.raises(MetricUndefinedError, match="metric undefined"):
+            metric.pair_distances(np.stack([X[0], X[1]]), np.stack([X[1], unknown]))
+        with pytest.raises(MetricUndefinedError, match="metric undefined"):
+            metric.pair_distances(np.stack([unknown, X[1]]), X)
+
     def test_constant_metric_reflexive(self):
         m = ConstantMetric(0.7)
         x = np.array([0.2, 0.1])
@@ -233,3 +249,45 @@ class TestValidateMetric:
             ConstantMetric(1.2)
         with pytest.raises(ValidationError):
             ScaledEuclideanMetric(-0.1)
+
+
+class BrokenMetric(SimilarityMetric):
+    """Asymmetric, outside [0, 1], non-zero on identical points and in breach
+    of the triangle inequality. Each row's value uses only that row, so a
+    batched row equals the same pair evaluated alone."""
+
+    def pair_distances(self, xs, ys):
+        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
+        return 2.0 * xs[:, 0] - ys[:, 0] + 0.5 * xs[:, 1] * ys[:, 1] + 0.2
+
+
+def _violations(report):
+    return report.symmetry_violations, report.range_violations, report.triangle_violations
+
+
+class TestValidateMetricBlocks:
+    """Blocked validate_metric against the one-triple-at-a-time loop."""
+
+    @given(m=st.integers(1, 15), n_triples=st.integers(1, 300), block=st.integers(1, 70),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_same_violations_as_scalar_loop(self, m, n_triples, block, seed):
+        ds = random_dataset(np.random.default_rng(seed), m, 2)
+        metric = BrokenMetric()
+        with mock.patch.object(core, "_TRIPLE_BLOCK", block):
+            report = validate_metric(metric, ds, n_triples, seed)
+        assert _violations(report) == scalar.validate_metric(metric.distance, ds, n_triples, seed)
+
+    def test_default_block_with_partial_last_block(self, rng):
+        ds = random_dataset(rng, 30, 2)
+        metric = BrokenMetric()
+        n_triples = 2 * core._TRIPLE_BLOCK + 37
+        report = validate_metric(metric, ds, n_triples, seed=5)
+        expected = scalar.validate_metric(metric.distance, ds, n_triples, seed=5)
+        assert all(expected)  # every kind of violation occurs
+        assert _violations(report) == expected
+
+    @pytest.mark.parametrize("n_triples", [0, -5])
+    def test_rejects_non_positive_triple_counts(self, rng, n_triples):
+        with pytest.raises(ValidationError, match="n_triples must be >= 1"):
+            validate_metric(ConstantMetric(0.5), random_dataset(rng, 5, 2), n_triples, seed=0)

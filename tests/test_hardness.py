@@ -1,8 +1,14 @@
 """The hardness construction: expansion function, metric, sampling, experiment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_reference as scalar
+from metricfair import core
 from metricfair import (
     HardnessMetric,
     KernelLearner,
@@ -19,7 +25,8 @@ from metricfair import (
     sample_hardness_distribution,
     validate_metric,
 )
-from conftest import random_predictor
+from metricfair.hardness import _audit_pairs
+from conftest import TablePredictor, random_predictor
 
 
 class TestExpandSeed:
@@ -81,6 +88,12 @@ class TestHardnessMetric:
         bad = np.array([0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.5])
         with pytest.raises(SignUndefinedError, match="sign undefined"):
             metric.distance(bad, -bad)
+
+    def test_zero_coordinate_allowed_on_identical_rows(self):
+        _, handle = sample_hardness_distribution(8, 2, "U", 3)
+        metric = HardnessMetric(handle)
+        bad = np.array([0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.5])
+        assert metric.pair_distances(np.stack([bad, bad]), np.stack([bad, bad])).tolist() == [0.0, 0.0]
 
     def test_mode_v_pairs_never_at_distance_zero(self):
         paired, handle = sample_hardness_distribution(32, 10_000, "V", 4)
@@ -213,3 +226,92 @@ class TestExperiment:
         assert report.averaged_fair_error_u is None
         assert report.accuracy_gap is None
         assert report.reference_error["V"] == 0.0
+
+
+class TestBatchedAgainstScalar:
+    """The batched metric and its callers against the one-pair-at-a-time code."""
+
+    @given(bits=st.integers(3, 39).flatmap(
+        lambda length: st.lists(st.integers(0, 1), min_size=length, max_size=length)))
+    @settings(max_examples=100, deadline=None)
+    def test_expand_seed_matches_scalar(self, bits):
+        # n = len(bits) + 1 runs over 4..40, so 2n is often not a multiple of 8
+        assert np.array_equal(expand_seed(bits), scalar.expand_seed(bits))
+
+    @given(
+        n=st.integers(4, 40),
+        mode=st.sampled_from(("U", "V")),
+        seed=st.integers(0, 2**16),
+        k=st.integers(1, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_pair_distances_match_scalar_loop(self, n, mode, seed, k, data):
+        paired, handle = sample_hardness_distribution(n, k, mode, seed)
+        X = paired.dataset.features.copy()
+        m = 2 * k
+        if data.draw(st.booleans(), label="zero coordinate"):
+            X[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))] = 0.0
+        picks = data.draw(st.lists(
+            st.tuples(st.integers(0, m - 1),
+                      st.sampled_from(("identical", "counterpart", "any")),
+                      st.integers(0, m - 1)),
+            min_size=1, max_size=12), label="pairs")
+        left = [i for i, _, _ in picks]
+        right = [i if kind == "identical" else i ^ 1 if kind == "counterpart" else j
+                 for i, kind, j in picks]
+        metric = HardnessMetric(handle)
+        try:
+            expected = [scalar.hardness_distance(handle, X[i], X[j]) for i, j in zip(left, right)]
+        except SignUndefinedError:
+            with pytest.raises(SignUndefinedError, match="sign undefined"):
+                metric.pair_distances(X[left], X[right])
+            return
+        assert metric.pair_distances(X[left], X[right]).tolist() == expected
+        assert [metric.distance(X[i], X[j]) for i, j in zip(left, right)] == expected
+
+    @given(n=st.integers(4, 12), k=st.integers(1, 8), block=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_blocked_pairwise_matrix_matches_scalar_loop(self, n, k, block, seed):
+        paired, handle = sample_hardness_distribution(n, k, "U", seed)
+        X = paired.dataset.features
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            got = HardnessMetric(handle).pairwise_matrix(X)
+        expected = scalar.pairwise_matrix(lambda x, y: scalar.hardness_distance(handle, x, y), X)
+        assert np.array_equal(got, expected)
+
+    @given(n=st.integers(4, 16), k=st.integers(1, 30), mode=st.sampled_from(("U", "V")),
+           n_audit=st.integers(0, 120), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_hardness_callers_match_scalar_loops(self, n, k, mode, n_audit, seed):
+        paired, handle = sample_hardness_distribution(n, k, mode, seed)
+        X = paired.dataset.features
+        metric = HardnessMetric(handle)
+        h = TablePredictor(X, np.random.default_rng(seed).random(len(X)))
+
+        def distance(x, y):
+            return scalar.hardness_distance(handle, x, y)
+
+        # the exact bits, not just the value: reports pin this float
+        got = averaged_fair_paired_error(h, paired, metric)
+        assert got.hex() == scalar.averaged_fair_paired_error(h, paired, distance).hex()
+
+        pairs = _audit_pairs(paired, np.random.default_rng(seed), n_audit)
+        expected_pairs = scalar.audit_pairs(paired, np.random.default_rng(seed), n_audit)
+        assert len(pairs) == len(expected_pairs) == n_audit
+        for (x, y), (ex, ey) in zip(pairs, expected_pairs):
+            assert np.array_equal(x, ex) and np.array_equal(y, ey)
+
+        ok, violations = is_perfectly_fair(h, pairs, metric, tolerance=0.05)
+        expected_ok, expected_violations = scalar.is_perfectly_fair(h, pairs, distance, 0.05)
+        assert ok == expected_ok
+        assert [(x.tolist(), y.tolist(), gap, dist) for x, y, gap, dist in violations] == [
+            (x.tolist(), y.tolist(), gap, dist) for x, y, gap, dist in expected_violations]
+
+
+class TestExperimentInputs:
+    def test_negative_audit_pairs_rejected(self):
+        with pytest.raises(ValidationError, match="n_audit_pairs"):
+            run_hardness_experiment(n=8, k_pairs=5, seed=1, modes=("V",),
+                                    n_audit_pairs=-1, train_learners=())
