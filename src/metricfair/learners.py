@@ -222,8 +222,12 @@ def train_fair_linear(
         excess = np.abs(gaps) - dists
         active = excess > 0
         value = float(np.sum(excess[active])) / n_edges - budget
-        coef = np.where(active, np.sign(gaps), 0.0)
-        return value, (halfdiff.T @ coef) / n_edges
+
+        def subgradient():
+            coef = np.where(active, np.sign(gaps), 0.0)
+            return (halfdiff.T @ coef) / n_edges
+
+        return value, subgradient
 
     def project(w):
         norm = float(np.linalg.norm(w))
@@ -242,12 +246,10 @@ def train_fair_linear(
 
 
 def gram_matrix(S: LabeledDataset, kernel: KernelSpec) -> np.ndarray:
-    """Gram matrix K[i, j] = K(x_i, x_j); validated symmetric PSD and finite."""
+    """Gram matrix K[i, j] = K(x_i, x_j); validated finite, symmetric and PSD."""
     K = kernel.gram(S.features)
     if K.shape != (len(S), len(S)):
         raise ValidationError("gram matrix shape does not match the sample")
-    if not np.all(np.isfinite(K)):
-        raise ValidationError("gram matrix has non-finite entries")
     check_psd(K)
     return K
 
@@ -302,11 +304,15 @@ def train_fair_kernel(
         excess = np.abs(gaps) - dists
         active = excess > 0
         value = float(np.sum(excess[active])) / n_edges - budget
-        coef = np.where(active, np.sign(gaps), 0.0) / n_edges
-        z = np.zeros(m)
-        np.add.at(z, left, coef)
-        np.add.at(z, right, -coef)
-        return value, K @ z
+
+        def subgradient():
+            coef = np.where(active, np.sign(gaps), 0.0) / n_edges
+            z = np.zeros(m)
+            np.add.at(z, left, coef)
+            np.add.at(z, right, -coef)
+            return K @ z
+
+        return value, subgradient
 
     def project(beta):
         raw = raw_of(beta)
@@ -320,11 +326,15 @@ def train_fair_kernel(
         return scaled
 
     if learner.init == "ridge":
-        init = np.linalg.solve(K + learner.ridge_lambda * m * np.eye(m), y01)
+        ridge = K.copy()
+        ridge[np.diag_indices(m)] += learner.ridge_lambda * m
+        init = np.linalg.solve(ridge, y01)
+        del ridge  # an m x m copy; free it before the solver runs
         # raw scores scale linearly in beta, so the warm start can be pulled
         # into the feasible region in closed form instead of burning solver
         # iterations on a feasibility march
-        gaps0 = np.abs((K @ init)[left] - (K @ init)[right])
+        raw0 = K @ init
+        gaps0 = np.abs(raw0[left] - raw0[right])
 
         def slack_at(c: float) -> float:
             return float(np.mean(np.maximum(c * gaps0 - dists, 0.0))) - budget

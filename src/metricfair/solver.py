@@ -11,7 +11,7 @@ set is convex). Deterministic: no randomness is consumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -107,6 +107,12 @@ def solve_constrained(
     `project(w)` maps onto the domain. Returns (point, TrainingReport).
     Raises InfeasibleError when no iterate ever meets the feasibility
     tolerance, attaching the point of smallest constraint value seen.
+
+    The constraint's subgradient is needed only on infeasible iterates, so
+    `constraint` may return it as a zero-argument callable instead of an
+    array. The solver calls it right after `constraint(w)` on each
+    infeasible iterate and never on a feasible one, so a constraint whose
+    subgradient is costly pays for it only when a step uses it.
     """
     tol = config.feasibility_tolerance
     w = project(np.array(initial_point, dtype=np.float64))
@@ -155,6 +161,8 @@ def solve_constrained(
                 step = schedule.c0 / math.sqrt(t + 1.0)
             w = project(w - step * f_sub)
         else:
+            if callable(g_sub):
+                g_sub = g_sub()
             sub_norm_sq = float(np.dot(g_sub, g_sub))
             if sub_norm_sq == 0.0:
                 # flat violated constraint: nothing to move along
@@ -210,26 +218,11 @@ def solve_annealed(
     total_iters = 0
     for stage in range(stages):
         sched = type(config.step_schedule)(c0 / (shrink**stage))
-        stage_cfg = SolverConfig(
-            max_iters=config.max_iters,
-            step_schedule=sched,
-            feasibility_tolerance=config.feasibility_tolerance,
-            objective_tolerance=config.objective_tolerance,
-            seed=config.seed,
-            constraint_target=config.constraint_target,
-        )
+        stage_cfg = replace(config, step_schedule=sched)
         w, report = solve_constrained(objective, constraint, project, stage_cfg, point)
         total_iters += report.iterations
         point = w
         if best is None or report.final_objective < best[1].final_objective:
             best = (w, report)
     w, report = best
-    report = TrainingReport(
-        final_objective=report.final_objective,
-        final_constraint_slack=report.final_constraint_slack,
-        iterations=total_iters,
-        converged=report.converged,
-        derived_params=report.derived_params,
-        extras=report.extras,
-    )
-    return w, report
+    return w, replace(report, iterations=total_iters)

@@ -1,8 +1,9 @@
 """One-pair-at-a-time reference implementations of the batched paths.
 
 These are the scalar forms the library computed before its metric callers
-worked over index arrays. The property tests require the batched code to
-return exactly what these return.
+worked over index arrays, and the eigendecomposition form of the PSD check.
+The property tests require the library code to return exactly what these
+return.
 """
 
 import hashlib
@@ -74,12 +75,13 @@ def validate_metric(distance, dataset, n_triples, seed, tolerance=1e-12):
     for a, b, c in idx:
         a, b, c = int(a), int(b), int(c)
         dab = d(a, b)
-        dba = distance(X[b], X[a])
         dac = d(a, c)
         dcb = d(c, b)
         daa = d(a, a)
-        if abs(dab - dba) > tolerance:
-            symmetry.append((a, b, dab, dba))
+        forward = distance(X[a], X[b])
+        backward = distance(X[b], X[a])
+        if abs(forward - backward) > tolerance:
+            symmetry.append((a, b, forward, backward))
         for val in (dab, dac, dcb):
             if not -tolerance <= val <= 1.0 + tolerance:
                 rng_viol.append((a, b, c, val))
@@ -89,6 +91,20 @@ def validate_metric(distance, dataset, n_triples, seed, tolerance=1e-12):
         if dab > dac + dcb + tolerance:
             triangle.append((a, b, c, dab, dac, dcb))
     return tuple(symmetry), tuple(rng_viol), tuple(triangle)
+
+
+def check_psd(gram, rel_tolerance=1e-8) -> None:
+    """`check_psd` as a full eigendecomposition: symmetry, then the smallest
+    eigenvalue against -rel_tolerance times the largest."""
+    gram = np.asarray(gram, dtype=np.float64)
+    if not np.allclose(gram, gram.T, atol=1e-10):
+        raise ValidationError("gram matrix is not symmetric")
+    eigs = np.linalg.eigvalsh(gram)
+    top = float(max(eigs.max(), 0.0))
+    if float(eigs.min()) < -rel_tolerance * max(top, 1e-300):
+        raise ValidationError(
+            f"gram matrix is not positive semidefinite (min eig {eigs.min():.3e})"
+        )
 
 
 def averaged_fair_paired_error(h, paired, distance) -> float:

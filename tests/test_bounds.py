@@ -54,6 +54,13 @@ class TestRademacherEstimator:
         with pytest.raises(ValidationError):
             empirical_rademacher_kernel_ball(np.array([[1.0, 3.0], [3.0, 1.0]]), 1.0, 10, 0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_gram(self, bad):
+        # an infinite diagonal entry used to pass the PSD check and give value=inf
+        gram = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="gram matrix has non-finite entries"):
+            empirical_rademacher_kernel_ball(gram, 1.0, 10, 0)
+
 
 class TestDeltaFormulas:
     def test_worked_value(self):

@@ -19,11 +19,13 @@ from metricfair import (
     Example,
     KernelPredictor,
     LabeledDataset,
+    LinearDotKernel,
     LinearPredictor,
     LogisticPredictor,
     Matching,
     MatrixMetric,
     MetricUndefinedError,
+    PrecomputedGramKernel,
     RandomPermutation,
     ScaledEuclideanMetric,
     SimilarityMetric,
@@ -152,8 +154,6 @@ class TestKernels:
             check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_precomputed_gram_kernel(self, rng):
-        from metricfair import PrecomputedGramKernel
-
         A = rng.standard_normal((5, 5))
         gram = A @ A.T
         kernel = PrecomputedGramKernel(gram)
@@ -161,6 +161,88 @@ class TestKernels:
         assert kernel.sup_value == float(np.max(np.abs(gram)))
         with pytest.raises(Exception):
             kernel.value(np.zeros(2), np.zeros(2))
+
+
+def _psd_verdict(check, gram, rel_tolerance):
+    """None when `check` accepts `gram`, else its error message."""
+    try:
+        check(gram, rel_tolerance)
+    except ValidationError as err:
+        return str(err)
+    return None
+
+
+class TestCheckPsd:
+    """check_psd decides as the eigvalsh rule it replaced, which
+    scalar_reference keeps, and leaves its input as it was."""
+
+    def _same_verdict(self, gram, rel_tolerance=core.PSD_TOLERANCE):
+        before = np.array(gram, copy=True)
+        verdict = _psd_verdict(check_psd, gram, rel_tolerance)
+        assert verdict == _psd_verdict(scalar.check_psd, before, rel_tolerance)
+        assert np.array_equal(gram, before)
+        return verdict
+
+    @given(m=st.integers(1, 40), rank=st.integers(1, 40), seed=st.integers(0, 2**16),
+           shift=st.sampled_from([0.0, 1e-3, -1e-14, -1e-10, -1e-6, -1e-2, -1.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_random_grams_decide_as_eigvalsh(self, m, rank, seed, shift):
+        # A A' has rank min(rank, m); the diagonal shift, relative to the
+        # top eigenvalue, makes it definite, singular or indefinite
+        A = np.random.default_rng(seed).standard_normal((m, min(rank, m)))
+        gram = A @ A.T
+        gram += shift * np.linalg.eigvalsh(gram).max() * np.eye(m)
+        self._same_verdict(gram)
+
+    @given(m=st.integers(3, 30), seed=st.integers(0, 2**16),
+           rel_tolerance=st.sampled_from([core.PSD_TOLERANCE, 1e-13, 0.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_near_singular_grams_decide_as_eigvalsh_at_any_tolerance(self, m, seed, rel_tolerance):
+        # eigenvalues down to 1e-18: eigvalsh may return a tiny negative one
+        # for a gram that Cholesky still factors, which a zero tolerance rejects
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        rank = int(rng.integers(1, m))
+        eigs = np.concatenate([rng.uniform(0.5, 1.0, rank), 10.0 ** rng.uniform(-18, -14, m - rank)])
+        gram = (Q * eigs) @ Q.T
+        self._same_verdict(0.5 * (gram + gram.T), rel_tolerance)
+
+    @given(m=st.integers(2, 40), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_random_symmetric_matrices_decide_as_eigvalsh(self, m, seed):
+        B = np.random.default_rng(seed).standard_normal((m, m))
+        self._same_verdict(B + B.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rank_deficient_linear_gram_takes_the_eigvalsh_path(self, rng, n):
+        X = unit_ball_points(rng, 30, n)
+        gram = LinearDotKernel().gram(X)
+        assert np.linalg.matrix_rank(gram) == n
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            check_psd(gram)
+        assert eigvalsh.called
+        assert self._same_verdict(gram) is None
+
+    def test_definite_kernel_gram_is_certified_without_eigvalsh(self, rng):
+        gram = VovkHalfKernel().gram(unit_ball_points(rng, 200, 10))
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+            check_psd(gram)
+
+    def test_read_only_precomputed_gram(self, rng):
+        A = rng.standard_normal((12, 12))
+        gram = PrecomputedGramKernel(A @ A.T).gram()
+        assert not gram.flags.writeable
+        assert self._same_verdict(gram) is None
+        indefinite = PrecomputedGramKernel(A + A.T).gram()
+        assert "not positive semidefinite" in self._same_verdict(indefinite)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, bad, where):
+        gram = np.eye(2)
+        gram[where] = bad
+        with pytest.raises(ValidationError, match="gram matrix has non-finite entries"):
+            check_psd(gram)
 
 
 class TestMatching:
@@ -286,6 +368,16 @@ class TestValidateMetricBlocks:
         expected = scalar.validate_metric(metric.distance, ds, n_triples, seed=5)
         assert all(expected)  # every kind of violation occurs
         assert _violations(report) == expected
+
+    def test_asymmetry_is_found_in_both_index_orders(self, rng):
+        ds = random_dataset(rng, 10, 2)
+        report = validate_metric(BrokenMetric(), ds, 2000, seed=0)
+        X = ds.features
+        assert any(a > b for a, b, _, _ in report.symmetry_violations)
+        assert any(a < b for a, b, _, _ in report.symmetry_violations)
+        for a, b, forward, backward in report.symmetry_violations:
+            assert forward == BrokenMetric().distance(X[a], X[b])
+            assert backward == BrokenMetric().distance(X[b], X[a])
 
     @pytest.mark.parametrize("n_triples", [0, -5])
     def test_rejects_non_positive_triple_counts(self, rng, n_triples):

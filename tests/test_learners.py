@@ -1,9 +1,12 @@
 """Fairness-constrained linear and kernelized training."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from conftest import random_dataset, random_metric
+from metricfair import solver
 from metricfair import (
     ConstantMetric,
     Consecutive,
@@ -279,3 +282,57 @@ class TestTrainKernel:
     def test_learner_spec_needs_B_or_L(self):
         with pytest.raises(ValidationError):
             KernelLearner()
+
+
+class TestLazyConstraintSubgradient:
+    """Both learners return the constraint subgradient as a callable, which
+    the solver evaluates once per infeasible iterate and never otherwise,
+    and which returns the gradient of the piecewise-linear constraint."""
+
+    @pytest.mark.parametrize("train, learner", [
+        (train_fair_linear, None),
+        (train_fair_kernel, KernelLearner(B=1e4)),
+        (train_fair_kernel, KernelLearner(B=1e4, init="zeros")),
+    ])
+    def test_exact_and_evaluated_once_per_infeasible_iterate(self, rng, train, learner):
+        solve = solver.solve_constrained
+        tallies = []
+        slopes = []
+        directions = np.random.default_rng(0)
+
+        def counting_solve(objective, constraint, project, config, initial_point):
+            calls = []
+
+            def counted(w):
+                value, sub = constraint(w)
+                assert callable(sub)
+
+                def subgradient():
+                    calls.append(1)
+                    grad = sub()
+                    v = directions.standard_normal(w.shape)
+                    v *= 1e-6 * max(1.0, float(np.linalg.norm(w))) / float(np.linalg.norm(v))
+                    for step in (v, -v):
+                        slopes.append((constraint(w + step)[0] - value, float(grad @ step)))
+                    return grad
+
+                return value, subgradient
+
+            w, report = solve(objective, counted, project, config, initial_point)
+            infeasible = report.iterations - report.extras["n_feasible_iterates"]
+            tallies.append((len(calls), infeasible))
+            return w, report
+
+        extra = {} if learner is None else {"learner": learner}
+        cfg = linear_config(solver=SolverConfig(max_iters=400, seed=0), **extra)
+        with mock.patch.object(solver, "solve_constrained", counting_solve):
+            train(random_dataset(rng, 16, 3), ScaledEuclideanMetric(0.2), cfg, tau=0.01)
+        assert len(tallies) == 3
+        assert all(calls == infeasible for calls, infeasible in tallies)
+        assert sum(calls for calls, _ in tallies) > 0
+        # for a subgradient grad of the convex constraint c,
+        # c(w + step) >= c(w) + grad . step at step = +v and -v; c is
+        # piecewise linear, so where no kink lies within v both hold with
+        # equality, and only the true gradient satisfies both
+        for change, predicted in slopes:
+            assert change >= predicted - 1e-5 * abs(predicted) - 1e-15

@@ -116,3 +116,45 @@ class TestSolveConstrained:
             SolverConfig(max_iters=0)
         with pytest.raises(ValidationError):
             SolverConfig(feasibility_tolerance=0.0)
+
+
+class TestLazyConstraintSubgradient:
+    """A constraint may return its subgradient as a zero-argument callable."""
+
+    @staticmethod
+    def run(solve, lazy):
+        # the l1 minimum w0 lies outside the half-plane a.w <= b, so the
+        # iterates keep crossing the boundary and many steps are infeasible
+        a, b = np.array([1.0, 2.0]), 0.6
+        seen = []
+        calls = []
+
+        def constraint(w):
+            seen.append(w.copy())
+            value, sub = float(a @ w - b), a.copy()
+            if not lazy:
+                return value, sub
+
+            def subgradient():
+                calls.append(1)
+                return sub
+
+            return value, subgradient
+
+        cfg = SolverConfig(max_iters=300, step_schedule=InverseSqrt(0.3))
+        w0 = np.array([0.7, 0.5])
+        w, report = solve(l1_objective(w0), constraint, disk_projection, cfg, w0)
+        return w, report, seen, len(calls)
+
+    @pytest.mark.parametrize("solve", [solve_constrained, solve_annealed])
+    def test_same_iterates_and_report_as_an_array(self, solve):
+        w_eager, r_eager, seen_eager, _ = self.run(solve, lazy=False)
+        w_lazy, r_lazy, seen_lazy, _ = self.run(solve, lazy=True)
+        assert np.array_equal(w_lazy, w_eager)
+        assert r_lazy.to_dict() == r_eager.to_dict()
+        assert len(seen_lazy) == len(seen_eager)
+        assert all(np.array_equal(x, y) for x, y in zip(seen_lazy, seen_eager))
+
+    def test_called_once_per_infeasible_iterate(self):
+        _, report, _, calls = self.run(solve_constrained, lazy=True)
+        assert 0 < calls == report.iterations - report.extras["n_feasible_iterates"]
