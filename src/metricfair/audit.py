@@ -25,54 +25,27 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class FairnessParams:
-    """A validated bundle of fairness parameters.
-
-    gamma must be strictly positive: at gamma = 0 the l1-to-0/1 containment
-    degenerates. When both alpha1 and alpha2 are set, `group_regime` says
-    whether alpha1 * alpha2 >= alpha, the regime in which an (alpha, gamma)-
-    fair predictor is also (alpha1, alpha2; gamma)-fair.
-    """
-
-    alpha: float
-    gamma: float
-    alpha1: float | None = None
-    alpha2: float | None = None
-    tau: float | None = None
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValidationError(f"gamma must be in (0, 1), got {self.gamma}")
-        for name in ("alpha1", "alpha2", "sigma"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 < v < 1.0:
-                raise ValidationError(f"{name} must be in (0, 1), got {v}")
-        if self.tau is not None and not 0.0 <= self.tau <= 1.0:
-            raise ValidationError(f"tau must be in [0, 1], got {self.tau}")
-
-    @property
-    def group_regime(self) -> bool | None:
-        if self.alpha1 is None or self.alpha2 is None:
-            return None
-        return self.alpha1 * self.alpha2 >= self.alpha
+def _stacked_gaps_and_distances(h, points: np.ndarray, d: SimilarityMetric):
+    """For the pairs (points[t], points[k + t]) of a (2k, n) stack: the gaps
+    |h(x) - h(x')| from one predict_batch call on the whole stack, and
+    d(x, x') from one pair_distances call."""
+    k = points.shape[0] // 2
+    values = h.predict_batch(points)
+    return np.abs(values[:k] - values[k:]), d.pair_distances(points[:k], points[k:])
 
 
 def pair_mf_loss(h: Predictor, x: Example, x2: Example, d: SimilarityMetric, gamma: float) -> int:
     """0/1 fairness loss on a pair: 1 iff |h(x) - h(x')| > d(x, x') + gamma."""
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
-    gap = abs(h.predict(x.features) - h.predict(x2.features))
-    return int(gap > d.distance(x.features, x2.features) + gamma)
+    gaps, dists = _stacked_gaps_and_distances(h, np.stack([x.features, x2.features]), d)
+    return int(gaps[0] > dists[0] + gamma)
 
 
 def pair_l1_loss(h: Predictor, x: Example, x2: Example, d: SimilarityMetric) -> float:
     """l1 fairness loss on a pair: max(0, |h(x) - h(x')| - d(x, x'))."""
-    gap = abs(h.predict(x.features) - h.predict(x2.features))
-    return max(0.0, gap - d.distance(x.features, x2.features))
+    gaps, dists = _stacked_gaps_and_distances(h, np.stack([x.features, x2.features]), d)
+    return float(max(0.0, gaps[0] - dists[0]))
 
 
 def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMetric):
@@ -144,9 +117,8 @@ def surrogate_ramp(u, gamma: float, G: float):
 
 def surrogate_loss(h, x: Example, x2: Example, d: SimilarityMetric, gamma: float, G: float) -> float:
     """Surrogate fairness loss: the ramp applied to |h(x)-h(x')| - d(x, x')."""
-    gap = abs(h.predict(x.features) - h.predict(x2.features))
-    u = gap - d.distance(x.features, x2.features)
-    return float(surrogate_ramp(u, gamma, G))
+    gaps, dists = _stacked_gaps_and_distances(h, np.stack([x.features, x2.features]), d)
+    return float(surrogate_ramp(gaps[0] - dists[0], gamma, G))
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +235,7 @@ def is_perfectly_fair(h, pairs, d: SimilarityMetric, tolerance: float = 0.0):
     points = np.array([features(x) for x, _ in pairs] + [features(y) for _, y in pairs],
                       dtype=np.float64)
     xs, ys = points[:k], points[k:]
-    values = h.predict_batch(points)
-    gaps = np.abs(values[:k] - values[k:])
-    dists = d.pair_distances(xs, ys)
+    gaps, dists = _stacked_gaps_and_distances(h, points, d)
     violations = [(xs[t], ys[t], float(gaps[t]), float(dists[t]))
                   for t in np.flatnonzero(gaps > dists + tolerance).tolist()]
     return (len(violations) == 0), violations
@@ -316,7 +286,10 @@ def audit_predictor(
     seed: int = 0,
 ) -> FairnessReport:
     """Run the full audit: matching-based losses, the all-pairs group profile,
-    and (optionally) a Monte-Carlo population estimate."""
+    and (optionally) a Monte-Carlo population estimate; `population_pairs`
+    of 0 skips the estimate."""
+    if population_pairs < 0:
+        raise ValidationError(f"population_pairs must be >= 0, got {population_pairs}")
     mf = empirical_mf_loss(h, S, M, d, gamma)
     l1 = empirical_l1_loss(h, S, M, d)
     profile = group_fairness_profile(h, S, d, gamma, alpha2_grid)

@@ -104,7 +104,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iters", type=int)
     p.add_argument("--step-c0", type=float)
     p.add_argument("--feas-tol", type=float)
-    p.add_argument("--obj-tol", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--predictor-out", required=True)
     _add_report_flags(p)
@@ -186,7 +185,7 @@ _TRAIN_DEFAULTS = {
     "learner": "linear", "eps": 0.1, "eps_alpha": 0.1, "eps_gamma": 0.1,
     "delta": 0.05, "gamma_star": 0.05, "theory_mode": "empirical",
     "kernel_b": None, "kernel_l": None, "b_max": 1e4,
-    "max_iters": 3000, "step_c0": 0.5, "feas_tol": 1e-6, "obj_tol": 1e-2,
+    "max_iters": 3000, "step_c0": 0.5, "feas_tol": 1e-6,
 }
 
 
@@ -221,7 +220,6 @@ def _train_config(args, seed: int) -> TrainConfig:
         max_iters=int(pick("max_iters")),
         step_schedule=InverseSqrt(pick("step_c0")),
         feasibility_tolerance=pick("feas_tol"),
-        objective_tolerance=pick("obj_tol"),
         seed=seed,
     )
     return TrainConfig(

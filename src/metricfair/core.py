@@ -45,6 +45,16 @@ def _as_float_vector(values) -> np.ndarray:
     return arr
 
 
+def _check_unit_ball_rows(rows: np.ndarray, what: str) -> None:
+    """Raise unless every row of `rows` is finite with norm at most
+    1 + NORM_TOLERANCE."""
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError(f"{what} must be finite")
+    worst = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
+    if worst > 1.0 + NORM_TOLERANCE:
+        raise ValidationError(f"{what} norm {worst:.12g} exceeds the unit ball")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -92,14 +102,9 @@ class LabeledDataset:
             raise ValidationError("dataset must be non-empty")
         if labels.shape != (feats.shape[0],):
             raise ValidationError("labels must align with feature rows")
-        if not np.all(np.isfinite(feats)):
-            raise ValidationError("features must be finite")
+        _check_unit_ball_rows(feats, "features")
         if not np.all(np.isin(labels, (-1, 1))):
             raise ValidationError("labels must be -1 or +1")
-        norms = np.linalg.norm(feats, axis=1)
-        worst = float(norms.max())
-        if worst > 1.0 + NORM_TOLERANCE:
-            raise ValidationError(f"feature norm {worst:.12g} exceeds the unit ball")
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "labels", _freeze(labels.astype(np.int64)))
 
@@ -289,9 +294,6 @@ class KernelSpec:
 
     sup_value: float
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        raise NotImplementedError
-
     def gram(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(xs)
         return self.cross(xs, xs)
@@ -311,9 +313,6 @@ class VovkHalfKernel(KernelSpec):
     sup_value = 2.0
     name = "vovk-half"
 
-    def value(self, x, y) -> float:
-        return 1.0 / (1.0 - 0.5 * float(np.dot(x, y)))
-
     def cross(self, xs, ys) -> np.ndarray:
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
@@ -325,9 +324,6 @@ class LinearDotKernel(KernelSpec):
 
     sup_value = 1.0
     name = "linear-dot"
-
-    def value(self, x, y) -> float:
-        return float(np.dot(x, y))
 
     def cross(self, xs, ys) -> np.ndarray:
         return np.atleast_2d(xs) @ np.atleast_2d(ys).T
@@ -344,9 +340,6 @@ class PrecomputedGramKernel(KernelSpec):
             raise ValidationError("gram matrix must be square")
         self._gram = _freeze(gram)
         self.sup_value = float(np.max(np.abs(gram))) if gram.size else 0.0
-
-    def value(self, x, y) -> float:
-        raise MetricFairError("precomputed-gram kernel cannot evaluate raw vectors")
 
     def cross(self, xs, ys) -> np.ndarray:
         raise MetricFairError("precomputed-gram kernel cannot evaluate raw vectors")
@@ -399,17 +392,21 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
 
 
 class Predictor:
-    """Probabilistic classifier h: X -> [0, 1]."""
+    """Probabilistic classifier h: X -> [0, 1].
+
+    A predictor implements `predict_batch`; `predict` is derived from it.
+    """
 
     #: expected input dimension, or None when any dimension is accepted
     dimension: int | None = None
 
-    def predict(self, x: np.ndarray) -> float:
+    def predict_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Predictions h(xs[i]) for the rows of `xs`."""
         raise NotImplementedError
 
-    def predict_batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(xs)
-        return np.array([self.predict(x) for x in xs])
+    def predict(self, x: np.ndarray) -> float:
+        """h(x) for a single point."""
+        return float(self.predict_batch(x)[0])
 
     def _check_dimension(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -431,9 +428,6 @@ class ConstantPredictor(Predictor):
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError(f"constant prediction must be in [0, 1], got {self.p}")
 
-    def predict(self, x) -> float:
-        return self.p
-
     def predict_batch(self, xs) -> np.ndarray:
         return np.full(np.atleast_2d(xs).shape[0], self.p)
 
@@ -448,10 +442,6 @@ class LinearPredictor(Predictor):
             raise ValidationError(f"weight norm {norm:.12g} exceeds 1")
         self.weights = _freeze(w)
         self.dimension = w.shape[0]
-
-    def predict(self, x) -> float:
-        x = self._check_dimension(x)
-        return 0.5 * (1.0 + float(np.dot(self.weights, x)))
 
     def predict_batch(self, xs) -> np.ndarray:
         xs = self._check_dimension(np.atleast_2d(xs))
@@ -477,20 +467,18 @@ class LogisticPredictor(Predictor):
         self.lipschitz = float(lipschitz)
         self.dimension = w.shape[0]
 
-    def predict(self, x) -> float:
-        x = self._check_dimension(x)
-        return float(sigmoid_transfer(np.dot(self.weights, x), self.lipschitz))
-
     def predict_batch(self, xs) -> np.ndarray:
         xs = self._check_dimension(np.atleast_2d(xs))
         return sigmoid_transfer(xs @ self.weights, self.lipschitz)
 
 
 class KernelPredictor(Predictor):
-    """h(x) = clamp(sum_l beta_l K(x_l, x), 0, 1) over stored support points."""
+    """h(x) = clamp(sum_l beta_l K(x_l, x), 0, 1) over stored support points,
+    which must lie in the unit ball like a dataset's features."""
 
     def __init__(self, support: np.ndarray, beta, kernel: KernelSpec):
         support = np.atleast_2d(np.asarray(support, dtype=np.float64))
+        _check_unit_ball_rows(support, "support")
         beta = _as_float_vector(beta)
         if beta.shape[0] != support.shape[0]:
             raise ValidationError("beta must have one coefficient per support point")
@@ -499,18 +487,10 @@ class KernelPredictor(Predictor):
         self.kernel = kernel
         self.dimension = support.shape[1]
 
-    def raw(self, x) -> float:
-        """Unclamped score sum_l beta_l K(x_l, x); training operates on this."""
-        x = self._check_dimension(x)
-        k = np.array([self.kernel.value(s, x) for s in self.support])
-        return float(np.dot(self.beta, k))
-
     def raw_batch(self, xs) -> np.ndarray:
+        """Unclamped scores sum_l beta_l K(x_l, x); training operates on these."""
         xs = self._check_dimension(np.atleast_2d(xs))
         return self.kernel.cross(xs, self.support) @ self.beta
-
-    def predict(self, x) -> float:
-        return float(min(1.0, max(0.0, self.raw(x))))
 
     def predict_batch(self, xs) -> np.ndarray:
         return np.clip(self.raw_batch(xs), 0.0, 1.0)

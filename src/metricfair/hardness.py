@@ -208,10 +208,6 @@ class SignReferencePredictor(Predictor):
     def __init__(self, n: int):
         self.dimension = n
 
-    def predict(self, x) -> float:
-        x = self._check_dimension(x)
-        return 1.0 if x[-1] > 0 else 0.0
-
     def predict_batch(self, xs) -> np.ndarray:
         xs = self._check_dimension(np.atleast_2d(xs))
         return (xs[:, -1] > 0).astype(np.float64)

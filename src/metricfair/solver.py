@@ -53,15 +53,14 @@ class SolverConfig:
     max_iters: int = 3000
     step_schedule: InverseSqrt | Polyak = InverseSqrt()
     feasibility_tolerance: float = 1e-6
-    objective_tolerance: float = 1e-2
     seed: int = 0
     constraint_target: float = 0.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.feasibility_tolerance <= 0 or self.objective_tolerance <= 0:
-            raise ValidationError("tolerances must be positive")
+        if self.feasibility_tolerance <= 0:
+            raise ValidationError("feasibility_tolerance must be positive")
 
 
 @dataclass(frozen=True)

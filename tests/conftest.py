@@ -7,13 +7,19 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import scalar_reference as scalar
 from metricfair import (
     ConstantMetric,
     ConstantPredictor,
+    KernelPredictor,
     LabeledDataset,
+    LinearDotKernel,
     LinearPredictor,
     LogisticPredictor,
+    Predictor,
     ScaledEuclideanMetric,
+    SignReferencePredictor,
+    VovkHalfKernel,
 )
 
 # Property tests draw the same examples on every run and keep no example
@@ -65,28 +71,50 @@ def random_predictor(rng, n):
     return LogisticPredictor(w, float(rng.uniform(0.5, 4.0)))
 
 
+#: predictor kinds of `predictor_with_formula`
+PREDICTOR_KINDS = ("constant", "linear", "logistic", "kernel-vovk", "kernel-linear-dot", "sign")
+
+
+def predictor_with_formula(kind, rng, n):
+    """A random predictor of `kind` on dimension n, its one-point formula from
+    scalar_reference, and whether batch predictions must equal that formula
+    bit for bit (no matrix product is involved)."""
+    if kind == "constant":
+        h = ConstantPredictor(float(rng.random()))
+        return h, lambda x: h.p, True
+    if kind == "sign":
+        return SignReferencePredictor(n), scalar.sign_predict, True
+    w = random_unit_vector(rng, n) * float(rng.random())
+    if kind == "linear":
+        h = LinearPredictor(w)
+        return h, lambda x: scalar.linear_predict(h, x), False
+    if kind == "logistic":
+        h = LogisticPredictor(w, float(rng.uniform(0.5, 4.0)))
+        return h, lambda x: scalar.logistic_predict(h, x), False
+    kernel = VovkHalfKernel() if kind == "kernel-vovk" else LinearDotKernel()
+    size = int(rng.integers(1, 8))
+    h = KernelPredictor(unit_ball_points(rng, size, n), rng.standard_normal(size), kernel)
+    return h, lambda x: scalar.kernel_predict(h, x), False
+
+
 def random_metric(rng):
     if rng.random() < 0.5:
         return ConstantMetric(float(rng.uniform(0.0, 0.6)))
     return ScaledEuclideanMetric(float(rng.uniform(0.2, 1.5)))
 
 
-class TablePredictor:
+def _row_key(row) -> bytes:
+    return np.ascontiguousarray(np.asarray(row, dtype=np.float64)).tobytes()
+
+
+class TablePredictor(Predictor):
     """Maps known feature rows to fixed prediction values (test stub)."""
 
-    dimension = None
-
     def __init__(self, features, values):
-        self._table = {
-            np.ascontiguousarray(np.asarray(row, dtype=np.float64)).tobytes(): float(v)
-            for row, v in zip(features, values)
-        }
-
-    def predict(self, x):
-        return self._table[np.ascontiguousarray(np.asarray(x, dtype=np.float64)).tobytes()]
+        self._table = {_row_key(row): float(v) for row, v in zip(features, values)}
 
     def predict_batch(self, xs):
-        return np.array([self.predict(x) for x in np.atleast_2d(xs)])
+        return np.array([self._table[_row_key(x)] for x in np.atleast_2d(xs)])
 
 
 @pytest.fixture

@@ -1,16 +1,17 @@
 """One-pair-at-a-time reference implementations of the batched paths.
 
 These are the scalar forms the library computed before its metric callers
-worked over index arrays, and the eigendecomposition form of the PSD check.
-The property tests require the library code to return exactly what these
-return.
+and its predictors worked over batches, and the eigendecomposition form of
+the PSD check. The property tests require the library code to return what
+these return: exactly, except where a batched matrix product may round the
+last bits differently (the linear, logistic and kernel predictions).
 """
 
 import hashlib
 
 import numpy as np
 
-from metricfair import SignUndefinedError, ValidationError
+from metricfair import SignUndefinedError, ValidationError, sigmoid_transfer
 
 
 def expand_seed(seed_bits) -> np.ndarray:
@@ -139,3 +140,53 @@ def is_perfectly_fair(h, pairs, distance, tolerance=0.0):
         if gap > dist + tolerance:
             violations.append((x, y, gap, dist))
     return (len(violations) == 0), violations
+
+
+# --- predictors, one point at a time ----------------------------------------
+
+
+def linear_predict(h, x) -> float:
+    return 0.5 * (1.0 + float(np.dot(h.weights, x)))
+
+
+def logistic_predict(h, x) -> float:
+    return float(sigmoid_transfer(np.dot(h.weights, x), h.lipschitz))
+
+
+#: K(x, y) of each serializable kernel, by kernel name
+KERNEL_VALUES = {
+    "vovk-half": lambda x, y: 1.0 / (1.0 - 0.5 * float(np.dot(x, y))),
+    "linear-dot": lambda x, y: float(np.dot(x, y)),
+}
+
+
+def kernel_raw(h, x) -> float:
+    value = KERNEL_VALUES[h.kernel.name]
+    k = np.array([value(s, x) for s in h.support])
+    return float(np.dot(h.beta, k))
+
+
+def kernel_predict(h, x) -> float:
+    return float(min(1.0, max(0.0, kernel_raw(h, x))))
+
+
+def sign_predict(x) -> float:
+    return 1.0 if x[-1] > 0 else 0.0
+
+
+# --- single-pair losses from scalar predictions and distances ----------------
+
+
+def pair_mf_loss(predict, distance, x, y, gamma) -> int:
+    gap = abs(predict(x) - predict(y))
+    return int(gap > distance(x, y) + gamma)
+
+
+def pair_l1_loss(predict, distance, x, y) -> float:
+    gap = abs(predict(x) - predict(y))
+    return max(0.0, gap - distance(x, y))
+
+
+def surrogate_loss(predict, distance, x, y, gamma, G) -> float:
+    gap = abs(predict(x) - predict(y))
+    return float(np.clip(G * (gap - distance(x, y) - gamma), 0.0, 1.0))

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TablePredictor, random_dataset, random_metric, random_predictor
+import scalar_reference as scalar
+from conftest import (
+    PREDICTOR_KINDS,
+    TablePredictor,
+    predictor_with_formula,
+    random_dataset,
+    random_metric,
+    random_predictor,
+    unit_ball_points,
+)
 from metricfair import (
     ConstantMetric,
     ConstantPredictor,
@@ -15,6 +24,7 @@ from metricfair import (
     Example,
     LabeledDataset,
     LinearPredictor,
+    ScaledEuclideanMetric,
     UnitBallSampler,
     ValidationError,
     all_pairs_mf_loss,
@@ -93,6 +103,37 @@ class TestPairLosses:
         h, a, b = _pair(0.5, 0.5)
         with pytest.raises(ValidationError):
             pair_mf_loss(h, a, b, ConstantMetric(0.5), 1.0)
+
+    @given(kind=st.sampled_from(PREDICTOR_KINDS), euclidean=st.booleans(),
+           n=st.integers(1, 6), same=st.booleans(), seed=st.integers(0, 2**16),
+           gamma=st.floats(0.0, 0.99), G=st.floats(1.0, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_match_old_per_pair_formulas(self, kind, euclidean, n, same, seed, gamma, G):
+        rng = np.random.default_rng(seed)
+        h, formula, exact = predictor_with_formula(kind, rng, n)
+        d = ScaledEuclideanMetric(float(rng.uniform(0.2, 1.5))) if euclidean \
+            else ConstantMetric(float(rng.uniform(0.0, 0.6)))
+        x, y = unit_ball_points(rng, 2, n)
+        if same:
+            y = x.copy()
+        a, b = Example(x, 1), Example(y, -1)
+        mf = pair_mf_loss(h, a, b, d, gamma)
+        l1 = pair_l1_loss(h, a, b, d)
+        ramp = surrogate_loss(h, a, b, d, gamma, G)
+        expected_l1 = scalar.pair_l1_loss(formula, d.distance, x, y)
+        expected_ramp = scalar.surrogate_loss(formula, d.distance, x, y, gamma, G)
+        if exact:
+            assert mf == scalar.pair_mf_loss(formula, d.distance, x, y, gamma)
+            assert l1 == expected_l1
+            assert ramp == expected_ramp
+        else:
+            # the scalar predictions may differ in their last bits
+            gap = abs(formula(x) - formula(y))
+            if abs(gap - (d.distance(x, y) + gamma)) > 1e-12:
+                assert mf == scalar.pair_mf_loss(formula, d.distance, x, y, gamma)
+            assert l1 == pytest.approx(expected_l1, rel=0, abs=1e-12)
+            assert ramp == pytest.approx(expected_ramp, rel=0, abs=G * 1e-12)
+        assert type(mf) is int and type(l1) is float and type(ramp) is float
 
 
 class TestEmpiricalLosses:
@@ -243,8 +284,8 @@ class TestSurrogate:
         h, a, b = _pair(h1, h2)
 
         class FixedMetric:
-            def distance(self, x, y):
-                return dist
+            def pair_distances(self, xs, ys):
+                return np.full(len(xs), dist)
 
         metric = FixedMetric()
         charged = pair_mf_loss(h, a, b, metric, gamma)
@@ -349,22 +390,6 @@ class TestL1L0Sandwich:
                     assert mf <= tau / gamma + 1e-12
                 if mf <= tau - gamma:
                     assert l1 <= tau + 1e-12
-
-
-class TestFairnessParams:
-    def test_validation(self):
-        from metricfair import FairnessParams
-
-        params = FairnessParams(alpha=0.1, gamma=0.2, alpha1=0.4, alpha2=0.5)
-        assert params.group_regime is True  # 0.2 >= 0.1
-        assert FairnessParams(alpha=0.3, gamma=0.2, alpha1=0.4, alpha2=0.5).group_regime is False
-        assert FairnessParams(alpha=0.3, gamma=0.2).group_regime is None
-        with pytest.raises(ValidationError):
-            FairnessParams(alpha=0.1, gamma=0.0)
-        with pytest.raises(ValidationError):
-            FairnessParams(alpha=1.0, gamma=0.2)
-        with pytest.raises(ValidationError):
-            FairnessParams(alpha=0.1, gamma=0.2, tau=1.5)
 
 
 class TestAuditReport:

@@ -127,6 +127,31 @@ class TestAudit:
         assert body["schema_version"] == 1
 
 
+    def test_negative_population_pairs_exit_two(self, capsys, dataset_file, tmp_path):
+        predictor_path = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor_path)
+        out = tmp_path / "audit.json"
+        code, _, err = run(capsys, "audit", "--data", str(dataset_file),
+                           "--metric", "constant:0.3", "--predictor", str(predictor_path),
+                           "--gamma", "0.1", "--seed", "5", "--population-pairs", "-5",
+                           "--out", str(out))
+        assert code == 2
+        assert "population_pairs must be >= 0" in err
+        assert not out.exists()
+
+    def test_kernel_support_outside_the_unit_ball_exits_two(self, capsys, dataset_file, tmp_path):
+        predictor_path = tmp_path / "kernel.json"
+        predictor_path.write_text(json.dumps({"variant": "kernel", "kernel": "vovk-half",
+                                              "support": [[5.0, 5.0]], "beta": [0.5]}))
+        out = tmp_path / "audit.json"
+        code, _, err = run(capsys, "audit", "--data", str(dataset_file),
+                           "--metric", "constant:0.3", "--predictor", str(predictor_path),
+                           "--gamma", "0.1", "--seed", "5", "--out", str(out))
+        assert code == 2
+        assert "exceeds the unit ball" in err
+        assert not out.exists()
+
+
 class TestTrainAuditRoundTrip:
     def test_l1_within_budget(self, capsys, dataset_file, tmp_path):
         predictor_path = tmp_path / "model.json"
@@ -173,6 +198,20 @@ class TestTrainAuditRoundTrip:
         assert derived["tau"] == pytest.approx(0.25 * derived["gamma_tilde"])
         # empirical and theoretical budgets are reported side by side
         assert derived["tau_theoretical"] < derived["tau"]
+
+    def test_objective_tolerance_is_not_an_option(self, capsys, dataset_file, tmp_path):
+        train = ("train", "--data", str(dataset_file), "--metric", "constant:0.2",
+                 "--alpha", "0.3", "--gamma", "0.4", "--seed", "1",
+                 "--predictor-out", str(tmp_path / "m.json"))
+        code, _, err = run(capsys, *train, "--obj-tol", "0.01")
+        assert code == 1
+        assert "--obj-tol" in err
+        config_path = tmp_path / "train-config.json"
+        config_path.write_text(json.dumps({"obj_tol": 0.01}))
+        code, _, err = run(capsys, *train, "--config", str(config_path))
+        assert code == 1
+        assert "unknown config keys: ['obj_tol']" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_alpha_is_usage_error(self, capsys, dataset_file, tmp_path):
         code, _, err = run(capsys, "train", "--data", str(dataset_file),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as scalar
-from conftest import random_dataset, unit_ball_points
+from conftest import PREDICTOR_KINDS, predictor_with_formula, random_dataset, unit_ball_points
 from metricfair import core
 from metricfair import (
     ConstantMetric,
@@ -24,6 +24,7 @@ from metricfair import (
     LogisticPredictor,
     Matching,
     MatrixMetric,
+    MetricFairError,
     MetricUndefinedError,
     PrecomputedGramKernel,
     RandomPermutation,
@@ -117,6 +118,23 @@ class TestPredict:
         gaps = np.abs(h.predict_batch(A) - h.predict_batch(B))
         assert np.all(gaps <= 0.5 * np.linalg.norm(A - B, axis=1) + 1e-12)
 
+    @given(kind=st.sampled_from(PREDICTOR_KINDS), n=st.integers(1, 8),
+           m=st.integers(1, 30), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_and_derived_predict_match_scalar_formulas(self, kind, n, m, seed):
+        rng = np.random.default_rng(seed)
+        h, formula, exact = predictor_with_formula(kind, rng, n)
+        X = unit_ball_points(rng, m, n)
+        X[::3, -1] = 0.0  # the sign predictor's boundary
+        expected = np.array([formula(x) for x in X])
+        singles = [h.predict(x) for x in X]
+        assert all(type(v) is float for v in singles)
+        for got in (h.predict_batch(X), np.array(singles)):
+            if exact:
+                assert np.array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
     def test_logistic_is_monotone_and_lipschitz(self, rng):
         ell = 2.5
         h = LogisticPredictor(np.array([1.0]), ell)
@@ -136,9 +154,11 @@ class TestKernels:
 
     def test_vovk_antipodal_values(self):
         k = VovkHalfKernel()
-        x = np.array([1.0, 0.0])
-        assert k.value(x, x) == pytest.approx(2.0)
-        assert k.value(x, -x) == pytest.approx(2.0 / 3.0)
+        x = np.array([[1.0, 0.0]])
+        values = k.cross(x, np.concatenate([x, -x]))
+        assert values.shape == (1, 2)
+        assert values[0, 0] == pytest.approx(2.0)
+        assert values[0, 1] == pytest.approx(2.0 / 3.0)
 
     def test_vovk_gram_is_psd(self, rng):
         k = VovkHalfKernel()
@@ -159,8 +179,25 @@ class TestKernels:
         kernel = PrecomputedGramKernel(gram)
         assert np.array_equal(kernel.gram(), gram)
         assert kernel.sup_value == float(np.max(np.abs(gram)))
-        with pytest.raises(Exception):
-            kernel.value(np.zeros(2), np.zeros(2))
+        with pytest.raises(MetricFairError, match="cannot evaluate raw vectors"):
+            kernel.cross(np.zeros((1, 2)), np.zeros((1, 2)))
+
+
+class TestKernelPredictorSupport:
+    @pytest.mark.parametrize("support, message", [
+        ([[0.1, np.nan], [0.0, 0.2]], "support must be finite"),
+        ([[0.1, 0.2], [np.inf, 0.0]], "support must be finite"),
+        ([[5.0, 5.0, 5.0]], "support norm 8.66025403784 exceeds the unit ball"),
+        ([[0.6, 0.8 + 1e-6]], "exceeds the unit ball"),
+    ])
+    def test_rejects_rows_outside_the_unit_ball(self, support, message):
+        beta = np.ones(len(support))
+        with pytest.raises(ValidationError, match=message):
+            KernelPredictor(np.array(support), beta, VovkHalfKernel())
+
+    def test_norm_tolerance_accepts_ingestion_noise(self):
+        h = KernelPredictor(np.array([[0.6, 0.8 + 5e-10]]), np.array([0.3]), VovkHalfKernel())
+        assert h.dimension == 2
 
 
 def _psd_verdict(check, gram, rel_tolerance):

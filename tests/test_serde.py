@@ -71,6 +71,18 @@ class TestPredictorJson:
         assert np.allclose(original.predict_batch(X), loaded.predict_batch(X), atol=0)
 
 
+    @pytest.mark.parametrize("support, message", [
+        ([[0.1, float("nan")]], "support must be finite"),
+        ([[5.0, 5.0, 5.0]], "support norm .* exceeds the unit ball"),
+    ])
+    def test_kernel_support_outside_the_unit_ball_rejected(self, support, message, tmp_path):
+        path = tmp_path / "predictor.json"
+        path.write_text(json.dumps({"variant": "kernel", "kernel": "vovk-half",
+                                    "support": support, "beta": [1.0]}))
+        with pytest.raises(ValidationError, match=message):
+            load_predictor_json(path)
+
+
 class TestMetricSpecs:
     def test_constant_and_euclidean(self):
         assert isinstance(load_metric("constant:0.4"), ConstantMetric)

@@ -36,8 +36,8 @@ class TestSolveConstrained:
         w0 = np.array([0.3, -0.2])
         cfg = SolverConfig(max_iters=1500, step_schedule=InverseSqrt(0.3))
         w, report = solve_annealed(l1_objective(w0), no_constraint, disk_projection, cfg, np.zeros(2))
-        assert np.allclose(w, w0, atol=cfg.objective_tolerance)
-        assert report.final_objective <= cfg.objective_tolerance
+        assert np.allclose(w, w0, atol=1e-2)
+        assert report.final_objective <= 1e-2
         assert report.converged
 
     def test_active_constraint_at_boundary(self):
@@ -51,14 +51,14 @@ class TestSolveConstrained:
         w, report = solve_annealed(
             objective, constraint, lambda w: np.clip(w, -1, 1), cfg, np.zeros(1)
         )
-        assert w[0] == pytest.approx(0.3, abs=cfg.objective_tolerance)
+        assert w[0] == pytest.approx(0.3, abs=1e-2)
         assert report.final_constraint_slack <= cfg.feasibility_tolerance
 
     def test_polyak_schedule(self):
         w0 = np.array([0.25, 0.4, -0.1])
         cfg = SolverConfig(max_iters=1500, step_schedule=Polyak(0.5))
         w, report = solve_annealed(l1_objective(w0), no_constraint, disk_projection, cfg, np.zeros(3))
-        assert np.allclose(w, w0, atol=cfg.objective_tolerance)
+        assert np.allclose(w, w0, atol=1e-2)
 
     def test_random_piecewise_linear_vs_grid_oracle(self, rng):
         # min of a random max-of-affines with one affine constraint on the disk
