@@ -262,9 +262,6 @@ def kernel_norm_bound_B(L: float, eps_star: float) -> float:
     return 6.0 * L**4 + tail
 
 
-_FORMULAS = ("delta-m", "delta-m-kernel", "b-star", "lin-accuracy", "sigmoid-accuracy", "inf-fpac")
-
-
 def pacf_sample_complexity(formula: str, params: dict) -> SampleComplexity:
     """Dispatch a named sample-complexity formula on a parameter dict."""
     if formula == "lin-accuracy":

@@ -9,6 +9,7 @@ inputs and seed reproduce byte-identical reports when --no-timestamp is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from . import bounds as bounds_mod
 from .audit import DatasetSampler, audit_predictor
 from .core import MetricFairError, default_matching, validate_metric
 from .datagen import SyntheticSpec, generate_dataset_with_meta
-from .hardness import run_hardness_experiment
+from .hardness import DEMO_TRAINER, run_hardness_experiment
 from .learners import (
     KernelLearner,
     LinearLearner,
@@ -39,7 +40,7 @@ from .serde import (
     save_predictor_json,
     write_report,
 )
-from .solver import InverseSqrt, SolverConfig
+from .solver import SolverConfig
 
 
 class UsageError(Exception):
@@ -69,6 +70,10 @@ def _add_report_flags(p):
                    help="omit the timestamp field (reproducibility checks)")
 
 
+# the values of the choice flags of `train`, which its --config keys share
+_CHOICES = {"learner": ("linear", "kernel"), "theory_mode": ("empirical", "theoretical")}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="metricfair")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +94,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--config", help="JSON file with training parameters; flags override")
-    p.add_argument("--learner", choices=["linear", "kernel"], default=None)
+    p.add_argument("--learner", choices=_CHOICES["learner"])
     p.add_argument("--alpha", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--eps", type=float)
@@ -97,7 +102,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps-gamma", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--gamma-star", type=float)
-    p.add_argument("--theory-mode", choices=["empirical", "theoretical"], default=None)
+    p.add_argument("--theory-mode", choices=_CHOICES["theory_mode"])
     p.add_argument("--kernel-b", type=float, help="explicit squared-RKHS-norm bound")
     p.add_argument("--kernel-l", type=float, help="derive B from this Lipschitz cap")
     p.add_argument("--b-max", type=float)
@@ -149,11 +154,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--mode", choices=["u", "v", "both"], default="both")
     p.add_argument("--seed", type=int)
-    p.add_argument("--learner", choices=["linear", "kernel"], default="kernel")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--gamma", type=float, default=0.1)
+    p.add_argument("--learner", choices=_CHOICES["learner"])
+    p.add_argument("--alpha", type=float, default=DEMO_TRAINER.alpha)
+    p.add_argument("--gamma", type=float, default=DEMO_TRAINER.gamma)
     p.add_argument("--audit-pairs", type=int, default=10000)
-    p.add_argument("--max-iters", type=int, default=400)
+    p.add_argument("--max-iters", type=int, default=DEMO_TRAINER.solver.max_iters)
     p.add_argument("--skip-training", action="store_true")
     _add_report_flags(p)
 
@@ -181,53 +186,65 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "learner": "linear", "eps": 0.1, "eps_alpha": 0.1, "eps_gamma": 0.1,
-    "delta": 0.05, "gamma_star": 0.05, "theory_mode": "empirical",
-    "kernel_b": None, "kernel_l": None, "b_max": 1e4,
-    "max_iters": 3000, "step_c0": 0.5, "feas_tol": 1e-6,
-}
+# The parameters that `train` flags and --config keys may set. Each unset one
+# takes the default of its TrainConfig, SolverConfig or KernelLearner field.
+_TRAIN_KEYS = (
+    "learner", "alpha", "gamma", "eps", "eps_alpha", "eps_gamma", "delta",
+    "gamma_star", "theory_mode", "kernel_b", "kernel_l", "b_max",
+    "max_iters", "step_c0", "feas_tol",
+)
+# keys whose dataclass field has another name
+_FIELD_NAMES = {"theory_mode": "mode", "kernel_b": "B", "kernel_l": "L",
+                "feas_tol": "feasibility_tolerance"}
+
+
+def _read_train_config(path) -> dict:
+    """Load a --config file and give its values the checks their flags get."""
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise UsageError("--config must hold a JSON object")
+    unknown = set(cfg) - set(_TRAIN_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in cfg.items():
+        if name in _CHOICES:
+            ok = value in _CHOICES[name]
+        else:
+            number = int if name == "max_iters" else (int, float)
+            ok = isinstance(value, number) and not isinstance(value, bool)
+        if not ok:
+            raise UsageError(f"invalid config value for {name}: {value!r}")
+    return cfg
+
+
+def _fields_of(cls, given: dict) -> dict:
+    """The entries of `given` that set a field of dataclass `cls`, keyed by
+    field name."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    renamed = {_FIELD_NAMES.get(k, k): v for k, v in given.items()}
+    return {k: v for k, v in renamed.items() if k in names}
 
 
 def _train_config(args, seed: int) -> TrainConfig:
     """Resolve training parameters: explicit flags override the optional
-    --config JSON file, which overrides the built-in defaults."""
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-        unknown = set(file_cfg) - set(_TRAIN_DEFAULTS) - {"alpha", "gamma"}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(name):
+    --config JSON file, whose values override the dataclass defaults."""
+    file_cfg = _read_train_config(args.config) if args.config else {}
+    given = {}
+    for name in _TRAIN_KEYS:
         value = getattr(args, name)
+        if value is None:
+            value = file_cfg.get(name)
         if value is not None:
-            return value
-        if name in file_cfg:
-            return file_cfg[name]
-        if name in _TRAIN_DEFAULTS:
-            return _TRAIN_DEFAULTS[name]
-        raise UsageError(f"missing required parameter --{name.replace('_', '-')}")
-
-    learner_kind = pick("learner")
-    if learner_kind == "kernel":
-        if pick("kernel_b") is None and pick("kernel_l") is None:
+            given[name] = value
+    if given.pop("learner", None) == "kernel":
+        if "kernel_b" not in given and "kernel_l" not in given:
             raise UsageError("kernel learner needs --kernel-b or --kernel-l")
-        learner = KernelLearner(L=pick("kernel_l"), B=pick("kernel_b"), b_max=pick("b_max"))
-    else:
-        learner = LinearLearner()
-    solver = SolverConfig(
-        max_iters=int(pick("max_iters")),
-        step_schedule=InverseSqrt(pick("step_c0")),
-        feasibility_tolerance=pick("feas_tol"),
-        seed=seed,
-    )
-    return TrainConfig(
-        alpha=pick("alpha"), gamma=pick("gamma"), eps=pick("eps"),
-        eps_alpha=pick("eps_alpha"), eps_gamma=pick("eps_gamma"),
-        delta=pick("delta"), gamma_star=pick("gamma_star"),
-        learner=learner, solver=solver, mode=pick("theory_mode"),
-    )
+        given["learner"] = KernelLearner(**_fields_of(KernelLearner, given))
+    given["solver"] = SolverConfig(seed=seed, **_fields_of(SolverConfig, given))
+    for f in dataclasses.fields(TrainConfig):
+        if f.name not in given and f.default is f.default_factory is dataclasses.MISSING:
+            raise UsageError(f"missing required parameter --{f.name.replace('_', '-')}")
+    return TrainConfig(**_fields_of(TrainConfig, given))
 
 
 def _cmd_train(args) -> int:
@@ -241,15 +258,12 @@ def _cmd_train(args) -> int:
     else:
         learner_kind = "linear"
         predictor, report = train_fair_linear(dataset, metric, config)
-    config_dict = {
-        "alpha": config.alpha, "gamma": config.gamma, "eps": config.eps,
-        "eps_alpha": config.eps_alpha, "eps_gamma": config.eps_gamma,
-        "delta": config.delta, "gamma_star": config.gamma_star,
-        "learner": learner_kind, "mode": config.mode, "seed": seed,
-    }
+    params = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainConfig)
+              if f.name not in ("learner", "solver")}
+    params.update(learner=learner_kind, seed=seed)
     save_predictor_json(predictor, args.predictor_out,
-                        training_config=config_dict, report=report.to_dict())
-    payload = {"command": "train", "params": config_dict, "results": report.to_dict()}
+                        training_config=params, report=report.to_dict())
+    payload = {"command": "train", "params": params, "results": report.to_dict()}
     text = write_report(payload, args.out, args.no_timestamp)
     print(text, end="")
     return 0
@@ -346,10 +360,10 @@ def _cmd_bounds(args) -> int:
 def _cmd_hardness(args) -> int:
     seed = _resolve_seed(args)
     modes = {"u": ("U",), "v": ("V",), "both": ("U", "V")}[args.mode]
-    learner = KernelLearner(B=1e4) if args.learner == "kernel" else LinearLearner()
-    trainer = TrainConfig(
-        alpha=args.alpha, gamma=args.gamma, learner=learner,
-        solver=SolverConfig(max_iters=args.max_iters, seed=seed),
+    trainer = dataclasses.replace(
+        DEMO_TRAINER, alpha=args.alpha, gamma=args.gamma,
+        learner=LinearLearner() if args.learner == "linear" else DEMO_TRAINER.learner,
+        solver=dataclasses.replace(DEMO_TRAINER.solver, max_iters=args.max_iters, seed=seed),
     )
     report = run_hardness_experiment(
         n=args.n, k_pairs=args.pairs, seed=seed, trainer=trainer, modes=modes,

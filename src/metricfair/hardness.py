@@ -41,6 +41,15 @@ from .learners import (
 from .solver import SolverConfig
 
 
+# the trainer of run_hardness_experiment and of the hardness-demo command
+DEMO_TRAINER = TrainConfig(
+    alpha=0.05,
+    gamma=0.1,
+    learner=KernelLearner(B=1e4),
+    solver=SolverConfig(max_iters=400),
+)
+
+
 class SignUndefinedError(MetricFairError):
     """The hardness metric saw a zero coordinate; signs must be total."""
 
@@ -293,7 +302,7 @@ def _train_one(learner_name: str, trainer: TrainConfig, paired: HardPairedDatase
             paired.dataset, metric, config, matching=paired.matching()
         )
     else:
-        learner = trainer.learner if isinstance(trainer.learner, KernelLearner) else KernelLearner(B=1e4)
+        learner = trainer.learner if isinstance(trainer.learner, KernelLearner) else DEMO_TRAINER.learner
         config = replace(trainer, learner=learner)
         predictor, report = train_fair_kernel(
             paired.dataset, metric, config, matching=paired.matching()
@@ -311,7 +320,7 @@ def run_hardness_experiment(
     n: int,
     k_pairs: int,
     seed: int,
-    trainer: TrainConfig | None = None,
+    trainer: TrainConfig = DEMO_TRAINER,
     modes: tuple[str, ...] = ("U", "V"),
     n_audit_pairs: int = 10_000,
     train_learners: tuple[str, ...] = ("linear", "kernel"),
@@ -323,13 +332,6 @@ def run_hardness_experiment(
         raise ValidationError("n_audit_pairs must be >= 0")
     base = np.random.SeedSequence(seed)
     seq_u, seq_v, seq_audit = base.spawn(3)
-    if trainer is None:
-        trainer = TrainConfig(
-            alpha=0.05,
-            gamma=0.1,
-            learner=KernelLearner(B=1e4),
-            solver=SolverConfig(max_iters=400),
-        )
 
     sampled = {}
     if "U" in modes:

@@ -38,6 +38,10 @@ from .core import (
 from .solver import SolverConfig, TrainingReport, solve_annealed
 
 
+# the kernel learner's ridge warm start solves (K + RIDGE_LAMBDA * m I) beta = y01
+RIDGE_LAMBDA = 1e-3
+
+
 class SampleTooSmallError(MetricFairError):
     """The derived fairness budget is non-positive at this sample size."""
 
@@ -49,19 +53,18 @@ class LinearLearner:
 
 @dataclass(frozen=True)
 class KernelLearner:
-    """Train representer coefficients in a kernel ball of squared norm B.
+    """Train representer coefficients in a Vovk-kernel ball of squared norm B.
 
-    B may be given explicitly or derived from the sigmoid Lipschitz cap L;
-    the derived value is astronomically large, so it is capped at `b_max`
-    (both values are reported).
+    B may be given explicitly or derived from the sigmoid Lipschitz cap L
+    (the derivation assumes the Vovk kernel); the derived value is
+    astronomically large, so it is capped at `b_max` (both values are
+    reported). `init` is the ridge warm start or all-zero coefficients.
     """
 
     L: float | None = None
     B: float | None = None
     b_max: float = 1e4
-    kernel: KernelSpec = field(default_factory=VovkHalfKernel)
     init: str = "ridge"
-    ridge_lambda: float = 1e-3
 
     def __post_init__(self):
         if self.B is None and self.L is None:
@@ -277,7 +280,8 @@ def train_fair_kernel(
     if tau is not None:
         params = replace(params, tau=float(tau), alpha_tilde=float(tau))
     left, right, dists = _edge_arrays(S, M, d)
-    K = gram_matrix(S, learner.kernel)
+    kernel = VovkHalfKernel()
+    K = gram_matrix(S, kernel)
     y01 = S.targets01
     n_edges = len(M)
     budget = params.tau
@@ -327,7 +331,7 @@ def train_fair_kernel(
 
     if learner.init == "ridge":
         ridge = K.copy()
-        ridge[np.diag_indices(m)] += learner.ridge_lambda * m
+        ridge[np.diag_indices(m)] += RIDGE_LAMBDA * m
         init = np.linalg.solve(ridge, y01)
         del ridge  # an m x m copy; free it before the solver runs
         # raw scores scale linearly in beta, so the warm start can be pulled
@@ -353,7 +357,7 @@ def train_fair_kernel(
 
     solver_cfg = replace(config.solver, constraint_target=-0.5 * budget)
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)
-    predictor = KernelPredictor(S.features, beta, learner.kernel)
+    predictor = KernelPredictor(S.features, beta, kernel)
     report = _finalize_report(
         report, predictor, S, M, d, params, config,
         extras={"learner": "kernel", "B_derived": b_raw, "B_used": b_used},

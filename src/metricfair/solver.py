@@ -2,7 +2,8 @@
 
 f and g must be convex on a convex domain given by an exact projection. Each
 iteration takes an objective subgradient step when the iterate satisfies the
-constraint within tolerance and a Polyak-length constraint step otherwise.
+constraint within tolerance and otherwise a constraint step whose length
+aims the constraint's linearisation at a target value.
 The returned point is the better of the best feasible iterate and a tail
 average of feasible iterates (their average is feasible because the tolerance
 set is convex). Deterministic: no randomness is consumed.
@@ -27,31 +28,24 @@ class InfeasibleError(MetricFairError):
         self.best_slack = best_slack
 
 
-@dataclass(frozen=True)
-class InverseSqrt:
-    """Objective steps of length c0 / sqrt(t + 1)."""
-
-    c0: float = 0.5
-
-
-@dataclass(frozen=True)
-class Polyak:
-    """Objective steps of Polyak length against the running best value,
-    with a c0 / sqrt(t + 1) target gap."""
-
-    c0: float = 0.5
+# solve_annealed runs this many stages, dividing the step constant by
+# ANNEAL_SHRINK from one stage to the next
+ANNEAL_STAGES = 3
+ANNEAL_SHRINK = 5.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """`constraint_target` is the value constraint steps aim for. It must be
+    """Objective steps have length step_c0 / sqrt(t + 1).
+
+    `constraint_target` is the value constraint steps aim for. It must be
     attainable (some domain point with g at or below it); values strictly
-    inside the feasible region give Polyak steps linear convergence instead
+    inside the feasible region give these steps linear convergence instead
     of tangential zigzag at the boundary. Callers that know a strictly
     feasible point (the learners know g(0) = -tau) set it accordingly."""
 
     max_iters: int = 3000
-    step_schedule: InverseSqrt | Polyak = InverseSqrt()
+    step_c0: float = 0.5
     feasibility_tolerance: float = 1e-6
     seed: int = 0
     constraint_target: float = 0.0
@@ -59,8 +53,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.feasibility_tolerance <= 0:
-            raise ValidationError("feasibility_tolerance must be positive")
+        if not (self.step_c0 > 0 and math.isfinite(self.step_c0)):
+            raise ValidationError("step_c0 must be positive and finite")
+        if not (self.feasibility_tolerance > 0 and math.isfinite(self.feasibility_tolerance)):
+            raise ValidationError("feasibility_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,6 @@ def solve_constrained(
     """
     tol = config.feasibility_tolerance
     w = project(np.array(initial_point, dtype=np.float64))
-    schedule = config.step_schedule
 
     best_w = None
     best_obj = math.inf
@@ -153,11 +148,7 @@ def solve_constrained(
             sub_norm_sq = float(np.dot(f_sub, f_sub))
             if sub_norm_sq == 0.0:
                 break  # 0 is a subgradient: w minimizes f
-            if isinstance(schedule, Polyak):
-                target_gap = schedule.c0 / math.sqrt(t + 1.0)
-                step = (f_val - best_obj + target_gap) / sub_norm_sq
-            else:
-                step = schedule.c0 / math.sqrt(t + 1.0)
+            step = config.step_c0 / math.sqrt(t + 1.0)
             w = project(w - step * f_sub)
         else:
             if callable(g_sub):
@@ -196,28 +187,19 @@ def solve_constrained(
     return final_w, report
 
 
-def solve_annealed(
-    objective,
-    constraint,
-    project,
-    config: SolverConfig,
-    initial_point,
-    stages: int = 3,
-    shrink: float = 5.0,
-):
+def solve_annealed(objective, constraint, project, config: SolverConfig, initial_point):
     """Run solve_constrained in a deterministic annealing ladder.
 
-    Each stage warm-starts from the previous stage's point with the step
-    scale divided by `shrink`; the best feasible result across stages wins.
-    This is a plain accuracy booster for the O(1/sqrt(T)) subgradient rate.
+    Each of the ANNEAL_STAGES stages warm-starts from the previous stage's
+    point with the step constant divided by ANNEAL_SHRINK; the best feasible
+    result across stages wins. This is a plain accuracy booster for the
+    O(1/sqrt(T)) subgradient rate.
     """
     point = np.array(initial_point, dtype=np.float64)
     best = None
-    c0 = config.step_schedule.c0
     total_iters = 0
-    for stage in range(stages):
-        sched = type(config.step_schedule)(c0 / (shrink**stage))
-        stage_cfg = replace(config, step_schedule=sched)
+    for stage in range(ANNEAL_STAGES):
+        stage_cfg = replace(config, step_c0=config.step_c0 / (ANNEAL_SHRINK**stage))
         w, report = solve_constrained(objective, constraint, project, stage_cfg, point)
         total_iters += report.iterations
         point = w

@@ -5,9 +5,21 @@ import json
 import pytest
 
 from conftest import random_dataset
-from metricfair import ConstantPredictor
+from metricfair import (
+    ConstantPredictor,
+    KernelLearner,
+    SolverConfig,
+    TrainConfig,
+    train_fair_kernel,
+    train_fair_linear,
+)
 from metricfair.cli import run_cli
-from metricfair.serde import load_dataset_csv, save_dataset_csv, save_predictor_json
+from metricfair.serde import (
+    load_dataset_csv,
+    load_metric,
+    save_dataset_csv,
+    save_predictor_json,
+)
 
 
 def run(capsys, *argv):
@@ -227,6 +239,118 @@ class TestTrainAuditRoundTrip:
                            "--predictor-out", str(tmp_path / "k.json"))
         assert code == 1
         assert "kernel-b" in err
+
+
+class TestTrainParameters:
+    """Every unset training parameter takes its dataclass default, and a
+    --config key acts exactly like its flag."""
+
+    @pytest.mark.parametrize("kernel_b", [None, 10.0])
+    def test_flags_give_the_dataclass_defaults(self, capsys, dataset_file, tmp_path, kernel_b):
+        cli_out = tmp_path / "cli.json"
+        flags = [] if kernel_b is None else ["--learner", "kernel", "--kernel-b", str(kernel_b)]
+        code, _, _ = run(capsys, "train", "--data", str(dataset_file),
+                         "--metric", "euclidean:0.8", "--alpha", "0.3", "--gamma", "0.4",
+                         *flags, "--seed", "5", "--predictor-out", str(cli_out))
+        assert code == 0
+
+        ds = load_dataset_csv(dataset_file)
+        metric = load_metric("euclidean:0.8", ds)
+        if kernel_b is None:
+            cfg = TrainConfig(0.3, 0.4, solver=SolverConfig(seed=5))
+            predictor, report = train_fair_linear(ds, metric, cfg)
+        else:
+            cfg = TrainConfig(0.3, 0.4, learner=KernelLearner(B=kernel_b),
+                              solver=SolverConfig(seed=5))
+            predictor, report = train_fair_kernel(ds, metric, cfg)
+        params = {"alpha": cfg.alpha, "gamma": cfg.gamma, "eps": cfg.eps,
+                  "eps_alpha": cfg.eps_alpha, "eps_gamma": cfg.eps_gamma,
+                  "delta": cfg.delta, "gamma_star": cfg.gamma_star,
+                  "learner": "linear" if kernel_b is None else "kernel",
+                  "mode": cfg.mode, "seed": 5}
+        lib_out = tmp_path / "lib.json"
+        save_predictor_json(predictor, lib_out, training_config=params,
+                            report=report.to_dict())
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+
+    BASE = {"alpha": 0.3, "gamma": 0.4, "eps_alpha": 0.2, "eps_gamma": 0.2, "max_iters": 200}
+
+    @pytest.mark.parametrize("key, value, extra", [
+        ("learner", "kernel", {"kernel_b": 10.0}),
+        ("alpha", 0.25, {}),
+        ("gamma", 0.45, {}),
+        ("eps", 0.15, {"learner": "kernel", "kernel_l": 3.0}),
+        ("eps_alpha", 0.15, {}),
+        ("eps_gamma", 0.3, {}),
+        ("delta", 0.1, {}),
+        ("gamma_star", 0.1, {}),
+        ("theory_mode", "theoretical", {}),
+        ("kernel_b", 10.0, {"learner": "kernel"}),
+        ("kernel_l", 3.0, {"learner": "kernel"}),
+        ("b_max", 50.0, {"learner": "kernel", "kernel_l": 3.0}),
+        ("max_iters", 150, {}),
+        ("step_c0", 0.05, {}),
+        ("feas_tol", 1e-4, {}),
+    ])
+    def test_config_key_acts_like_its_flag(self, capsys, dataset_file, tmp_path,
+                                           key, value, extra):
+        def train(name, flag_params, file_params=None):
+            out = tmp_path / f"{name}.json"
+            argv = ["train", "--data", str(dataset_file), "--metric", "euclidean:0.8",
+                    "--seed", "5", "--predictor-out", str(out)]
+            for k, v in flag_params.items():
+                argv += [f"--{k.replace('_', '-')}", str(v)]
+            if file_params is not None:
+                config = tmp_path / f"{name}-config.json"
+                config.write_text(json.dumps(file_params))
+                argv += ["--config", str(config)]
+            code, _, err = run(capsys, *argv)
+            return code, err, out.read_bytes() if out.exists() else None
+
+        base = {**self.BASE, **extra}
+        by_flag = train("flag", {**base, key: value})
+        by_file = train("file", {k: v for k, v in base.items() if k != key}, {key: value})
+        assert by_file == by_flag
+        # the key took effect: the run differs from one that leaves it unset
+        assert train("unset", {k: v for k, v in base.items() if k != key}) != by_flag
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"learner": "forest"}', "learner"),
+        ('{"alpha": "0.2"}', "alpha"),
+        ('{"alpha": null}', "alpha"),
+        ('{"eps": true}', "eps"),
+        ('{"max_iters": 2.5}', "max_iters"),
+        ('{"theory_mode": "exact"}', "theory_mode"),
+        ('"abc"', "JSON object"),
+        ("[0.3, 0.4]", "JSON object"),
+    ])
+    def test_invalid_config_value_is_usage_error(self, capsys, dataset_file, tmp_path,
+                                                 text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "constant:0.2", "--alpha", "0.3", "--gamma", "0.4",
+                           "--config", str(config), "--seed", "1",
+                           "--predictor-out", str(out))
+        assert code == 1
+        assert "usage error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--step-c0", "-1", "step_c0 must be positive and finite"),
+        ("--step-c0", "0", "step_c0 must be positive and finite"),
+        ("--feas-tol", "nan", "feasibility_tolerance"),
+    ])
+    def test_invalid_solver_flag_exits_two(self, capsys, dataset_file, tmp_path,
+                                           flag, value, message):
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "constant:0.2", "--alpha", "0.3", "--gamma", "0.4",
+                           flag, value, "--seed", "1", "--predictor-out", str(out))
+        assert code == 2
+        assert message in err
+        assert not out.exists()
 
 
 class TestValidateMetricCommand:

@@ -1,12 +1,13 @@
 """The alternating projected-subgradient solver."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from metricfair import (
     InfeasibleError,
-    InverseSqrt,
-    Polyak,
     SolverConfig,
     ValidationError,
     solve_annealed,
@@ -34,7 +35,7 @@ def no_constraint(w):
 class TestSolveConstrained:
     def test_unconstrained_minimum_interior(self):
         w0 = np.array([0.3, -0.2])
-        cfg = SolverConfig(max_iters=1500, step_schedule=InverseSqrt(0.3))
+        cfg = SolverConfig(max_iters=1500, step_c0=0.3)
         w, report = solve_annealed(l1_objective(w0), no_constraint, disk_projection, cfg, np.zeros(2))
         assert np.allclose(w, w0, atol=1e-2)
         assert report.final_objective <= 1e-2
@@ -47,18 +48,12 @@ class TestSolveConstrained:
         def constraint(w):
             return float(w[0] - 0.3), np.array([1.0])
 
-        cfg = SolverConfig(max_iters=1500, step_schedule=InverseSqrt(0.3))
+        cfg = SolverConfig(max_iters=1500, step_c0=0.3)
         w, report = solve_annealed(
             objective, constraint, lambda w: np.clip(w, -1, 1), cfg, np.zeros(1)
         )
         assert w[0] == pytest.approx(0.3, abs=1e-2)
         assert report.final_constraint_slack <= cfg.feasibility_tolerance
-
-    def test_polyak_schedule(self):
-        w0 = np.array([0.25, 0.4, -0.1])
-        cfg = SolverConfig(max_iters=1500, step_schedule=Polyak(0.5))
-        w, report = solve_annealed(l1_objective(w0), no_constraint, disk_projection, cfg, np.zeros(3))
-        assert np.allclose(w, w0, atol=1e-2)
 
     def test_random_piecewise_linear_vs_grid_oracle(self, rng):
         # min of a random max-of-affines with one affine constraint on the disk
@@ -76,7 +71,7 @@ class TestSolveConstrained:
             def constraint(w):
                 return float(a @ w - b), a
 
-            cfg = SolverConfig(max_iters=2000, step_schedule=InverseSqrt(0.4), seed=trial)
+            cfg = SolverConfig(max_iters=2000, step_c0=0.4, seed=trial)
             w, report = solve_annealed(objective, constraint, disk_projection, cfg, np.zeros(2))
 
             axis = np.arange(-100, 101) / 100.0
@@ -105,7 +100,7 @@ class TestSolveConstrained:
 
     def test_determinism(self):
         w0 = np.array([0.1, 0.2])
-        cfg = SolverConfig(max_iters=500, step_schedule=InverseSqrt(0.3), seed=9)
+        cfg = SolverConfig(max_iters=500, step_c0=0.3, seed=9)
         a, ra = solve_annealed(l1_objective(w0), no_constraint, disk_projection, cfg, np.zeros(2))
         b, rb = solve_annealed(l1_objective(w0), no_constraint, disk_projection, cfg, np.zeros(2))
         assert np.array_equal(a, b)
@@ -116,6 +111,39 @@ class TestSolveConstrained:
             SolverConfig(max_iters=0)
         with pytest.raises(ValidationError):
             SolverConfig(feasibility_tolerance=0.0)
+
+    @pytest.mark.parametrize("c0", [0.0, -1.0, math.nan, math.inf])
+    def test_step_constant_must_be_positive_and_finite(self, c0):
+        with pytest.raises(ValidationError, match="step_c0 must be positive and finite"):
+            SolverConfig(step_c0=c0)
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_feasibility_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValidationError, match="feasibility_tolerance"):
+            SolverConfig(feasibility_tolerance=tol)
+
+    def test_annealing_is_three_chained_stages_with_shrinking_steps(self):
+        # the l1 minimum w0 lies outside the half-plane a.w <= b, so every
+        # stage moves and the stages end at different objectives
+        a, b = np.array([1.0, 2.0]), 0.6
+        w0 = np.array([0.7, 0.5])
+        objective = l1_objective(w0)
+
+        def constraint(w):
+            return float(a @ w - b), a
+
+        cfg = SolverConfig(max_iters=300, step_c0=0.3)
+        point, stages = w0, []
+        for c0 in (0.3, 0.3 / 5, 0.3 / 25):
+            point, report = solve_constrained(
+                objective, constraint, disk_projection, replace(cfg, step_c0=c0), point)
+            stages.append((point, report))
+        best_w, best_report = min(stages, key=lambda s: s[1].final_objective)
+        iterations = sum(r.iterations for _, r in stages)
+
+        w, report = solve_annealed(objective, constraint, disk_projection, cfg, w0)
+        assert np.array_equal(w, best_w)
+        assert report.to_dict() == replace(best_report, iterations=iterations).to_dict()
 
 
 class TestLazyConstraintSubgradient:
@@ -141,7 +169,7 @@ class TestLazyConstraintSubgradient:
 
             return value, subgradient
 
-        cfg = SolverConfig(max_iters=300, step_schedule=InverseSqrt(0.3))
+        cfg = SolverConfig(max_iters=300, step_c0=0.3)
         w0 = np.array([0.7, 0.5])
         w, report = solve(l1_objective(w0), constraint, disk_projection, cfg, w0)
         return w, report, seen, len(calls)
