@@ -21,7 +21,6 @@ from .core import (
     Predictor,
     SimilarityMetric,
     ValidationError,
-    unit_ball_points,
 )
 
 
@@ -74,39 +73,6 @@ def empirical_l1_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric) ->
     return float(np.mean(np.maximum(0.0, gaps - dists)))
 
 
-@dataclass(frozen=True)
-class ViolationVector:
-    """Per-edge clamped fairness violations max(0, |h(x)-h(x')| - d - gamma).
-
-    The vector's support fraction (l0 / edges) is the empirical 0/1 loss at
-    the same gamma; its mean at gamma = 0 is the empirical l1 loss.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if np.any(vals < 0) or np.any(vals > 1):
-            raise ValidationError("violation entries must lie in [0, 1]")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def support_fraction(self) -> float:
-        return float(np.mean(self.values > 0))
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
-
-def violation_vector(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, gamma: float) -> ViolationVector:
-    """The induced per-edge violation vector at slack gamma."""
-    gaps, dists = _edge_gaps_and_distances(h, S, M, d)
-    vals = np.clip(np.maximum(0.0, gaps - dists - gamma), 0.0, 1.0)
-    return ViolationVector(vals)
-
-
 def surrogate_ramp(u, gamma: float, G: float):
     """Piecewise-linear G-Lipschitz ramp: 0 below gamma, 1 above gamma + 1/G."""
     if G < 1.0:
@@ -127,27 +93,6 @@ def surrogate_loss(h, x: Example, x2: Example, d: SimilarityMetric, gamma: float
 
 
 @dataclass(frozen=True)
-class UnitBallSampler:
-    """Draw points uniformly from the n-dimensional unit ball."""
-
-    dimension: int
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return unit_ball_points(rng, count, self.dimension)
-
-
-@dataclass(frozen=True)
-class DatasetSampler:
-    """Draw points uniformly (with replacement) from a dataset's rows."""
-
-    dataset: LabeledDataset
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        idx = rng.integers(0, len(self.dataset), size=count)
-        return self.dataset.features[idx]
-
-
-@dataclass(frozen=True)
 class PopulationEstimate:
     estimate: float
     half_width: float
@@ -163,7 +108,7 @@ def hoeffding_half_width(n_pairs: int, confidence: float = 0.95) -> float:
 
 def population_mf_estimate(
     h,
-    sampler,
+    S: LabeledDataset,
     d: SimilarityMetric,
     gamma: float,
     n_pairs: int,
@@ -171,14 +116,15 @@ def population_mf_estimate(
 ) -> PopulationEstimate:
     """Monte-Carlo estimate of the population 0/1 fairness loss.
 
-    Pairs are drawn i.i.d. from `sampler`; the half-width is the 95%
-    two-sided Hoeffding bound, so it is distribution-free.
+    Pairs of rows of S are drawn i.i.d. with replacement, all first rows
+    before all second rows; the half-width is the 95% two-sided Hoeffding
+    bound, so it is distribution-free.
     """
     if n_pairs < 1:
         raise ValidationError("need at least one pair")
     rng = np.random.default_rng(seed)
-    xs = sampler.sample(rng, n_pairs)
-    ys = sampler.sample(rng, n_pairs)
+    xs = S.features[rng.integers(0, len(S), size=n_pairs)]
+    ys = S.features[rng.integers(0, len(S), size=n_pairs)]
     gaps = np.abs(h.predict_batch(xs) - h.predict_batch(ys))
     dists = d.pair_distances(xs, ys)
     est = float(np.mean(gaps > dists + gamma))
@@ -217,24 +163,18 @@ def group_fairness_profile(
     return [(float(a2), float(np.mean(rates > a2))) for a2 in alpha2_grid]
 
 
-def is_perfectly_fair(h, pairs, d: SimilarityMetric, tolerance: float = 0.0):
-    """Check |h(x) - h(x')| <= d(x, x') + tolerance on every given pair.
+def is_perfectly_fair(h, xs, ys, d: SimilarityMetric, tolerance: float = 0.0):
+    """Check |h(x) - h(x')| <= d(x, x') + tolerance on the pairs (xs[t], ys[t])
+    of two (k, n) row arrays.
 
-    `pairs` is a sequence of (x, x') pairs of Examples or feature vectors.
     Returns (ok, violating_pairs) where each violation records the pair and
     its gap/distance.
     """
-    pairs = list(pairs)
-    if not pairs:
+    if len(xs) != len(ys):
+        raise ValidationError("xs and ys must have the same number of rows")
+    if len(xs) == 0:
         return True, []
-
-    def features(x):
-        return x.features if isinstance(x, Example) else x
-
-    k = len(pairs)
-    points = np.array([features(x) for x, _ in pairs] + [features(y) for _, y in pairs],
-                      dtype=np.float64)
-    xs, ys = points[:k], points[k:]
+    points = np.concatenate([xs, ys])
     gaps, dists = _stacked_gaps_and_distances(h, points, d)
     violations = [(xs[t], ys[t], float(gaps[t]), float(dists[t]))
                   for t in np.flatnonzero(gaps > dists + tolerance).tolist()]
@@ -281,13 +221,12 @@ def audit_predictor(
     d: SimilarityMetric,
     gamma: float,
     alpha2_grid=(0.05, 0.1, 0.2, 0.5, 1.0),
-    population_sampler=None,
     population_pairs: int = 0,
     seed: int = 0,
 ) -> FairnessReport:
     """Run the full audit: matching-based losses, the all-pairs group profile,
-    and (optionally) a Monte-Carlo population estimate; `population_pairs`
-    of 0 skips the estimate."""
+    and (optionally) a Monte-Carlo population estimate over pairs of rows of
+    S; `population_pairs` of 0 skips the estimate."""
     if population_pairs < 0:
         raise ValidationError(f"population_pairs must be >= 0, got {population_pairs}")
     mf = empirical_mf_loss(h, S, M, d, gamma)
@@ -295,8 +234,7 @@ def audit_predictor(
     profile = group_fairness_profile(h, S, d, gamma, alpha2_grid)
     pop_est = pop_ci = None
     if population_pairs > 0:
-        sampler = population_sampler if population_sampler is not None else DatasetSampler(S)
-        pop = population_mf_estimate(h, sampler, d, gamma, population_pairs, seed)
+        pop = population_mf_estimate(h, S, d, gamma, population_pairs, seed)
         pop_est, pop_ci = pop.estimate, pop.half_width
     return FairnessReport(
         empirical_mf_loss=mf,

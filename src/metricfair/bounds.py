@@ -262,31 +262,6 @@ def kernel_norm_bound_B(L: float, eps_star: float) -> float:
     return 6.0 * L**4 + tail
 
 
-def pacf_sample_complexity(formula: str, params: dict) -> SampleComplexity:
-    """Dispatch a named sample-complexity formula on a parameter dict."""
-    if formula == "lin-accuracy":
-        return sample_complexity_linear(
-            params["epsilon"], params["eps_alpha"], params["eps_gamma"],
-            params["alpha"], params["delta"],
-        )
-    if formula == "sigmoid-accuracy":
-        B = params.get("B")
-        if B is None:
-            eps_star = min(params["epsilon"], params["eps_alpha"], params["eps_gamma"] / 2.0)
-            B = kernel_norm_bound_B(params["L"], eps_star)
-        return sample_complexity_kernel(
-            params["epsilon"], params["eps_alpha"], params["eps_gamma"],
-            params["alpha"], params["delta"], B,
-        )
-    if formula == "inf-fpac":
-        return sample_complexity_inf_fpac(
-            params["eps_alpha"], params["eps_gamma"], params["delta"],
-            params["m_pac"], params["rademacher"],
-            m_start=params.get("m_start", 3),
-        )
-    raise ValidationError(f"unknown sample-complexity formula {formula!r}")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Aggregated bound values for report emission."""

@@ -16,10 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bounds_mod
-from .audit import DatasetSampler, audit_predictor
+from .audit import audit_predictor
 from .core import MetricFairError, default_matching, validate_metric
 from .datagen import SyntheticSpec, generate_dataset_with_meta
 from .hardness import DEMO_TRAINER, run_hardness_experiment
@@ -279,7 +277,6 @@ def _cmd_audit(args) -> int:
     report = audit_predictor(
         predictor, dataset, matching, metric, args.gamma,
         alpha2_grid=grid,
-        population_sampler=DatasetSampler(dataset),
         population_pairs=args.population_pairs,
         seed=seed,
     )
@@ -320,10 +317,14 @@ def _cmd_bounds(args) -> int:
             value = sc.m if args.branch == "max" else sc.branches[f"{args.branch}_m"]
         elif formula == "sigmoid-accuracy":
             _require(args, ["epsilon", "eps-alpha", "eps-gamma", "alpha", "delta"], formula)
-            params = {"epsilon": args.epsilon, "eps_alpha": args.eps_alpha,
-                      "eps_gamma": args.eps_gamma, "alpha": args.alpha,
-                      "delta": args.delta, "B": args.b, "L": args.l}
-            sc = bounds_mod.pacf_sample_complexity("sigmoid-accuracy", params)
+            B = args.b
+            if B is None:
+                if args.l is None:
+                    raise UsageError("formula sigmoid-accuracy needs --b or --l")
+                eps_star = min(args.epsilon, args.eps_alpha, args.eps_gamma / 2.0)
+                B = bounds_mod.kernel_norm_bound_B(args.l, eps_star)
+            sc = bounds_mod.sample_complexity_kernel(
+                args.epsilon, args.eps_alpha, args.eps_gamma, args.alpha, args.delta, B)
             value = sc.m if args.branch == "max" else sc.branches[f"{args.branch}_m"]
         else:  # inf-fpac
             _require(args, ["eps-alpha", "eps-gamma", "delta"], formula)

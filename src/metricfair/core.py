@@ -329,25 +329,6 @@ class LinearDotKernel(KernelSpec):
         return np.atleast_2d(xs) @ np.atleast_2d(ys).T
 
 
-class PrecomputedGramKernel(KernelSpec):
-    """A fixed Gram matrix; usable wherever only the Gram is needed."""
-
-    name = "precomputed-gram"
-
-    def __init__(self, gram: np.ndarray):
-        gram = np.asarray(gram, dtype=np.float64)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValidationError("gram matrix must be square")
-        self._gram = _freeze(gram)
-        self.sup_value = float(np.max(np.abs(gram))) if gram.size else 0.0
-
-    def cross(self, xs, ys) -> np.ndarray:
-        raise MetricFairError("precomputed-gram kernel cannot evaluate raw vectors")
-
-    def gram(self, xs=None) -> np.ndarray:
-        return self._gram
-
-
 def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     """Raise unless `gram` is finite and symmetric PSD within the relative
     tolerance: its smallest eigenvalue must be at least -rel_tolerance times
@@ -496,14 +477,6 @@ class KernelPredictor(Predictor):
         return np.clip(self.raw_batch(xs), 0.0, 1.0)
 
 
-def predict(predictor: Predictor, example: Example) -> float:
-    """Evaluate a predictor on one example; output is in [0, 1]."""
-    value = predictor.predict(example.features)
-    if not 0.0 <= value <= 1.0:
-        raise MetricFairError(f"predictor emitted {value} outside [0, 1]")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Matchings
 # ---------------------------------------------------------------------------
@@ -521,33 +494,37 @@ class RandomPermutation:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
-    """Disjoint index pairs over a sample; (m-1)/2 pairs for odd m."""
+    """Disjoint index pairs (left[t], right[t]) over a sample of m points,
+    stored as two read-only index arrays; at most m // 2 pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
+    left: np.ndarray
+    right: np.ndarray
     m: int
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for i, j in self.pairs:
-            for k in (i, j):
-                if not 0 <= k < self.m:
-                    raise ValidationError(f"matching index {k} out of range for m={self.m}")
-                if k in seen:
-                    raise ValidationError(f"matching index {k} appears more than once")
-                seen.add(k)
+        left = _freeze(np.array(self.left, dtype=np.intp))
+        right = _freeze(np.array(self.right, dtype=np.intp))
+        if left.ndim != 1 or left.shape != right.shape:
+            raise ValidationError("matching sides must be 1-d and of equal length")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        # indices in the order i0, j0, i1, j1, ...; the first one that is out
+        # of range or seen before is reported
+        order = np.column_stack([left, right]).ravel()
+        out_of_range = (order < 0) | (order >= self.m)
+        repeated = np.ones(order.shape, dtype=bool)
+        repeated[np.unique(order, return_index=True)[1]] = False
+        bad = np.flatnonzero(out_of_range | repeated)
+        if bad.size:
+            k = int(order[bad[0]])
+            if out_of_range[bad[0]]:
+                raise ValidationError(f"matching index {k} out of range for m={self.m}")
+            raise ValidationError(f"matching index {k} appears more than once")
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def left(self) -> np.ndarray:
-        return np.array([i for i, _ in self.pairs], dtype=np.intp)
-
-    @property
-    def right(self) -> np.ndarray:
-        return np.array([j for _, j in self.pairs], dtype=np.intp)
+        return self.left.shape[0]
 
 
 def build_matching(dataset: LabeledDataset, strategy=Consecutive()) -> Matching:
@@ -562,8 +539,7 @@ def build_matching(dataset: LabeledDataset, strategy=Consecutive()) -> Matching:
     else:
         raise ValidationError(f"unknown matching strategy {strategy!r}")
     k = m // 2
-    pairs = tuple((int(order[2 * t]), int(order[2 * t + 1])) for t in range(k))
-    return Matching(pairs, m)
+    return Matching(order[0:2 * k:2], order[1:2 * k:2], m)
 
 
 def default_matching(dataset: LabeledDataset, seed: int) -> Matching:

@@ -72,7 +72,7 @@ def generate_dataset_with_meta(spec: SyntheticSpec):
     if spec.n < 4:
         raise ValidationError("hardness-pairs needs n >= 4")
     paired, handle = sample_hardness_distribution(spec.n, spec.m // 2, spec.mode, spec.seed)
-    return paired.dataset, {"handle": handle, "pairs": paired.pairs}
+    return paired.dataset, {"handle": handle, "matching": paired.matching}
 
 
 def generate_dataset(spec: SyntheticSpec) -> LabeledDataset:

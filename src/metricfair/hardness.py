@@ -157,18 +157,16 @@ class HardPairedDataset:
     Row 2t is x, row 2t+1 its counterpart x'; within a pair the last
     coordinate flips sign (|x_n| = 1/2, so labels are opposite with margin
     exactly 1/2) and, in mode U, the first n-1 coordinates flip exactly on
-    the hidden seed's support so that d(x, x') = 0.
+    the hidden seed's support so that d(x, x') = 0. `matching` pairs each
+    row 2t with row 2t+1.
     """
 
     dataset: LabeledDataset
-    pairs: tuple[tuple[int, int], ...]
+    matching: Matching
 
     @property
     def k(self) -> int:
-        return len(self.pairs)
-
-    def matching(self) -> Matching:
-        return Matching(self.pairs, len(self.dataset))
+        return len(self.matching)
 
 
 def sample_hardness_distribution(n: int, k_pairs: int, mode: str, seed):
@@ -207,8 +205,8 @@ def sample_hardness_distribution(n: int, k_pairs: int, mode: str, seed):
         labels[2 * t] = 1 if last > 0 else -1
         labels[2 * t + 1] = -labels[2 * t]
     dataset = LabeledDataset(rows, labels)
-    pairs = tuple((2 * t, 2 * t + 1) for t in range(k_pairs))
-    return HardPairedDataset(dataset, pairs), handle
+    matching = Matching(np.arange(0, 2 * k_pairs, 2), np.arange(1, 2 * k_pairs, 2), 2 * k_pairs)
+    return HardPairedDataset(dataset, matching), handle
 
 
 class SignReferencePredictor(Predictor):
@@ -235,7 +233,7 @@ def averaged_fair_paired_error(h, paired: HardPairedDataset, metric: SimilarityM
     values = h.predict_batch(paired.dataset.features)
     targets = paired.dataset.targets01
     X = paired.dataset.features
-    left, right = np.array(paired.pairs, dtype=np.intp).reshape(-1, 2).T
+    left, right = paired.matching.left, paired.matching.right
     vi, vj = values[left], values[right]
     fair = metric.pair_distances(X[left], X[right]) == 0.0
     average = 0.5 * (vi + vj)
@@ -247,21 +245,24 @@ def averaged_fair_paired_error(h, paired: HardPairedDataset, metric: SimilarityM
 
 
 def _audit_pairs(paired: HardPairedDataset, rng: np.random.Generator, n_audit: int):
-    """All within-pair edges, then random distinct cross pairs up to n_audit.
+    """The rows (xs, ys) of n_audit pairs: the within-pair edges first, then
+    random distinct cross pairs.
 
     Cross pairs are drawn in bulk and those with i == j dropped; bulk draws
     continue the generator's stream, so the pairs match one-at-a-time draws.
     """
-    left = [i for i, _ in paired.pairs[:n_audit]]
-    right = [j for _, j in paired.pairs[:n_audit]]
+    left = [paired.matching.left[:n_audit]]
+    right = [paired.matching.right[:n_audit]]
+    count = len(left[0])
     m = len(paired.dataset)
-    while len(left) < n_audit:
-        i, j = rng.integers(0, m, size=(n_audit - len(left), 2)).T
+    while count < n_audit:
+        i, j = rng.integers(0, m, size=(n_audit - count, 2)).T
         keep = i != j
-        left.extend(i[keep].tolist())
-        right.extend(j[keep].tolist())
+        left.append(i[keep])
+        right.append(j[keep])
+        count += int(np.count_nonzero(keep))
     X = paired.dataset.features
-    return [(X[i], X[j]) for i, j in zip(left, right)]
+    return X[np.concatenate(left)], X[np.concatenate(right)]
 
 
 @dataclass(frozen=True)
@@ -299,13 +300,13 @@ def _train_one(learner_name: str, trainer: TrainConfig, paired: HardPairedDatase
     if learner_name == "linear":
         config = replace(trainer, learner=LinearLearner())
         predictor, report = train_fair_linear(
-            paired.dataset, metric, config, matching=paired.matching()
+            paired.dataset, metric, config, matching=paired.matching
         )
     else:
         learner = trainer.learner if isinstance(trainer.learner, KernelLearner) else DEMO_TRAINER.learner
         config = replace(trainer, learner=learner)
         predictor, report = train_fair_kernel(
-            paired.dataset, metric, config, matching=paired.matching()
+            paired.dataset, metric, config, matching=paired.matching
         )
     return {
         "train_error": absolute_error(predictor, paired.dataset),
@@ -350,10 +351,10 @@ def run_hardness_experiment(
         if mode == "U":
             averaged_u = averaged_fair_paired_error(reference, paired, metric)
         if mode == "V":
-            pairs = _audit_pairs(paired, rng_audit, n_audit_pairs)
-            ok, violations = is_perfectly_fair(reference, pairs, metric, tolerance=0.0)
+            xs, ys = _audit_pairs(paired, rng_audit, n_audit_pairs)
+            ok, violations = is_perfectly_fair(reference, xs, ys, metric, tolerance=0.0)
             fairness_audit[mode] = {
-                "n_pairs_audited": len(pairs),
+                "n_pairs_audited": len(xs),
                 "perfectly_fair": ok,
                 "n_violations": len(violations),
             }

@@ -58,19 +58,22 @@ class KernelLearner:
     B may be given explicitly or derived from the sigmoid Lipschitz cap L
     (the derivation assumes the Vovk kernel); the derived value is
     astronomically large, so it is capped at `b_max` (both values are
-    reported). `init` is the ridge warm start or all-zero coefficients.
+    reported). Training starts from the ridge fit.
     """
 
     L: float | None = None
     B: float | None = None
     b_max: float = 1e4
-    init: str = "ridge"
 
     def __post_init__(self):
         if self.B is None and self.L is None:
             raise ValidationError("kernel learner needs an explicit B or a Lipschitz cap L")
-        if self.init not in ("ridge", "zeros"):
-            raise ValidationError(f"unknown kernel init {self.init!r}")
+        for name in ("L", "B"):
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise ValidationError(f"{name} must not be NaN")
+        if not self.b_max > 0:
+            raise ValidationError(f"b_max must be positive, got {self.b_max}")
 
 
 @dataclass(frozen=True)
@@ -329,31 +332,28 @@ def train_fair_kernel(
         raw_cache[scaled.tobytes()] = raw * scale
         return scaled
 
-    if learner.init == "ridge":
-        ridge = K.copy()
-        ridge[np.diag_indices(m)] += RIDGE_LAMBDA * m
-        init = np.linalg.solve(ridge, y01)
-        del ridge  # an m x m copy; free it before the solver runs
-        # raw scores scale linearly in beta, so the warm start can be pulled
-        # into the feasible region in closed form instead of burning solver
-        # iterations on a feasibility march
-        raw0 = K @ init
-        gaps0 = np.abs(raw0[left] - raw0[right])
+    ridge = K.copy()
+    ridge[np.diag_indices(m)] += RIDGE_LAMBDA * m
+    init = np.linalg.solve(ridge, y01)
+    del ridge  # an m x m copy; free it before the solver runs
+    # raw scores scale linearly in beta, so the warm start can be pulled
+    # into the feasible region in closed form instead of burning solver
+    # iterations on a feasibility march
+    raw0 = K @ init
+    gaps0 = np.abs(raw0[left] - raw0[right])
 
-        def slack_at(c: float) -> float:
-            return float(np.mean(np.maximum(c * gaps0 - dists, 0.0))) - budget
+    def slack_at(c: float) -> float:
+        return float(np.mean(np.maximum(c * gaps0 - dists, 0.0))) - budget
 
-        if slack_at(1.0) > -0.5 * budget:
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if slack_at(mid) <= -0.5 * budget:
-                    lo = mid
-                else:
-                    hi = mid
-            init = init * lo
-    else:
-        init = np.zeros(m)
+    if slack_at(1.0) > -0.5 * budget:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if slack_at(mid) <= -0.5 * budget:
+                lo = mid
+            else:
+                hi = mid
+        init = init * lo
 
     solver_cfg = replace(config.solver, constraint_target=-0.5 * budget)
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from metricfair import SignUndefinedError, ValidationError, sigmoid_transfer
+from metricfair import Consecutive, SignUndefinedError, ValidationError, sigmoid_transfer
 
 
 def expand_seed(seed_bits) -> np.ndarray:
@@ -113,7 +113,7 @@ def averaged_fair_paired_error(h, paired, distance) -> float:
     targets = paired.dataset.targets01
     X = paired.dataset.features
     total = 0.0
-    for i, j in paired.pairs:
+    for i, j in zip(paired.matching.left.tolist(), paired.matching.right.tolist()):
         vi, vj = values[i], values[j]
         if distance(X[i], X[j]) == 0.0:
             vi = vj = 0.5 * (values[i] + values[j])
@@ -123,7 +123,8 @@ def averaged_fair_paired_error(h, paired, distance) -> float:
 
 def audit_pairs(paired, rng, n_audit):
     X = paired.dataset.features
-    pairs = [(X[i], X[j]) for i, j in paired.pairs[:n_audit]]
+    pairs = [(X[i], X[j]) for i, j in zip(paired.matching.left[:n_audit],
+                                          paired.matching.right[:n_audit])]
     m = len(paired.dataset)
     while len(pairs) < n_audit:
         i, j = rng.integers(0, m, size=2)
@@ -140,6 +141,44 @@ def is_perfectly_fair(h, pairs, distance, tolerance=0.0):
         if gap > dist + tolerance:
             violations.append((x, y, gap, dist))
     return (len(violations) == 0), violations
+
+
+# --- matchings and the population sample -----------------------------------
+
+
+def check_matching(pairs, m) -> None:
+    """`Matching`'s validation as it was: a loop over the (i, j) pairs."""
+    seen: set[int] = set()
+    for i, j in pairs:
+        for k in (i, j):
+            if not 0 <= k < m:
+                raise ValidationError(f"matching index {k} out of range for m={m}")
+            if k in seen:
+                raise ValidationError(f"matching index {k} appears more than once")
+            seen.add(k)
+
+
+def matching_pairs(m, strategy) -> tuple:
+    """The (i, j) pairs of `build_matching` over m points, one pair at a time."""
+    if isinstance(strategy, Consecutive):
+        order = np.arange(m)
+    else:
+        order = np.random.default_rng(strategy.seed).permutation(m)
+    return tuple((int(order[2 * t]), int(order[2 * t + 1])) for t in range(m // 2))
+
+
+def population_mf_estimate(h, S, d, gamma, n_pairs, seed) -> float:
+    """The population estimate with rows drawn as a dataset sampler drew
+    them: `count` uniform row indices per call, one call per side."""
+    rng = np.random.default_rng(seed)
+
+    def sample(count):
+        return S.features[rng.integers(0, len(S), size=count)]
+
+    xs = sample(n_pairs)
+    ys = sample(n_pairs)
+    gaps = np.abs(h.predict_batch(xs) - h.predict_batch(ys))
+    return float(np.mean(gaps > d.pair_distances(xs, ys) + gamma))
 
 
 # --- predictors, one point at a time ----------------------------------------

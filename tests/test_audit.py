@@ -25,7 +25,6 @@ from metricfair import (
     LabeledDataset,
     LinearPredictor,
     ScaledEuclideanMetric,
-    UnitBallSampler,
     ValidationError,
     all_pairs_mf_loss,
     audit_predictor,
@@ -41,7 +40,6 @@ from metricfair import (
     population_mf_estimate,
     surrogate_loss,
     surrogate_ramp,
-    violation_vector,
 )
 
 
@@ -60,18 +58,18 @@ def _pair(h1, h2):
 
 def loop_mf_loss(h, S, M, d, gamma):
     total = 0
-    for i, j in M.pairs:
+    for i, j in zip(M.left, M.right):
         gap = abs(h.predict(S.features[i]) - h.predict(S.features[j]))
         total += 1 if gap > d.distance(S.features[i], S.features[j]) + gamma else 0
-    return total / len(M.pairs)
+    return total / len(M)
 
 
 def loop_l1_loss(h, S, M, d):
     total = 0.0
-    for i, j in M.pairs:
+    for i, j in zip(M.left, M.right):
         gap = abs(h.predict(S.features[i]) - h.predict(S.features[j]))
         total += max(0.0, gap - d.distance(S.features[i], S.features[j]))
-    return total / len(M.pairs)
+    return total / len(M)
 
 
 class TestPairLosses:
@@ -190,7 +188,7 @@ class TestEmpiricalLosses:
 
         with pytest.raises(ValidationError):
             empirical_mf_loss(
-                ConstantPredictor(0.5), ds, Matching((), m=4), ConstantMetric(0.0), 0.0
+                ConstantPredictor(0.5), ds, Matching([], [], m=4), ConstantMetric(0.0), 0.0
             )
 
     def test_monotone_in_gamma_and_distance(self, rng):
@@ -206,10 +204,16 @@ class TestEmpiricalLosses:
             assert all(a >= b for a, b in zip(by_dist, by_dist[1:]))
 
 
+def unit_ball_dataset(m, n, seed):
+    """m points drawn uniformly from the n-dimensional unit ball, labels +1."""
+    return LabeledDataset(unit_ball_points(np.random.default_rng(seed), m, n), np.ones(m))
+
+
 class TestPopulationEstimate:
     def test_constant_predictor_estimates_zero(self):
         est = population_mf_estimate(
-            ConstantPredictor(0.2), UnitBallSampler(3), ConstantMetric(0.0), 0.0, 500, seed=1
+            ConstantPredictor(0.2), unit_ball_dataset(200, 3, 0), ConstantMetric(0.0), 0.0, 500,
+            seed=1,
         )
         assert est.estimate == 0.0
 
@@ -224,21 +228,34 @@ class TestPopulationEstimate:
         w /= np.linalg.norm(w) / 0.9
         h = LinearPredictor(w)
         d = ConstantMetric(0.0)
-        sampler = UnitBallSampler(3)
-        est = population_mf_estimate(h, sampler, d, 0.0, 20_000, seed=5)
-        # brute-force reference with one million pairs
+        S = unit_ball_dataset(5_000, 3, 7)
+        est = population_mf_estimate(h, S, d, 0.0, 20_000, seed=5)
+        # brute-force reference with one million pairs of rows of S
         big = np.random.default_rng(999)
-        P = sampler.sample(big, 1_000_000)
-        Q = sampler.sample(big, 1_000_000)
+        P = S.features[big.integers(0, len(S), size=1_000_000)]
+        Q = S.features[big.integers(0, len(S), size=1_000_000)]
         ref = float(np.mean(np.abs(h.predict_batch(P) - h.predict_batch(Q)) > 0.0))
         assert est.estimate > 0.0
         assert abs(est.estimate - ref) <= est.half_width + hoeffding_half_width(1_000_000)
 
     def test_deterministic_given_seed(self):
         h = LinearPredictor(np.array([0.5, 0.2]))
-        a = population_mf_estimate(h, UnitBallSampler(2), ConstantMetric(0.1), 0.05, 2000, seed=3)
-        b = population_mf_estimate(h, UnitBallSampler(2), ConstantMetric(0.1), 0.05, 2000, seed=3)
+        S = unit_ball_dataset(300, 2, 3)
+        a = population_mf_estimate(h, S, ConstantMetric(0.1), 0.05, 2000, seed=3)
+        b = population_mf_estimate(h, S, ConstantMetric(0.1), 0.05, 2000, seed=3)
         assert a == b
+
+    @given(kind=st.sampled_from(PREDICTOR_KINDS), m=st.integers(1, 40),
+           n_pairs=st.integers(1, 300), gamma=st.floats(0.0, 0.9), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_estimate_equals_the_dataset_sampler_draw(self, kind, m, n_pairs, gamma, seed):
+        rng = np.random.default_rng(seed)
+        h, _, _ = predictor_with_formula(kind, rng, 3)
+        S = random_dataset(rng, m, 3)
+        d = random_metric(rng)
+        est = population_mf_estimate(h, S, d, gamma, n_pairs, seed)
+        assert est.estimate == scalar.population_mf_estimate(h, S, d, gamma, n_pairs, seed)
+        assert est.n_pairs == n_pairs
 
 
 class TestSurrogate:
@@ -296,35 +313,6 @@ class TestSurrogate:
             assert excess <= gamma + 1e-15
 
 
-class TestViolationVector:
-    def test_constant_predictor_all_zero(self, rng):
-        ds = random_dataset(rng, 8, 2)
-        M = default_matching(ds, 0)
-        v = violation_vector(ConstantPredictor(0.3), ds, M, ConstantMetric(0.0), 0.0)
-        assert np.all(v.values == 0.0)
-
-    def test_single_edge_value(self):
-        X = np.array([[0.1], [0.2]])
-        ds = LabeledDataset(X, np.array([1, -1]))
-        h = TablePredictor(X, [0.9, 0.1])
-        M = build_matching(ds, Consecutive())
-        v = violation_vector(h, ds, M, ConstantMetric(0.5), 0.1)
-        assert v.values.tolist() == pytest.approx([0.2])
-
-    def test_consistency_with_losses(self, rng):
-        for _ in range(100):
-            m = int(rng.integers(6, 25))
-            ds = random_dataset(rng, m, 3)
-            h = random_predictor(rng, 3)
-            d = random_metric(rng)
-            M = default_matching(ds, int(rng.integers(0, 50)))
-            gamma = float(rng.uniform(0.0, 0.6))
-            v = violation_vector(h, ds, M, d, gamma)
-            assert v.support_fraction == empirical_mf_loss(h, ds, M, d, gamma)
-            v0 = violation_vector(h, ds, M, d, 0.0)
-            assert v0.mean == pytest.approx(empirical_l1_loss(h, ds, M, d), abs=1e-12)
-
-
 class TestGroupProfile:
     def test_constant_predictor_clean(self, rng):
         ds = random_dataset(rng, 12, 2)
@@ -356,23 +344,26 @@ class TestGroupProfile:
 
 class TestPerfectFairness:
     def test_constant_predictor(self, rng):
-        ds = random_dataset(rng, 6, 2)
-        pairs = [(ds.example(0), ds.example(1)), (ds.example(2), ds.example(3))]
-        ok, bad = is_perfectly_fair(ConstantPredictor(0.5), pairs, ConstantMetric(0.0))
+        X = random_dataset(rng, 6, 2).features
+        ok, bad = is_perfectly_fair(ConstantPredictor(0.5), X[0:4:2], X[1:4:2], ConstantMetric(0.0))
         assert ok and not bad
 
     def test_distance_one_any_predictor(self, rng):
-        ds = random_dataset(rng, 6, 2)
+        X = random_dataset(rng, 6, 2).features
         h = random_predictor(rng, 2)
-        pairs = [(ds.example(i), ds.example(i + 1)) for i in range(0, 6, 2)]
-        ok, _ = is_perfectly_fair(h, pairs, ConstantMetric(1.0))
+        ok, _ = is_perfectly_fair(h, X[0::2], X[1::2], ConstantMetric(1.0))
         assert ok
 
     def test_violating_pair_reported(self):
         X = np.array([[0.1], [0.2]])
         h = TablePredictor(X, [0.9, 0.1])
-        ok, bad = is_perfectly_fair(h, [(X[0], X[1])], ConstantMetric(0.2))
+        ok, bad = is_perfectly_fair(h, X[:1], X[1:], ConstantMetric(0.2))
         assert not ok and len(bad) == 1
+        x, y, gap, dist = bad[0]
+        assert x.tolist() == [0.1] and y.tolist() == [0.2]
+        assert gap == pytest.approx(0.8) and dist == 0.2
+        with pytest.raises(ValidationError, match="same number of rows"):
+            is_perfectly_fair(h, X, X[:1], ConstantMetric(0.2))
 
 
 class TestL1L0Sandwich:

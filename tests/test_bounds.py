@@ -15,7 +15,6 @@ from metricfair import (
     kernel_norm_bound_B,
     mf_generalization_delta,
     mf_generalization_delta_kernel,
-    pacf_sample_complexity,
     sample_complexity_inf_fpac,
     sample_complexity_kernel,
     sample_complexity_linear,
@@ -178,15 +177,6 @@ class TestSampleComplexities:
     def test_inf_fpac_dominating_rademacher_errors(self):
         with pytest.raises(RademacherDominatesError, match="Rademacher term dominates"):
             sample_complexity_inf_fpac(0.1, 0.1, 0.05, m_pac=3, rademacher_at=0.5)
-
-    def test_dispatcher(self):
-        sc = pacf_sample_complexity(
-            "lin-accuracy",
-            {"epsilon": 0.1, "eps_alpha": 0.1, "eps_gamma": 0.1, "alpha": 0.1, "delta": 0.05},
-        )
-        assert sc.branches["utility_m"] == 673
-        with pytest.raises(ValidationError):
-            pacf_sample_complexity("no-such-formula", {})
 
 
 class TestBoundReport:

@@ -10,6 +10,8 @@ from metricfair import (
     KernelLearner,
     SolverConfig,
     TrainConfig,
+    kernel_norm_bound_B,
+    sample_complexity_kernel,
     train_fair_kernel,
     train_fair_linear,
 )
@@ -121,6 +123,25 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--formula", "delta-m", "--g", "10")
         assert code == 1
         assert "needs" in err
+
+    def test_sigmoid_accuracy_without_b_or_l_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--formula", "sigmoid-accuracy",
+                             "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
+                             "--alpha", "0.1", "--delta", "0.05")
+        assert code == 1
+        assert err == "usage error: formula sigmoid-accuracy needs --b or --l\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("bound", [("--b", "100"), ("--l", "3")])
+    def test_sigmoid_accuracy_equals_the_kernel_formula(self, capsys, bound):
+        flag, value = bound
+        code, out, _ = run(capsys, "bounds", "--formula", "sigmoid-accuracy",
+                           "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
+                           "--alpha", "0.1", "--delta", "0.05", flag, value)
+        B = 100.0 if flag == "--b" else kernel_norm_bound_B(3.0, 0.05)
+        expected = sample_complexity_kernel(0.1, 0.1, 0.1, 0.1, 0.05, B).m
+        assert code == 0
+        assert out == f"sigmoid-accuracy {expected:.10g}\n"
 
 
 class TestAudit:
@@ -350,6 +371,23 @@ class TestTrainParameters:
                            flag, value, "--seed", "1", "--predictor-out", str(out))
         assert code == 2
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--kernel-b", "nan"), "error: B must not be NaN"),
+        (("--kernel-l", "nan"), "error: L must not be NaN"),
+        (("--kernel-b", "10", "--b-max", "nan"), "error: b_max must be positive, got nan"),
+        (("--kernel-b", "10", "--b-max", "-1"), "error: b_max must be positive, got -1.0"),
+    ])
+    def test_invalid_kernel_bound_exits_two(self, capsys, dataset_file, tmp_path,
+                                            flags, message):
+        out = tmp_path / "k.json"
+        code, _, err = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "euclidean:0.8", "--learner", "kernel", *flags,
+                           "--alpha", "0.2", "--gamma", "0.3", "--seed", "1",
+                           "--predictor-out", str(out))
+        assert code == 2
+        assert err == message + "\n"
         assert not out.exists()
 
 

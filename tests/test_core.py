@@ -24,9 +24,7 @@ from metricfair import (
     LogisticPredictor,
     Matching,
     MatrixMetric,
-    MetricFairError,
     MetricUndefinedError,
-    PrecomputedGramKernel,
     RandomPermutation,
     ScaledEuclideanMetric,
     SimilarityMetric,
@@ -34,7 +32,6 @@ from metricfair import (
     VovkHalfKernel,
     build_matching,
     check_psd,
-    predict,
     validate_metric,
 )
 
@@ -75,7 +72,7 @@ class TestPredict:
     def test_zero_weight_linear_is_half(self, rng):
         h = LinearPredictor(np.zeros(3))
         for x in unit_ball_points(rng, 5, 3):
-            assert predict(h, Example(x, 1)) == 0.5
+            assert h.predict(x) == 0.5
 
     def test_logistic_at_zero_is_half(self):
         h = LogisticPredictor(np.zeros(2), 3.0)
@@ -173,15 +170,6 @@ class TestKernels:
         with pytest.raises(ValidationError):
             check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_precomputed_gram_kernel(self, rng):
-        A = rng.standard_normal((5, 5))
-        gram = A @ A.T
-        kernel = PrecomputedGramKernel(gram)
-        assert np.array_equal(kernel.gram(), gram)
-        assert kernel.sup_value == float(np.max(np.abs(gram)))
-        with pytest.raises(MetricFairError, match="cannot evaluate raw vectors"):
-            kernel.cross(np.zeros((1, 2)), np.zeros((1, 2)))
-
 
 class TestKernelPredictorSupport:
     @pytest.mark.parametrize("support, message", [
@@ -267,10 +255,10 @@ class TestCheckPsd:
 
     def test_read_only_precomputed_gram(self, rng):
         A = rng.standard_normal((12, 12))
-        gram = PrecomputedGramKernel(A @ A.T).gram()
-        assert not gram.flags.writeable
+        gram, indefinite = A @ A.T, A + A.T
+        for g in (gram, indefinite):
+            g.setflags(write=False)
         assert self._same_verdict(gram) is None
-        indefinite = PrecomputedGramKernel(A + A.T).gram()
         assert "not positive semidefinite" in self._same_verdict(indefinite)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -282,20 +270,24 @@ class TestCheckPsd:
             check_psd(gram)
 
 
+def _sides(matching):
+    return matching.left.tolist(), matching.right.tolist()
+
+
 class TestMatching:
     def test_consecutive_odd(self, rng):
         ds = random_dataset(rng, 5, 2)
-        assert build_matching(ds, Consecutive()).pairs == ((0, 1), (2, 3))
+        assert _sides(build_matching(ds, Consecutive())) == ([0, 2], [1, 3])
 
     def test_consecutive_even(self, rng):
         ds = random_dataset(rng, 4, 2)
-        assert build_matching(ds, Consecutive()).pairs == ((0, 1), (2, 3))
+        assert _sides(build_matching(ds, Consecutive())) == ([0, 2], [1, 3])
 
     def test_random_permutation_is_deterministic(self, rng):
         ds = random_dataset(rng, 5, 2)
         a = build_matching(ds, RandomPermutation(seed=7))
         b = build_matching(ds, RandomPermutation(seed=7))
-        assert a.pairs == b.pairs
+        assert _sides(a) == _sides(b)
 
     def test_too_small(self, rng):
         ds = random_dataset(rng, 2, 2).example(0)
@@ -304,15 +296,59 @@ class TestMatching:
             build_matching(single)
 
     def test_rejects_duplicate_index(self):
-        with pytest.raises(ValidationError):
-            Matching(((0, 1), (1, 2)), m=4)
+        with pytest.raises(ValidationError, match="matching index 1 appears more than once"):
+            Matching([0, 1], [1, 2], m=4)
+
+    def test_sides_are_read_only_index_arrays(self):
+        matching = Matching([0, 2], [1, 3], m=4)
+        for side in (matching.left, matching.right):
+            assert side.dtype == np.intp and not side.flags.writeable
+        assert len(matching) == 2
+
+    def test_sides_must_have_equal_length(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            Matching([0, 2], [1], m=4)
+
+    @given(m=st.integers(0, 12), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_validation_matches_the_pair_loop(self, m, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(-2, m + 2), st.integers(-2, m + 2)),
+                                   max_size=8), label="pairs")
+        if data.draw(st.booleans(), label="valid"):
+            # a disjoint in-range matching, so that valid inputs are drawn too
+            order = data.draw(st.permutations(range(m)), label="order")
+            pairs = list(zip(order[0::2], order[1::2]))
+        try:
+            scalar.check_matching(pairs, m)
+        except ValidationError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        left = [i for i, _ in pairs]
+        right = [j for _, j in pairs]
+        if expected is None:
+            matching = Matching(left, right, m)
+            assert list(zip(*_sides(matching))) == pairs
+        else:
+            with pytest.raises(ValidationError) as raised:
+                Matching(left, right, m)
+            assert str(raised.value) == expected
+
+    @given(m=st.integers(2, 41), seed=st.integers(0, 1000), shuffle=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_build_matching_gives_the_old_pairs(self, m, seed, shuffle):
+        ds = random_dataset(np.random.default_rng(seed + 1), m, 2)
+        strategy = RandomPermutation(seed) if shuffle else Consecutive()
+        matching = build_matching(ds, strategy)
+        assert list(zip(*_sides(matching))) == list(scalar.matching_pairs(m, strategy))
+        assert matching.m == m
 
     @given(m=st.integers(2, 41), seed=st.integers(0, 1000))
     @settings(max_examples=60, deadline=None)
     def test_random_permutation_covers_indices(self, m, seed):
         ds = random_dataset(np.random.default_rng(seed + 1), m, 2)
         matching = build_matching(ds, RandomPermutation(seed))
-        used = sorted(i for pair in matching.pairs for i in pair)
+        used = sorted(matching.left.tolist() + matching.right.tolist())
         assert len(used) == len(set(used)) == 2 * (m // 2)
         leftovers = set(range(m)) - set(used)
         assert len(leftovers) == m % 2

@@ -42,7 +42,9 @@ class TestHardnessPairs:
         spec = SyntheticSpec("hardness-pairs", n=8, m=40, seed=9, mode="U")
         ds, meta = generate_dataset_with_meta(spec)
         assert len(ds) == 40
-        assert meta["pairs"][0] == (0, 1)
+        matching = meta["matching"]
+        assert matching.left.tolist() == list(range(0, 40, 2))
+        assert matching.right.tolist() == list(range(1, 40, 2))
         assert np.all(ds.labels[::2] == -ds.labels[1::2])
 
     def test_odd_m_rejected(self):

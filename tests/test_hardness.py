@@ -29,6 +29,11 @@ from metricfair.hardness import _audit_pairs
 from conftest import TablePredictor, random_predictor
 
 
+def counterparts(paired):
+    """The (i, j) index pairs of a HardPairedDataset's matching."""
+    return zip(paired.matching.left.tolist(), paired.matching.right.tolist())
+
+
 class TestExpandSeed:
     def test_deterministic(self, rng):
         s = rng.integers(0, 2, size=31).astype(np.uint8)
@@ -79,7 +84,7 @@ class TestHardnessMetric:
         paired, handle = sample_hardness_distribution(16, 50, "U", 2)
         metric = HardnessMetric(handle)
         X = paired.dataset.features
-        for i, j in paired.pairs:
+        for i, j in counterparts(paired):
             assert metric.distance(X[i], X[j]) == 0.0
 
     def test_zero_coordinate_rejected(self):
@@ -99,7 +104,7 @@ class TestHardnessMetric:
         paired, handle = sample_hardness_distribution(32, 10_000, "V", 4)
         metric = HardnessMetric(handle)
         X = paired.dataset.features
-        hits = sum(metric.distance(X[i], X[j]) == 0.0 for i, j in paired.pairs)
+        hits = sum(metric.distance(X[i], X[j]) == 0.0 for i, j in counterparts(paired))
         assert hits == 0
 
     def test_axioms_on_sampled_triples(self):
@@ -113,7 +118,7 @@ class TestSampling:
         paired, _ = sample_hardness_distribution(12, 100, "U", 7)
         labels = paired.dataset.labels
         X = paired.dataset.features
-        for i, j in paired.pairs:
+        for i, j in counterparts(paired):
             assert labels[i] == -labels[j]
             assert abs(X[i, -1]) == 0.5 and abs(X[j, -1]) == 0.5
             assert labels[i] == (1 if X[i, -1] > 0 else -1)
@@ -121,7 +126,7 @@ class TestSampling:
     def test_counterpart_flips_preserve_magnitudes(self):
         paired, _ = sample_hardness_distribution(12, 50, "U", 8)
         X = paired.dataset.features
-        for i, j in paired.pairs:
+        for i, j in counterparts(paired):
             assert np.allclose(np.abs(X[i]), np.abs(X[j]))
 
     def test_all_points_inside_unit_ball(self):
@@ -155,7 +160,7 @@ class TestAveragedFairProjection:
         h = random_predictor(rng, 10)
         values = h.predict_batch(paired.dataset.features)
         targets = paired.dataset.targets01
-        for i, j in paired.pairs:
+        for i, j in counterparts(paired):
             avg = 0.5 * (values[i] + values[j])
             pair_sum = abs(avg - targets[i]) + abs(avg - targets[j])
             assert pair_sum == pytest.approx(1.0, abs=1e-12)
@@ -175,10 +180,10 @@ class TestModeV:
         paired, handle = sample_hardness_distribution(12, 200, "V", 12)
         metric = HardnessMetric(handle)
         X = paired.dataset.features
-        pairs = [(X[i], X[j]) for i, j in paired.pairs]
+        xs, ys = X[paired.matching.left], X[paired.matching.right]
         for _ in range(5):
             h = random_predictor(rng, 12)
-            ok, violations = is_perfectly_fair(h, pairs, metric)
+            ok, violations = is_perfectly_fair(h, xs, ys, metric)
             assert ok and not violations
 
     def test_reference_classifier_error_zero(self):
@@ -192,11 +197,11 @@ class TestPerfectFairnessOnCounterparts:
         metric = HardnessMetric(handle)
         reference = SignReferencePredictor(12)
         X = paired.dataset.features
-        pairs = [(X[i], X[j]) for i, j in paired.pairs]
+        xs, ys = X[paired.matching.left], X[paired.matching.right]
         # counterparts are at distance 0 but the sign classifier splits them
-        ok, violations = is_perfectly_fair(reference, pairs, metric, tolerance=0.0)
+        ok, violations = is_perfectly_fair(reference, xs, ys, metric, tolerance=0.0)
         assert not ok
-        assert len(violations) == len(pairs)
+        assert len(violations) == len(xs) == 5
 
 
 class TestExperiment:
@@ -297,14 +302,16 @@ class TestBatchedAgainstScalar:
         got = averaged_fair_paired_error(h, paired, metric)
         assert got.hex() == scalar.averaged_fair_paired_error(h, paired, distance).hex()
 
-        pairs = _audit_pairs(paired, np.random.default_rng(seed), n_audit)
+        xs, ys = _audit_pairs(paired, np.random.default_rng(seed), n_audit)
         expected_pairs = scalar.audit_pairs(paired, np.random.default_rng(seed), n_audit)
-        assert len(pairs) == len(expected_pairs) == n_audit
-        for (x, y), (ex, ey) in zip(pairs, expected_pairs):
+        assert xs.shape == ys.shape == (n_audit, n)
+        assert len(expected_pairs) == n_audit
+        for x, y, (ex, ey) in zip(xs, ys, expected_pairs):
             assert np.array_equal(x, ex) and np.array_equal(y, ey)
 
-        ok, violations = is_perfectly_fair(h, pairs, metric, tolerance=0.05)
-        expected_ok, expected_violations = scalar.is_perfectly_fair(h, pairs, distance, 0.05)
+        ok, violations = is_perfectly_fair(h, xs, ys, metric, tolerance=0.05)
+        expected_ok, expected_violations = scalar.is_perfectly_fair(
+            h, list(zip(xs, ys)), distance, 0.05)
         assert ok == expected_ok
         assert [(x.tolist(), y.tolist(), gap, dist) for x, y, gap, dist in violations] == [
             (x.tolist(), y.tolist(), gap, dist) for x, y, gap, dist in expected_violations]

@@ -283,6 +283,18 @@ class TestTrainKernel:
         with pytest.raises(ValidationError):
             KernelLearner()
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"B": float("nan")}, "B must not be NaN"),
+        ({"L": float("nan")}, "L must not be NaN"),
+        ({"B": 10.0, "L": float("nan")}, "L must not be NaN"),
+        ({"B": 10.0, "b_max": float("nan")}, "b_max must be positive, got nan"),
+        ({"B": 10.0, "b_max": -1.0}, "b_max must be positive, got -1.0"),
+        ({"L": 3.0, "b_max": 0.0}, "b_max must be positive, got 0.0"),
+    ])
+    def test_learner_spec_rejects_nan_and_non_positive_cap(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            KernelLearner(**kwargs)
+
 
 class TestLazyConstraintSubgradient:
     """Both learners return the constraint subgradient as a callable, which
@@ -292,7 +304,6 @@ class TestLazyConstraintSubgradient:
     @pytest.mark.parametrize("train, learner", [
         (train_fair_linear, None),
         (train_fair_kernel, KernelLearner(B=1e4)),
-        (train_fair_kernel, KernelLearner(B=1e4, init="zeros")),
     ])
     def test_exact_and_evaluated_once_per_infeasible_iterate(self, rng, train, learner):
         solve = solver.solve_constrained
