@@ -202,17 +202,6 @@ class FairnessReport:
             if not 0.0 <= v <= 1.0:
                 raise MetricFairError(f"{name} = {v} outside [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "empirical_mf_loss": self.empirical_mf_loss,
-            "empirical_l1_loss": self.empirical_l1_loss,
-            "population_estimate": self.population_estimate,
-            "population_ci": self.population_ci,
-            "group_profile": [[a2, a1] for a2, a1 in self.group_profile],
-            "gamma": self.gamma,
-            "n_edges": self.n_edges,
-        }
-
 
 def audit_predictor(
     h,

@@ -51,8 +51,8 @@ def empirical_rademacher_kernel_ball(
     For a fixed sign vector s the supremum has the closed form
     (C/m) * sqrt(s' K s); the estimate averages it over uniform sign draws.
     """
-    if C <= 0:
-        raise ValidationError("norm bound C must be positive")
+    if not C > 0:
+        raise ValidationError(f"norm bound C must be positive, got {C}")
     if n_draws < 1:
         raise ValidationError("need at least one sign draw")
     gram = np.asarray(gram, dtype=np.float64)
@@ -70,9 +70,17 @@ def empirical_rademacher_kernel_ball(
     return RademacherEstimate(value=value, n_draws=n_draws, mc_half_width=half)
 
 
+# Domain checks are written as `not <valid>` so that a NaN input fails them.
+
+
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
+
+
+def _check_G(G: float) -> None:
+    if not G >= 1.0:
+        raise ValidationError(f"G must be >= 1, got {G}")
 
 
 def mf_generalization_delta(G: float, delta: float, m: int, r_hat: float) -> float:
@@ -82,12 +90,11 @@ def mf_generalization_delta(G: float, delta: float, m: int, r_hat: float) -> flo
     matching size (m-1)/2.
     """
     _check_delta(delta)
-    if G < 1.0:
-        raise ValidationError(f"G must be >= 1, got {G}")
+    _check_G(G)
     if m < 2:
         raise ValidationError("need m >= 2")
-    if r_hat < 0:
-        raise ValidationError("r_hat must be non-negative")
+    if not r_hat >= 0:
+        raise ValidationError(f"r_hat must be non-negative, got {r_hat}")
     tail = (4.0 + 17.0 * math.sqrt(math.log(4.0 / delta))) / math.sqrt(m - 1)
     return 2.0 * G * (4.0 * r_hat + tail)
 
@@ -98,12 +105,12 @@ def mf_generalization_delta_kernel(
     """Closed-form margin for the kernel ball class with norm bound C and
     kernel sup M: 2G * (4 + 4*sqrt(2)*sqrt(C*M) + 17*sqrt(ln(4/delta))) / sqrt(m-1)."""
     _check_delta(delta)
-    if G < 1.0:
-        raise ValidationError(f"G must be >= 1, got {G}")
+    _check_G(G)
     if m < 2:
         raise ValidationError("need m >= 2")
-    if C < 0 or M < 0:
-        raise ValidationError("C and M must be non-negative")
+    for name, v in (("C", C), ("M", M)):
+        if not v >= 0:
+            raise ValidationError(f"{name} must be non-negative, got {v}")
     num = 4.0 + 4.0 * math.sqrt(2.0) * math.sqrt(C * M) + 17.0 * math.sqrt(math.log(4.0 / delta))
     return 2.0 * G * num / math.sqrt(m - 1)
 
@@ -113,13 +120,14 @@ def uniform_convergence_rho(G: float, delta: float, m: int, B: float | None = No
     level sets: the kernel closed form at C = M = 1, or with 8*sqrt(B)
     replacing 4*sqrt(2) when a squared-norm bound B is supplied."""
     _check_delta(delta)
+    _check_G(G)
     if m < 2:
         raise ValidationError("need m >= 2")
     if B is None:
         mid = 4.0 * math.sqrt(2.0)
     else:
-        if B <= 0:
-            raise ValidationError("B must be positive")
+        if not B > 0:
+            raise ValidationError(f"B must be positive, got {B}")
         mid = 8.0 * math.sqrt(B)
     num = 4.0 + mid + 17.0 * math.sqrt(math.log(4.0 / delta))
     return 2.0 * G * num / math.sqrt(m - 1)
@@ -180,8 +188,8 @@ def sample_complexity_kernel(
                     ("eps_gamma", eps_gamma), ("alpha", alpha), ("delta", delta)):
         if not 0.0 < v < 1.0:
             raise ValidationError(f"{name} must be in (0, 1), got {v}")
-    if B <= 0:
-        raise ValidationError("B must be positive")
+    if not B > 0:
+        raise ValidationError(f"B must be positive, got {B}")
     if math.isinf(B):
         raise MetricFairError("B is infinite; the sample complexity is unbounded")
     eps_star = min(epsilon, eps_alpha, eps_gamma / 2.0)
@@ -225,6 +233,8 @@ def sample_complexity_inf_fpac(
     for _ in range(max_rounds):
         k = max((m - 1) // 2, 1)
         r = float(r_of(k))
+        if math.isnan(r):
+            raise ValidationError(f"Rademacher value at matching size {k} is NaN")
         denom = eps_alpha * eps_gamma - 8.0 * r
         if denom <= 0:
             raise RademacherDominatesError("Rademacher term dominates; increase m or relax eps")
@@ -247,7 +257,7 @@ def kernel_norm_bound_B(L: float, eps_star: float) -> float:
     Returns +inf (with a warning) when the exponential overflows; the value is
     astronomically large for realistic L.
     """
-    if L < 3.0:
+    if not L >= 3.0:
         raise ValidationError(f"L must be >= 3, got {L}")
     if not 0.0 < eps_star < 1.0:
         raise ValidationError(f"eps_star must be in (0, 1), got {eps_star}")
@@ -277,11 +287,3 @@ class BoundReport:
         for name, m in self.sample_complexities.items():
             if m < 1:
                 raise MetricFairError(f"sample complexity {name} must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_m": self.delta_m,
-            "inputs": dict(self.inputs),
-            "sample_complexities": dict(self.sample_complexities),
-            "kernel_norm_bound": self.kernel_norm_bound,
-        }

@@ -68,6 +68,20 @@ def _add_report_flags(p):
                    help="omit the timestamp field (reproducibility checks)")
 
 
+def _finite_grid(text: str) -> list[float]:
+    """A comma-separated list of finite numbers; empty entries are skipped."""
+    grid = []
+    for entry in filter(None, text.split(",")):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"grid entries must be finite numbers, got {entry!r}")
+        grid.append(value)
+    return grid
+
+
 # the values of the choice flags of `train`, which its --config keys share
 _CHOICES = {"learner": ("linear", "kernel"), "theory_mode": ("empirical", "theoretical")}
 
@@ -116,7 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", required=True)
     p.add_argument("--predictor", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha2-grid", default="0.05,0.1,0.2,0.5,1.0")
+    p.add_argument("--alpha2-grid", type=_finite_grid, default="0.05,0.1,0.2,0.5,1.0")
     p.add_argument("--population-pairs", type=int, default=10000)
     p.add_argument("--seed", type=int)
     _add_report_flags(p)
@@ -170,6 +184,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _emit_report(args, params: dict, results) -> None:
+    """Print the command's JSON report, also writing it to --out if given."""
+    payload = {"command": args.command, "params": params, "results": results}
+    print(write_report(payload, args.out, args.no_timestamp), end="")
+
+
 def _cmd_gen_data(args) -> int:
     seed = _resolve_seed(args)
     spec = SyntheticSpec(
@@ -198,7 +218,10 @@ _FIELD_NAMES = {"theory_mode": "mode", "kernel_b": "B", "kernel_l": "L",
 
 def _read_train_config(path) -> dict:
     """Load a --config file and give its values the checks their flags get."""
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("--config must hold a JSON object")
     unknown = set(cfg) - set(_TRAIN_KEYS)
@@ -259,11 +282,8 @@ def _cmd_train(args) -> int:
     params = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainConfig)
               if f.name not in ("learner", "solver")}
     params.update(learner=learner_kind, seed=seed)
-    save_predictor_json(predictor, args.predictor_out,
-                        training_config=params, report=report.to_dict())
-    payload = {"command": "train", "params": params, "results": report.to_dict()}
-    text = write_report(payload, args.out, args.no_timestamp)
-    print(text, end="")
+    save_predictor_json(predictor, args.predictor_out, training_config=params, report=report)
+    _emit_report(args, params, report)
     return 0
 
 
@@ -273,21 +293,15 @@ def _cmd_audit(args) -> int:
     metric = load_metric(args.metric, dataset)
     predictor = load_predictor_json(args.predictor)
     matching = default_matching(dataset, seed)
-    grid = [float(v) for v in args.alpha2_grid.split(",") if v]
     report = audit_predictor(
         predictor, dataset, matching, metric, args.gamma,
-        alpha2_grid=grid,
+        alpha2_grid=args.alpha2_grid,
         population_pairs=args.population_pairs,
         seed=seed,
     )
-    payload = {
-        "command": "audit",
-        "params": {"gamma": args.gamma, "seed": seed, "metric": args.metric,
-                   "predictor": predictor_to_dict(predictor)["variant"]},
-        "results": report.to_dict(),
-    }
-    text = write_report(payload, args.out, args.no_timestamp)
-    print(text, end="")
+    params = {"gamma": args.gamma, "seed": seed, "metric": args.metric,
+              "predictor": predictor_to_dict(predictor)["variant"]}
+    _emit_report(args, params, report)
     return 0
 
 
@@ -351,10 +365,10 @@ def _cmd_bounds(args) -> int:
         sample_complexities=complexities,
         kernel_norm_bound=results.get("b-star"),
     )
-    payload = {"command": "bounds", "params": {"formulas": args.formula},
-               "results": {"formulas": results, **report.to_dict()}}
     if args.out:
-        write_report(payload, args.out, args.no_timestamp)
+        write_report({"command": args.command, "params": {"formulas": args.formula},
+                      "results": {"formulas": results, **dataclasses.asdict(report)}},
+                     args.out, args.no_timestamp)
     return 0
 
 
@@ -371,10 +385,7 @@ def _cmd_hardness(args) -> int:
         n_audit_pairs=args.audit_pairs,
         train_learners=() if args.skip_training else ("linear", "kernel"),
     )
-    payload = {"command": "hardness-demo", "params": {"mode": args.mode, "seed": seed},
-               "results": report.to_dict()}
-    text = write_report(payload, args.out, args.no_timestamp)
-    print(text, end="")
+    _emit_report(args, {"mode": args.mode, "seed": seed}, report)
     return 0
 
 
@@ -383,13 +394,9 @@ def _cmd_validate_metric(args) -> int:
     dataset = load_dataset_csv(args.data)
     metric = load_metric(args.metric, dataset)
     report = validate_metric(metric, dataset, args.triples, seed)
-    payload = {
-        "command": "validate-metric",
-        "params": {"metric": args.metric, "triples": args.triples, "seed": seed},
-        "results": report.to_dict(),
-    }
-    text = write_report(payload, args.out, args.no_timestamp)
-    print(text, end="")
+    # the JSON of a validation is a summary of its violations, not its fields
+    _emit_report(args, {"metric": args.metric, "triples": args.triples, "seed": seed},
+                 report.to_dict())
     return 0 if report.ok else 2
 
 

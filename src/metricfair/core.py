@@ -227,8 +227,8 @@ class ScaledEuclideanMetric(SimilarityMetric):
     scale: float
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValidationError("scale must be non-negative")
+        if not 0.0 <= self.scale < np.inf:
+            raise ValidationError(f"scale must be finite and non-negative, got {self.scale}")
 
     def pair_distances(self, xs, ys) -> np.ndarray:
         xs, ys = _pair_rows(xs, ys)

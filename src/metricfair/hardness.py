@@ -278,20 +278,6 @@ class HardnessReport:
     accuracy_gap: float | None
     headline_learner: str
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k_pairs": self.k_pairs,
-            "seed": self.seed,
-            "modes": list(self.modes),
-            "averaged_fair_error_u": self.averaged_fair_error_u,
-            "reference_error": dict(self.reference_error),
-            "perfect_fairness_audit": dict(self.perfect_fairness_audit),
-            "trained": {k: dict(v) for k, v in self.trained.items()},
-            "accuracy_gap": self.accuracy_gap,
-            "headline_learner": self.headline_learner,
-        }
-
 
 def _train_one(learner_name: str, trainer: TrainConfig, paired: HardPairedDataset,
                metric: HardnessMetric):

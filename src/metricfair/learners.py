@@ -16,7 +16,7 @@ By the l1/l0 sandwich, a trained predictor with l1 loss <= tau has empirical
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -117,15 +117,6 @@ class SolverDerivedParams:
     gamma_tilde: float
     tau: float
 
-    def to_dict(self) -> dict:
-        return {
-            "G": self.G,
-            "rho": self.rho,
-            "alpha_tilde": self.alpha_tilde,
-            "gamma_tilde": self.gamma_tilde,
-            "tau": self.tau,
-        }
-
 
 def resolve_kernel_B(learner: KernelLearner, eps_star: float) -> tuple[float, float]:
     """Return (derived_or_given_B, capped_B_used_for_training)."""
@@ -175,22 +166,16 @@ def _edge_arrays(S: LabeledDataset, M: Matching, d: SimilarityMetric):
 
 def _finalize_report(report: TrainingReport, predictor, S, M, d, params, config, extras) -> TrainingReport:
     mf = empirical_mf_loss(predictor, S, M, d, params.gamma_tilde)
-    derived = dict(report.derived_params)
-    derived.update(params.to_dict())
     # achieved (empirical-mode) budget next to the theoretical-mode value,
     # which is usually non-positive at desk-scale samples
-    derived["tau_theoretical"] = (config.alpha - params.rho) * params.gamma_tilde
-    merged = dict(report.extras)
-    merged.update(extras)
-    return TrainingReport(
-        final_objective=report.final_objective,
-        final_constraint_slack=report.final_constraint_slack,
-        iterations=report.iterations,
-        converged=report.converged,
+    tau_theoretical = (config.alpha - params.rho) * params.gamma_tilde
+    return replace(
+        report,
         empirical_mf_loss=mf,
         mf_loss_bound=params.tau / params.gamma_tilde if params.gamma_tilde > 0 else None,
-        derived_params=derived,
-        extras=merged,
+        derived_params={**report.derived_params, **asdict(params),
+                        "tau_theoretical": tau_theoretical},
+        extras={**report.extras, **extras},
     )
 
 

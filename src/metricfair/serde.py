@@ -1,13 +1,15 @@
 """File formats: dataset CSV, predictor JSON, metric files, report JSON.
 
 Floats are written with 17 significant digits so CSV round trips are exact.
-Report payloads are emitted with sorted keys so identical inputs produce
-byte-identical files (timestamps can be suppressed for reproducibility
-checks).
+Every JSON file goes through `_dump`: report records (dataclasses) are
+written field for field, NaN as null and +-inf as "inf"/"-inf", with sorted
+keys, so identical inputs produce byte-identical files (timestamps can be
+suppressed for reproducibility checks).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
 import math
@@ -116,14 +118,14 @@ def predictor_from_dict(payload: dict):
 
 
 def save_predictor_json(predictor, path, training_config: dict | None = None,
-                        report: dict | None = None) -> None:
+                        report=None) -> None:
     payload = predictor_to_dict(predictor)
     payload["schema_version"] = SCHEMA_VERSION
     if training_config is not None:
         payload["training_config"] = training_config
     if report is not None:
         payload["report"] = report
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_dump(payload))
 
 
 def load_predictor_json(path):
@@ -167,7 +169,7 @@ def save_hardness_handle(handle: HardnessMetricHandle, path) -> None:
     }
     if handle.seed_bits is not None:
         payload["seed_bits"] = "".join(str(int(b)) for b in handle.seed_bits)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_dump(payload))
 
 
 def load_hardness_handle(path) -> HardnessMetricHandle:
@@ -202,11 +204,8 @@ def load_metric(spec: str, dataset: LabeledDataset | None = None) -> SimilarityM
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float):
+    # plain floats come first: predictor JSON holds tens of thousands of them
+    if isinstance(value, float):  # np.float64 too, a float subclass
         if math.isnan(value):
             return None
         if math.isinf(value):
@@ -216,15 +215,24 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
+    if isinstance(value, (np.floating, np.integer)):
+        return _jsonable(value.item())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
 
 
+def _dump(value) -> str:
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True) + "\n"
+
+
 def write_report(payload: dict, path=None, no_timestamp: bool = False) -> str:
-    body = {"schema_version": SCHEMA_VERSION}
-    body.update(_jsonable(payload))
+    body = {"schema_version": SCHEMA_VERSION, **payload}
     if not no_timestamp:
         body["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    text = json.dumps(body, indent=2, sort_keys=True) + "\n"
+    text = _dump(body)
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -76,18 +76,6 @@ class TrainingReport:
         ):
             raise MetricFairError("converged report with constraint slack above tolerance")
 
-    def to_dict(self) -> dict:
-        return {
-            "final_objective": self.final_objective,
-            "final_constraint_slack": self.final_constraint_slack,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "empirical_mf_loss": self.empirical_mf_loss,
-            "mf_loss_bound": self.mf_loss_bound,
-            "derived_params": dict(self.derived_params),
-            "extras": dict(self.extras),
-        }
-
 
 def solve_constrained(
     objective,

@@ -1,5 +1,6 @@
 """Shared test factories: random datasets, predictors, and metrics."""
 
+import json
 import tempfile
 
 import numpy as np
@@ -95,6 +96,13 @@ def predictor_with_formula(kind, rng, n):
     size = int(rng.integers(1, 8))
     h = KernelPredictor(unit_ball_points(rng, size, n), rng.standard_normal(size), kernel)
     return h, lambda x: scalar.kernel_predict(h, x), False
+
+
+def strict_json(text: str):
+    """json.loads that refuses the non-standard NaN/Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def random_metric(rng):

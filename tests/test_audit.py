@@ -1,5 +1,6 @@
 """Fairness losses: 0/1 and l1 variants, surrogate ramp, profiles, audits."""
 
+import json
 import math
 
 import numpy as np
@@ -41,6 +42,7 @@ from metricfair import (
     surrogate_loss,
     surrogate_ramp,
 )
+from metricfair.serde import write_report
 
 
 def _pair(h1, h2):
@@ -391,7 +393,7 @@ class TestAuditReport:
         report = audit_predictor(
             h, ds, M, ConstantMetric(0.2), 0.1, population_pairs=500, seed=4
         )
-        payload = report.to_dict()
+        payload = json.loads(write_report({"results": report}, no_timestamp=True))["results"]
         assert set(payload) == {
             "empirical_mf_loss", "empirical_l1_loss", "population_estimate",
             "population_ci", "group_profile", "gamma", "n_edges",

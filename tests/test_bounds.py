@@ -1,6 +1,7 @@
 """Rademacher estimator and closed-form bound calculators."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from metricfair import (
     sample_complexity_linear,
     uniform_convergence_rho,
 )
+from metricfair.serde import write_report
 
 
 class TestRademacherEstimator:
@@ -179,10 +181,33 @@ class TestSampleComplexities:
             sample_complexity_inf_fpac(0.1, 0.1, 0.05, m_pac=3, rademacher_at=0.5)
 
 
+class TestNaNInputs:
+    """Every formula names a NaN input instead of returning a number."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: mf_generalization_delta(math.nan, 0.05, 100, 0.0), "G"),
+        (lambda: mf_generalization_delta(10, 0.05, 100, math.nan), "r_hat"),
+        (lambda: mf_generalization_delta_kernel(math.nan, 0.05, 100, 1.0, 1.0), "G"),
+        (lambda: mf_generalization_delta_kernel(10, 0.05, 100, math.nan, 1.0), "C"),
+        (lambda: mf_generalization_delta_kernel(10, 0.05, 100, 1.0, math.nan), "M"),
+        (lambda: uniform_convergence_rho(math.nan, 0.05, 100), "G"),
+        (lambda: uniform_convergence_rho(10, 0.05, 100, B=math.nan), "B"),
+        (lambda: kernel_norm_bound_B(math.nan, 0.5), "L"),
+        (lambda: sample_complexity_kernel(0.1, 0.1, 0.1, 0.1, 0.05, math.nan), "B"),
+        (lambda: sample_complexity_inf_fpac(0.1, 0.1, 0.05, 1, math.nan), "Rademacher"),
+        (lambda: sample_complexity_inf_fpac(0.1, 0.1, 0.05, 1, lambda k: math.nan), "Rademacher"),
+        (lambda: empirical_rademacher_kernel_ball(np.eye(4), math.nan, 10, 0), "C"),
+    ])
+    def test_nan_is_rejected_by_name(self, call, name):
+        with pytest.raises(ValidationError, match=rf"\b{name}\b.*(nan|NaN)"):
+            call()
+
+
 class TestBoundReport:
     def test_validation(self):
         report = BoundReport(delta_m=0.5, sample_complexities={"lin": 673})
-        assert report.to_dict()["sample_complexities"] == {"lin": 673}
+        body = json.loads(write_report({"results": report}, no_timestamp=True))
+        assert body["results"]["sample_complexities"] == {"lin": 673}
         with pytest.raises(MetricFairError):
             BoundReport(delta_m=-0.1)
         with pytest.raises(MetricFairError):

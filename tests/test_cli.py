@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import random_dataset
+from conftest import random_dataset, strict_json
 from metricfair import (
     ConstantPredictor,
     KernelLearner,
@@ -64,6 +64,22 @@ class TestUsageErrors:
                            "--gamma", "0.1", "--seed", "1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_euclidean_scale_exits_two(self, capsys, dataset_file,
+                                                              tmp_path, command, scale):
+        predictor = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor)
+        out = tmp_path / "out.json"
+        flags = {"train": ("--alpha", "0.3", "--predictor-out", str(out)),
+                 "audit": ("--predictor", str(predictor), "--out", str(out))}[command]
+        code, _, err = run(capsys, command, "--data", str(dataset_file),
+                           "--metric", f"euclidean:{scale}", "--gamma", "0.4",
+                           *flags, "--seed", "1")
+        assert code == 2
+        assert err == f"error: scale must be finite and non-negative, got {float(scale)}\n"
+        assert not out.exists()
 
 
 class TestGenData:
@@ -143,6 +159,35 @@ class TestBounds:
         assert code == 0
         assert out == f"sigmoid-accuracy {expected:.10g}\n"
 
+    # every input a formula reads, each valid; a case then sets one to NaN
+    VALID = ("--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01",
+             "--c", "1", "--sup-m", "1", "--l", "3", "--eps-star", "0.5",
+             "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
+             "--alpha", "0.1", "--rademacher-const", "0.001")
+
+    @pytest.mark.parametrize("formula, flag, message", [
+        ("delta-m", "--g", "G must be >= 1, got nan"),
+        ("delta-m", "--rhat", "r_hat must be non-negative, got nan"),
+        ("delta-m-kernel", "--g", "G must be >= 1, got nan"),
+        ("delta-m-kernel", "--c", "C must be non-negative, got nan"),
+        ("delta-m-kernel", "--sup-m", "M must be non-negative, got nan"),
+        ("b-star", "--l", "L must be >= 3, got nan"),
+        ("sigmoid-accuracy", "--l", "L must be >= 3, got nan"),
+        ("sigmoid-accuracy", "--b", "B must be positive, got nan"),
+        ("inf-fpac", "--rademacher-const", "Rademacher value at matching size 1 is NaN"),
+        ("inf-fpac", "--rademacher-coeff", "Rademacher value at matching size 1 is NaN"),
+    ])
+    def test_nan_input_exits_two_and_names_it(self, capsys, tmp_path, formula, flag, message):
+        code, _, _ = run(capsys, "bounds", "--formula", formula, *self.VALID)
+        assert code == 0
+        out = tmp_path / "bounds.json"
+        code, stdout, err = run(capsys, "bounds", "--formula", formula, *self.VALID,
+                                flag, "nan", "--out", str(out))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestAudit:
     def test_constant_predictor_report(self, capsys, dataset_file, tmp_path):
@@ -159,6 +204,34 @@ class TestAudit:
         assert body["results"]["population_estimate"] == 0.0
         assert body["schema_version"] == 1
 
+
+    @pytest.mark.parametrize("grid, entry", [
+        ("abc", "abc"), ("nan", "nan"), ("inf", "inf"), ("0.1,-inf,0.5", "-inf"), ("0.1,x", "x"),
+    ])
+    def test_grid_entry_that_is_not_a_finite_number_is_usage_error(
+            self, capsys, dataset_file, tmp_path, grid, entry):
+        predictor_path = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor_path)
+        out = tmp_path / "audit.json"
+        code, stdout, err = run(capsys, "audit", "--data", str(dataset_file),
+                                "--metric", "constant:0.3", "--predictor", str(predictor_path),
+                                "--gamma", "0.1", "--seed", "5", "--alpha2-grid", grid,
+                                "--out", str(out))
+        assert code == 1
+        assert err == ("usage error: argument --alpha2-grid: grid entries must be finite "
+                       f"numbers, got {entry!r}\n")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_grid_skips_empty_entries(self, capsys, dataset_file, tmp_path):
+        predictor_path = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor_path)
+        code, out, _ = run(capsys, "audit", "--data", str(dataset_file),
+                           "--metric", "constant:0.3", "--predictor", str(predictor_path),
+                           "--gamma", "0.1", "--seed", "5", "--alpha2-grid", "0.1,,1e0,",
+                           "--no-timestamp")
+        assert code == 0
+        assert [a2 for a2, _ in json.loads(out)["results"]["group_profile"]] == [0.1, 1.0]
 
     def test_negative_population_pairs_exit_two(self, capsys, dataset_file, tmp_path):
         predictor_path = tmp_path / "constant.json"
@@ -262,6 +335,29 @@ class TestTrainAuditRoundTrip:
         assert "kernel-b" in err
 
 
+class TestReportRecords:
+    def test_predictor_report_equals_the_train_results(self, capsys, tmp_path):
+        data, predictor, report = (tmp_path / n for n in ("d.csv", "p.json", "r.json"))
+        code, _, _ = run(capsys, "gen-data", "--generator", "unit-ball", "--n", "3",
+                         "--m", "40", "--seed", "1", "--out", str(data))
+        assert code == 0
+        # L = 60 derives a B that overflows to +inf; training uses the b_max cap
+        with pytest.warns(RuntimeWarning, match="overflowed"):
+            code, out, _ = run(capsys, "train", "--data", str(data),
+                               "--metric", "euclidean:0.8", "--learner", "kernel",
+                               "--kernel-l", "60", "--alpha", "0.2", "--gamma", "0.3",
+                               "--seed", "1", "--predictor-out", str(predictor),
+                               "--out", str(report), "--no-timestamp")
+        assert code == 0
+        assert out == report.read_text()
+        body = strict_json(out)
+        saved = strict_json(predictor.read_text())
+        assert saved["report"] == body["results"]
+        assert saved["training_config"] == body["params"]
+        assert body["results"]["extras"]["B_derived"] == "inf"
+        assert body["results"]["extras"]["B_used"] == 1e4
+
+
 class TestTrainParameters:
     """Every unset training parameter takes its dataclass default, and a
     --config key acts exactly like its flag."""
@@ -290,8 +386,7 @@ class TestTrainParameters:
                   "learner": "linear" if kernel_b is None else "kernel",
                   "mode": cfg.mode, "seed": 5}
         lib_out = tmp_path / "lib.json"
-        save_predictor_json(predictor, lib_out, training_config=params,
-                            report=report.to_dict())
+        save_predictor_json(predictor, lib_out, training_config=params, report=report)
         assert cli_out.read_bytes() == lib_out.read_bytes()
 
     BASE = {"alpha": 0.3, "gamma": 0.4, "eps_alpha": 0.2, "eps_gamma": 0.2, "max_iters": 200}
@@ -356,6 +451,20 @@ class TestTrainParameters:
                            "--predictor-out", str(out))
         assert code == 1
         assert "usage error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"alpha": 0.3', "", "{'alpha': 0.3}", '{"alpha": NaN'])
+    def test_config_file_that_is_not_json_is_usage_error(self, capsys, dataset_file,
+                                                         tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "constant:0.2", "--alpha", "0.3", "--gamma", "0.4",
+                           "--config", str(config), "--seed", "1",
+                           "--predictor-out", str(out))
+        assert code == 1
+        assert err.startswith(f"usage error: --config file {config} is not valid JSON: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [

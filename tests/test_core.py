@@ -405,6 +405,12 @@ class TestValidateMetric:
         with pytest.raises(ValidationError):
             ScaledEuclideanMetric(-0.1)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_scaled_euclidean_scale_must_be_finite(self, scale):
+        # a NaN scale makes every distance NaN, and an infinite one d(x, x)
+        with pytest.raises(ValidationError, match=f"scale must be finite and non-negative, got {scale}"):
+            ScaledEuclideanMetric(scale)
+
 
 class BrokenMetric(SimilarityMetric):
     """Asymmetric, outside [0, 1], non-zero on identical points and in breach

@@ -1,5 +1,6 @@
 """The hardness construction: expansion function, metric, sampling, experiment."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from metricfair import (
     validate_metric,
 )
 from metricfair.hardness import _audit_pairs
+from metricfair.serde import write_report
 from conftest import TablePredictor, random_predictor
 
 
@@ -220,7 +222,7 @@ class TestExperiment:
         assert kernel["accuracy_gap"] == pytest.approx(
             kernel["train_error_u"] - kernel["train_error_v"]
         )
-        payload = report.to_dict()
+        payload = json.loads(write_report({"results": report}, no_timestamp=True))["results"]
         assert payload["modes"] == ["U", "V"]
 
     def test_single_mode_run(self):

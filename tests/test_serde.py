@@ -1,20 +1,27 @@
 """File formats: CSV round trips, predictor JSON, metric specs, reports."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import random_dataset, strict_json
 from metricfair import (
+    BoundReport,
     ConstantMetric,
     ConstantPredictor,
+    FairnessReport,
     HardnessMetric,
+    HardnessReport,
     KernelPredictor,
     LinearPredictor,
     LogisticPredictor,
     MetricUndefinedError,
     ScaledEuclideanMetric,
+    SolverDerivedParams,
+    TrainingReport,
     ValidationError,
     VovkHalfKernel,
     sample_hardness_distribution,
@@ -136,3 +143,44 @@ class TestReports:
     def test_infinities_stay_valid_json(self):
         text = write_report({"results": {"b": float("inf")}}, None, no_timestamp=True)
         assert json.loads(text)["results"]["b"] == "inf"
+
+
+RECORDS = [
+    TrainingReport(final_objective=0.25, final_constraint_slack=-0.01, iterations=30,
+                   converged=True, empirical_mf_loss=0.0, mf_loss_bound=0.5,
+                   derived_params={"tau": 0.05}, extras={"B_derived": math.inf}),
+    FairnessReport(empirical_mf_loss=0.0, empirical_l1_loss=0.25, population_estimate=None,
+                   population_ci=None, group_profile=((0.1, 0.0), (1.0, 0.5)), gamma=0.1,
+                   n_edges=7),
+    HardnessReport(n=8, k_pairs=20, seed=3, modes=("U", "V"), averaged_fair_error_u=0.5,
+                   reference_error={"U": 0.5, "V": 0.0}, perfect_fairness_audit={},
+                   trained={"linear": {"train_error_u": 0.5}}, accuracy_gap=None,
+                   headline_learner="linear"),
+    BoundReport(delta_m=0.5, inputs={"g": 10.0}, sample_complexities={"lin": 673},
+                kernel_norm_bound=math.inf),
+    SolverDerivedParams(G=10.0, rho=3.5, alpha_tilde=0.04, gamma_tilde=0.2, tau=0.04),
+]
+
+
+class TestRecordSerialization:
+    """A report record is written field for field, so a new field cannot be dropped."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_json_keys_are_the_field_names(self, record):
+        body = strict_json(write_report({"results": record}, no_timestamp=True))
+        assert set(body["results"]) == {f.name for f in dataclasses.fields(record)}
+
+    def test_values_follow_the_json_rules(self):
+        record = TrainingReport(
+            final_objective=np.float64(0.5), final_constraint_slack=-math.inf,
+            iterations=np.int64(3), converged=False, empirical_mf_loss=math.nan,
+            extras={"pair": (1, 2.5), 4: np.array([math.inf, 1.0]), "inner": RECORDS[-1]})
+        body = strict_json(write_report({"results": record}, no_timestamp=True))
+        assert body["results"] == {
+            "final_objective": 0.5, "final_constraint_slack": "-inf", "iterations": 3,
+            "converged": False, "empirical_mf_loss": None, "mf_loss_bound": None,
+            "derived_params": {},
+            "extras": {"pair": [1, 2.5], "4": ["inf", 1.0],
+                       "inner": {"G": 10.0, "rho": 3.5, "alpha_tilde": 0.04,
+                                 "gamma_tilde": 0.2, "tau": 0.04}},
+        }

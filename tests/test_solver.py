@@ -143,7 +143,7 @@ class TestSolveConstrained:
 
         w, report = solve_annealed(objective, constraint, disk_projection, cfg, w0)
         assert np.array_equal(w, best_w)
-        assert report.to_dict() == replace(best_report, iterations=iterations).to_dict()
+        assert report == replace(best_report, iterations=iterations)
 
 
 class TestLazyConstraintSubgradient:
@@ -179,7 +179,7 @@ class TestLazyConstraintSubgradient:
         w_eager, r_eager, seen_eager, _ = self.run(solve, lazy=False)
         w_lazy, r_lazy, seen_lazy, _ = self.run(solve, lazy=True)
         assert np.array_equal(w_lazy, w_eager)
-        assert r_lazy.to_dict() == r_eager.to_dict()
+        assert r_lazy == r_eager
         assert len(seen_lazy) == len(seen_eager)
         assert all(np.array_equal(x, y) for x, y in zip(seen_lazy, seen_eager))
 
