@@ -11,10 +11,7 @@ from .audit import (
     group_fairness_profile,
     hoeffding_half_width,
     is_perfectly_fair,
-    pair_l1_loss,
-    pair_mf_loss,
     population_mf_estimate,
-    surrogate_loss,
     surrogate_ramp,
 )
 from .bounds import (
@@ -36,7 +33,6 @@ from .core import (
     ConstantPredictor,
     Consecutive,
     DimensionMismatchError,
-    Example,
     KernelPredictor,
     KernelSpec,
     LabeledDataset,

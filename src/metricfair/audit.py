@@ -4,7 +4,8 @@ The 0/1 metric-fairness loss charges a pair (x, x') when the prediction gap
 |h(x) - h(x')| strictly exceeds d(x, x') + gamma. The l1 loss charges the
 clamped magnitude max(0, |h(x) - h(x')| - d(x, x')) instead, which is convex
 in the predictor and sandwiches the 0/1 loss. Empirical variants average
-over the edges of a matching so that per-edge losses are independent draws.
+over the edges of a matching so that per-edge losses are independent draws;
+a single pair's loss is the empirical loss over a one-edge `Matching`.
 """
 
 from __future__ import annotations
@@ -14,37 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Example,
     LabeledDataset,
     Matching,
     MetricFairError,
-    Predictor,
     SimilarityMetric,
     ValidationError,
 )
 
 
-def _stacked_gaps_and_distances(h, points: np.ndarray, d: SimilarityMetric):
-    """For the pairs (points[t], points[k + t]) of a (2k, n) stack: the gaps
-    |h(x) - h(x')| from one predict_batch call on the whole stack, and
-    d(x, x') from one pair_distances call."""
-    k = points.shape[0] // 2
-    values = h.predict_batch(points)
-    return np.abs(values[:k] - values[k:]), d.pair_distances(points[:k], points[k:])
-
-
-def pair_mf_loss(h: Predictor, x: Example, x2: Example, d: SimilarityMetric, gamma: float) -> int:
-    """0/1 fairness loss on a pair: 1 iff |h(x) - h(x')| > d(x, x') + gamma."""
+def _check_gamma(gamma: float) -> None:
+    """Raise unless gamma is in [0, 1); NaN is rejected."""
     if not 0.0 <= gamma < 1.0:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
-    gaps, dists = _stacked_gaps_and_distances(h, np.stack([x.features, x2.features]), d)
-    return int(gaps[0] > dists[0] + gamma)
-
-
-def pair_l1_loss(h: Predictor, x: Example, x2: Example, d: SimilarityMetric) -> float:
-    """l1 fairness loss on a pair: max(0, |h(x) - h(x')| - d(x, x'))."""
-    gaps, dists = _stacked_gaps_and_distances(h, np.stack([x.features, x2.features]), d)
-    return float(max(0.0, gaps[0] - dists[0]))
 
 
 def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMetric):
@@ -61,8 +43,7 @@ def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMet
 
 def empirical_mf_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, gamma: float) -> float:
     """Average 0/1 fairness loss over the matching's edges."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
+    _check_gamma(gamma)
     gaps, dists = _edge_gaps_and_distances(h, S, M, d)
     return float(np.mean(gaps > dists + gamma))
 
@@ -75,16 +56,11 @@ def empirical_l1_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric) ->
 
 def surrogate_ramp(u, gamma: float, G: float):
     """Piecewise-linear G-Lipschitz ramp: 0 below gamma, 1 above gamma + 1/G."""
-    if G < 1.0:
+    _check_gamma(gamma)
+    if not G >= 1.0:
         raise ValidationError(f"ramp slope G must be >= 1, got {G}")
     u = np.asarray(u, dtype=np.float64)
     return np.clip(G * (u - gamma), 0.0, 1.0)
-
-
-def surrogate_loss(h, x: Example, x2: Example, d: SimilarityMetric, gamma: float, G: float) -> float:
-    """Surrogate fairness loss: the ramp applied to |h(x)-h(x')| - d(x, x')."""
-    gaps, dists = _stacked_gaps_and_distances(h, np.stack([x.features, x2.features]), d)
-    return float(surrogate_ramp(gaps[0] - dists[0], gamma, G))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +96,7 @@ def population_mf_estimate(
     before all second rows; the half-width is the 95% two-sided Hoeffding
     bound, so it is distribution-free.
     """
+    _check_gamma(gamma)
     if n_pairs < 1:
         raise ValidationError("need at least one pair")
     rng = np.random.default_rng(seed)
@@ -139,6 +116,7 @@ def population_mf_estimate(
 def _per_individual_rates(h, S: LabeledDataset, d: SimilarityMetric, gamma: float) -> np.ndarray:
     """For each x in S, the fraction of x' in S (self included) violating the
     fairness condition at slack gamma. O(m^2)."""
+    _check_gamma(gamma)
     values = h.predict_batch(S.features)
     gaps = np.abs(values[:, None] - values[None, :])
     dists = d.pairwise_matrix(S.features)
@@ -158,9 +136,14 @@ def group_fairness_profile(
     alpha2_grid,
 ) -> list[tuple[float, float]]:
     """For each alpha2, the fraction of individuals whose violation rate
-    strictly exceeds alpha2. A rate cannot exceed 1, so alpha2 = 1 maps to 0."""
+    strictly exceeds alpha2. A rate cannot exceed 1, so alpha2 = 1 maps to 0;
+    every alpha2 must be in [0, 1]."""
+    grid = [float(a2) for a2 in alpha2_grid]
+    for a2 in grid:
+        if not 0.0 <= a2 <= 1.0:
+            raise ValidationError(f"alpha2 must be in [0, 1], got {a2}")
     rates = _per_individual_rates(h, S, d, gamma)
-    return [(float(a2), float(np.mean(rates > a2))) for a2 in alpha2_grid]
+    return [(a2, float(np.mean(rates > a2))) for a2 in grid]
 
 
 def is_perfectly_fair(h, xs, ys, d: SimilarityMetric, tolerance: float = 0.0):
@@ -174,8 +157,12 @@ def is_perfectly_fair(h, xs, ys, d: SimilarityMetric, tolerance: float = 0.0):
         raise ValidationError("xs and ys must have the same number of rows")
     if len(xs) == 0:
         return True, []
-    points = np.concatenate([xs, ys])
-    gaps, dists = _stacked_gaps_and_distances(h, points, d)
+    # one predict_batch call on the (2k, n) stack: a matrix product may round
+    # a row's last bits differently in another batch shape
+    values = h.predict_batch(np.concatenate([xs, ys]))
+    k = len(xs)
+    gaps = np.abs(values[:k] - values[k:])
+    dists = d.pair_distances(xs, ys)
     violations = [(xs[t], ys[t], float(gaps[t]), float(dists[t]))
                   for t in np.flatnonzero(gaps > dists + tolerance).tolist()]
     return (len(violations) == 0), violations

@@ -235,6 +235,8 @@ def sample_complexity_inf_fpac(
         r = float(r_of(k))
         if math.isnan(r):
             raise ValidationError(f"Rademacher value at matching size {k} is NaN")
+        if r < 0.0:
+            raise ValidationError(f"Rademacher value at matching size {k} is negative, got {r}")
         denom = eps_alpha * eps_gamma - 8.0 * r
         if denom <= 0:
             raise RademacherDominatesError("Rademacher term dominates; increase m or relax eps")

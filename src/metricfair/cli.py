@@ -68,8 +68,9 @@ def _add_report_flags(p):
                    help="omit the timestamp field (reproducibility checks)")
 
 
-def _finite_grid(text: str) -> list[float]:
-    """A comma-separated list of finite numbers; empty entries are skipped."""
+def _alpha2_grid(text: str) -> list[float]:
+    """A comma-separated list of alpha2 values in [0, 1]; empty entries are
+    skipped."""
     grid = []
     for entry in filter(None, text.split(",")):
         try:
@@ -78,6 +79,8 @@ def _finite_grid(text: str) -> list[float]:
             value = math.nan
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"grid entries must be finite numbers, got {entry!r}")
+        if not 0.0 <= value <= 1.0:
+            raise argparse.ArgumentTypeError(f"grid entries must be in [0, 1], got {entry!r}")
         grid.append(value)
     return grid
 
@@ -130,7 +133,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", required=True)
     p.add_argument("--predictor", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha2-grid", type=_finite_grid, default="0.05,0.1,0.2,0.5,1.0")
+    p.add_argument("--alpha2-grid", type=_alpha2_grid, default="0.05,0.1,0.2,0.5,1.0")
     p.add_argument("--population-pairs", type=int, default=10000)
     p.add_argument("--seed", type=int)
     _add_report_flags(p)

@@ -12,7 +12,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class ValidationError(MetricFairError, ValueError):
 
 
 class DimensionMismatchError(ValidationError):
-    """An example's dimension does not match the consumer's."""
+    """A point's dimension does not match the consumer's."""
 
 
 class MetricUndefinedError(MetricFairError, KeyError):
@@ -62,29 +62,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Example:
-    """A single labeled point: features in the unit ball, label in {-1, +1}."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        feats = _freeze(_as_float_vector(self.features))
-        object.__setattr__(self, "features", feats)
-        norm = float(np.linalg.norm(feats))
-        if norm > 1.0 + NORM_TOLERANCE:
-            raise ValidationError(f"feature norm {norm:.12g} exceeds the unit ball")
-        if self.label not in (-1, 1):
-            raise ValidationError(f"label must be -1 or +1, got {self.label!r}")
-
-    @property
-    def dimension(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass(frozen=True)
 class LabeledDataset:
-    """An ordered sample of examples sharing one dimension.
+    """An ordered sample of labelled points sharing one dimension; the one
+    representation of labelled data.
 
     `features` is the (m, n) matrix of points, `labels` the (m,) vector of
     +/-1 labels. `targets01` maps labels to the [0, 1] prediction scale.
@@ -108,22 +88,7 @@ class LabeledDataset:
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "labels", _freeze(labels.astype(np.int64)))
 
-    @classmethod
-    def from_examples(cls, examples: Sequence[Example]) -> "LabeledDataset":
-        if not examples:
-            raise ValidationError("dataset must be non-empty")
-        dims = {ex.dimension for ex in examples}
-        if len(dims) != 1:
-            raise ValidationError(f"examples have mixed dimensions {sorted(dims)}")
-        feats = np.stack([ex.features for ex in examples])
-        labels = np.array([ex.label for ex in examples])
-        return cls(feats, labels)
-
     def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def m(self) -> int:
         return self.features.shape[0]
 
     @property
@@ -134,12 +99,6 @@ class LabeledDataset:
     def targets01(self) -> np.ndarray:
         """Labels mapped to the predictor scale: (1 + y) / 2 in {0, 1}."""
         return (1.0 + self.labels) / 2.0
-
-    def example(self, i: int) -> Example:
-        return Example(self.features[i], int(self.labels[i]))
-
-    def __iter__(self) -> Iterator[Example]:
-        return (self.example(i) for i in range(len(self)))
 
 
 def unit_ball_points(rng: np.random.Generator, count: int, dimension: int) -> np.ndarray:

@@ -185,10 +185,12 @@ def load_metric(spec: str, dataset: LabeledDataset | None = None) -> SimilarityM
     """Parse a metric spec: constant:<c>, euclidean:<scale>, matrix:<path>,
     hardness:<handle-path>."""
     kind, _, arg = spec.partition(":")
-    if kind == "constant":
-        return ConstantMetric(float(arg))
-    if kind == "euclidean":
-        return ScaledEuclideanMetric(float(arg))
+    if kind in ("constant", "euclidean"):
+        try:
+            value = float(arg)
+        except ValueError:
+            raise ValidationError(f"metric spec {spec!r}: {arg!r} is not a number") from None
+        return ConstantMetric(value) if kind == "constant" else ScaledEuclideanMetric(value)
     if kind == "matrix":
         if dataset is None:
             raise ValidationError("matrix metric needs a dataset to bind to")

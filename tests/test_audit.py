@@ -22,9 +22,9 @@ from metricfair import (
     ConstantMetric,
     ConstantPredictor,
     Consecutive,
-    Example,
     LabeledDataset,
     LinearPredictor,
+    Matching,
     ScaledEuclideanMetric,
     ValidationError,
     all_pairs_mf_loss,
@@ -36,23 +36,20 @@ from metricfair import (
     group_fairness_profile,
     hoeffding_half_width,
     is_perfectly_fair,
-    pair_l1_loss,
-    pair_mf_loss,
     population_mf_estimate,
-    surrogate_loss,
     surrogate_ramp,
 )
 from metricfair.serde import write_report
 
 
+#: the one-edge matching of a two-row dataset: a single pair
+ONE_EDGE = Matching([0], [1], 2)
+
+
 def _pair(h1, h2):
-    """Two 1-d examples and a table predictor hitting the requested values."""
+    """A two-row 1-d dataset and a table predictor hitting the requested values."""
     xs = np.array([[0.1], [0.2]])
-    return (
-        TablePredictor(xs, [h1, h2]),
-        Example(xs[0], 1),
-        Example(xs[1], -1),
-    )
+    return TablePredictor(xs, [h1, h2]), LabeledDataset(xs, np.array([1, -1]))
 
 
 # --- independent re-implementations used as oracles -------------------------
@@ -75,34 +72,36 @@ def loop_l1_loss(h, S, M, d):
 
 
 class TestPairLosses:
+    """A single pair's losses: the empirical losses over a one-edge matching."""
+
     def test_violation_counted(self):
-        h, a, b = _pair(0.9, 0.2)
-        assert pair_mf_loss(h, a, b, ConstantMetric(0.5), 0.1) == 1  # 0.7 > 0.6
+        h, S = _pair(0.9, 0.2)
+        assert empirical_mf_loss(h, S, ONE_EDGE, ConstantMetric(0.5), 0.1) == 1.0  # 0.7 > 0.6
 
     def test_equal_predictions_never_charged(self):
-        h, a, b = _pair(0.4, 0.4)
-        assert pair_mf_loss(h, a, b, ConstantMetric(0.0), 0.0) == 0
+        h, S = _pair(0.4, 0.4)
+        assert empirical_mf_loss(h, S, ONE_EDGE, ConstantMetric(0.0), 0.0) == 0.0
 
     def test_distance_one_never_charged(self):
-        h, a, b = _pair(1.0, 0.0)
-        assert pair_mf_loss(h, a, b, ConstantMetric(1.0), 0.0) == 0
+        h, S = _pair(1.0, 0.0)
+        assert empirical_mf_loss(h, S, ONE_EDGE, ConstantMetric(1.0), 0.0) == 0.0
 
     def test_strict_inequality_at_boundary(self):
         # gap exactly d + gamma is not a violation
-        h, a, b = _pair(0.7, 0.1)
-        assert pair_mf_loss(h, a, b, ConstantMetric(0.5), 0.1) == 0
+        h, S = _pair(0.7, 0.1)
+        assert empirical_mf_loss(h, S, ONE_EDGE, ConstantMetric(0.5), 0.1) == 0.0
 
     def test_l1_values(self):
-        h, a, b = _pair(0.8, 0.1)
-        assert pair_l1_loss(h, a, b, ConstantMetric(0.5)) == pytest.approx(0.2)
-        assert pair_l1_loss(h, a, b, ConstantMetric(0.9)) == 0.0
-        h, a, b = _pair(1.0, 0.0)
-        assert pair_l1_loss(h, a, b, ConstantMetric(0.0)) == 1.0
+        h, S = _pair(0.8, 0.1)
+        assert empirical_l1_loss(h, S, ONE_EDGE, ConstantMetric(0.5)) == pytest.approx(0.2)
+        assert empirical_l1_loss(h, S, ONE_EDGE, ConstantMetric(0.9)) == 0.0
+        h, S = _pair(1.0, 0.0)
+        assert empirical_l1_loss(h, S, ONE_EDGE, ConstantMetric(0.0)) == 1.0
 
     def test_gamma_domain(self):
-        h, a, b = _pair(0.5, 0.5)
+        h, S = _pair(0.5, 0.5)
         with pytest.raises(ValidationError):
-            pair_mf_loss(h, a, b, ConstantMetric(0.5), 1.0)
+            empirical_mf_loss(h, S, ONE_EDGE, ConstantMetric(0.5), 1.0)
 
     @given(kind=st.sampled_from(PREDICTOR_KINDS), euclidean=st.booleans(),
            n=st.integers(1, 6), same=st.booleans(), seed=st.integers(0, 2**16),
@@ -116,10 +115,12 @@ class TestPairLosses:
         x, y = unit_ball_points(rng, 2, n)
         if same:
             y = x.copy()
-        a, b = Example(x, 1), Example(y, -1)
-        mf = pair_mf_loss(h, a, b, d, gamma)
-        l1 = pair_l1_loss(h, a, b, d)
-        ramp = surrogate_loss(h, a, b, d, gamma, G)
+        S = LabeledDataset(np.stack([x, y]), np.array([1, -1]))
+        mf = empirical_mf_loss(h, S, ONE_EDGE, d, gamma)
+        l1 = empirical_l1_loss(h, S, ONE_EDGE, d)
+        # the ramp is 0 at and below gamma >= 0, so the ramp of the clamped
+        # excess is the surrogate loss of the pair
+        ramp = float(surrogate_ramp(l1, gamma, G))
         expected_l1 = scalar.pair_l1_loss(formula, d.distance, x, y)
         expected_ramp = scalar.surrogate_loss(formula, d.distance, x, y, gamma, G)
         if exact:
@@ -133,7 +134,7 @@ class TestPairLosses:
                 assert mf == scalar.pair_mf_loss(formula, d.distance, x, y, gamma)
             assert l1 == pytest.approx(expected_l1, rel=0, abs=1e-12)
             assert ramp == pytest.approx(expected_ramp, rel=0, abs=G * 1e-12)
-        assert type(mf) is int and type(l1) is float and type(ramp) is float
+        assert type(mf) is float and type(l1) is float
 
 
 class TestEmpiricalLosses:
@@ -267,9 +268,10 @@ class TestSurrogate:
         assert surrogate_ramp(0.3 + 0.1, 0.3, 10.0) == 1.0
 
     def test_pair_level(self):
-        h, a, b = _pair(0.9, 0.2)
-        # u = 0.7 - 0.5 = 0.2; gamma=0.1, G=5 -> ramp 0.5
-        assert surrogate_loss(h, a, b, ConstantMetric(0.5), 0.1, 5.0) == pytest.approx(0.5)
+        h, S = _pair(0.9, 0.2)
+        # u = 0.7 - 0.5 = 0.2 is the pair's l1 loss; gamma=0.1, G=5 -> ramp 0.5
+        u = empirical_l1_loss(h, S, ONE_EDGE, ConstantMetric(0.5))
+        assert surrogate_ramp(u, 0.1, 5.0) == pytest.approx(0.5)
 
     def test_sandwich_on_random_inputs(self, rng):
         u = rng.uniform(-1.2, 1.2, size=20_000)
@@ -300,19 +302,45 @@ class TestSurrogate:
     )
     @settings(max_examples=300, deadline=None)
     def test_charged_pairs_have_l1_excess_above_gamma(self, h1, h2, dist, gamma):
-        h, a, b = _pair(h1, h2)
+        h, S = _pair(h1, h2)
 
         class FixedMetric:
             def pair_distances(self, xs, ys):
                 return np.full(len(xs), dist)
 
         metric = FixedMetric()
-        charged = pair_mf_loss(h, a, b, metric, gamma)
-        excess = pair_l1_loss(h, a, b, metric)
+        charged = empirical_mf_loss(h, S, ONE_EDGE, metric, gamma)
+        excess = empirical_l1_loss(h, S, ONE_EDGE, metric)
         if charged:
             assert excess > gamma
         else:
             assert excess <= gamma + 1e-15
+
+
+class TestGammaDomain:
+    """Every 0/1-loss entry point rejects a gamma outside [0, 1), NaN included,
+    instead of returning a loss that makes the predictor look fair."""
+
+    ENTRY_POINTS = {
+        "empirical_mf_loss": lambda h, S, d, g: empirical_mf_loss(h, S, default_matching(S, 0), d, g),
+        "all_pairs_mf_loss": all_pairs_mf_loss,
+        "group_fairness_profile": lambda h, S, d, g: group_fairness_profile(h, S, d, g, [0.1]),
+        "population_mf_estimate": lambda h, S, d, g: population_mf_estimate(h, S, d, g, 100, 0),
+        "audit_predictor": lambda h, S, d, g: audit_predictor(h, S, default_matching(S, 0), d, g),
+        "surrogate_ramp": lambda h, S, d, g: surrogate_ramp(0.5, g, 10.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("gamma", [math.nan, -1.0, 1.0, math.inf])
+    def test_rejected_with_the_value(self, rng, entry, gamma):
+        S = random_dataset(rng, 20, 3)
+        h = random_predictor(rng, 3)
+        with pytest.raises(ValidationError, match=r"gamma must be in \[0, 1\), got"):
+            self.ENTRY_POINTS[entry](h, S, ScaledEuclideanMetric(0.8), gamma)
+
+    def test_ramp_rejects_nan_slope(self):
+        with pytest.raises(ValidationError, match="ramp slope G must be >= 1, got nan"):
+            surrogate_ramp(0.5, 0.1, math.nan)
 
 
 class TestGroupProfile:
@@ -328,6 +356,13 @@ class TestGroupProfile:
         h = random_predictor(rng, 2)
         profile = group_fairness_profile(h, ds, ConstantMetric(0.0), 0.0, [1.0])
         assert profile[0][1] == 0.0
+
+    @pytest.mark.parametrize("a2", [-0.1, 1.5, 5.0, math.nan])
+    def test_alpha2_outside_unit_interval_rejected(self, rng, a2):
+        ds = random_dataset(rng, 12, 2)
+        with pytest.raises(ValidationError, match=r"alpha2 must be in \[0, 1\], got"):
+            group_fairness_profile(ConstantPredictor(0.4), ds, ConstantMetric(0.0), 0.0,
+                                   [0.1, a2])
 
     def test_markov_implication(self, rng):
         grid = [0.05, 0.1, 0.2, 0.4, 0.7, 1.0]

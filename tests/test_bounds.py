@@ -181,6 +181,24 @@ class TestSampleComplexities:
             sample_complexity_inf_fpac(0.1, 0.1, 0.05, m_pac=3, rademacher_at=0.5)
 
 
+class TestNegativeRademacher:
+    """A Rademacher complexity is non-negative; a negative value would shrink
+    the inf-fpac sample size below the one at R = 0."""
+
+    @pytest.mark.parametrize("rademacher_at, k", [
+        (-1.0, 1), (-1e-12, 1), (lambda k: -1.0 / math.sqrt(k), 1),
+        # R = 0 at the start gives m = 62683941, whose matching size is checked next
+        (lambda k: 0.0 if k == 1 else -0.001, 31341970),
+    ])
+    def test_rejected_with_matching_size_and_value(self, rademacher_at, k):
+        with pytest.raises(ValidationError,
+                           match=rf"Rademacher value at matching size {k} is negative, got -"):
+            sample_complexity_inf_fpac(0.1, 0.1, 0.05, 1, rademacher_at)
+
+    def test_zero_is_accepted(self):
+        assert sample_complexity_inf_fpac(0.1, 0.1, 0.05, 1, 0.0).m == 62683941
+
+
 class TestNaNInputs:
     """Every formula names a NaN input instead of returning a number."""
 

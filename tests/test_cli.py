@@ -81,6 +81,23 @@ class TestUsageErrors:
         assert err == f"error: scale must be finite and non-negative, got {float(scale)}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "audit", "validate-metric"])
+    @pytest.mark.parametrize("spec", ["euclidean:abc", "constant:abc"])
+    def test_malformed_metric_spec_number_exits_two_and_names_the_spec(
+            self, capsys, dataset_file, tmp_path, command, spec):
+        predictor = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor)
+        out = tmp_path / "out.json"
+        flags = {"train": ("--alpha", "0.3", "--gamma", "0.4", "--predictor-out", str(out)),
+                 "audit": ("--predictor", str(predictor), "--gamma", "0.4", "--out", str(out)),
+                 "validate-metric": ("--out", str(out))}[command]
+        code, stdout, err = run(capsys, command, "--data", str(dataset_file),
+                                "--metric", spec, *flags, "--seed", "1")
+        assert code == 2
+        assert err == f"error: metric spec {spec!r}: 'abc' is not a number\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestGenData:
     def test_deterministic_bytes(self, capsys, tmp_path):
@@ -159,6 +176,17 @@ class TestBounds:
         assert code == 0
         assert out == f"sigmoid-accuracy {expected:.10g}\n"
 
+    @pytest.mark.parametrize("flag", ["--rademacher-const", "--rademacher-coeff"])
+    def test_negative_rademacher_exits_two_and_names_it(self, capsys, tmp_path, flag):
+        out = tmp_path / "bounds.json"
+        code, stdout, err = run(capsys, "bounds", "--formula", "inf-fpac", "--eps-alpha", "0.1",
+                                "--eps-gamma", "0.1", "--delta", "0.05", flag, "-1",
+                                "--out", str(out))
+        assert code == 2
+        assert err == "error: Rademacher value at matching size 1 is negative, got -1.0\n"
+        assert stdout == ""
+        assert not out.exists()
+
     # every input a formula reads, each valid; a case then sets one to NaN
     VALID = ("--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01",
              "--c", "1", "--sup-m", "1", "--l", "3", "--eps-star", "0.5",
@@ -222,6 +250,34 @@ class TestAudit:
                        f"numbers, got {entry!r}\n")
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid, entry", [
+        ("5,-1", "5"), ("0.1,-1", "-1"), ("1.5", "1.5"), ("-0.1", "-0.1"), ("0.5,1e1", "1e1"),
+    ])
+    def test_grid_entry_outside_unit_interval_is_usage_error(
+            self, capsys, dataset_file, tmp_path, grid, entry):
+        predictor_path = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor_path)
+        out = tmp_path / "audit.json"
+        code, stdout, err = run(capsys, "audit", "--data", str(dataset_file),
+                                "--metric", "constant:0.3", "--predictor", str(predictor_path),
+                                "--gamma", "0.1", "--seed", "5", "--alpha2-grid", grid,
+                                "--out", str(out))
+        assert code == 1
+        assert err == ("usage error: argument --alpha2-grid: grid entries must be in [0, 1], "
+                       f"got {entry!r}\n")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_grid_accepts_both_ends_of_the_unit_interval(self, capsys, dataset_file, tmp_path):
+        predictor_path = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor_path)
+        code, out, _ = run(capsys, "audit", "--data", str(dataset_file),
+                           "--metric", "constant:0.3", "--predictor", str(predictor_path),
+                           "--gamma", "0.1", "--seed", "5", "--alpha2-grid", "0,1",
+                           "--no-timestamp")
+        assert code == 0
+        assert json.loads(out)["results"]["group_profile"] == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_grid_skips_empty_entries(self, capsys, dataset_file, tmp_path):
         predictor_path = tmp_path / "constant.json"

@@ -16,7 +16,6 @@ from metricfair import (
     ConstantPredictor,
     Consecutive,
     DimensionMismatchError,
-    Example,
     KernelPredictor,
     LabeledDataset,
     LinearDotKernel,
@@ -37,22 +36,18 @@ from metricfair import (
 
 
 class TestExamples:
+    """A labelled point is a one-row LabeledDataset."""
+
     def test_rejects_norm_above_unit_ball(self):
-        with pytest.raises(ValidationError):
-            Example(np.array([1.0, 0.1]), 1)
+        with pytest.raises(ValidationError, match="exceeds the unit ball"):
+            LabeledDataset(np.array([[1.0, 0.1]]), np.array([1]))
 
     def test_norm_tolerance_accepts_ingestion_noise(self):
-        Example(np.array([1.0 + 5e-10, 0.0]), 1)
+        LabeledDataset(np.array([[1.0 + 5e-10, 0.0]]), np.array([1]))
 
     def test_rejects_bad_label(self):
-        with pytest.raises(ValidationError):
-            Example(np.array([0.1]), 0)
-
-    def test_dataset_rejects_mixed_dimensions(self):
-        with pytest.raises(ValidationError):
-            LabeledDataset.from_examples(
-                [Example(np.array([0.1]), 1), Example(np.array([0.1, 0.2]), -1)]
-            )
+        with pytest.raises(ValidationError, match="labels must be -1 or \\+1"):
+            LabeledDataset(np.array([[0.1]]), np.array([0]))
 
     def test_dataset_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -290,8 +285,8 @@ class TestMatching:
         assert _sides(a) == _sides(b)
 
     def test_too_small(self, rng):
-        ds = random_dataset(rng, 2, 2).example(0)
-        single = LabeledDataset(ds.features[None, :], np.array([ds.label]))
+        ds = random_dataset(rng, 2, 2)
+        single = LabeledDataset(ds.features[:1], ds.labels[:1])
         with pytest.raises(ValidationError, match="insufficient examples"):
             build_matching(single)
 

@@ -26,6 +26,8 @@ REPORT = ("--no-timestamp",)
 COMMANDS = (
     ("gen-data", "--generator", "unit-ball", "--n", "3", "--m", "41", "--seed", "1",
      "--out", "data.csv"),
+    ("gen-data", "--generator", "separable", "--n", "3", "--m", "41", "--margin", "0.1",
+     "--noise-rate", "0.1", "--seed", "1", "--out", "separable.csv"),
     ("train", "--data", "data.csv", "--metric", "euclidean:0.8", "--alpha", "0.2",
      "--gamma", "0.3", "--max-iters", "300", "--seed", "1",
      "--predictor-out", "linear.json", "--out", "train-linear.json", *REPORT),
@@ -44,6 +46,10 @@ COMMANDS = (
      "--out", "hard.csv", "--handle-out", "handle.json"),
     ("validate-metric", "--data", "hard.csv", "--metric", "hardness:handle.json",
      "--triples", "2000", "--seed", "1", "--out", "validate.json", *REPORT),
+    ("bounds", "--formula", "delta-m", "--formula", "lin-accuracy", "--formula", "inf-fpac",
+     "--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01", "--epsilon", "0.1",
+     "--eps-alpha", "0.1", "--eps-gamma", "0.1", "--alpha", "0.1",
+     "--rademacher-const", "0.001", "--out", "bounds.json", *REPORT),
 )
 
 

@@ -124,6 +124,15 @@ class TestMetricSpecs:
         with pytest.raises(ValidationError):
             load_metric("cosine:1")
 
+    @pytest.mark.parametrize("spec, arg", [
+        ("euclidean:abc", "abc"), ("constant:abc", "abc"), ("euclidean:", ""),
+        ("constant:0.5x", "0.5x"),
+    ])
+    def test_malformed_number_names_the_spec(self, spec, arg):
+        with pytest.raises(ValidationError) as info:
+            load_metric(spec)
+        assert str(info.value) == f"metric spec {spec!r}: {arg!r} is not a number"
+
 
 class TestReports:
     def test_schema_version_and_determinism(self, tmp_path):
