@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     LabeledDataset,
     Matching,
@@ -94,18 +95,25 @@ def population_mf_estimate(
 
     Pairs of rows of S are drawn i.i.d. with replacement, all first rows
     before all second rows; the half-width is the 95% two-sided Hoeffding
-    bound, so it is distribution-free.
+    bound, so it is distribution-free. Each row of S is predicted once and
+    the pairs are compared in blocks of core._PAIR_BLOCK pairs, so only the
+    two index arrays grow with n_pairs.
     """
     _check_gamma(gamma)
     if n_pairs < 1:
         raise ValidationError("need at least one pair")
     rng = np.random.default_rng(seed)
-    xs = S.features[rng.integers(0, len(S), size=n_pairs)]
-    ys = S.features[rng.integers(0, len(S), size=n_pairs)]
-    gaps = np.abs(h.predict_batch(xs) - h.predict_batch(ys))
-    dists = d.pair_distances(xs, ys)
-    est = float(np.mean(gaps > dists + gamma))
-    return PopulationEstimate(est, hoeffding_half_width(n_pairs), n_pairs)
+    first = rng.integers(0, len(S), size=n_pairs)
+    second = rng.integers(0, len(S), size=n_pairs)
+    values = h.predict_batch(S.features)
+    block = core._PAIR_BLOCK
+    violations = 0
+    for start in range(0, n_pairs, block):
+        a, b = first[start:start + block], second[start:start + block]
+        gaps = np.abs(values[a] - values[b])
+        dists = d.pair_distances(S.features[a], S.features[b])
+        violations += int(np.count_nonzero(gaps > dists + gamma))
+    return PopulationEstimate(violations / n_pairs, hoeffding_half_width(n_pairs), n_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +123,20 @@ def population_mf_estimate(
 
 def _per_individual_rates(h, S: LabeledDataset, d: SimilarityMetric, gamma: float) -> np.ndarray:
     """For each x in S, the fraction of x' in S (self included) violating the
-    fairness condition at slack gamma. O(m^2)."""
+    fairness condition at slack gamma. O(m^2) time; the m x m comparison is
+    made in blocks of rows of about core._PAIR_BLOCK entries, so memory
+    grows with m, not m^2."""
     _check_gamma(gamma)
     values = h.predict_batch(S.features)
-    gaps = np.abs(values[:, None] - values[None, :])
-    dists = d.pairwise_matrix(S.features)
-    return np.mean(gaps > dists + gamma, axis=1)
+    m = len(S)
+    counts = np.empty(m, dtype=np.intp)
+    rows = max(1, core._PAIR_BLOCK // m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        gaps = np.abs(values[start:stop, None] - values[None, :])
+        dists = d.pairwise_matrix(S.features, start, stop)
+        counts[start:stop] = np.count_nonzero(gaps > dists + gamma, axis=1)
+    return counts / m
 
 
 def all_pairs_mf_loss(h, S: LabeledDataset, d: SimilarityMetric, gamma: float) -> float:

@@ -51,15 +51,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
+    """The --seed flag, else PACF_SEED; numpy's generators need it >= 0."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("PACF_SEED")
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("PACF_SEED")
+        if env is None:
+            raise UsageError("a --seed is required (or set PACF_SEED)")
         try:
-            return int(env)
+            seed, source = int(env), "PACF_SEED"
         except ValueError:
             raise UsageError(f"PACF_SEED must be an integer, got {env!r}") from None
-    raise UsageError("a --seed is required (or set PACF_SEED)")
+    if seed < 0:
+        raise UsageError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _add_report_flags(p):

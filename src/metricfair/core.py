@@ -115,7 +115,8 @@ def unit_ball_points(rng: np.random.Generator, count: int, dimension: int) -> np
 # ---------------------------------------------------------------------------
 
 
-#: pairs per pair_distances call when a pairwise matrix is built in blocks
+#: pairs, or matrix entries, per block wherever pairs are evaluated in pieces:
+#: the default pairwise_matrix and the audit's profile and population estimate
 _PAIR_BLOCK = 65_536
 
 
@@ -141,18 +142,22 @@ class SimilarityMetric:
         """d(x, y) for two single points."""
         return float(self.pair_distances(x, y)[0])
 
-    def pairwise_matrix(self, xs: np.ndarray) -> np.ndarray:
-        """Full m x m distance matrix over the rows of `xs`, evaluated on the
-        pairs i < j in blocks of about _PAIR_BLOCK pairs; the diagonal is 0."""
+    def pairwise_matrix(self, xs: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows [start, stop) of the m x m distance matrix over the rows of
+        `xs` (all m rows by default), with a 0 diagonal. Entry (i, j) is
+        d(xs[min(i, j)], xs[max(i, j)]), evaluated in blocks of about
+        _PAIR_BLOCK pairs."""
         xs = np.atleast_2d(xs)
         m = xs.shape[0]
-        out = np.zeros((m, m))
+        stop = m if stop is None else stop
+        out = np.zeros((stop - start, m))
         rows = max(1, _PAIR_BLOCK // max(m, 1))
-        for r0 in range(0, m, rows):
-            # pairs (r0 + a, j) with j > r0 + a, for a in [0, rows)
-            a, j = np.triu_indices(min(rows, m - r0), r0 + 1, m)
-            i = a + r0
-            out[i, j] = out[j, i] = self.pair_distances(xs[i], xs[j])
+        for r0 in range(start, stop, rows):
+            i, j = np.divmod(np.arange(r0 * m, min(r0 + rows, stop) * m), m)
+            off_diagonal = i != j
+            i, j = i[off_diagonal], j[off_diagonal]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            out[i - start, j] = self.pair_distances(xs[lo], xs[hi])
         return out
 
 
@@ -171,11 +176,11 @@ class ConstantMetric(SimilarityMetric):
         same = np.all(xs == ys, axis=1)
         return np.where(same, 0.0, self.c)
 
-    def pairwise_matrix(self, xs) -> np.ndarray:
-        xs = np.atleast_2d(xs)
-        m = xs.shape[0]
-        out = np.full((m, m), self.c)
-        np.fill_diagonal(out, 0.0)
+    def pairwise_matrix(self, xs, start=0, stop=None) -> np.ndarray:
+        m = np.atleast_2d(xs).shape[0]
+        stop = m if stop is None else stop
+        out = np.full((stop - start, m), self.c)
+        np.fill_diagonal(out[:, start:], 0.0)
         return out
 
 
@@ -193,12 +198,12 @@ class ScaledEuclideanMetric(SimilarityMetric):
         xs, ys = _pair_rows(xs, ys)
         return np.minimum(1.0, self.scale * np.linalg.norm(xs - ys, axis=1))
 
-    def pairwise_matrix(self, xs) -> np.ndarray:
+    def pairwise_matrix(self, xs, start=0, stop=None) -> np.ndarray:
         xs = np.atleast_2d(xs)
         sq = np.sum(xs * xs, axis=1)
-        d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (xs @ xs.T), 0.0)
+        d2 = np.maximum(sq[start:stop, None] + sq[None, :] - 2.0 * (xs[start:stop] @ xs.T), 0.0)
         out = np.minimum(1.0, self.scale * np.sqrt(d2))
-        np.fill_diagonal(out, 0.0)
+        np.fill_diagonal(out[:, start:], 0.0)
         return out
 
 

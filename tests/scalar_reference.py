@@ -181,6 +181,22 @@ def population_mf_estimate(h, S, d, gamma, n_pairs, seed) -> float:
     return float(np.mean(gaps > d.pair_distances(xs, ys) + gamma))
 
 
+def per_individual_rates(predict, distance, xs, gamma) -> np.ndarray:
+    """Each row's violation rate over all m rows, itself included: the pair
+    (i, j) is charged when |h_i - h_j| > d + gamma, with d = 0 for i = j and
+    d = distance(xs[min(i, j)], xs[max(i, j)]) otherwise."""
+    m = len(xs)
+    values = [predict(x) for x in xs]
+    rates = np.empty(m)
+    for i in range(m):
+        count = 0
+        for j in range(m):
+            dist = 0.0 if i == j else distance(xs[min(i, j)], xs[max(i, j)])
+            count += abs(values[i] - values[j]) > dist + gamma
+        rates[i] = count / m
+    return rates
+
+
 # --- predictors, one point at a time ----------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from metricfair import (
     LabeledDataset,
     LinearPredictor,
     Matching,
+    MatrixMetric,
     ScaledEuclideanMetric,
+    SimilarityMetric,
     ValidationError,
     all_pairs_mf_loss,
     audit_predictor,
@@ -39,6 +42,8 @@ from metricfair import (
     population_mf_estimate,
     surrogate_ramp,
 )
+from metricfair import core
+from metricfair.audit import _per_individual_rates
 from metricfair.serde import write_report
 
 
@@ -249,14 +254,16 @@ class TestPopulationEstimate:
         assert a == b
 
     @given(kind=st.sampled_from(PREDICTOR_KINDS), m=st.integers(1, 40),
-           n_pairs=st.integers(1, 300), gamma=st.floats(0.0, 0.9), seed=st.integers(0, 2**16))
+           n_pairs=st.integers(1, 300), gamma=st.floats(0.0, 0.9), seed=st.integers(0, 2**16),
+           block=st.integers(1, 120))
     @settings(max_examples=80, deadline=None)
-    def test_estimate_equals_the_dataset_sampler_draw(self, kind, m, n_pairs, gamma, seed):
+    def test_estimate_equals_the_dataset_sampler_draw(self, kind, m, n_pairs, gamma, seed, block):
         rng = np.random.default_rng(seed)
         h, _, _ = predictor_with_formula(kind, rng, 3)
         S = random_dataset(rng, m, 3)
         d = random_metric(rng)
-        est = population_mf_estimate(h, S, d, gamma, n_pairs, seed)
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            est = population_mf_estimate(h, S, d, gamma, n_pairs, seed)
         assert est.estimate == scalar.population_mf_estimate(h, S, d, gamma, n_pairs, seed)
         assert est.n_pairs == n_pairs
 
@@ -377,6 +384,132 @@ class TestGroupProfile:
                 for a1 in grid:
                     if a1 * a2 >= alpha_hat:
                         assert profile[a2] <= a1 + 1e-12
+
+
+class SkewedMetric(SimilarityMetric):
+    """A distance given only by `pair_distances`, so the default
+    `pairwise_matrix` runs; it is asymmetric, so its orientation shows."""
+
+    def pair_distances(self, xs, ys):
+        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
+        return np.minimum(1.0, np.abs(xs[:, 0] - ys[:, 0]) + 0.25 * (xs[:, 1] > ys[:, 1]))
+
+
+def gram_distance_tolerance(scale: float, n: int) -> float:
+    """A bound on |pairwise_matrix - pair_distances| of ScaledEuclideanMetric
+    on points of the n-dimensional unit ball, with eps the machine epsilon and
+    u = eps / 2 the unit roundoff.
+
+    The Gram form computes d2 = |x|^2 + |y|^2 - 2<x, y>. Each of the three
+    inner products is within gamma_n |x|.|y| <= gamma_n ~ n u of its value
+    (Higham, Accuracy and Stability of Numerical Algorithms, eq. 3.5, with
+    Cauchy-Schwarz on the ball), the doubling is exact and the two additions
+    add at most 6.1 u, so d2 is within E = (4n + 8) eps of |x - y|^2, about
+    twice the 4 gamma_n + 6.1 u derived. Clamping at 0 moves d2 towards
+    |x - y|^2 >= 0, and since |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) the root
+    is within sqrt(E) + 2u of |x - y|: near-duplicate points lose all their
+    digits to cancellation. The pair form rounds x - y and its norm, within
+    (n + 6) u of |x - y| <= 2. Scaling adds a relative u to each and
+    min(1, .) is 1-Lipschitz. The slack in E covers the rounding of d + tol
+    and of + gamma in the comparisons of the tests below.
+    """
+    eps = float(np.finfo(np.float64).eps)
+    return scale * (math.sqrt((4 * n + 8) * eps) + (n + 6) * eps)
+
+
+#: grid values that make exact ties |h_i - h_j| = d + gamma common
+GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)
+
+
+def _grid_or_float(lo, hi):
+    return st.one_of(st.sampled_from([g for g in GRID if lo <= g <= hi]), st.floats(lo, hi))
+
+
+@st.composite
+def profile_instances(draw, kinds):
+    """(metric kind, metric, points, table predictor, gamma, patched block):
+    m grid or float points of the 2-d ball (duplicates included) and a
+    _PAIR_BLOCK that gives row blocks of 1, 2 or 3 rows."""
+    m = draw(st.integers(1, 12), label="m")
+    coords = draw(st.lists(st.one_of(st.sampled_from((-0.5, -0.25, 0.0, 0.25, 0.5)),
+                                     st.floats(-0.7, 0.7)),
+                           min_size=2 * m, max_size=2 * m), label="coords")
+    X = np.array(coords).reshape(m, 2)
+    h = TablePredictor(X, draw(st.lists(_grid_or_float(0.0, 1.0), min_size=m, max_size=m),
+                               label="values"))
+    gamma = draw(_grid_or_float(0.0, 0.9), label="gamma")
+    rows = draw(st.integers(1, 3), label="rows per block")
+    block = rows * m + draw(st.integers(0, m - 1), label="block remainder")
+    kind = draw(st.sampled_from(kinds), label="metric")
+    if kind == "constant":
+        metric = ConstantMetric(draw(_grid_or_float(0.0, 1.0), label="c"))
+    elif kind == "matrix":
+        entries = draw(st.lists(st.sampled_from(GRID), min_size=m * m, max_size=m * m))
+        metric = MatrixMetric(np.reshape(entries, (m, m)), X)
+    elif kind == "skewed":
+        metric = SkewedMetric()
+    else:
+        metric = ScaledEuclideanMetric(draw(_grid_or_float(0.1, 1.5), label="scale"))
+    return kind, metric, X, h, gamma, block
+
+
+def _oracle_distance(kind, metric):
+    """The loop oracle's distance for pairs of distinct rows; the closed form
+    of ConstantMetric.pairwise_matrix is c for every such pair."""
+    if kind == "constant":
+        return lambda x, y: metric.c
+    return metric.distance
+
+
+class TestBlockedProfile:
+    """The profile is built in row blocks of about core._PAIR_BLOCK entries;
+    with the budget patched, m spans several blocks of 1, 2 or 3 rows."""
+
+    @given(instance=profile_instances(("constant", "matrix", "skewed")))
+    @settings(max_examples=200, deadline=None)
+    def test_rates_equal_the_loop_oracle(self, instance):
+        kind, metric, X, h, gamma, block = instance
+        S = LabeledDataset(X, np.ones(len(X)))
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            got = _per_individual_rates(h, S, metric, gamma)
+        expected = scalar.per_individual_rates(h.predict, _oracle_distance(kind, metric), X, gamma)
+        assert got.tolist() == expected.tolist()
+
+    @given(instance=profile_instances(("euclidean",)))
+    @settings(max_examples=200, deadline=None)
+    def test_euclidean_rates_are_bracketed_by_the_loop_oracle(self, instance):
+        _, metric, X, h, gamma, block = instance
+        S = LabeledDataset(X, np.ones(len(X)))
+        tol = gram_distance_tolerance(metric.scale, X.shape[1])
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            got = _per_individual_rates(h, S, metric, gamma)
+        farther = scalar.per_individual_rates(
+            h.predict, lambda x, y: metric.distance(x, y) + tol, X, gamma)
+        nearer = scalar.per_individual_rates(
+            h.predict, lambda x, y: metric.distance(x, y) - tol, X, gamma)
+        assert np.all(farther <= got) and np.all(got <= nearer)
+
+    @given(instance=profile_instances(("constant", "matrix", "skewed", "euclidean")),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_range_is_a_slice_of_the_full_matrix(self, instance, data):
+        kind, metric, X, _, _, block = instance
+        m = len(X)
+        start = data.draw(st.integers(0, m), label="start")
+        stop = data.draw(st.integers(start, m), label="stop")
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            rows = metric.pairwise_matrix(X, start, stop)
+            full = metric.pairwise_matrix(X)
+        assert rows.shape == (stop - start, m) and full.shape == (m, m)
+        assert np.all(rows[np.arange(stop - start), np.arange(start, stop)] == 0.0)
+        assert np.all(np.diag(full) == 0.0)
+        if kind == "euclidean":
+            # both are Gram forms, each within the tolerance of pair_distances;
+            # a row block's matrix product may round differently from the full one
+            tol = gram_distance_tolerance(metric.scale, X.shape[1])
+            assert np.all(np.abs(rows - full[start:stop]) <= 2 * tol)
+        else:
+            assert np.array_equal(rows, full[start:stop])
 
 
 class TestPerfectFairness:

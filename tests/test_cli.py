@@ -58,6 +58,30 @@ class TestUsageErrors:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "audit"])
+    @pytest.mark.parametrize("source", ["--seed", "PACF_SEED"])
+    def test_negative_seed_is_usage_error_naming_its_source(
+            self, capsys, dataset_file, tmp_path, monkeypatch, command, source):
+        predictor = tmp_path / "constant.json"
+        save_predictor_json(ConstantPredictor(0.5), predictor)
+        out = tmp_path / "out"
+        argv = {
+            "gen-data": ["gen-data", "--generator", "unit-ball", "--n", "2", "--m", "10",
+                         "--out", str(out)],
+            "audit": ["audit", "--data", str(dataset_file), "--metric", "constant:0.3",
+                      "--predictor", str(predictor), "--gamma", "0.1", "--out", str(out)],
+        }[command]
+        if source == "--seed":
+            monkeypatch.setenv("PACF_SEED", "3")
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("PACF_SEED", "-1")
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"usage error: {source} must be non-negative, got -1\n"
+        assert stdout == ""
+        assert not out.exists()
+
     def test_runtime_error_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "audit", "--data", str(tmp_path / "missing.csv"),
                            "--metric", "constant:0.5", "--predictor", "nope.json",

@@ -40,6 +40,13 @@ COMMANDS = (
     ("audit", "--data", "data.csv", "--metric", "euclidean:0.8", "--predictor", "kernel.json",
      "--gamma", "0.3", "--population-pairs", "2000", "--seed", "1",
      "--out", "audit-kernel.json", *REPORT),
+    # 401 rows make three row blocks of the profile (163 rows of 65,536
+    # entries) and 150,000 pairs three pair blocks of the population estimate
+    ("gen-data", "--generator", "unit-ball", "--n", "3", "--m", "401", "--seed", "2",
+     "--out", "blocks.csv"),
+    ("audit", "--data", "blocks.csv", "--metric", "euclidean:0.2", "--predictor", "linear.json",
+     "--gamma", "0.05", "--population-pairs", "150000", "--seed", "1",
+     "--out", "audit-blocks.json", *REPORT),
     ("hardness-demo", "--n", "8", "--pairs", "20", "--mode", "both", "--seed", "1",
      "--out", "hardness.json", *REPORT),
     ("gen-data", "--generator", "hardness-pairs", "--n", "8", "--m", "40", "--seed", "1",
