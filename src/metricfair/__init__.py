@@ -15,7 +15,6 @@ from .audit import (
     surrogate_ramp,
 )
 from .bounds import (
-    BoundReport,
     RademacherDominatesError,
     RademacherEstimate,
     SampleComplexity,

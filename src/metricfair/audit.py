@@ -196,7 +196,6 @@ class FairnessReport:
     population_estimate: float | None
     population_ci: float | None
     group_profile: tuple[tuple[float, float], ...]
-    gamma: float
     n_edges: int
 
     def __post_init__(self):
@@ -234,6 +233,5 @@ def audit_predictor(
         population_estimate=pop_est,
         population_ci=pop_ci,
         group_profile=tuple(profile),
-        gamma=gamma,
         n_edges=len(M),
     )

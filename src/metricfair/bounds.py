@@ -133,6 +133,16 @@ def uniform_convergence_rho(G: float, delta: float, m: int, B: float | None = No
     return 2.0 * G * num / math.sqrt(m - 1)
 
 
+def linear_slack(eps_alpha: float, eps_gamma: float) -> float:
+    """The linear learner's slack eps' = min(eps_alpha, eps_gamma / 2)."""
+    return min(eps_alpha, eps_gamma / 2.0)
+
+
+def kernel_slack(epsilon: float, eps_alpha: float, eps_gamma: float) -> float:
+    """The kernel learner's slack eps* = min(epsilon, eps_alpha, eps_gamma / 2)."""
+    return min(epsilon, linear_slack(eps_alpha, eps_gamma))
+
+
 def _ceil_to_odd(x: float) -> int:
     m = int(math.ceil(x))
     if m % 2 == 0:
@@ -163,9 +173,9 @@ def sample_complexity_linear(
         if not 0.0 < v < 1.0:
             raise ValidationError(f"{name} must be in (0, 1), got {v}")
     b1 = ((math.sqrt(2.0) + math.sqrt(math.log(8.0 / delta))) / (math.sqrt(2.0) * epsilon)) ** 2
-    eps_prime = min(eps_alpha, eps_gamma / 2.0)
     num = 4.0 * (4.0 + 4.0 * math.sqrt(2.0) + 17.0 * math.sqrt(math.log(4.0 / delta)))
-    b2 = (num / ((1.0 - alpha) * eps_alpha * eps_prime)) ** 2
+    slack = linear_slack(eps_alpha, eps_gamma)
+    b2 = (num / ((1.0 - alpha) * eps_alpha * slack)) ** 2
     return SampleComplexity(
         m=_ceil_to_odd(max(b1, b2)),
         branches={"utility": b1, "fairness": b2,
@@ -192,16 +202,20 @@ def sample_complexity_kernel(
         raise ValidationError(f"B must be positive, got {B}")
     if math.isinf(B):
         raise MetricFairError("B is infinite; the sample complexity is unbounded")
-    eps_star = min(epsilon, eps_alpha, eps_gamma / 2.0)
     b1 = 2.0 * B * (2.0 + 9.0 * math.sqrt(math.log(8.0 / delta))) / epsilon**2
     num = 4.0 * (4.0 + 8.0 * math.sqrt(B) + 17.0 * math.sqrt(math.log(4.0 / delta)))
-    b2 = (num / ((1.0 - alpha) * eps_alpha * eps_star)) ** 2 + 1.0
+    slack = kernel_slack(epsilon, eps_alpha, eps_gamma)
+    b2 = (num / ((1.0 - alpha) * eps_alpha * slack)) ** 2 + 1.0
     return SampleComplexity(
         m=_ceil_to_odd(max(b1, b2)),
         branches={"utility": b1, "fairness": b2,
                   "utility_m": _ceil_to_odd(b1), "fairness_m": _ceil_to_odd(b2),
                   "dominant": "utility" if b1 >= b2 else "fairness"},
     )
+
+
+# the most fixed-point rounds sample_complexity_inf_fpac takes
+FIXED_POINT_ROUNDS = 100
 
 
 def sample_complexity_inf_fpac(
@@ -211,7 +225,6 @@ def sample_complexity_inf_fpac(
     m_pac: int,
     rademacher_at,
     m_start: int = 3,
-    max_rounds: int = 100,
 ) -> SampleComplexity:
     """Information-theoretic PACF sample size.
 
@@ -229,8 +242,7 @@ def sample_complexity_inf_fpac(
     r_of = rademacher_at if callable(rademacher_at) else (lambda k: float(rademacher_at))
     numerator = 8.0 + 34.0 * math.sqrt(math.log(4.0 / delta))
     m = _ceil_to_odd(max(m_start, m_pac, 3))
-    history = []
-    for _ in range(max_rounds):
+    for _ in range(FIXED_POINT_ROUNDS):
         k = max((m - 1) // 2, 1)
         r = float(r_of(k))
         if math.isnan(r):
@@ -242,12 +254,12 @@ def sample_complexity_inf_fpac(
             raise RademacherDominatesError("Rademacher term dominates; increase m or relax eps")
         m_fair = (numerator / denom) ** 2 + 1.0
         m_new = _ceil_to_odd(max(m_pac, m_fair))
-        history.append(m_new)
         if m_new == m:
             return SampleComplexity(m=m, branches={"m_pac": float(m_pac), "fairness": m_fair,
                                                    "rademacher": r})
         m = m_new
-    raise MetricFairError(f"fixed-point iteration did not converge after {max_rounds} rounds")
+    raise MetricFairError(
+        f"fixed-point iteration did not converge after {FIXED_POINT_ROUNDS} rounds")
 
 
 def kernel_norm_bound_B(L: float, eps_star: float) -> float:
@@ -272,20 +284,3 @@ def kernel_norm_bound_B(L: float, eps_star: float) -> float:
         warnings.warn("kernel norm bound overflowed to +inf", RuntimeWarning, stacklevel=2)
         return math.inf
     return 6.0 * L**4 + tail
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Aggregated bound values for report emission."""
-
-    delta_m: float | None = None
-    inputs: dict = field(default_factory=dict)
-    sample_complexities: dict = field(default_factory=dict)
-    kernel_norm_bound: float | None = None
-
-    def __post_init__(self):
-        if self.delta_m is not None and self.delta_m < 0:
-            raise MetricFairError("delta_m cannot be negative")
-        for name, m in self.sample_complexities.items():
-            if m < 1:
-                raise MetricFairError(f"sample complexity {name} must be >= 1")

@@ -121,7 +121,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps-alpha", type=float)
     p.add_argument("--eps-gamma", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--gamma-star", type=float)
     p.add_argument("--theory-mode", choices=_CHOICES["theory_mode"])
     p.add_argument("--kernel-b", type=float, help="explicit squared-RKHS-norm bound")
     p.add_argument("--kernel-l", type=float, help="derive B from this Lipschitz cap")
@@ -174,7 +173,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--mode", choices=["u", "v", "both"], default="both")
     p.add_argument("--seed", type=int)
-    p.add_argument("--learner", choices=_CHOICES["learner"])
+    p.add_argument("--learner", choices=_CHOICES["learner"],
+                   help="the learner whose accuracy gap is the headline (default: kernel); "
+                        "both learners train unless --skip-training is given")
     p.add_argument("--alpha", type=float, default=DEMO_TRAINER.alpha)
     p.add_argument("--gamma", type=float, default=DEMO_TRAINER.gamma)
     p.add_argument("--audit-pairs", type=int, default=10000)
@@ -216,12 +217,10 @@ def _cmd_gen_data(args) -> int:
 # takes the default of its TrainConfig, SolverConfig or KernelLearner field.
 _TRAIN_KEYS = (
     "learner", "alpha", "gamma", "eps", "eps_alpha", "eps_gamma", "delta",
-    "gamma_star", "theory_mode", "kernel_b", "kernel_l", "b_max",
-    "max_iters", "step_c0", "feas_tol",
+    "theory_mode", "kernel_b", "kernel_l", "b_max", "max_iters", "step_c0", "feas_tol",
 )
 # keys whose dataclass field has another name
-_FIELD_NAMES = {"theory_mode": "mode", "kernel_b": "B", "kernel_l": "L",
-                "feas_tol": "feasibility_tolerance"}
+_FIELD_NAMES = {"kernel_b": "B", "kernel_l": "L", "feas_tol": "feasibility_tolerance"}
 
 
 def _read_train_config(path) -> dict:
@@ -343,8 +342,8 @@ def _cmd_bounds(args) -> int:
             if B is None:
                 if args.l is None:
                     raise UsageError("formula sigmoid-accuracy needs --b or --l")
-                eps_star = min(args.epsilon, args.eps_alpha, args.eps_gamma / 2.0)
-                B = bounds_mod.kernel_norm_bound_B(args.l, eps_star)
+                B = bounds_mod.kernel_norm_bound_B(args.l, bounds_mod.kernel_slack(
+                    args.epsilon, args.eps_alpha, args.eps_gamma))
             sc = bounds_mod.sample_complexity_kernel(
                 args.epsilon, args.eps_alpha, args.eps_gamma, args.alpha, args.delta, B)
             value = sc.m if args.branch == "max" else sc.branches[f"{args.branch}_m"]
@@ -361,21 +360,13 @@ def _cmd_bounds(args) -> int:
                 args.eps_alpha, args.eps_gamma, args.delta, args.m_pac, rad).m
         results[formula] = value
         print(f"{formula} {value:.10g}")
-    delta_val = next((results[f] for f in ("delta-m", "delta-m-kernel") if f in results), None)
-    complexities = {f: v for f, v in results.items()
-                    if f in ("lin-accuracy", "sigmoid-accuracy", "inf-fpac")}
-    report = bounds_mod.BoundReport(
-        delta_m=delta_val,
-        inputs={k: getattr(args, k) for k in
-                ("g", "delta", "m", "rhat", "c", "sup_m", "l", "eps_star",
-                 "epsilon", "eps_alpha", "eps_gamma", "alpha", "b")
-                if getattr(args, k) is not None},
-        sample_complexities=complexities,
-        kernel_norm_bound=results.get("b-star"),
-    )
+    inputs = {k: getattr(args, k) for k in
+              ("g", "delta", "m", "rhat", "c", "sup_m", "l", "eps_star",
+               "epsilon", "eps_alpha", "eps_gamma", "alpha", "b")
+              if getattr(args, k) is not None}
     if args.out:
         write_report({"command": args.command, "params": {"formulas": args.formula},
-                      "results": {"formulas": results, **dataclasses.asdict(report)}},
+                      "results": {"formulas": results, "inputs": inputs}},
                      args.out, args.no_timestamp)
     return 0
 

@@ -269,7 +269,6 @@ def _audit_pairs(paired: HardPairedDataset, rng: np.random.Generator, n_audit: i
 class HardnessReport:
     n: int
     k_pairs: int
-    seed: int
     modes: tuple[str, ...]
     averaged_fair_error_u: float | None
     reference_error: dict
@@ -363,7 +362,6 @@ def run_hardness_experiment(
     return HardnessReport(
         n=n,
         k_pairs=k_pairs,
-        seed=seed,
         modes=tuple(sampled.keys()),
         averaged_fair_error_u=averaged_u,
         reference_error=reference_error,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .audit import empirical_mf_loss
-from .bounds import kernel_norm_bound_B, uniform_convergence_rho
+from .bounds import kernel_norm_bound_B, kernel_slack, linear_slack, uniform_convergence_rho
 from .core import (
     KernelPredictor,
     KernelSpec,
@@ -86,18 +86,18 @@ class TrainConfig:
     eps_alpha: float = 0.1
     eps_gamma: float = 0.1
     delta: float = 0.05
-    gamma_star: float = 0.05
     learner: LinearLearner | KernelLearner = field(default_factory=LinearLearner)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    mode: str = "empirical"
+    theory_mode: str = "empirical"
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "eps", "eps_alpha", "eps_gamma", "delta", "gamma_star"):
+        for name in ("alpha", "gamma", "eps", "eps_alpha", "eps_gamma", "delta"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValidationError(f"{name} must be in (0, 1), got {v}")
-        if self.mode not in ("empirical", "theoretical"):
-            raise ValidationError(f"mode must be 'empirical' or 'theoretical', got {self.mode!r}")
+        if self.theory_mode not in ("empirical", "theoretical"):
+            raise ValidationError("theory_mode must be 'empirical' or 'theoretical', "
+                                  f"got {self.theory_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,16 @@ class SolverDerivedParams:
 
     G is the surrogate ramp slope, rho the uniform-convergence margin,
     gamma_tilde = gamma - 1/G the training slack, and tau the per-edge l1
-    budget. In empirical mode tau = alpha * gamma_tilde and rho is reported
-    only; theoretical mode uses tau = (alpha - rho) * gamma_tilde and errors
-    when that is non-positive.
+    budget: alpha * gamma_tilde in empirical mode, and in theoretical mode
+    tau_theoretical = (alpha - rho) * gamma_tilde, an error when that is
+    non-positive (usual at desk-scale samples). Both modes report tau_theoretical.
     """
 
     G: float
     rho: float
-    alpha_tilde: float
     gamma_tilde: float
     tau: float
+    tau_theoretical: float
 
 
 def resolve_kernel_B(learner: KernelLearner, eps_star: float) -> tuple[float, float]:
@@ -127,35 +127,34 @@ def resolve_kernel_B(learner: KernelLearner, eps_star: float) -> tuple[float, fl
     return raw, min(raw, learner.b_max)
 
 
-def derive_solver_params(config: TrainConfig, m: int, B: float | None = None) -> SolverDerivedParams:
-    """Derive (G, rho, alpha_tilde, gamma_tilde, tau) for a sample of size m."""
+def derive_solver_params(config: TrainConfig, m: int,
+                         B: float | None = None) -> SolverDerivedParams:
+    """Derive the budgets for a sample of size m. A kernel learner's margin
+    rho needs B, the capped squared-norm bound it trains with."""
     if m < 2:
         raise ValidationError("need m >= 2")
-    kernelized = isinstance(config.learner, KernelLearner)
-    if kernelized:
-        eps_min = min(config.eps, config.eps_alpha, config.eps_gamma / 2.0)
+    if isinstance(config.learner, KernelLearner):
         if B is None:
-            eps_star = eps_min
-            _, B = resolve_kernel_B(config.learner, eps_star)
+            raise ValidationError("a kernel learner's budgets need its capped B")
+        G = 1.0 / kernel_slack(config.eps, config.eps_alpha, config.eps_gamma)
     else:
-        eps_min = min(config.eps_alpha, config.eps_gamma / 2.0)
+        G = 1.0 / linear_slack(config.eps_alpha, config.eps_gamma)
         B = None
-    G = 1.0 / eps_min
     gamma_tilde = config.gamma - 1.0 / G
     rho = uniform_convergence_rho(G, config.delta, m, B=B)
     if gamma_tilde <= 0:
         raise SampleTooSmallError("sample too small for requested fairness/error parameters")
-    if config.mode == "theoretical":
-        alpha_tilde = (config.alpha - rho) * gamma_tilde
-        if alpha_tilde <= 0:
+    tau_theoretical = (config.alpha - rho) * gamma_tilde
+    if config.theory_mode == "theoretical":
+        tau = tau_theoretical
+        if tau <= 0:
             raise SampleTooSmallError("sample too small for requested fairness/error parameters")
     else:
-        alpha_tilde = config.alpha * gamma_tilde
-    tau = alpha_tilde
+        tau = config.alpha * gamma_tilde
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"derived budget tau = {tau} outside [0, 1]")
-    return SolverDerivedParams(G=G, rho=rho, alpha_tilde=alpha_tilde,
-                               gamma_tilde=gamma_tilde, tau=tau)
+    return SolverDerivedParams(G=G, rho=rho, gamma_tilde=gamma_tilde, tau=tau,
+                               tau_theoretical=tau_theoretical)
 
 
 def _edge_arrays(S: LabeledDataset, M: Matching, d: SimilarityMetric):
@@ -164,17 +163,13 @@ def _edge_arrays(S: LabeledDataset, M: Matching, d: SimilarityMetric):
     return left, right, dists
 
 
-def _finalize_report(report: TrainingReport, predictor, S, M, d, params, config, extras) -> TrainingReport:
+def _finalize_report(report: TrainingReport, predictor, S, M, d, params, extras) -> TrainingReport:
     mf = empirical_mf_loss(predictor, S, M, d, params.gamma_tilde)
-    # achieved (empirical-mode) budget next to the theoretical-mode value,
-    # which is usually non-positive at desk-scale samples
-    tau_theoretical = (config.alpha - params.rho) * params.gamma_tilde
     return replace(
         report,
         empirical_mf_loss=mf,
         mf_loss_bound=params.tau / params.gamma_tilde if params.gamma_tilde > 0 else None,
-        derived_params={**report.derived_params, **asdict(params),
-                        "tau_theoretical": tau_theoretical},
+        derived_params={**report.derived_params, **asdict(params)},
         extras={**report.extras, **extras},
     )
 
@@ -195,7 +190,7 @@ def train_fair_linear(
     M = matching if matching is not None else default_matching(S, config.solver.seed)
     params = derive_solver_params(config, m)
     if tau is not None:
-        params = replace(params, tau=float(tau), alpha_tilde=float(tau))
+        params = replace(params, tau=float(tau))
     left, right, dists = _edge_arrays(S, M, d)
     X = S.features
     y01 = S.targets01
@@ -231,8 +226,7 @@ def train_fair_linear(
         objective, constraint, project, solver_cfg, np.zeros(S.dimension)
     )
     predictor = LinearPredictor(w)
-    report = _finalize_report(report, predictor, S, M, d, params, config,
-                              extras={"learner": "linear"})
+    report = _finalize_report(report, predictor, S, M, d, params, extras={"learner": "linear"})
     return predictor, report
 
 
@@ -262,11 +256,11 @@ def train_fair_kernel(
     learner = config.learner
     m = len(S)
     M = matching if matching is not None else default_matching(S, config.solver.seed)
-    eps_star = min(config.eps, config.eps_alpha, config.eps_gamma / 2.0)
-    b_raw, b_used = resolve_kernel_B(learner, eps_star)
+    slack = kernel_slack(config.eps, config.eps_alpha, config.eps_gamma)
+    b_raw, b_used = resolve_kernel_B(learner, slack)
     params = derive_solver_params(config, m, B=b_used)
     if tau is not None:
-        params = replace(params, tau=float(tau), alpha_tilde=float(tau))
+        params = replace(params, tau=float(tau))
     left, right, dists = _edge_arrays(S, M, d)
     kernel = VovkHalfKernel()
     K = gram_matrix(S, kernel)
@@ -344,7 +338,7 @@ def train_fair_kernel(
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)
     predictor = KernelPredictor(S.features, beta, kernel)
     report = _finalize_report(
-        report, predictor, S, M, d, params, config,
+        report, predictor, S, M, d, params,
         extras={"learner": "kernel", "B_derived": b_raw, "B_used": b_used},
     )
     return predictor, report

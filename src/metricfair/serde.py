@@ -33,7 +33,7 @@ from .core import (
 )
 from .hardness import HardnessMetric, HardnessMetricHandle
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _KERNELS = {"vovk-half": VovkHalfKernel, "linear-dot": LinearDotKernel}
 
@@ -70,7 +70,7 @@ def load_dataset_csv(path) -> LabeledDataset:
         if len(parts) != len(header):
             raise ValidationError(f"row has {len(parts)} fields, expected {len(header)}")
         rows.append([float(v) for v in parts[:-1]])
-        labels.append(int(float(parts[-1])))
+        labels.append(float(parts[-1]))
     return LabeledDataset(np.array(rows), np.array(labels))
 
 
@@ -112,8 +112,11 @@ def predictor_from_dict(payload: dict):
     if variant == "logistic":
         return LogisticPredictor(np.array(payload["weights"]), payload["lipschitz"])
     if variant == "kernel":
-        kernel = _KERNELS[payload["kernel"]]()
-        return KernelPredictor(np.array(payload["support"]), np.array(payload["beta"]), kernel)
+        name = payload["kernel"]
+        if name not in _KERNELS:
+            raise ValidationError(f"unknown kernel {name!r} under key 'kernel'")
+        return KernelPredictor(np.array(payload["support"]), np.array(payload["beta"]),
+                               _KERNELS[name]())
     raise ValidationError(f"unknown predictor variant {variant!r}")
 
 
@@ -128,9 +131,25 @@ def save_predictor_json(predictor, path, training_config: dict | None = None,
     Path(path).write_text(_dump(payload))
 
 
+def _load_json_object(path, what: str, build):
+    """build(payload) on the JSON object in file `path`. Invalid JSON, a
+    payload that is not an object, a missing key and an invalid value raise
+    a ValidationError that names the file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValidationError("expected a JSON object")
+        return build(payload)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValidationError(f"{what} {path}: missing key {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{what} {path}: {exc}") from None
+
+
 def load_predictor_json(path):
-    payload = json.loads(Path(path).read_text())
-    return predictor_from_dict(payload)
+    return _load_json_object(path, "predictor file", predictor_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +191,16 @@ def save_hardness_handle(handle: HardnessMetricHandle, path) -> None:
     Path(path).write_text(_dump(payload))
 
 
-def load_hardness_handle(path) -> HardnessMetricHandle:
-    payload = json.loads(Path(path).read_text())
+def _handle_from_dict(payload: dict) -> HardnessMetricHandle:
     y = np.array([int(c) for c in payload["y"]], dtype=np.uint8)
     seed_bits = None
     if payload.get("seed_bits") is not None:
         seed_bits = np.array([int(c) for c in payload["seed_bits"]], dtype=np.uint8)
     return HardnessMetricHandle(y, payload["mode"], payload["n"], seed_bits)
+
+
+def load_hardness_handle(path) -> HardnessMetricHandle:
+    return _load_json_object(path, "hardness handle file", _handle_from_dict)
 
 
 def load_metric(spec: str, dataset: LabeledDataset | None = None) -> SimilarityMetric:

@@ -86,16 +86,16 @@ def solve_constrained(
 ):
     """Minimize f over {g <= 0} intersected with the projection's domain.
 
-    `objective(w)` and `constraint(w)` return (value, subgradient);
+    `objective(w)` returns (value, subgradient) and `constraint(w)` returns
+    (value, a zero-argument callable that returns the subgradient);
     `project(w)` maps onto the domain. Returns (point, TrainingReport).
     Raises InfeasibleError when no iterate ever meets the feasibility
     tolerance, attaching the point of smallest constraint value seen.
 
-    The constraint's subgradient is needed only on infeasible iterates, so
-    `constraint` may return it as a zero-argument callable instead of an
-    array. The solver calls it right after `constraint(w)` on each
-    infeasible iterate and never on a feasible one, so a constraint whose
-    subgradient is costly pays for it only when a step uses it.
+    The constraint's subgradient is needed only on infeasible iterates: the
+    solver calls the callable right after `constraint(w)` on each infeasible
+    iterate and never on a feasible one, so a constraint whose subgradient is
+    costly pays for it only when a step uses it.
     """
     tol = config.feasibility_tolerance
     w = project(np.array(initial_point, dtype=np.float64))
@@ -139,8 +139,7 @@ def solve_constrained(
             step = config.step_c0 / math.sqrt(t + 1.0)
             w = project(w - step * f_sub)
         else:
-            if callable(g_sub):
-                g_sub = g_sub()
+            g_sub = g_sub()
             sub_norm_sq = float(np.dot(g_sub, g_sub))
             if sub_norm_sq == 0.0:
                 # flat violated constraint: nothing to move along

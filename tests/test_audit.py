@@ -564,7 +564,7 @@ class TestAuditReport:
         payload = json.loads(write_report({"results": report}, no_timestamp=True))["results"]
         assert set(payload) == {
             "empirical_mf_loss", "empirical_l1_loss", "population_estimate",
-            "population_ci", "group_profile", "gamma", "n_edges",
+            "population_ci", "group_profile", "n_edges",
         }
         assert payload["n_edges"] == 7
         assert 0.0 <= payload["empirical_mf_loss"] <= 1.0

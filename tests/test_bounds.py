@@ -1,14 +1,12 @@
 """Rademacher estimator and closed-form bound calculators."""
 
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
 from metricfair import (
-    BoundReport,
     MetricFairError,
     RademacherDominatesError,
     ValidationError,
@@ -21,7 +19,6 @@ from metricfair import (
     sample_complexity_linear,
     uniform_convergence_rho,
 )
-from metricfair.serde import write_report
 
 
 class TestRademacherEstimator:
@@ -220,13 +217,3 @@ class TestNaNInputs:
         with pytest.raises(ValidationError, match=rf"\b{name}\b.*(nan|NaN)"):
             call()
 
-
-class TestBoundReport:
-    def test_validation(self):
-        report = BoundReport(delta_m=0.5, sample_complexities={"lin": 673})
-        body = json.loads(write_report({"results": report}, no_timestamp=True))
-        assert body["results"]["sample_complexities"] == {"lin": 673}
-        with pytest.raises(MetricFairError):
-            BoundReport(delta_m=-0.1)
-        with pytest.raises(MetricFairError):
-            BoundReport(sample_complexities={"bad": 0})

@@ -1,13 +1,17 @@
 """CLI behavior: subcommands, exit codes, seeds, reproducibility."""
 
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_dataset, strict_json
 from metricfair import (
     ConstantPredictor,
     KernelLearner,
+    LinearPredictor,
     SolverConfig,
     TrainConfig,
     kernel_norm_bound_B,
@@ -15,6 +19,7 @@ from metricfair import (
     train_fair_kernel,
     train_fair_linear,
 )
+from metricfair import cli
 from metricfair.cli import run_cli
 from metricfair.serde import (
     load_dataset_csv,
@@ -166,8 +171,8 @@ class TestBounds:
         assert lines[1].startswith("b-star 2.73637")
         body = json.loads(report.read_text())
         assert body["results"]["formulas"]["delta-m-kernel"] == pytest.approx(4.52434, abs=1e-5)
-        assert body["results"]["delta_m"] == pytest.approx(4.52434, abs=1e-5)
-        assert body["results"]["kernel_norm_bound"] == pytest.approx(2.7364e39, rel=1e-3)
+        assert body["results"]["formulas"]["b-star"] == pytest.approx(2.7364e39, rel=1e-3)
+        assert set(body["results"]) == {"formulas", "inputs"}
 
     def test_lin_accuracy_utility_branch(self, capsys):
         code, out, _ = run(capsys, "bounds", "--formula", "lin-accuracy",
@@ -254,7 +259,7 @@ class TestAudit:
         body = json.loads(report_path.read_text())
         assert body["results"]["empirical_mf_loss"] == 0.0
         assert body["results"]["population_estimate"] == 0.0
-        assert body["schema_version"] == 1
+        assert body["schema_version"] == 2
 
 
     @pytest.mark.parametrize("grid, entry", [
@@ -338,6 +343,82 @@ class TestAudit:
         assert not out.exists()
 
 
+class TestInputFiles:
+    """A malformed input file exits 2 with a message, never a traceback or a
+    silently altered value."""
+
+    @staticmethod
+    def audit(capsys, tmp_path, data, metric="constant:0.3", predictor=None):
+        if predictor is None:
+            predictor = tmp_path / "constant.json"
+            save_predictor_json(ConstantPredictor(0.5), predictor)
+        out = tmp_path / "audit.json"
+        code, stdout, err = run(capsys, "audit", "--data", str(data), "--metric", metric,
+                                "--predictor", str(predictor), "--gamma", "0.1",
+                                "--seed", "1", "--out", str(out), "--no-timestamp")
+        return code, stdout, err, out
+
+    @pytest.mark.parametrize("label", ["1.5", "-1.9", "nan"])
+    def test_label_other_than_plus_or_minus_one_exits_two(self, capsys, tmp_path, label):
+        data = tmp_path / "data.csv"
+        data.write_text(f"x1,x2,y\n0.1,0.2,{label}\n0.3,-0.1,-1\n")
+        code, stdout, err, out = self.audit(capsys, tmp_path, data)
+        assert code == 2
+        assert err == "error: labels must be -1 or +1\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_label_written_as_a_float_loads(self, capsys, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n0.1,0.2,1.0\n0.3,-0.1,-1.0\n")
+        assert load_dataset_csv(data).labels.tolist() == [1, -1]
+        assert self.audit(capsys, tmp_path, data)[0] == 0
+
+    @pytest.mark.parametrize("kind, text, key", [
+        ("predictor", "[1, 2]", "JSON object"),
+        ("predictor", '{"variant": "linear"}', "'weights'"),
+        ("predictor", '{"variant": "kernel", "support": [[0.1, 0.2]], "beta": [1.0]}',
+         "'kernel'"),
+        ("predictor", '{"variant": "kernel", "kernel": "rbf", "support": [[0.1, 0.2]], '
+                      '"beta": [1.0]}', "'kernel'"),
+        ("predictor", '{"variant": "linear", "weights": [0.1', "not valid JSON"),
+        ("handle", "[]", "JSON object"),
+        ("handle", '{"kind": "hardness-metric-handle", "mode": "V", "n": 2}', "'y'"),
+        ("handle", '{"y": "0110", "n": 2}', "'mode'"),
+    ])
+    def test_malformed_predictor_or_handle_exits_two_naming_file_and_key(
+            self, capsys, dataset_file, tmp_path, kind, text, key):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        if kind == "predictor":
+            code, stdout, err, out = self.audit(capsys, tmp_path, dataset_file, predictor=path)
+        else:
+            code, stdout, err, out = self.audit(capsys, tmp_path, dataset_file,
+                                                metric=f"hardness:{path}")
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err and key in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_schema_1_predictor_audits_like_schema_2(self, capsys, dataset_file, tmp_path):
+        schema_1 = tmp_path / "schema-1.json"
+        schema_1.write_text(json.dumps({
+            "variant": "linear", "weights": [0.9, -0.3], "schema_version": 1,
+            "training_config": {"alpha": 0.2, "gamma": 0.3, "eps": 0.1, "eps_alpha": 0.1,
+                                "eps_gamma": 0.1, "delta": 0.05, "gamma_star": 0.05,
+                                "learner": "linear", "mode": "empirical", "seed": 1},
+            "report": {"derived_params": {"alpha_tilde": 0.05, "tau": 0.05}},
+        }))
+        schema_2 = tmp_path / "schema-2.json"
+        save_predictor_json(LinearPredictor(np.array([0.9, -0.3])), schema_2)
+        old = self.audit(capsys, tmp_path, dataset_file, "euclidean:0.05", schema_1)
+        new = self.audit(capsys, tmp_path, dataset_file, "euclidean:0.05", schema_2)
+        assert old[0] == new[0] == 0
+        assert old[1] == new[1]
+        assert json.loads(new[1])["results"]["empirical_mf_loss"] > 0
+
+
 class TestTrainAuditRoundTrip:
     def test_l1_within_budget(self, capsys, dataset_file, tmp_path):
         predictor_path = tmp_path / "model.json"
@@ -399,6 +480,20 @@ class TestTrainAuditRoundTrip:
         assert "unknown config keys: ['obj_tol']" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_gamma_star_is_not_an_option(self, capsys, dataset_file, tmp_path):
+        train = ("train", "--data", str(dataset_file), "--metric", "constant:0.2",
+                 "--alpha", "0.3", "--gamma", "0.4", "--seed", "1",
+                 "--predictor-out", str(tmp_path / "m.json"))
+        code, _, err = run(capsys, *train, "--gamma-star", "0.05")
+        assert code == 1
+        assert "--gamma-star" in err
+        config_path = tmp_path / "train-config.json"
+        config_path.write_text(json.dumps({"gamma_star": 0.05}))
+        code, _, err = run(capsys, *train, "--config", str(config_path))
+        assert code == 1
+        assert "unknown config keys: ['gamma_star']" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_alpha_is_usage_error(self, capsys, dataset_file, tmp_path):
         code, _, err = run(capsys, "train", "--data", str(dataset_file),
                            "--metric", "constant:0.2", "--gamma", "0.4", "--seed", "1",
@@ -442,6 +537,24 @@ class TestTrainParameters:
     """Every unset training parameter takes its dataclass default, and a
     --config key acts exactly like its flag."""
 
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = " ".join(readme.split())
+        listing = text.split("whose keys are flag names with underscores:")[1].split(". ")[0]
+        assert tuple(re.findall(r"`(\w+)`", listing)) == cli._TRAIN_KEYS
+
+    @pytest.mark.parametrize("learner", [(), ("--learner", "kernel", "--kernel-b", "10")])
+    def test_every_reported_parameter_is_a_config_key(self, capsys, dataset_file, tmp_path,
+                                                      learner):
+        code, out, _ = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "euclidean:0.8", "--alpha", "0.3", "--gamma", "0.4",
+                           *learner, "--max-iters", "50", "--seed", "5",
+                           "--predictor-out", str(tmp_path / "m.json"), "--no-timestamp")
+        assert code == 0
+        params = json.loads(out)["params"]
+        assert "seed" in params
+        assert set(params) - {"seed"} <= set(cli._TRAIN_KEYS)
+
     @pytest.mark.parametrize("kernel_b", [None, 10.0])
     def test_flags_give_the_dataclass_defaults(self, capsys, dataset_file, tmp_path, kernel_b):
         cli_out = tmp_path / "cli.json"
@@ -462,9 +575,8 @@ class TestTrainParameters:
             predictor, report = train_fair_kernel(ds, metric, cfg)
         params = {"alpha": cfg.alpha, "gamma": cfg.gamma, "eps": cfg.eps,
                   "eps_alpha": cfg.eps_alpha, "eps_gamma": cfg.eps_gamma,
-                  "delta": cfg.delta, "gamma_star": cfg.gamma_star,
-                  "learner": "linear" if kernel_b is None else "kernel",
-                  "mode": cfg.mode, "seed": 5}
+                  "delta": cfg.delta, "learner": "linear" if kernel_b is None else "kernel",
+                  "theory_mode": cfg.theory_mode, "seed": 5}
         lib_out = tmp_path / "lib.json"
         save_predictor_json(predictor, lib_out, training_config=params, report=report)
         assert cli_out.read_bytes() == lib_out.read_bytes()
@@ -479,7 +591,8 @@ class TestTrainParameters:
         ("eps_alpha", 0.15, {}),
         ("eps_gamma", 0.3, {}),
         ("delta", 0.1, {}),
-        ("gamma_star", 0.1, {}),
+        # the kernel slack min(eps, eps_alpha, eps_gamma / 2) reads eps with an explicit B
+        ("eps", 0.05, {"learner": "kernel", "kernel_b": 10.0}),
         ("theory_mode", "theoretical", {}),
         ("kernel_b", 10.0, {"learner": "kernel"}),
         ("kernel_l", 3.0, {"learner": "kernel"}),

@@ -46,7 +46,7 @@ def separable_1d():
 class TestDeriveParams:
     def test_theoretical_mode_rejects_dominating_rho(self):
         cfg = TrainConfig(alpha=0.2, gamma=0.3, eps_alpha=0.1, eps_gamma=0.1,
-                          delta=0.05, mode="theoretical")
+                          delta=0.05, theory_mode="theoretical")
         with pytest.raises(SampleTooSmallError, match="sample too small"):
             derive_solver_params(cfg, 10**6 + 1)
 
@@ -55,8 +55,8 @@ class TestDeriveParams:
         params = derive_solver_params(cfg, 10**6 + 1)
         assert params.G == pytest.approx(20.0)
         assert params.gamma_tilde == pytest.approx(0.25)
-        assert params.alpha_tilde == pytest.approx(0.05)
         assert params.tau == pytest.approx(0.05)
+        assert params.tau_theoretical == pytest.approx((0.2 - params.rho) * 0.25)
         assert params.rho == pytest.approx(1.80974, abs=1e-5)
 
     def test_gamma_tilde_monotone_in_eps_gamma(self):
@@ -84,14 +84,20 @@ class TestDeriveParams:
                           learner=KernelLearner(B=10.0))
         assert derive_solver_params(cfg, 101, B=10.0).G == pytest.approx(50.0)
 
+    def test_kernel_budgets_need_the_capped_B(self):
+        cfg = TrainConfig(alpha=0.2, gamma=0.3, learner=KernelLearner(B=10.0))
+        with pytest.raises(ValidationError, match="capped B"):
+            derive_solver_params(cfg, 101)
+
     def test_theoretical_mode_succeeds_at_astronomical_m(self):
         # the conservative constants demand enormous samples; at m = 10^9 the
         # margin finally fits inside alpha and the derived budget is positive
         cfg = TrainConfig(alpha=0.9, gamma=0.3, eps_alpha=0.2, eps_gamma=0.2,
-                          delta=0.05, mode="theoretical")
+                          delta=0.05, theory_mode="theoretical")
         params = derive_solver_params(cfg, 10**9 + 1)
         assert params.rho < cfg.alpha
-        assert params.alpha_tilde == pytest.approx((0.9 - params.rho) * params.gamma_tilde)
+        assert params.tau == params.tau_theoretical
+        assert params.tau == pytest.approx((0.9 - params.rho) * params.gamma_tilde)
         assert 0.0 < params.tau < 1.0
 
 
@@ -132,16 +138,16 @@ class TestTrainLinear:
     def test_relaxed_competitiveness_against_l0_fair_predictors(self, rng):
         # random competitors that are (tau - sigma, sigma)-fair on the sample
         # lie inside the solver's feasible set, so the trained objective must
-        # not lose to them by more than the optimization tolerance
+        # not lose to them by more than the optimization tolerance; sigma is
+        # the competitors' slack
         ds = random_dataset(rng, 20, 2)
         d = ConstantMetric(0.1)
-        cfg = linear_config(alpha=0.5, gamma=0.5, gamma_star=0.02,
-                            solver=SolverConfig(max_iters=2000, seed=3))
+        cfg = linear_config(alpha=0.5, gamma=0.5, solver=SolverConfig(max_iters=2000, seed=3))
         pred, report = train_fair_linear(ds, d, cfg)
         params = derive_solver_params(cfg, len(ds))
         M = default_matching(ds, 3)
         y01 = ds.targets01
-        sigma = cfg.gamma_star
+        sigma = 0.02
         found = 0
         for _ in range(400):
             w = rng.standard_normal(2)

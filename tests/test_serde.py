@@ -9,7 +9,6 @@ import pytest
 
 from conftest import random_dataset, strict_json
 from metricfair import (
-    BoundReport,
     ConstantMetric,
     ConstantPredictor,
     FairnessReport,
@@ -141,7 +140,7 @@ class TestReports:
         b = write_report(payload, tmp_path / "b.json", no_timestamp=True)
         assert a == b
         body = json.loads(a)
-        assert body["schema_version"] == 1
+        assert body["schema_version"] == 2
         assert "timestamp" not in body
         assert body["results"]["arr"] == [1.0, 2.0]
 
@@ -159,15 +158,12 @@ RECORDS = [
                    converged=True, empirical_mf_loss=0.0, mf_loss_bound=0.5,
                    derived_params={"tau": 0.05}, extras={"B_derived": math.inf}),
     FairnessReport(empirical_mf_loss=0.0, empirical_l1_loss=0.25, population_estimate=None,
-                   population_ci=None, group_profile=((0.1, 0.0), (1.0, 0.5)), gamma=0.1,
-                   n_edges=7),
-    HardnessReport(n=8, k_pairs=20, seed=3, modes=("U", "V"), averaged_fair_error_u=0.5,
+                   population_ci=None, group_profile=((0.1, 0.0), (1.0, 0.5)), n_edges=7),
+    HardnessReport(n=8, k_pairs=20, modes=("U", "V"), averaged_fair_error_u=0.5,
                    reference_error={"U": 0.5, "V": 0.0}, perfect_fairness_audit={},
                    trained={"linear": {"train_error_u": 0.5}}, accuracy_gap=None,
                    headline_learner="linear"),
-    BoundReport(delta_m=0.5, inputs={"g": 10.0}, sample_complexities={"lin": 673},
-                kernel_norm_bound=math.inf),
-    SolverDerivedParams(G=10.0, rho=3.5, alpha_tilde=0.04, gamma_tilde=0.2, tau=0.04),
+    SolverDerivedParams(G=10.0, rho=3.5, gamma_tilde=0.2, tau=0.04, tau_theoretical=-0.6),
 ]
 
 
@@ -190,6 +186,6 @@ class TestRecordSerialization:
             "converged": False, "empirical_mf_loss": None, "mf_loss_bound": None,
             "derived_params": {},
             "extras": {"pair": [1, 2.5], "4": ["inf", 1.0],
-                       "inner": {"G": 10.0, "rho": 3.5, "alpha_tilde": 0.04,
-                                 "gamma_tilde": 0.2, "tau": 0.04}},
+                       "inner": {"G": 10.0, "rho": 3.5, "gamma_tilde": 0.2, "tau": 0.04,
+                                 "tau_theoretical": -0.6}},
         }

@@ -29,7 +29,7 @@ def l1_objective(w0):
 
 
 def no_constraint(w):
-    return -1.0, np.zeros_like(w)
+    return -1.0, lambda: np.zeros_like(w)
 
 
 class TestSolveConstrained:
@@ -46,7 +46,7 @@ class TestSolveConstrained:
             return float(-w[0]), np.array([-1.0])
 
         def constraint(w):
-            return float(w[0] - 0.3), np.array([1.0])
+            return float(w[0] - 0.3), lambda: np.array([1.0])
 
         cfg = SolverConfig(max_iters=1500, step_c0=0.3)
         w, report = solve_annealed(
@@ -69,7 +69,7 @@ class TestSolveConstrained:
                 return float(vals[k]), planes[k]
 
             def constraint(w):
-                return float(a @ w - b), a
+                return float(a @ w - b), lambda: a
 
             cfg = SolverConfig(max_iters=2000, step_c0=0.4, seed=trial)
             w, report = solve_annealed(objective, constraint, disk_projection, cfg, np.zeros(2))
@@ -90,7 +90,7 @@ class TestSolveConstrained:
 
         def constraint(w):
             # infeasible everywhere on the domain: g >= 0.5
-            return float(np.abs(w[0]) + 0.5), np.array([np.sign(w[0]), 0.0])
+            return float(np.abs(w[0]) + 0.5), lambda: np.array([np.sign(w[0]), 0.0])
 
         cfg = SolverConfig(max_iters=50)
         with pytest.raises(InfeasibleError) as err:
@@ -130,7 +130,7 @@ class TestSolveConstrained:
         objective = l1_objective(w0)
 
         def constraint(w):
-            return float(a @ w - b), a
+            return float(a @ w - b), lambda: a
 
         cfg = SolverConfig(max_iters=300, step_c0=0.3)
         point, stages = w0, []
@@ -147,25 +147,29 @@ class TestSolveConstrained:
 
 
 class TestLazyConstraintSubgradient:
-    """A constraint may return its subgradient as a zero-argument callable."""
+    """A constraint returns its subgradient as a zero-argument callable."""
 
     @staticmethod
     def run(solve, lazy):
-        # the l1 minimum w0 lies outside the half-plane a.w <= b, so the
-        # iterates keep crossing the boundary and many steps are infeasible
-        a, b = np.array([1.0, 2.0]), 0.6
+        # the l1 minimum w0 lies outside the disk ||w|| <= r, so the iterates
+        # keep crossing the boundary and many steps are infeasible. The lazy
+        # subgradient reads the iterate of the latest constraint call, so it
+        # matches the array computed eagerly only if the solver calls it
+        # before it evaluates the constraint again.
+        r = 0.5
         seen = []
         calls = []
 
         def constraint(w):
             seen.append(w.copy())
-            value, sub = float(a @ w - b), a.copy()
+            value = float(np.linalg.norm(w)) - r
             if not lazy:
-                return value, sub
+                sub = w / np.linalg.norm(w)
+                return value, lambda: sub
 
             def subgradient():
                 calls.append(1)
-                return sub
+                return seen[-1] / np.linalg.norm(seen[-1])
 
             return value, subgradient
 
