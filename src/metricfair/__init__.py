@@ -88,6 +88,7 @@ from .solver import (
     TrainingReport,
     solve_annealed,
     solve_constrained,
+    solve_pdhg,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,9 @@ unit disk with h = (1 + <w, x>)/2, so fairness gaps are raw gaps halved; the
 kernelized learner optimizes representer coefficients beta with raw scores
 K beta inside the RKHS ball beta' K beta <= B, constraining unclamped raw
 gaps (clamping to [0, 1] happens only at prediction time, which can only
-shrink gaps).
+shrink gaps). The linear learner trains with `solve_pdhg`, which certifies
+how far its result is from the optimum; the kernel learner trains with
+`solve_annealed`.
 
 By the l1/l0 sandwich, a trained predictor with l1 loss <= tau has empirical
 0/1 fairness loss at slack gamma_tilde at most tau / gamma_tilde.
@@ -35,7 +37,7 @@ from .core import (
     check_psd,
     default_matching,
 )
-from .solver import SolverConfig, TrainingReport, solve_annealed
+from .solver import SolverConfig, TrainingReport, solve_annealed, solve_pdhg
 
 
 # the kernel learner's ridge warm start solves (K + RIDGE_LAMBDA * m I) beta = y01
@@ -184,7 +186,8 @@ def train_fair_linear(
     """Fairness-constrained least-absolute-deviation fit of a linear predictor.
 
     Returns (LinearPredictor, TrainingReport). w = 0 is always feasible, so
-    the solver cannot fail for tau >= 0.
+    the solver cannot fail for tau >= 0; it returns a feasible point together
+    with a certified lower bound on the optimum.
     """
     m = len(S)
     M = matching if matching is not None else default_matching(S, config.solver.seed)
@@ -193,38 +196,9 @@ def train_fair_linear(
         params = replace(params, tau=float(tau))
     left, right, dists = _edge_arrays(S, M, d)
     X = S.features
-    y01 = S.targets01
-    halfdiff = 0.5 * (X[left] - X[right])
-    n_edges = len(M)
-    budget = params.tau
-
-    def objective(w):
-        residual = 0.5 * (1.0 + X @ w) - y01
-        signs = np.sign(residual)
-        return float(np.mean(np.abs(residual))), (0.5 / m) * (X.T @ signs)
-
-    def constraint(w):
-        gaps = halfdiff @ w
-        excess = np.abs(gaps) - dists
-        active = excess > 0
-        value = float(np.sum(excess[active])) / n_edges - budget
-
-        def subgradient():
-            coef = np.where(active, np.sign(gaps), 0.0)
-            return (halfdiff.T @ coef) / n_edges
-
-        return value, subgradient
-
-    def project(w):
-        norm = float(np.linalg.norm(w))
-        return w if norm <= 1.0 else w / norm
-
-    # w = 0 has constraint value -budget, so aiming constraint steps halfway
-    # into the interior is always attainable
-    solver_cfg = replace(config.solver, constraint_target=-0.5 * budget)
-    w, report = solve_annealed(
-        objective, constraint, project, solver_cfg, np.zeros(S.dimension)
-    )
+    # h(x) - y01 = <w, x>/2 - (y01 - 1/2), and a pair's gap is its raw gap halved
+    w, report = solve_pdhg(0.5 * X, S.targets01 - 0.5, 0.5 * (X[left] - X[right]), dists,
+                           params.tau, 1.0, config.solver)
     predictor = LinearPredictor(w)
     report = _finalize_report(report, predictor, S, M, d, params, extras={"learner": "linear"})
     return predictor, report

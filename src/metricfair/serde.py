@@ -103,19 +103,59 @@ def predictor_to_dict(predictor) -> dict:
     raise ValidationError(f"cannot serialize predictor {type(predictor).__name__}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(payload: dict, key: str, ok, expected: str):
+    """payload[key] if ok(it) holds, else a ValidationError naming the key."""
+    value = payload[key]
+    if not ok(value):
+        shown = repr(value)
+        shown = shown if len(shown) <= 40 else shown[:37] + "..."
+        raise ValidationError(f"key {key!r} must be {expected}, got {shown}")
+    return value
+
+
+def _vector(payload: dict, key: str) -> np.ndarray:
+    value = _checked(payload, key, lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                     "a list of numbers")
+    return np.array(value, dtype=np.float64)
+
+
+def _matrix(payload: dict, key: str) -> np.ndarray:
+    def ok(v):
+        return (isinstance(v, list) and all(isinstance(row, list) for row in v)
+                and len({len(row) for row in v}) <= 1
+                and all(_is_number(x) for row in v for x in row))
+    return np.array(_checked(payload, key, ok, "a list of equally long lists of numbers"),
+                    dtype=np.float64)
+
+
+def _string(payload: dict, key: str) -> str:
+    return _checked(payload, key, lambda v: isinstance(v, str), "a string")
+
+
+def _bits(payload: dict, key: str) -> np.ndarray:
+    text = _checked(payload, key, lambda v: isinstance(v, str) and set(v) <= {"0", "1"},
+                    "a string of 0s and 1s")
+    return np.array([int(c) for c in text], dtype=np.uint8)
+
+
 def predictor_from_dict(payload: dict):
     variant = payload.get("variant")
     if variant == "constant":
-        return ConstantPredictor(payload["p"])
+        return ConstantPredictor(_checked(payload, "p", _is_number, "a number"))
     if variant == "linear":
-        return LinearPredictor(np.array(payload["weights"]))
+        return LinearPredictor(_vector(payload, "weights"))
     if variant == "logistic":
-        return LogisticPredictor(np.array(payload["weights"]), payload["lipschitz"])
+        return LogisticPredictor(_vector(payload, "weights"),
+                                 _checked(payload, "lipschitz", _is_number, "a number"))
     if variant == "kernel":
-        name = payload["kernel"]
+        name = _string(payload, "kernel")
         if name not in _KERNELS:
             raise ValidationError(f"unknown kernel {name!r} under key 'kernel'")
-        return KernelPredictor(np.array(payload["support"]), np.array(payload["beta"]),
+        return KernelPredictor(_matrix(payload, "support"), _vector(payload, "beta"),
                                _KERNELS[name]())
     raise ValidationError(f"unknown predictor variant {variant!r}")
 
@@ -192,11 +232,10 @@ def save_hardness_handle(handle: HardnessMetricHandle, path) -> None:
 
 
 def _handle_from_dict(payload: dict) -> HardnessMetricHandle:
-    y = np.array([int(c) for c in payload["y"]], dtype=np.uint8)
-    seed_bits = None
-    if payload.get("seed_bits") is not None:
-        seed_bits = np.array([int(c) for c in payload["seed_bits"]], dtype=np.uint8)
-    return HardnessMetricHandle(y, payload["mode"], payload["n"], seed_bits)
+    seed_bits = None if payload.get("seed_bits") is None else _bits(payload, "seed_bits")
+    n = _checked(payload, "n", lambda v: isinstance(v, int) and not isinstance(v, bool),
+                 "an integer")
+    return HardnessMetricHandle(_bits(payload, "y"), _string(payload, "mode"), n, seed_bits)
 
 
 def load_hardness_handle(path) -> HardnessMetricHandle:

@@ -385,6 +385,15 @@ class TestInputFiles:
         ("handle", "[]", "JSON object"),
         ("handle", '{"kind": "hardness-metric-handle", "mode": "V", "n": 2}', "'y'"),
         ("handle", '{"y": "0110", "n": 2}', "'mode'"),
+        # wrongly typed values
+        ("predictor", '{"variant": "constant", "p": "x"}', "'p'"),
+        ("predictor", '{"variant": "linear", "weights": "abc"}', "'weights'"),
+        ("predictor", '{"variant": "kernel", "kernel": ["vovk-half"], "support": [[0.1]], '
+                      '"beta": [1.0]}', "'kernel'"),
+        ("predictor", '{"variant": "kernel", "kernel": "vovk-half", "support": [[0.1], [0.1, 0.2]], '
+                      '"beta": [1.0, 1.0]}', "'support'"),
+        ("handle", '{"y": 5, "mode": "V", "n": 2}', "'y'"),
+        ("handle", '{"y": "0110", "mode": "V", "n": "2"}', "'n'"),
     ])
     def test_malformed_predictor_or_handle_exits_two_naming_file_and_key(
             self, capsys, dataset_file, tmp_path, kind, text, key):
@@ -597,8 +606,11 @@ class TestTrainParameters:
         ("kernel_b", 10.0, {"learner": "kernel"}),
         ("kernel_l", 3.0, {"learner": "kernel"}),
         ("b_max", 50.0, {"learner": "kernel", "kernel_l": 3.0}),
-        ("max_iters", 150, {}),
-        ("step_c0", 0.05, {}),
+        # a certified linear run stops long before 150 iterations, and step_c0
+        # sets only the kernel learner's solver
+        ("max_iters", 150, {"learner": "kernel", "kernel_b": 10.0}),
+        ("step_c0", 0.05, {"learner": "kernel", "kernel_b": 10.0}),
+        ("max_iters", 2, {}),
         ("feas_tol", 1e-4, {}),
     ])
     def test_config_key_acts_like_its_flag(self, capsys, dataset_file, tmp_path,

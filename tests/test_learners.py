@@ -303,15 +303,13 @@ class TestTrainKernel:
 
 
 class TestLazyConstraintSubgradient:
-    """Both learners return the constraint subgradient as a callable, which
-    the solver evaluates once per infeasible iterate and never otherwise,
-    and which returns the gradient of the piecewise-linear constraint."""
+    """The kernel learner returns the constraint subgradient as a callable,
+    which the solver evaluates once per infeasible iterate and never
+    otherwise, and which returns the gradient of the piecewise-linear
+    constraint. (The linear learner trains with solve_pdhg, whose pieces are
+    tested in test_solver.py.)"""
 
-    @pytest.mark.parametrize("train, learner", [
-        (train_fair_linear, None),
-        (train_fair_kernel, KernelLearner(B=1e4)),
-    ])
-    def test_exact_and_evaluated_once_per_infeasible_iterate(self, rng, train, learner):
+    def test_exact_and_evaluated_once_per_infeasible_iterate(self, rng):
         solve = solver.solve_constrained
         tallies = []
         slopes = []
@@ -340,10 +338,11 @@ class TestLazyConstraintSubgradient:
             tallies.append((len(calls), infeasible))
             return w, report
 
-        extra = {} if learner is None else {"learner": learner}
-        cfg = linear_config(solver=SolverConfig(max_iters=400, seed=0), **extra)
+        cfg = linear_config(solver=SolverConfig(max_iters=400, seed=0),
+                            learner=KernelLearner(B=1e4))
         with mock.patch.object(solver, "solve_constrained", counting_solve):
-            train(random_dataset(rng, 16, 3), ScaledEuclideanMetric(0.2), cfg, tau=0.01)
+            train_fair_kernel(random_dataset(rng, 16, 3), ScaledEuclideanMetric(0.2), cfg,
+                              tau=0.01)
         assert len(tallies) == 3
         assert all(calls == infeasible for calls, infeasible in tallies)
         assert sum(calls for calls, _ in tallies) > 0

@@ -1,17 +1,31 @@
-"""The alternating projected-subgradient solver."""
+"""The primal-dual solver of the linear learner and the alternating
+projected-subgradient solver of the kernel learner."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_dataset
 from metricfair import (
     InfeasibleError,
+    ScaledEuclideanMetric,
     SolverConfig,
+    TrainConfig,
     ValidationError,
     solve_annealed,
     solve_constrained,
+    solve_pdhg,
+    train_fair_linear,
+)
+from metricfair.solver import (
+    GAP_TOLERANCE,
+    feasible_scale,
+    pdhg_dual_bound,
+    project_excess_budget,
 )
 
 
@@ -190,3 +204,142 @@ class TestLazyConstraintSubgradient:
     def test_called_once_per_infeasible_iterate(self):
         _, report, _, calls = self.run(solve_constrained, lazy=True)
         assert 0 < calls == report.iterations - report.extras["n_feasible_iterates"]
+
+
+def excess_sum(z, d):
+    return float(np.sum(np.maximum(np.abs(z) - d, 0.0)))
+
+
+def random_budget_instance(seed, E, fraction):
+    """v, d and a budget of `fraction` times v's total excess; some d are 0."""
+    rng = np.random.default_rng(seed)
+    v = 2.0 * rng.standard_normal(E)
+    d = np.where(rng.random(E) < 0.2, 0.0, rng.uniform(0.0, 1.0, E))
+    return v, d, fraction * excess_sum(v, d)
+
+
+def bisection_projection(v, d, budget):
+    """Soft-threshold the excesses by the theta that bisection finds."""
+    excess = np.maximum(np.abs(v) - d, 0.0)
+    if excess.sum() <= budget:
+        return v.copy()
+    lo, hi = 0.0, float(excess.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(excess - mid, 0.0).sum() > budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.sign(v) * np.minimum(np.abs(v), d + np.maximum(excess - hi, 0.0))
+
+
+class TestExcessBudgetProjection:
+    """P_C projects onto C = {z : sum(max(|z_e| - d_e, 0)) <= budget}."""
+
+    @given(seed=st.integers(0, 2**16), E=st.integers(1, 30), fraction=st.floats(0.0, 1.5))
+    def test_matches_bisection_and_is_a_projection(self, seed, E, fraction):
+        v, d, budget = random_budget_instance(seed, E, fraction)
+        z = project_excess_budget(v, d, budget)
+        assert np.allclose(z, bisection_projection(v, d, budget), rtol=0.0, atol=1e-9)
+        assert excess_sum(z, d) <= budget + 1e-9
+        assert np.allclose(project_excess_budget(z, d, budget), z, rtol=0.0, atol=1e-9)
+        # v - P_C(v) makes an obtuse angle with every direction into C
+        rng = np.random.default_rng(seed + 1)
+        for _ in range(20):
+            inside = project_excess_budget(3.0 * rng.standard_normal(E), d, budget)
+            assert float((v - z) @ (inside - z)) <= 1e-9
+
+    @given(seed=st.integers(0, 2**16), E=st.integers(1, 30))
+    def test_feasible_input_is_returned_unchanged(self, seed, E):
+        v, d, budget = random_budget_instance(seed, E, 1.0)
+        assert np.array_equal(project_excess_budget(v, d, budget), v)
+
+    def test_zero_budget_clips_every_coordinate_to_its_distance(self):
+        v, d = np.array([2.0, -0.5, 0.1]), np.array([1.0, 0.2, 0.3])
+        assert np.array_equal(project_excess_budget(v, d, 0.0), [1.0, -0.2, 0.1])
+
+
+def random_program(seed, m=12, n=3, E=6):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    H = rng.standard_normal((E, n))
+    d = np.where(rng.random(E) < 0.3, 0.0, rng.uniform(0.0, 1.0, E))
+    tau = float(rng.uniform(0.0, 0.5))
+    return rng, A, b, H, d, tau
+
+
+def slack_of(x, H, d, tau):
+    return float(np.mean(np.maximum(np.abs(H @ x) - d, 0.0))) - tau
+
+
+class TestFeasibleScale:
+    @given(seed=st.integers(0, 2**16), spread=st.floats(0.1, 10.0))
+    def test_restored_point_is_feasible_and_the_scale_is_the_largest(self, seed, spread):
+        rng, _, _, H, d, tau = random_program(seed)
+        x = spread * rng.standard_normal(H.shape[1])
+        scale = feasible_scale(H @ x, d, tau)
+        assert 0.0 <= scale <= 1.0
+        assert slack_of(scale * x, H, d, tau) <= 0.0
+        if scale < 1.0:
+            # a slightly longer step leaves the budget
+            assert slack_of(scale * (1.0 + 1e-9) * x, H, d, tau) > 0.0
+        else:
+            assert slack_of(x, H, d, tau) <= 0.0
+
+
+class TestDualBound:
+    @given(seed=st.integers(0, 2**16), q_scale=st.floats(0.0, 10.0))
+    def test_never_exceeds_a_feasible_objective(self, seed, q_scale):
+        rng, A, b, H, d, tau = random_program(seed)
+        m = len(b)
+        p = rng.uniform(-1.0 / m, 1.0 / m, m)
+        q = q_scale * rng.standard_normal(len(d))
+        bound = pdhg_dual_bound(A.T @ p + H.T @ q, p, q, b, d, len(d) * tau, 1.0)
+        for _ in range(20):
+            x = rng.standard_normal(A.shape[1])
+            x *= rng.random() / float(np.linalg.norm(x))
+            x *= feasible_scale(H @ x, d, tau)
+            assert bound <= float(np.mean(np.abs(A @ x - b))) + 1e-12
+
+
+class TestSolvePdhg:
+    # some draws need a few thousand iterations
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_certifies_small_programs(self, seed):
+        _, A, b, H, d, tau = random_program(seed)
+        x, report = solve_pdhg(A, b, H, d, tau, 1.0, SolverConfig(max_iters=20000))
+        assert float(np.linalg.norm(x)) <= 1.0 + 1e-12
+        assert slack_of(x, H, d, tau) <= 0.0 and report.final_constraint_slack == 0.0
+        assert report.converged
+        assert report.final_objective == float(np.mean(np.abs(A @ x - b)))
+        assert report.extras["certified_gap"] <= GAP_TOLERANCE
+        assert report.iterations < 20000
+
+    def binding_run(self, max_iters):
+        ds = random_dataset(np.random.default_rng(4), 60, 3)
+        cfg = TrainConfig(alpha=0.3, gamma=0.4, eps_alpha=0.2, eps_gamma=0.2,
+                          solver=SolverConfig(max_iters=max_iters, seed=0))
+        return train_fair_linear(ds, ScaledEuclideanMetric(0.05), cfg, tau=0.005)
+
+    def test_capped_binding_run_is_feasible_and_reports_its_gap(self):
+        _, full = self.binding_run(3000)
+        _, capped = self.binding_run(5)
+        assert full.extras["certified_gap"] <= GAP_TOLERANCE < capped.extras["certified_gap"]
+        assert capped.iterations == 5 and capped.converged
+        assert capped.final_constraint_slack == 0.0
+        assert capped.extras["certified_gap"] == (
+            capped.final_objective - capped.extras["dual_bound"])
+        # both bounds hold across the runs
+        assert capped.extras["dual_bound"] <= full.final_objective
+        assert full.extras["dual_bound"] <= capped.final_objective
+
+    def test_deterministic(self):
+        (a, ra), (b, rb) = self.binding_run(200), self.binding_run(200)
+        assert np.array_equal(a.weights, b.weights) and ra == rb
+
+    def test_needs_an_edge(self):
+        with pytest.raises(ValidationError, match="at least one edge"):
+            solve_pdhg(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0), 0.1, 1.0,
+                       SolverConfig())
