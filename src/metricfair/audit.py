@@ -21,6 +21,7 @@ from .core import (
     MetricFairError,
     SimilarityMetric,
     ValidationError,
+    matching_edges,
 )
 
 
@@ -31,15 +32,9 @@ def _check_gamma(gamma: float) -> None:
 
 
 def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMetric):
-    if len(M) == 0:
-        raise ValidationError("matching has no edges")
-    if M.m != len(S):
-        raise ValidationError("matching does not belong to this dataset")
+    left, right, dists = matching_edges(S, M, d)
     values = h.predict_batch(S.features)
-    left, right = M.left, M.right
-    gaps = np.abs(values[left] - values[right])
-    dists = d.pair_distances(S.features[left], S.features[right])
-    return gaps, dists
+    return np.abs(values[left] - values[right]), dists
 
 
 def empirical_mf_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, gamma: float) -> float:
@@ -100,8 +95,7 @@ def population_mf_estimate(
     two index arrays grow with n_pairs.
     """
     _check_gamma(gamma)
-    if n_pairs < 1:
-        raise ValidationError("need at least one pair")
+    half_width = hoeffding_half_width(n_pairs)
     rng = np.random.default_rng(seed)
     first = rng.integers(0, len(S), size=n_pairs)
     second = rng.integers(0, len(S), size=n_pairs)
@@ -113,7 +107,7 @@ def population_mf_estimate(
         gaps = np.abs(values[a] - values[b])
         dists = d.pair_distances(S.features[a], S.features[b])
         violations += int(np.count_nonzero(gaps > dists + gamma))
-    return PopulationEstimate(violations / n_pairs, hoeffding_half_width(n_pairs), n_pairs)
+    return PopulationEstimate(violations / n_pairs, half_width, n_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +199,17 @@ class FairnessReport:
                 raise MetricFairError(f"{name} = {v} outside [0, 1]")
 
 
+#: the alpha2 values of a group profile unless the caller names others
+ALPHA2_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
+
+
 def audit_predictor(
     h,
     S: LabeledDataset,
     M: Matching,
     d: SimilarityMetric,
     gamma: float,
-    alpha2_grid=(0.05, 0.1, 0.2, 0.5, 1.0),
+    alpha2_grid=ALPHA2_GRID,
     population_pairs: int = 0,
     seed: int = 0,
 ) -> FairnessReport:

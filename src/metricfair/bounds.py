@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MetricFairError, ValidationError, check_psd
+from .core import MetricFairError, ValidationError, check_open_unit, check_psd
 
 
 class RademacherDominatesError(MetricFairError):
@@ -73,14 +73,13 @@ def empirical_rademacher_kernel_ball(
 # Domain checks are written as `not <valid>` so that a NaN input fails them.
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
-
-
-def _check_G(G: float) -> None:
+def _check_margin_args(G: float, delta: float, m: int) -> None:
+    """The checks shared by the uniform-convergence margins."""
+    check_open_unit(delta=delta)
     if not G >= 1.0:
         raise ValidationError(f"G must be >= 1, got {G}")
+    if m < 2:
+        raise ValidationError("need m >= 2")
 
 
 def mf_generalization_delta(G: float, delta: float, m: int, r_hat: float) -> float:
@@ -89,10 +88,7 @@ def mf_generalization_delta(G: float, delta: float, m: int, r_hat: float) -> flo
     `r_hat` is the empirical Rademacher complexity of the hypothesis class at
     matching size (m-1)/2.
     """
-    _check_delta(delta)
-    _check_G(G)
-    if m < 2:
-        raise ValidationError("need m >= 2")
+    _check_margin_args(G, delta, m)
     if not r_hat >= 0:
         raise ValidationError(f"r_hat must be non-negative, got {r_hat}")
     tail = (4.0 + 17.0 * math.sqrt(math.log(4.0 / delta))) / math.sqrt(m - 1)
@@ -104,10 +100,7 @@ def mf_generalization_delta_kernel(
 ) -> float:
     """Closed-form margin for the kernel ball class with norm bound C and
     kernel sup M: 2G * (4 + 4*sqrt(2)*sqrt(C*M) + 17*sqrt(ln(4/delta))) / sqrt(m-1)."""
-    _check_delta(delta)
-    _check_G(G)
-    if m < 2:
-        raise ValidationError("need m >= 2")
+    _check_margin_args(G, delta, m)
     for name, v in (("C", C), ("M", M)):
         if not v >= 0:
             raise ValidationError(f"{name} must be non-negative, got {v}")
@@ -119,10 +112,7 @@ def uniform_convergence_rho(G: float, delta: float, m: int, B: float | None = No
     """The containment margin rho between empirical and population fairness
     level sets: the kernel closed form at C = M = 1, or with 8*sqrt(B)
     replacing 4*sqrt(2) when a squared-norm bound B is supplied."""
-    _check_delta(delta)
-    _check_G(G)
-    if m < 2:
-        raise ValidationError("need m >= 2")
+    _check_margin_args(G, delta, m)
     if B is None:
         mid = 4.0 * math.sqrt(2.0)
     else:
@@ -158,6 +148,17 @@ class SampleComplexity:
     branches: dict = field(default_factory=dict)
 
 
+def _accuracy_complexity(utility: float, fairness: float) -> SampleComplexity:
+    """An accuracy guarantee's sample size: the larger of its utility and
+    fairness branches, each also reported and rounded up to an odd size."""
+    return SampleComplexity(
+        m=_ceil_to_odd(max(utility, fairness)),
+        branches={"utility": utility, "fairness": fairness,
+                  "utility_m": _ceil_to_odd(utility), "fairness_m": _ceil_to_odd(fairness),
+                  "dominant": "utility" if utility >= fairness else "fairness"},
+    )
+
+
 def sample_complexity_linear(
     epsilon: float,
     eps_alpha: float,
@@ -168,20 +169,13 @@ def sample_complexity_linear(
     """Sample size for the fairness-constrained linear learner's accuracy
     guarantee: the max of a utility-convergence branch and a fairness-margin
     branch, rounded up to the next odd integer."""
-    for name, v in (("epsilon", epsilon), ("eps_alpha", eps_alpha),
-                    ("eps_gamma", eps_gamma), ("alpha", alpha), ("delta", delta)):
-        if not 0.0 < v < 1.0:
-            raise ValidationError(f"{name} must be in (0, 1), got {v}")
+    check_open_unit(epsilon=epsilon, eps_alpha=eps_alpha, eps_gamma=eps_gamma,
+                    alpha=alpha, delta=delta)
     b1 = ((math.sqrt(2.0) + math.sqrt(math.log(8.0 / delta))) / (math.sqrt(2.0) * epsilon)) ** 2
     num = 4.0 * (4.0 + 4.0 * math.sqrt(2.0) + 17.0 * math.sqrt(math.log(4.0 / delta)))
     slack = linear_slack(eps_alpha, eps_gamma)
     b2 = (num / ((1.0 - alpha) * eps_alpha * slack)) ** 2
-    return SampleComplexity(
-        m=_ceil_to_odd(max(b1, b2)),
-        branches={"utility": b1, "fairness": b2,
-                  "utility_m": _ceil_to_odd(b1), "fairness_m": _ceil_to_odd(b2),
-                  "dominant": "utility" if b1 >= b2 else "fairness"},
-    )
+    return _accuracy_complexity(b1, b2)
 
 
 def sample_complexity_kernel(
@@ -194,10 +188,8 @@ def sample_complexity_kernel(
 ) -> SampleComplexity:
     """Sample size for the kernelized learner's accuracy guarantee, driven by
     the squared-RKHS-norm bound B."""
-    for name, v in (("epsilon", epsilon), ("eps_alpha", eps_alpha),
-                    ("eps_gamma", eps_gamma), ("alpha", alpha), ("delta", delta)):
-        if not 0.0 < v < 1.0:
-            raise ValidationError(f"{name} must be in (0, 1), got {v}")
+    check_open_unit(epsilon=epsilon, eps_alpha=eps_alpha, eps_gamma=eps_gamma,
+                    alpha=alpha, delta=delta)
     if not B > 0:
         raise ValidationError(f"B must be positive, got {B}")
     if math.isinf(B):
@@ -206,12 +198,7 @@ def sample_complexity_kernel(
     num = 4.0 * (4.0 + 8.0 * math.sqrt(B) + 17.0 * math.sqrt(math.log(4.0 / delta)))
     slack = kernel_slack(epsilon, eps_alpha, eps_gamma)
     b2 = (num / ((1.0 - alpha) * eps_alpha * slack)) ** 2 + 1.0
-    return SampleComplexity(
-        m=_ceil_to_odd(max(b1, b2)),
-        branches={"utility": b1, "fairness": b2,
-                  "utility_m": _ceil_to_odd(b1), "fairness_m": _ceil_to_odd(b2),
-                  "dominant": "utility" if b1 >= b2 else "fairness"},
-    )
+    return _accuracy_complexity(b1, b2)
 
 
 # the most fixed-point rounds sample_complexity_inf_fpac takes
@@ -234,9 +221,7 @@ def sample_complexity_inf_fpac(
     `rademacher_at` is either a constant or a callable mapping the matching
     size to R.
     """
-    for name, v in (("eps_alpha", eps_alpha), ("eps_gamma", eps_gamma), ("delta", delta)):
-        if not 0.0 < v < 1.0:
-            raise ValidationError(f"{name} must be in (0, 1), got {v}")
+    check_open_unit(eps_alpha=eps_alpha, eps_gamma=eps_gamma, delta=delta)
     if m_pac < 1:
         raise ValidationError("m_pac must be >= 1")
     r_of = rademacher_at if callable(rademacher_at) else (lambda k: float(rademacher_at))
@@ -273,8 +258,7 @@ def kernel_norm_bound_B(L: float, eps_star: float) -> float:
     """
     if not L >= 3.0:
         raise ValidationError(f"L must be >= 3, got {L}")
-    if not 0.0 < eps_star < 1.0:
-        raise ValidationError(f"eps_star must be in (0, 1), got {eps_star}")
+    check_open_unit(eps_star=eps_star)
     exponent = 9.0 * L * math.log(4.0 * L / eps_star) + 5.0
     try:
         tail = math.exp(exponent)

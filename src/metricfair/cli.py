@@ -17,10 +17,10 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .audit import audit_predictor
+from .audit import ALPHA2_GRID, audit_predictor
 from .core import MetricFairError, default_matching, validate_metric
 from .datagen import SyntheticSpec, generate_dataset_with_meta
-from .hardness import DEMO_TRAINER, run_hardness_experiment
+from .hardness import AUDIT_PAIRS, DEMO_TRAINER, run_hardness_experiment
 from .learners import (
     KernelLearner,
     LinearLearner,
@@ -103,9 +103,9 @@ def _build_parser() -> _Parser:
                    choices=["unit-ball", "separable", "hardness-pairs"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--noise-rate", type=float, default=0.0)
-    p.add_argument("--mode", choices=["u", "v"], default="u")
+    p.add_argument("--margin", type=float, default=SyntheticSpec.margin)
+    p.add_argument("--noise-rate", type=float, default=SyntheticSpec.noise_rate)
+    p.add_argument("--mode", choices=["u", "v"], default=SyntheticSpec.mode.lower())
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--handle-out", help="for hardness-pairs: save the metric handle here")
@@ -137,15 +137,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", required=True)
     p.add_argument("--predictor", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha2-grid", type=_alpha2_grid, default="0.05,0.1,0.2,0.5,1.0")
+    p.add_argument("--alpha2-grid", type=_alpha2_grid, default=ALPHA2_GRID)
     p.add_argument("--population-pairs", type=int, default=10000)
     p.add_argument("--seed", type=int)
     _add_report_flags(p)
 
     p = sub.add_parser("bounds", help="evaluate bound and sample-complexity formulas")
-    p.add_argument("--formula", action="append", required=True,
-                   choices=["delta-m", "delta-m-kernel", "b-star",
-                            "lin-accuracy", "sigmoid-accuracy", "inf-fpac"])
+    p.add_argument("--formula", action="append", required=True, choices=list(_FORMULAS))
     p.add_argument("--g", type=float)
     p.add_argument("--delta", type=float)
     p.add_argument("--m", type=int)
@@ -178,7 +176,7 @@ def _build_parser() -> _Parser:
                         "both learners train unless --skip-training is given")
     p.add_argument("--alpha", type=float, default=DEMO_TRAINER.alpha)
     p.add_argument("--gamma", type=float, default=DEMO_TRAINER.gamma)
-    p.add_argument("--audit-pairs", type=int, default=10000)
+    p.add_argument("--audit-pairs", type=int, default=AUDIT_PAIRS)
     p.add_argument("--max-iters", type=int, default=DEMO_TRAINER.solver.max_iters)
     p.add_argument("--skip-training", action="store_true")
     _add_report_flags(p)
@@ -312,58 +310,64 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _require(args, names: list[str], formula: str):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise UsageError(f"formula {formula} needs --" + ", --".join(missing))
+def _branch(args, sc) -> int:
+    """The sample size that --branch selects from an accuracy formula."""
+    return sc.m if args.branch == "max" else sc.branches[f"{args.branch}_m"]
+
+
+def _sigmoid_accuracy(a) -> int:
+    B = a.b
+    if B is None:
+        B = bounds_mod.kernel_norm_bound_B(
+            a.l, bounds_mod.kernel_slack(a.epsilon, a.eps_alpha, a.eps_gamma))
+    return _branch(a, bounds_mod.sample_complexity_kernel(
+        a.epsilon, a.eps_alpha, a.eps_gamma, a.alpha, a.delta, B))
+
+
+def _inf_fpac(a) -> int:
+    coeff = a.rademacher_coeff
+    rad = a.rademacher_const if coeff is None else (lambda k: coeff / math.sqrt(k))
+    return bounds_mod.sample_complexity_inf_fpac(
+        a.eps_alpha, a.eps_gamma, a.delta, a.m_pac, rad).m
+
+
+_ACCURACY = ("epsilon", "eps_alpha", "eps_gamma", "alpha", "delta")
+
+# Each `bounds` formula: the flags it needs, where "b|l" needs --b or --l,
+# and its value as a function of the parsed arguments.
+_FORMULAS = {
+    "delta-m": (("g", "delta", "m", "rhat"), lambda a: bounds_mod.mf_generalization_delta(
+        a.g, a.delta, a.m, a.rhat)),
+    "delta-m-kernel": (("g", "delta", "m"), lambda a: bounds_mod.mf_generalization_delta_kernel(
+        a.g, a.delta, a.m, a.c, a.sup_m)),
+    "b-star": (("l", "eps_star"), lambda a: bounds_mod.kernel_norm_bound_B(a.l, a.eps_star)),
+    "lin-accuracy": (_ACCURACY, lambda a: _branch(a, bounds_mod.sample_complexity_linear(
+        a.epsilon, a.eps_alpha, a.eps_gamma, a.alpha, a.delta))),
+    "sigmoid-accuracy": ((*_ACCURACY, "b|l"), _sigmoid_accuracy),
+    "inf-fpac": (("eps_alpha", "eps_gamma", "delta", "rademacher_coeff|rademacher_const"),
+                 _inf_fpac),
+}
+
+
+def _check_needs(args, formula: str, needs) -> None:
+    """Raise a UsageError naming each flag, or choice of flags, that
+    `formula` needs and that is unset."""
+    unset = [" or ".join("--" + name.replace("_", "-") for name in need.split("|"))
+             for need in needs if all(getattr(args, n) is None for n in need.split("|"))]
+    if unset:
+        raise UsageError(f"formula {formula} needs " + ", ".join(unset))
 
 
 def _cmd_bounds(args) -> int:
-    results = {}
+    """Print each requested formula's value; a bad input prints none."""
     for formula in args.formula:
-        if formula == "delta-m":
-            _require(args, ["g", "delta", "m", "rhat"], formula)
-            value = bounds_mod.mf_generalization_delta(args.g, args.delta, args.m, args.rhat)
-        elif formula == "delta-m-kernel":
-            _require(args, ["g", "delta", "m"], formula)
-            value = bounds_mod.mf_generalization_delta_kernel(
-                args.g, args.delta, args.m, args.c, args.sup_m)
-        elif formula == "b-star":
-            _require(args, ["l", "eps-star"], formula)
-            value = bounds_mod.kernel_norm_bound_B(args.l, args.eps_star)
-        elif formula == "lin-accuracy":
-            _require(args, ["epsilon", "eps-alpha", "eps-gamma", "alpha", "delta"], formula)
-            sc = bounds_mod.sample_complexity_linear(
-                args.epsilon, args.eps_alpha, args.eps_gamma, args.alpha, args.delta)
-            value = sc.m if args.branch == "max" else sc.branches[f"{args.branch}_m"]
-        elif formula == "sigmoid-accuracy":
-            _require(args, ["epsilon", "eps-alpha", "eps-gamma", "alpha", "delta"], formula)
-            B = args.b
-            if B is None:
-                if args.l is None:
-                    raise UsageError("formula sigmoid-accuracy needs --b or --l")
-                B = bounds_mod.kernel_norm_bound_B(args.l, bounds_mod.kernel_slack(
-                    args.epsilon, args.eps_alpha, args.eps_gamma))
-            sc = bounds_mod.sample_complexity_kernel(
-                args.epsilon, args.eps_alpha, args.eps_gamma, args.alpha, args.delta, B)
-            value = sc.m if args.branch == "max" else sc.branches[f"{args.branch}_m"]
-        else:  # inf-fpac
-            _require(args, ["eps-alpha", "eps-gamma", "delta"], formula)
-            if args.rademacher_coeff is not None:
-                coeff = args.rademacher_coeff
-                rad = lambda k: coeff / math.sqrt(k)
-            elif args.rademacher_const is not None:
-                rad = args.rademacher_const
-            else:
-                raise UsageError("inf-fpac needs --rademacher-coeff or --rademacher-const")
-            value = bounds_mod.sample_complexity_inf_fpac(
-                args.eps_alpha, args.eps_gamma, args.delta, args.m_pac, rad).m
-        results[formula] = value
-        print(f"{formula} {value:.10g}")
-    inputs = {k: getattr(args, k) for k in
-              ("g", "delta", "m", "rhat", "c", "sup_m", "l", "eps_star",
-               "epsilon", "eps_alpha", "eps_gamma", "alpha", "b")
-              if getattr(args, k) is not None}
+        _check_needs(args, formula, _FORMULAS[formula][0])
+    results = {formula: _FORMULAS[formula][1](args) for formula in args.formula}
+    for formula in args.formula:
+        print(f"{formula} {results[formula]:.10g}")
+    # every flag that is set, so that the report reproduces its values
+    inputs = {k: v for k, v in vars(args).items()
+              if v is not None and k not in ("command", "formula", "out", "no_timestamp")}
     if args.out:
         write_report({"command": args.command, "params": {"formulas": args.formula},
                       "results": {"formulas": results, "inputs": inputs}},

@@ -55,6 +55,13 @@ def _check_unit_ball_rows(rows: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} norm {worst:.12g} exceeds the unit ball")
 
 
+def check_open_unit(**values: float) -> None:
+    """Raise unless every value lies in the open interval (0, 1); NaN fails."""
+    for name, v in values.items():
+        if not 0.0 < v < 1.0:
+            raise ValidationError(f"{name} must be in (0, 1), got {v}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -175,13 +182,6 @@ class ConstantMetric(SimilarityMetric):
         xs, ys = _pair_rows(xs, ys)
         same = np.all(xs == ys, axis=1)
         return np.where(same, 0.0, self.c)
-
-    def pairwise_matrix(self, xs, start=0, stop=None) -> np.ndarray:
-        m = np.atleast_2d(xs).shape[0]
-        stop = m if stop is None else stop
-        out = np.full((stop - start, m), self.c)
-        np.fill_diagonal(out[:, start:], 0.0)
-        return out
 
 
 @dataclass(frozen=True)
@@ -377,16 +377,22 @@ class ConstantPredictor(Predictor):
         return np.full(np.atleast_2d(xs).shape[0], self.p)
 
 
+def _unit_weights(weights) -> np.ndarray:
+    """The weight vector as a read-only float array, whose norm must be at
+    most 1 + NORM_TOLERANCE."""
+    w = _as_float_vector(weights)
+    norm = float(np.linalg.norm(w))
+    if norm > 1.0 + NORM_TOLERANCE:
+        raise ValidationError(f"weight norm {norm:.12g} exceeds 1")
+    return _freeze(w)
+
+
 class LinearPredictor(Predictor):
     """h(x) = (1 + <w, x>) / 2 with ||w|| <= 1, so h maps the ball into [0, 1]."""
 
     def __init__(self, weights):
-        w = _as_float_vector(weights)
-        norm = float(np.linalg.norm(w))
-        if norm > 1.0 + NORM_TOLERANCE:
-            raise ValidationError(f"weight norm {norm:.12g} exceeds 1")
-        self.weights = _freeze(w)
-        self.dimension = w.shape[0]
+        self.weights = _unit_weights(weights)
+        self.dimension = self.weights.shape[0]
 
     def predict_batch(self, xs) -> np.ndarray:
         xs = self._check_dimension(np.atleast_2d(xs))
@@ -402,15 +408,11 @@ class LogisticPredictor(Predictor):
     """h(x) = sigmoid_transfer(<w, x>) with ||w|| <= 1; lipschitz-Lipschitz in x."""
 
     def __init__(self, weights, lipschitz: float):
-        w = _as_float_vector(weights)
-        norm = float(np.linalg.norm(w))
-        if norm > 1.0 + NORM_TOLERANCE:
-            raise ValidationError(f"weight norm {norm:.12g} exceeds 1")
+        self.weights = _unit_weights(weights)
         if lipschitz < 0:
             raise ValidationError("lipschitz constant must be non-negative")
-        self.weights = _freeze(w)
         self.lipschitz = float(lipschitz)
-        self.dimension = w.shape[0]
+        self.dimension = self.weights.shape[0]
 
     def predict_batch(self, xs) -> np.ndarray:
         xs = self._check_dimension(np.atleast_2d(xs))
@@ -509,6 +511,18 @@ def build_matching(dataset: LabeledDataset, strategy=Consecutive()) -> Matching:
 def default_matching(dataset: LabeledDataset, seed: int) -> Matching:
     """The default estimator matching: seeded shuffle, then consecutive pairs."""
     return build_matching(dataset, RandomPermutation(seed))
+
+
+def matching_edges(S: LabeledDataset, M: Matching, d: SimilarityMetric):
+    """The edges of matching M over sample S as (left, right, distances):
+    the two index arrays and d between the matched rows. Raises unless M
+    has an edge and was built for a sample of S's size."""
+    if len(M) == 0:
+        raise ValidationError("matching has no edges")
+    if M.m != len(S):
+        raise ValidationError("matching does not belong to this dataset")
+    dists = np.asarray(d.pair_distances(S.features[M.left], S.features[M.right]), dtype=np.float64)
+    return M.left, M.right, dists
 
 
 # ---------------------------------------------------------------------------

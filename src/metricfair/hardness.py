@@ -11,6 +11,11 @@ exactly 1/2. In mode V, y is uniformly random and (with overwhelming
 probability) out of the expansion's image, so all distinct points are at
 distance 1 and every predictor is perfectly fair; the sign classifier on the
 last coordinate is then perfectly fair with zero error.
+
+The hardness distance can break the triangle inequality: two distinct
+same-side points with one sign pattern are at distance 1 from each other, yet
+both are at distance 0 from an other-side point whose sign disagreements with
+them expand to y. Shared sign patterns are likely at small n.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .core import (
     SimilarityMetric,
     ValidationError,
     _pair_rows,
+    matching_edges,
 )
 from .learners import (
     KernelLearner,
@@ -48,6 +54,9 @@ DEMO_TRAINER = TrainConfig(
     learner=KernelLearner(B=1e4),
     solver=SolverConfig(max_iters=400),
 )
+
+# the pairs the perfect-fairness audit of run_hardness_experiment checks
+AUDIT_PAIRS = 10_000
 
 
 class SignUndefinedError(MetricFairError):
@@ -230,12 +239,11 @@ def averaged_fair_paired_error(h, paired: HardPairedDataset, metric: SimilarityM
     """Error of the perfectly-fair projection of h: on every distance-0 pair,
     both predictions are replaced by their average. On mode-U pairs the two
     targets are 0 and 1, so each projected pair contributes error exactly 1/2."""
+    left, right, dists = matching_edges(paired.dataset, paired.matching, metric)
     values = h.predict_batch(paired.dataset.features)
     targets = paired.dataset.targets01
-    X = paired.dataset.features
-    left, right = paired.matching.left, paired.matching.right
     vi, vj = values[left], values[right]
-    fair = metric.pair_distances(X[left], X[right]) == 0.0
+    fair = dists == 0.0
     average = 0.5 * (vi + vj)
     vi = np.where(fair, average, vi)
     vj = np.where(fair, average, vj)
@@ -308,7 +316,7 @@ def run_hardness_experiment(
     seed: int,
     trainer: TrainConfig = DEMO_TRAINER,
     modes: tuple[str, ...] = ("U", "V"),
-    n_audit_pairs: int = 10_000,
+    n_audit_pairs: int = AUDIT_PAIRS,
     train_learners: tuple[str, ...] = ("linear", "kernel"),
 ) -> HardnessReport:
     """Sample the hard distributions and demonstrate the fairness/accuracy

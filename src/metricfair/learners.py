@@ -34,8 +34,10 @@ from .core import (
     SimilarityMetric,
     ValidationError,
     VovkHalfKernel,
+    check_open_unit,
     check_psd,
     default_matching,
+    matching_edges,
 )
 from .solver import SolverConfig, TrainingReport, solve_annealed, solve_pdhg
 
@@ -93,10 +95,8 @@ class TrainConfig:
     theory_mode: str = "empirical"
 
     def __post_init__(self):
-        for name in ("alpha", "gamma", "eps", "eps_alpha", "eps_gamma", "delta"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValidationError(f"{name} must be in (0, 1), got {v}")
+        check_open_unit(alpha=self.alpha, gamma=self.gamma, eps=self.eps,
+                        eps_alpha=self.eps_alpha, eps_gamma=self.eps_gamma, delta=self.delta)
         if self.theory_mode not in ("empirical", "theoretical"):
             raise ValidationError("theory_mode must be 'empirical' or 'theoretical', "
                                   f"got {self.theory_mode!r}")
@@ -133,8 +133,6 @@ def derive_solver_params(config: TrainConfig, m: int,
                          B: float | None = None) -> SolverDerivedParams:
     """Derive the budgets for a sample of size m. A kernel learner's margin
     rho needs B, the capped squared-norm bound it trains with."""
-    if m < 2:
-        raise ValidationError("need m >= 2")
     if isinstance(config.learner, KernelLearner):
         if B is None:
             raise ValidationError("a kernel learner's budgets need its capped B")
@@ -144,25 +142,15 @@ def derive_solver_params(config: TrainConfig, m: int,
         B = None
     gamma_tilde = config.gamma - 1.0 / G
     rho = uniform_convergence_rho(G, config.delta, m, B=B)
-    if gamma_tilde <= 0:
-        raise SampleTooSmallError("sample too small for requested fairness/error parameters")
     tau_theoretical = (config.alpha - rho) * gamma_tilde
-    if config.theory_mode == "theoretical":
-        tau = tau_theoretical
-        if tau <= 0:
-            raise SampleTooSmallError("sample too small for requested fairness/error parameters")
-    else:
-        tau = config.alpha * gamma_tilde
+    tau = tau_theoretical if config.theory_mode == "theoretical" else config.alpha * gamma_tilde
+    # with alpha < rho, tau_theoretical is positive when gamma_tilde is negative
+    if gamma_tilde <= 0 or tau <= 0:
+        raise SampleTooSmallError("sample too small for requested fairness/error parameters")
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"derived budget tau = {tau} outside [0, 1]")
     return SolverDerivedParams(G=G, rho=rho, gamma_tilde=gamma_tilde, tau=tau,
                                tau_theoretical=tau_theoretical)
-
-
-def _edge_arrays(S: LabeledDataset, M: Matching, d: SimilarityMetric):
-    left, right = M.left, M.right
-    dists = np.asarray(d.pair_distances(S.features[left], S.features[right]), dtype=np.float64)
-    return left, right, dists
 
 
 def _finalize_report(report: TrainingReport, predictor, S, M, d, params, extras) -> TrainingReport:
@@ -189,12 +177,11 @@ def train_fair_linear(
     the solver cannot fail for tau >= 0; it returns a feasible point together
     with a certified lower bound on the optimum.
     """
-    m = len(S)
     M = matching if matching is not None else default_matching(S, config.solver.seed)
-    params = derive_solver_params(config, m)
+    left, right, dists = matching_edges(S, M, d)
+    params = derive_solver_params(config, len(S))
     if tau is not None:
         params = replace(params, tau=float(tau))
-    left, right, dists = _edge_arrays(S, M, d)
     X = S.features
     # h(x) - y01 = <w, x>/2 - (y01 - 1/2), and a pair's gap is its raw gap halved
     w, report = solve_pdhg(0.5 * X, S.targets01 - 0.5, 0.5 * (X[left] - X[right]), dists,
@@ -230,12 +217,12 @@ def train_fair_kernel(
     learner = config.learner
     m = len(S)
     M = matching if matching is not None else default_matching(S, config.solver.seed)
+    left, right, dists = matching_edges(S, M, d)
     slack = kernel_slack(config.eps, config.eps_alpha, config.eps_gamma)
     b_raw, b_used = resolve_kernel_B(learner, slack)
     params = derive_solver_params(config, m, B=b_used)
     if tau is not None:
         params = replace(params, tau=float(tau))
-    left, right, dists = _edge_arrays(S, M, d)
     kernel = VovkHalfKernel()
     K = gram_matrix(S, kernel)
     y01 = S.targets01
@@ -337,9 +324,9 @@ def brute_force_oracle_2d(
     if grid_resolution <= 0:
         raise ValidationError("grid resolution must be positive")
     M = matching if matching is not None else default_matching(S, config.solver.seed)
+    left, right, dists = matching_edges(S, M, d)
     if tau is None:
         tau = derive_solver_params(config, len(S)).tau
-    left, right, dists = _edge_arrays(S, M, d)
     X = S.features
     y01 = S.targets01
     halfdiff = 0.5 * (X[left] - X[right])

@@ -43,6 +43,7 @@ from metricfair import (
     surrogate_ramp,
 )
 from metricfair import core
+from metricfair.hardness import HardnessMetric, sample_hardness_distribution
 from metricfair.audit import _per_individual_rates
 from metricfair.serde import write_report
 
@@ -453,14 +454,6 @@ def profile_instances(draw, kinds):
     return kind, metric, X, h, gamma, block
 
 
-def _oracle_distance(kind, metric):
-    """The loop oracle's distance for pairs of distinct rows; the closed form
-    of ConstantMetric.pairwise_matrix is c for every such pair."""
-    if kind == "constant":
-        return lambda x, y: metric.c
-    return metric.distance
-
-
 class TestBlockedProfile:
     """The profile is built in row blocks of about core._PAIR_BLOCK entries;
     with the budget patched, m spans several blocks of 1, 2 or 3 rows."""
@@ -468,11 +461,11 @@ class TestBlockedProfile:
     @given(instance=profile_instances(("constant", "matrix", "skewed")))
     @settings(max_examples=200, deadline=None)
     def test_rates_equal_the_loop_oracle(self, instance):
-        kind, metric, X, h, gamma, block = instance
+        _, metric, X, h, gamma, block = instance
         S = LabeledDataset(X, np.ones(len(X)))
         with mock.patch.object(core, "_PAIR_BLOCK", block):
             got = _per_individual_rates(h, S, metric, gamma)
-        expected = scalar.per_individual_rates(h.predict, _oracle_distance(kind, metric), X, gamma)
+        expected = scalar.per_individual_rates(h.predict, metric.distance, X, gamma)
         assert got.tolist() == expected.tolist()
 
     @given(instance=profile_instances(("euclidean",)))
@@ -510,6 +503,37 @@ class TestBlockedProfile:
             assert np.all(np.abs(rows - full[start:stop]) <= 2 * tol)
         else:
             assert np.array_equal(rows, full[start:stop])
+
+
+def _metric_on_duplicate_rows(kind):
+    """(metric, rows) for each library metric, on 14 rows of which 6 repeat
+    earlier ones."""
+    if kind == "hardness":
+        paired, handle = sample_hardness_distribution(5, 4, "U", 3)
+        distinct, metric = paired.dataset.features, HardnessMetric(handle)
+    else:
+        distinct = unit_ball_points(np.random.default_rng(5), 8, 3)
+        if kind == "matrix":
+            upper = np.triu(np.random.default_rng(6).choice(GRID, size=(8, 8)), 1)
+            metric = MatrixMetric(upper + upper.T, distinct)
+        else:
+            metric = ConstantMetric(0.3) if kind == "constant" else ScaledEuclideanMetric(0.8)
+    return metric, distinct[[0, 1, 2, 0, 3, 4, 1, 5, 6, 0, 7, 4, 4, 2]]
+
+
+@pytest.mark.parametrize("kind", ["constant", "euclidean", "matrix", "hardness"])
+def test_pairwise_matrix_equals_pair_distances_on_duplicate_rows(kind):
+    """Every metric's matrix is its pair_distances, so identical rows are at
+    distance 0 off the diagonal too."""
+    metric, X = _metric_on_duplicate_rows(kind)
+    i, j = np.divmod(np.arange(len(X) ** 2), len(X))
+    expected = metric.pair_distances(X[i], X[j]).reshape(len(X), len(X))
+    got = metric.pairwise_matrix(X)
+    assert np.any((expected == 0.0) & (i != j).reshape(got.shape))
+    if kind == "euclidean":
+        assert np.all(np.abs(got - expected) <= gram_distance_tolerance(0.8, X.shape[1]))
+    else:
+        assert np.array_equal(got, expected)
 
 
 class TestPerfectFairness:

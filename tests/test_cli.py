@@ -186,6 +186,17 @@ class TestBounds:
         assert code == 1
         assert "needs" in err
 
+    @pytest.mark.parametrize("extra, code, message", [
+        ((), 1, "usage error: formula b-star needs --l"),
+        (("--l", "nan"), 2, "error: L must be >= 3, got nan"),
+    ], ids=["missing", "nan"])
+    def test_a_later_formula_that_fails_prints_no_earlier_value(self, capsys, extra, code,
+                                                                message):
+        got, out, err = run(capsys, "bounds", "--formula", "delta-m", "--formula", "b-star",
+                            "--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01",
+                            "--eps-star", "0.5", *extra)
+        assert (got, out, err) == (code, "", message + "\n")
+
     def test_sigmoid_accuracy_without_b_or_l_is_usage_error(self, capsys):
         code, out, err = run(capsys, "bounds", "--formula", "sigmoid-accuracy",
                              "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
@@ -215,6 +226,23 @@ class TestBounds:
         assert err == "error: Rademacher value at matching size 1 is negative, got -1.0\n"
         assert stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("rademacher", [("--rademacher-const", "0.001"),
+                                            ("--rademacher-coeff", "0.01")])
+    def test_inf_fpac_reruns_from_its_recorded_inputs(self, capsys, tmp_path, rademacher):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        code, out, _ = run(capsys, "bounds", "--formula", "inf-fpac", "--eps-alpha", "0.1",
+                           "--eps-gamma", "0.2", "--delta", "0.05", "--m-pac", "99999999",
+                           *rademacher, "--out", str(first), "--no-timestamp")
+        assert code == 0
+        inputs = json.loads(first.read_text())["results"]["inputs"]
+        assert {"m_pac", "branch", rademacher[0][2:].replace("-", "_")} <= set(inputs)
+        argv = [arg for key, value in inputs.items()
+                for arg in ("--" + key.replace("_", "-"), str(value))]
+        code, rerun, _ = run(capsys, "bounds", "--formula", "inf-fpac", *argv,
+                             "--out", str(second), "--no-timestamp")
+        assert code == 0 and rerun == out
+        assert second.read_bytes() == first.read_bytes()
 
     # every input a formula reads, each valid; a case then sets one to NaN
     VALID = ("--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01",
@@ -724,6 +752,23 @@ class TestValidateMetricCommand:
         assert code == 2
         assert "n_triples must be >= 1" in err
         assert not out.exists()
+
+
+    def test_hardness_metric_breaks_the_triangle_at_small_n(self, capsys, tmp_path):
+        """Rows 12 and 25 share a side and a sign pattern, so both are at
+        distance 0 from row 13 and at distance 1 from each other."""
+        data, handle = tmp_path / "hard.csv", tmp_path / "handle.json"
+        code, _, _ = run(capsys, "gen-data", "--generator", "hardness-pairs", "--n", "8",
+                         "--m", "40", "--seed", "2", "--out", str(data),
+                         "--handle-out", str(handle))
+        assert code == 0
+        code, out, _ = run(capsys, "validate-metric", "--data", str(data),
+                           "--metric", f"hardness:{handle}", "--triples", "2000",
+                           "--seed", "2", "--no-timestamp")
+        assert code == 2
+        results = json.loads(out)["results"]
+        assert results["triangle_violations"] == [[25, 12, 13, 1.0, 0.0, 0.0]]
+        assert results["n_symmetry_violations"] == results["n_range_violations"] == 0
 
 
 class TestHardnessCommand:

@@ -304,6 +304,14 @@ class TestMatching:
         with pytest.raises(ValidationError, match="equal length"):
             Matching([0, 2], [1], m=4)
 
+    def test_matching_edges_are_the_sides_and_their_distances(self, rng):
+        ds = random_dataset(rng, 6, 2)
+        metric = ScaledEuclideanMetric(0.5)
+        left, right, dists = core.matching_edges(ds, Matching([4, 0], [1, 5], m=6), metric)
+        assert left.tolist() == [4, 0] and right.tolist() == [1, 5]
+        expected = metric.pair_distances(ds.features[[4, 0]], ds.features[[1, 5]])
+        assert dists.tolist() == expected.tolist()
+
     @given(m=st.integers(0, 12), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_validation_matches_the_pair_loop(self, m, data):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset, random_metric
-from metricfair import solver
+from metricfair import learners, solver
 from metricfair import (
     ConstantMetric,
     Consecutive,
     KernelLearner,
     LabeledDataset,
     LinearPredictor,
+    Matching,
     SampleTooSmallError,
     ScaledEuclideanMetric,
     SolverConfig,
@@ -190,6 +191,33 @@ class TestOracle:
         ds = random_dataset(rng, 8, 3)
         with pytest.raises(ValidationError):
             brute_force_oracle_2d(ds, ConstantMetric(0.5), linear_config(), 0.05)
+
+
+class TestMatchingEdges:
+    """Every consumer of a matching rejects one with no edges, or one built
+    for a sample of another size, before it builds a Gram matrix or calls a
+    solver."""
+
+    CONSUMERS = {
+        "linear": lambda S, d, M: train_fair_linear(S, d, linear_config(), matching=M),
+        "kernel": lambda S, d, M: train_fair_kernel(
+            S, d, linear_config(learner=KernelLearner(B=10.0)), matching=M),
+        "oracle": lambda S, d, M: brute_force_oracle_2d(S, d, linear_config(), 0.05, matching=M),
+    }
+
+    @pytest.mark.parametrize("matching, message", [
+        (Matching([], [], 10), "matching has no edges"),
+        (Matching([0, 2], [1, 3], 12), "matching does not belong to this dataset"),
+    ], ids=["empty", "foreign"])
+    @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+    def test_rejected_before_training(self, rng, consumer, matching, message):
+        S = random_dataset(rng, 10, 2)
+        with mock.patch.object(learners, "gram_matrix") as gram, \
+                mock.patch.object(learners, "solve_pdhg") as pdhg, \
+                mock.patch.object(learners, "solve_annealed") as annealed:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                self.CONSUMERS[consumer](S, ConstantMetric(0.5), matching)
+        assert not (gram.called or pdhg.called or annealed.called)
 
 
 class TestConvexity:
