@@ -198,6 +198,8 @@ def _emit_report(args, params: dict, results) -> None:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.handle_out and args.generator != "hardness-pairs":
+        raise UsageError("--handle-out needs --generator hardness-pairs")
     seed = _resolve_seed(args)
     spec = SyntheticSpec(
         generator=args.generator, n=args.n, m=args.m, seed=seed,
@@ -205,7 +207,7 @@ def _cmd_gen_data(args) -> int:
     )
     dataset, meta = generate_dataset_with_meta(spec)
     save_dataset_csv(dataset, args.out)
-    if args.generator == "hardness-pairs" and args.handle_out:
+    if args.handle_out:
         save_hardness_handle(meta["handle"], args.handle_out)
     print(f"wrote {len(dataset)} x {dataset.dimension} dataset to {args.out}")
     return 0

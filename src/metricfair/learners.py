@@ -39,7 +39,7 @@ from .core import (
     default_matching,
     matching_edges,
 )
-from .solver import SolverConfig, TrainingReport, solve_annealed, solve_pdhg
+from .solver import SolverConfig, TrainingReport, feasible_scale, solve_annealed, solve_pdhg
 
 
 # the kernel learner's ridge warm start solves (K + RIDGE_LAMBDA * m I) beta = y01
@@ -276,24 +276,11 @@ def train_fair_kernel(
     ridge[np.diag_indices(m)] += RIDGE_LAMBDA * m
     init = np.linalg.solve(ridge, y01)
     del ridge  # an m x m copy; free it before the solver runs
-    # raw scores scale linearly in beta, so the warm start can be pulled
-    # into the feasible region in closed form instead of burning solver
-    # iterations on a feasibility march
+    # raw scores scale linearly in beta, so the warm start is pulled in to
+    # the solver's constraint target (mean excess tau/2) in closed form
+    # instead of burning solver iterations on a feasibility march
     raw0 = K @ init
-    gaps0 = np.abs(raw0[left] - raw0[right])
-
-    def slack_at(c: float) -> float:
-        return float(np.mean(np.maximum(c * gaps0 - dists, 0.0))) - budget
-
-    if slack_at(1.0) > -0.5 * budget:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if slack_at(mid) <= -0.5 * budget:
-                lo = mid
-            else:
-                hi = mid
-        init = init * lo
+    init *= feasible_scale(raw0[left] - raw0[right], dists, 0.5 * budget)
 
     solver_cfg = replace(config.solver, constraint_target=-0.5 * budget)
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)

@@ -56,22 +56,27 @@ def save_dataset_csv(dataset: LabeledDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    text = Path(path).read_text().strip()
-    if not text:
-        raise ValidationError(f"empty dataset file {path}")
-    lines = text.splitlines()
+    """Errors name the file and, for a malformed line, its 1-based number."""
+    lines = Path(path).read_text().rstrip().splitlines()
+    if not lines:
+        raise ValidationError(f"dataset file {path} is empty")
     header = lines[0].split(",")
     if header[-1] != "y" or len(header) < 2:
-        raise ValidationError(f"dataset header must be x1,...,xn,y; got {lines[0]!r}")
+        raise ValidationError(
+            f"dataset file {path}, line 1: header must be x1,...,xn,y; got {lines[0]!r}")
+    if len(lines) == 1:
+        raise ValidationError(f"dataset file {path} has no rows")
     rows = []
-    labels = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValidationError(f"row has {len(parts)} fields, expected {len(header)}")
-        rows.append([float(v) for v in parts[:-1]])
-        labels.append(float(parts[-1]))
-    return LabeledDataset(np.array(rows), np.array(labels))
+        try:
+            if len(parts) != len(header):
+                raise ValueError(f"row has {len(parts)} fields, expected {len(header)}")
+            rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise ValidationError(f"dataset file {path}, line {number}: {exc}") from None
+    table = np.array(rows)
+    return LabeledDataset(table[:, :-1], table[:, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ min f(w) s.t. g(w) <= 0, with f and g convex on a convex domain given by an
 exact projection. Each iteration takes an objective subgradient step when the
 iterate satisfies the constraint within tolerance and otherwise a constraint
 step whose length aims the constraint's linearisation at a target value.
-The returned point is the better of the best feasible iterate and a tail
-average of feasible iterates (their average is feasible because the tolerance
-set is convex). `solve_annealed` runs it in stages. The kernel learner uses
-them. Both solvers are deterministic: no randomness is consumed.
+It returns its best feasible iterate. `solve_annealed` runs it in stages.
+The kernel learner uses them. Both solvers are deterministic: no randomness
+is consumed.
 """
 
 from __future__ import annotations
@@ -113,8 +112,9 @@ def solve_constrained(
 
     `objective(w)` returns (value, subgradient) and `constraint(w)` returns
     (value, a zero-argument callable that returns the subgradient);
-    `project(w)` maps onto the domain. Returns (point, TrainingReport).
-    Raises InfeasibleError when no iterate ever meets the feasibility
+    `project(w)` maps onto the domain. Returns (point, TrainingReport), where
+    the point is the feasible iterate of least objective (the first of them
+    on a tie). Raises InfeasibleError when no iterate ever meets the feasibility
     tolerance, attaching the point of smallest constraint value seen.
 
     The constraint's subgradient is needed only on infeasible iterates: the
@@ -129,18 +129,9 @@ def solve_constrained(
     best_obj = math.inf
     best_slack_w = w.copy()
     best_slack = math.inf
-
-    # Tail averaging over feasible iterates: windows [2^k, 2^(k+1)) of the
-    # feasible subsequence; the previous full window is kept as a candidate.
-    window_sum = np.zeros_like(w)
-    window_count = 0
-    window_cap = 8
-    prev_window_avg = None
     n_feasible = 0
 
-    iterations = 0
-    for t in range(config.max_iters):
-        iterations = t + 1
+    for iterations in range(1, config.max_iters + 1):
         g_val, g_sub = constraint(w)
         if g_val < best_slack:
             best_slack = g_val
@@ -151,17 +142,10 @@ def solve_constrained(
             if f_val < best_obj:
                 best_obj = f_val
                 best_w = w.copy()
-            window_sum += w
-            window_count += 1
-            if window_count >= window_cap:
-                prev_window_avg = window_sum / window_count
-                window_sum = np.zeros_like(w)
-                window_count = 0
-                window_cap *= 2
             sub_norm_sq = float(np.dot(f_sub, f_sub))
             if sub_norm_sq == 0.0:
                 break  # 0 is a subgradient: w minimizes f
-            step = config.step_c0 / math.sqrt(t + 1.0)
+            step = config.step_c0 / math.sqrt(iterations)
             w = project(w - step * f_sub)
         else:
             g_sub = g_sub()
@@ -178,25 +162,16 @@ def solve_constrained(
             "infeasible or budget exhausted", best_slack_w, max(best_slack, 0.0)
         )
 
-    candidates = [(best_obj, best_w)]
-    for cand in (prev_window_avg, window_sum / window_count if window_count else None):
-        if cand is None:
-            continue
-        g_val, _ = constraint(cand)
-        if g_val <= tol:
-            f_val, _ = objective(cand)
-            candidates.append((f_val, cand))
-    final_obj, final_w = min(candidates, key=lambda c: c[0])
-    final_slack = max(float(constraint(final_w)[0]), 0.0)
+    final_slack = max(float(constraint(best_w)[0]), 0.0)
     report = TrainingReport(
-        final_objective=float(final_obj),
+        final_objective=float(best_obj),
         final_constraint_slack=final_slack,
         iterations=iterations,
         converged=final_slack <= tol,
         derived_params={"feasibility_tolerance": tol},
-        extras={"n_feasible_iterates": n_feasible, "best_objective": float(best_obj)},
+        extras={"n_feasible_iterates": n_feasible},
     )
-    return final_w, report
+    return best_w, report
 
 
 def solve_annealed(objective, constraint, project, config: SolverConfig, initial_point):

@@ -149,6 +149,17 @@ class TestGenData:
         assert len(ds) == 20
         assert handle.exists()
 
+    @pytest.mark.parametrize("generator", ["unit-ball", "separable"])
+    def test_handle_out_needs_the_hardness_generator(self, capsys, tmp_path, generator):
+        out, handle = tmp_path / "data.csv", tmp_path / "handle.json"
+        code, stdout, err = run(capsys, "gen-data", "--generator", generator, "--n", "3",
+                                "--m", "5", "--seed", "1", "--out", str(out),
+                                "--handle-out", str(handle))
+        assert code == 1
+        assert err == "usage error: --handle-out needs --generator hardness-pairs\n"
+        assert stdout == ""
+        assert not out.exists() and not handle.exists()
+
 
 class TestBounds:
     def test_delta_m_prints_expected_value(self, capsys):
@@ -393,6 +404,22 @@ class TestInputFiles:
         code, stdout, err, out = self.audit(capsys, tmp_path, data)
         assert code == 2
         assert err == "error: labels must be -1 or +1\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,y\n", "dataset file {} has no rows"),
+        ("x1,x2,y\n0.1,0.2,1\n0.3,abc,-1\n",
+         "dataset file {}, line 3: could not convert string to float: 'abc'"),
+        ("x1,x2,y\n0.1,0.2\n", "dataset file {}, line 2: row has 2 fields, expected 3"),
+    ])
+    def test_malformed_dataset_exits_two_naming_file_and_line(self, capsys, tmp_path, text,
+                                                               message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        code, stdout, err, out = self.audit(capsys, tmp_path, data)
+        assert code == 2
+        assert err == f"error: {message.format(data)}\n"
         assert stdout == ""
         assert not out.exists()
 

@@ -13,6 +13,7 @@ one numpy build; another BLAS may round a last digit differently.
 """
 
 import contextlib
+import difflib
 import io
 import os
 import sys
@@ -75,12 +76,22 @@ def run_commands(cwd: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
 
 
+def golden_diff(name: str, expected: bytes, got: bytes) -> str:
+    """A unified diff of a file against its golden copy, a few lines of
+    context around each change."""
+    lines = difflib.unified_diff(
+        expected.decode(errors="replace").splitlines(),
+        got.decode(errors="replace").splitlines(),
+        f"tests/golden/{name}", name, n=3, lineterm="")
+    return "\n".join(lines)
+
+
 def test_outputs_match_the_golden_files(tmp_path):
     got = run_commands(tmp_path)
     expected = {p.name: p.read_bytes() for p in sorted(GOLDEN.iterdir())}
     assert sorted(got) == sorted(expected)
     for name, body in got.items():
-        assert body == expected[name], f"{name} differs from tests/golden/{name}"
+        assert body == expected[name], golden_diff(name, expected[name], body)
 
 
 if __name__ == "__main__":

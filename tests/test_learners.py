@@ -27,6 +27,7 @@ from metricfair import (
     empirical_l1_loss,
     empirical_mf_loss,
     gram_matrix,
+    matching_edges,
     resolve_kernel_B,
     train_fair_kernel,
     train_fair_linear,
@@ -380,3 +381,46 @@ class TestLazyConstraintSubgradient:
         # equality, and only the true gradient satisfies both
         for change, predicted in slopes:
             assert change >= predicted - 1e-5 * abs(predicted) - 1e-15
+
+
+class TestKernelWarmStart:
+    """The kernel learner's solver starts from the ridge fit scaled by the
+    largest factor in [0, 1] whose mean excess over the matching's distances
+    is at most tau/2, the constraint target."""
+
+    @pytest.mark.parametrize("metric, tau, pulled_in", [
+        (ConstantMetric(1.0), 0.3, False),
+        (ScaledEuclideanMetric(0.2), 0.01, True),
+        (ScaledEuclideanMetric(0.2), 0.0, True),
+    ])
+    def test_largest_scale_of_the_ridge_fit_within_half_the_budget(self, metric, tau,
+                                                                    pulled_in):
+        ds = random_dataset(np.random.default_rng(5), 16, 3)
+        cfg = linear_config(solver=SolverConfig(max_iters=20, seed=0),
+                            learner=KernelLearner(B=1e4))
+        solve = solver.solve_constrained
+        starts = []
+
+        def capturing_solve(objective, constraint, project, config, initial_point):
+            starts.append(np.array(initial_point))
+            return solve(objective, constraint, project, config, initial_point)
+
+        with mock.patch.object(solver, "solve_constrained", capturing_solve):
+            train_fair_kernel(ds, metric, cfg, tau=tau)
+
+        K = gram_matrix(ds, VovkHalfKernel())
+        ridge = K.copy()
+        ridge[np.diag_indices(len(ds))] += learners.RIDGE_LAMBDA * len(ds)
+        fit = np.linalg.solve(ridge, ds.targets01)
+        left, right, dists = matching_edges(ds, default_matching(ds, 0), metric)
+
+        def mean_excess(beta):
+            raw = K @ beta
+            return float(np.mean(np.maximum(np.abs(raw[left] - raw[right]) - dists, 0.0)))
+
+        start = starts[0]
+        assert mean_excess(start) <= 0.5 * tau
+        if pulled_in:
+            assert mean_excess((1.0 + 1e-9) * start) > 0.5 * tau
+        else:
+            assert np.array_equal(start, fit)

@@ -46,7 +46,51 @@ def no_constraint(w):
     return -1.0, lambda: np.zeros_like(w)
 
 
+def half_plane(a, b):
+    def constraint(w):
+        return float(a @ w - b), lambda: a
+
+    return constraint
+
+
+def disk_constraint(w):
+    return float(np.linalg.norm(w)) - 0.5, lambda: w / np.linalg.norm(w)
+
+
+# (objective, constraint, projection, start) of the toy programs below
+TOY_PROGRAMS = {
+    "unconstrained": (l1_objective(np.array([0.3, -0.2])), no_constraint, disk_projection,
+                      np.zeros(2)),
+    "linear, box": (lambda w: (float(-w[0]), np.array([-1.0])),
+                    half_plane(np.array([1.0]), 0.3), lambda w: np.clip(w, -1, 1),
+                    np.zeros(1)),
+    "half-plane": (l1_objective(np.array([0.7, 0.5])), half_plane(np.array([1.0, 2.0]), 0.6),
+                   disk_projection, np.array([0.7, 0.5])),
+    "disk": (l1_objective(np.array([0.7, 0.5])), disk_constraint, disk_projection,
+             np.array([0.7, 0.5])),
+}
+
+
 class TestSolveConstrained:
+    @pytest.mark.parametrize("name", sorted(TOY_PROGRAMS))
+    def test_returns_the_feasible_iterate_of_least_objective(self, name):
+        objective, constraint, project, start = TOY_PROGRAMS[name]
+        cfg = SolverConfig(max_iters=300, step_c0=0.3)
+        # the solver evaluates the objective on feasible iterates only
+        feasible = []
+
+        def recording(w):
+            value, sub = objective(w)
+            feasible.append((value, w.copy()))
+            return value, sub
+
+        w, report = solve_constrained(recording, constraint, project, cfg, start)
+        assert len(feasible) == report.extras["n_feasible_iterates"] > 1
+        assert all(constraint(x)[0] <= cfg.feasibility_tolerance for _, x in feasible)
+        best_value, best_w = min(feasible, key=lambda f: f[0])
+        assert np.array_equal(w, best_w)
+        assert report.final_objective == best_value
+
     def test_unconstrained_minimum_interior(self):
         w0 = np.array([0.3, -0.2])
         cfg = SolverConfig(max_iters=1500, step_c0=0.3)
@@ -56,16 +100,9 @@ class TestSolveConstrained:
         assert report.converged
 
     def test_active_constraint_at_boundary(self):
-        def objective(w):
-            return float(-w[0]), np.array([-1.0])
-
-        def constraint(w):
-            return float(w[0] - 0.3), lambda: np.array([1.0])
-
+        objective, constraint, project, start = TOY_PROGRAMS["linear, box"]
         cfg = SolverConfig(max_iters=1500, step_c0=0.3)
-        w, report = solve_annealed(
-            objective, constraint, lambda w: np.clip(w, -1, 1), cfg, np.zeros(1)
-        )
+        w, report = solve_annealed(objective, constraint, project, cfg, start)
         assert w[0] == pytest.approx(0.3, abs=1e-2)
         assert report.final_constraint_slack <= cfg.feasibility_tolerance
 
@@ -139,13 +176,7 @@ class TestSolveConstrained:
     def test_annealing_is_three_chained_stages_with_shrinking_steps(self):
         # the l1 minimum w0 lies outside the half-plane a.w <= b, so every
         # stage moves and the stages end at different objectives
-        a, b = np.array([1.0, 2.0]), 0.6
-        w0 = np.array([0.7, 0.5])
-        objective = l1_objective(w0)
-
-        def constraint(w):
-            return float(a @ w - b), lambda: a
-
+        objective, constraint, _, w0 = TOY_PROGRAMS["half-plane"]
         cfg = SolverConfig(max_iters=300, step_c0=0.3)
         point, stages = w0, []
         for c0 in (0.3, 0.3 / 5, 0.3 / 25):
