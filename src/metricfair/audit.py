@@ -6,6 +6,12 @@ clamped magnitude max(0, |h(x) - h(x')| - d(x, x')) instead, which is convex
 in the predictor and sandwiches the 0/1 loss. Empirical variants average
 over the edges of a matching so that per-edge losses are independent draws;
 a single pair's loss is the empirical loss over a one-edge `Matching`.
+
+Since d >= 0, a pair whose prediction gap is at most gamma cannot violate,
+so the all-pairs profile and the population estimate evaluate the metric
+only on pairs whose gap exceeds gamma, and the profile evaluates each
+unordered pair once. `audit_predictor` predicts the sample once and passes
+the values down through the `values` keyword of each loss.
 """
 
 from __future__ import annotations
@@ -31,22 +37,29 @@ def _check_gamma(gamma: float) -> None:
         raise ValidationError(f"gamma must be in [0, 1), got {gamma}")
 
 
-def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMetric):
+def _predictions(h, S: LabeledDataset, values) -> np.ndarray:
+    """h on the rows of S: `values` when the caller has predicted them."""
+    return h.predict_batch(S.features) if values is None else values
+
+
+def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, values):
     left, right, dists = matching_edges(S, M, d)
-    values = h.predict_batch(S.features)
+    values = _predictions(h, S, values)
     return np.abs(values[left] - values[right]), dists
 
 
-def empirical_mf_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, gamma: float) -> float:
+def empirical_mf_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, gamma: float,
+                      *, values=None) -> float:
     """Average 0/1 fairness loss over the matching's edges."""
     _check_gamma(gamma)
-    gaps, dists = _edge_gaps_and_distances(h, S, M, d)
+    gaps, dists = _edge_gaps_and_distances(h, S, M, d, values)
     return float(np.mean(gaps > dists + gamma))
 
 
-def empirical_l1_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric) -> float:
+def empirical_l1_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric,
+                      *, values=None) -> float:
     """Average l1 fairness loss over the matching's edges."""
-    gaps, dists = _edge_gaps_and_distances(h, S, M, d)
+    gaps, dists = _edge_gaps_and_distances(h, S, M, d, values)
     return float(np.mean(np.maximum(0.0, gaps - dists)))
 
 
@@ -85,6 +98,8 @@ def population_mf_estimate(
     gamma: float,
     n_pairs: int,
     seed: int,
+    *,
+    values=None,
 ) -> PopulationEstimate:
     """Monte-Carlo estimate of the population 0/1 fairness loss.
 
@@ -92,21 +107,23 @@ def population_mf_estimate(
     before all second rows; the half-width is the 95% two-sided Hoeffding
     bound, so it is distribution-free. Each row of S is predicted once and
     the pairs are compared in blocks of core._PAIR_BLOCK pairs, so only the
-    two index arrays grow with n_pairs.
+    two index arrays grow with n_pairs. Distances are evaluated only for the
+    pairs whose gap exceeds gamma.
     """
     _check_gamma(gamma)
     half_width = hoeffding_half_width(n_pairs)
     rng = np.random.default_rng(seed)
     first = rng.integers(0, len(S), size=n_pairs)
     second = rng.integers(0, len(S), size=n_pairs)
-    values = h.predict_batch(S.features)
+    values = _predictions(h, S, values)
     block = core._PAIR_BLOCK
     violations = 0
     for start in range(0, n_pairs, block):
         a, b = first[start:start + block], second[start:start + block]
         gaps = np.abs(values[a] - values[b])
-        dists = d.pair_distances(S.features[a], S.features[b])
-        violations += int(np.count_nonzero(gaps > dists + gamma))
+        near = gaps > gamma
+        dists = d.pair_distances(S.features[a[near]], S.features[b[near]])
+        violations += int(np.count_nonzero(gaps[near] > dists + gamma))
     return PopulationEstimate(violations / n_pairs, half_width, n_pairs)
 
 
@@ -115,21 +132,38 @@ def population_mf_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _per_individual_rates(h, S: LabeledDataset, d: SimilarityMetric, gamma: float) -> np.ndarray:
+def _per_individual_rates(h, S: LabeledDataset, d: SimilarityMetric, gamma: float,
+                          *, values=None) -> np.ndarray:
     """For each x in S, the fraction of x' in S (self included) violating the
-    fairness condition at slack gamma. O(m^2) time; the m x m comparison is
-    made in blocks of rows of about core._PAIR_BLOCK entries, so memory
-    grows with m, not m^2."""
+    fairness condition at slack gamma.
+
+    The rows are ranked by prediction, so the rows whose gap to a row
+    exceeds gamma are a suffix of the ranking after it and a prefix before
+    it. Each unordered pair is evaluated once, from its earlier-ranked row,
+    and only when its gap exceeds gamma; a violation counts for both rows.
+    The ranking is walked in blocks of rows of about core._PAIR_BLOCK
+    entries, so memory grows with m, not m^2.
+    """
     _check_gamma(gamma)
-    values = h.predict_batch(S.features)
+    values = _predictions(h, S, values)
     m = len(S)
-    counts = np.empty(m, dtype=np.intp)
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    counts = np.zeros(m, dtype=np.intp)
     rows = max(1, core._PAIR_BLOCK // m)
     for start in range(0, m, rows):
         stop = min(start + rows, m)
-        gaps = np.abs(values[start:stop, None] - values[None, :])
-        dists = d.pairwise_matrix(S.features, start, stop)
-        counts[start:stop] = np.count_nonzero(gaps > dists + gamma, axis=1)
+        # the first rank whose gap to the block's first row exceeds gamma;
+        # for the later rows of the block that rank comes no earlier
+        first = start + 1 + int(np.count_nonzero(ranked[start + 1:] - ranked[start] <= gamma))
+        gaps = ranked[None, first:] - ranked[start:stop, None]
+        near = gaps > gamma
+        if not near.any():
+            continue
+        dists = d.pairwise_matrix(S.features, order[start:stop], order[first:], where=near)
+        violated = gaps > dists + gamma
+        counts[order[start:stop]] += np.count_nonzero(violated, axis=1)
+        counts[order[first:]] += np.count_nonzero(violated, axis=0)
     return counts / m
 
 
@@ -144,6 +178,8 @@ def group_fairness_profile(
     d: SimilarityMetric,
     gamma: float,
     alpha2_grid,
+    *,
+    values=None,
 ) -> list[tuple[float, float]]:
     """For each alpha2, the fraction of individuals whose violation rate
     strictly exceeds alpha2. A rate cannot exceed 1, so alpha2 = 1 maps to 0;
@@ -152,7 +188,7 @@ def group_fairness_profile(
     for a2 in grid:
         if not 0.0 <= a2 <= 1.0:
             raise ValidationError(f"alpha2 must be in [0, 1], got {a2}")
-    rates = _per_individual_rates(h, S, d, gamma)
+    rates = _per_individual_rates(h, S, d, gamma, values=values)
     return [(a2, float(np.mean(rates > a2))) for a2 in grid]
 
 
@@ -215,15 +251,17 @@ def audit_predictor(
 ) -> FairnessReport:
     """Run the full audit: matching-based losses, the all-pairs group profile,
     and (optionally) a Monte-Carlo population estimate over pairs of rows of
-    S; `population_pairs` of 0 skips the estimate."""
+    S; `population_pairs` of 0 skips the estimate. S is predicted once."""
     if population_pairs < 0:
         raise ValidationError(f"population_pairs must be >= 0, got {population_pairs}")
-    mf = empirical_mf_loss(h, S, M, d, gamma)
-    l1 = empirical_l1_loss(h, S, M, d)
-    profile = group_fairness_profile(h, S, d, gamma, alpha2_grid)
+    _check_gamma(gamma)
+    values = h.predict_batch(S.features)
+    mf = empirical_mf_loss(h, S, M, d, gamma, values=values)
+    l1 = empirical_l1_loss(h, S, M, d, values=values)
+    profile = group_fairness_profile(h, S, d, gamma, alpha2_grid, values=values)
     pop_est = pop_ci = None
     if population_pairs > 0:
-        pop = population_mf_estimate(h, S, d, gamma, population_pairs, seed)
+        pop = population_mf_estimate(h, S, d, gamma, population_pairs, seed, values=values)
         pop_est, pop_ci = pop.estimate, pop.half_width
     return FairnessReport(
         empirical_mf_loss=mf,

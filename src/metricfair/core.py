@@ -134,11 +134,27 @@ def _pair_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_arrays(xs, ys)
 
 
+def _block_indices(xs: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """A block's row and column indices into `xs`, all of its rows by default."""
+    every = np.arange(xs.shape[0])
+    return (every if rows is None else np.asarray(rows, dtype=np.intp),
+            every if cols is None else np.asarray(cols, dtype=np.intp))
+
+
+def _block_entries(rows: np.ndarray, cols: np.ndarray, where) -> np.ndarray:
+    """The entries of a block to evaluate: those in `where` that pair two
+    different rows of `xs`."""
+    entries = rows[:, None] != cols[None, :]
+    return entries if where is None else entries & where
+
+
 class SimilarityMetric:
     """Pairwise distance with outputs in [0, 1] and d(x, x) = 0.
 
     A metric implements `pair_distances`; `distance` and the default
-    `pairwise_matrix` are derived from it.
+    `pairwise_matrix` are derived from it. The audit relies on d >= 0: it
+    never evaluates a pair whose prediction gap is at most gamma, since such
+    a pair cannot violate.
     """
 
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -149,22 +165,23 @@ class SimilarityMetric:
         """d(x, y) for two single points."""
         return float(self.pair_distances(x, y)[0])
 
-    def pairwise_matrix(self, xs: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows [start, stop) of the m x m distance matrix over the rows of
-        `xs` (all m rows by default), with a 0 diagonal. Entry (i, j) is
-        d(xs[min(i, j)], xs[max(i, j)]), evaluated in blocks of about
-        _PAIR_BLOCK pairs."""
+    def pairwise_matrix(self, xs: np.ndarray, rows=None, cols=None, where=None) -> np.ndarray:
+        """Block (rows, cols) of the m x m distance matrix over the rows of
+        `xs`; `rows` and `cols` index the rows of `xs` (all of them by
+        default). Entry (a, b) is d(xs[min(i, j)], xs[max(i, j)]) with
+        i = rows[a] and j = cols[b], and 0 where i == j. Only the entries
+        where the boolean block `where` holds are evaluated; the others are
+        0. Each entry is one pair of a `pair_distances` call, made on about
+        _PAIR_BLOCK pairs at a time."""
         xs = np.atleast_2d(xs)
-        m = xs.shape[0]
-        stop = m if stop is None else stop
-        out = np.zeros((stop - start, m))
-        rows = max(1, _PAIR_BLOCK // max(m, 1))
-        for r0 in range(start, stop, rows):
-            i, j = np.divmod(np.arange(r0 * m, min(r0 + rows, stop) * m), m)
-            off_diagonal = i != j
-            i, j = i[off_diagonal], j[off_diagonal]
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
-            out[i - start, j] = self.pair_distances(xs[lo], xs[hi])
+        rows, cols = _block_indices(xs, rows, cols)
+        out = np.zeros((rows.size, cols.size))
+        step = max(1, _PAIR_BLOCK // max(cols.size, 1))
+        for r0 in range(0, rows.size, step):
+            chunk = None if where is None else where[r0:r0 + step]
+            a, b = np.nonzero(_block_entries(rows[r0:r0 + step], cols, chunk))
+            i, j = rows[r0 + a], cols[b]
+            out[r0 + a, b] = self.pair_distances(xs[np.minimum(i, j)], xs[np.maximum(i, j)])
         return out
 
 
@@ -198,12 +215,15 @@ class ScaledEuclideanMetric(SimilarityMetric):
         xs, ys = _pair_rows(xs, ys)
         return np.minimum(1.0, self.scale * np.linalg.norm(xs - ys, axis=1))
 
-    def pairwise_matrix(self, xs, start=0, stop=None) -> np.ndarray:
+    def pairwise_matrix(self, xs, rows=None, cols=None, where=None) -> np.ndarray:
+        # the Gram form fills the whole block, then zeroes what is not asked for
         xs = np.atleast_2d(xs)
-        sq = np.sum(xs * xs, axis=1)
-        d2 = np.maximum(sq[start:stop, None] + sq[None, :] - 2.0 * (xs[start:stop] @ xs.T), 0.0)
+        rows, cols = _block_indices(xs, rows, cols)
+        left, right = xs[rows], xs[cols]
+        d2 = np.maximum(np.sum(left * left, axis=1)[:, None] + np.sum(right * right, axis=1)[None, :]
+                        - 2.0 * (left @ right.T), 0.0)
         out = np.minimum(1.0, self.scale * np.sqrt(d2))
-        np.fill_diagonal(out[:, start:], 0.0)
+        out[~_block_entries(rows, cols, where)] = 0.0
         return out
 
 
@@ -212,7 +232,7 @@ class MatrixMetric(SimilarityMetric):
 
     Rows are tied to dataset rows through an index map; evaluation on raw
     vectors looks the vector up among the known points and raises
-    MetricUndefinedError for unknown ones.
+    MetricUndefinedError for unknown ones. Every entry must be in [0, 1].
     """
 
     def __init__(self, matrix: np.ndarray, points: np.ndarray, index_map: Sequence[int] | None = None):
@@ -220,6 +240,12 @@ class MatrixMetric(SimilarityMetric):
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"metric matrix must be square, got shape {matrix.shape}")
+        # NaN fails both comparisons
+        outside = np.argwhere(~((matrix >= 0.0) & (matrix <= 1.0)))
+        if outside.size:
+            i, j = outside[0].tolist()
+            raise ValidationError(
+                f"metric matrix entry ({i}, {j}) must be in [0, 1], got {matrix[i, j]}")
         if index_map is None:
             index_map = range(points.shape[0])
         index_map = list(index_map)

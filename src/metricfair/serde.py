@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
+    NORM_TOLERANCE,
     ConstantMetric,
     ConstantPredictor,
     KernelPredictor,
@@ -56,7 +57,9 @@ def save_dataset_csv(dataset: LabeledDataset, path) -> None:
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    """Errors name the file and, for a malformed line, its 1-based number."""
+    """Errors name the file and, for the first malformed row, the first row
+    with a label other than -1 or +1 or the first row outside the unit ball,
+    its 1-based line number."""
     lines = Path(path).read_text().rstrip().splitlines()
     if not lines:
         raise ValidationError(f"dataset file {path} is empty")
@@ -66,17 +69,38 @@ def load_dataset_csv(path) -> LabeledDataset:
             f"dataset file {path}, line 1: header must be x1,...,xn,y; got {lines[0]!r}")
     if len(lines) == 1:
         raise ValidationError(f"dataset file {path} has no rows")
+    table = np.array(_float_rows(lines[1:], len(header), f"dataset file {path}", first=2))
+    features, labels = table[:, :-1], table[:, -1]
+    norms = np.linalg.norm(features, axis=1)
+    bad_label = ~np.isin(labels, (-1, 1))
+    # NaN fails the comparison
+    outside = ~(norms <= 1.0 + NORM_TOLERANCE)
+    bad = np.flatnonzero(bad_label | outside)
+    if bad.size:
+        k = int(bad[0])
+        if bad_label[k]:
+            reason = f"label must be -1 or +1, got {float(labels[k])!r}"
+        elif not np.all(np.isfinite(features[k])):
+            reason = "features must be finite"
+        else:
+            reason = f"row norm {norms[k]:.12g} exceeds the unit ball"
+        raise ValidationError(f"dataset file {path}, line {k + 2}: {reason}")
+    return LabeledDataset(features, labels)
+
+
+def _float_rows(lines, width: int, what: str, first: int) -> list[list[float]]:
+    """Each line as `width` comma-separated floats; an error names `what`
+    and the 1-based number of the line, the first of which is `first`."""
     rows = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(lines, start=first):
         parts = line.split(",")
         try:
-            if len(parts) != len(header):
-                raise ValueError(f"row has {len(parts)} fields, expected {len(header)}")
+            if len(parts) != width:
+                raise ValueError(f"row has {len(parts)} fields, expected {width}")
             rows.append([float(v) for v in parts])
         except ValueError as exc:
-            raise ValidationError(f"dataset file {path}, line {number}: {exc}") from None
-    table = np.array(rows)
-    return LabeledDataset(table[:, :-1], table[:, -1])
+            raise ValidationError(f"{what}, line {number}: {exc}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +236,22 @@ def save_matrix_metric(matrix: np.ndarray, index_map, path) -> None:
 
 
 def load_matrix_metric(path, dataset: LabeledDataset) -> MatrixMetric:
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in Path(path).read_text().strip().splitlines()
-    ]
+    """Errors name the file and, for a malformed line, its 1-based number."""
+    lines = Path(path).read_text().strip().splitlines()
+    rows = _float_rows(lines, len(lines), f"metric file {path}", first=1)
     idx_path = Path(str(path) + ".idx")
     if not idx_path.exists():
         raise ValidationError(f"missing metric index file {idx_path}")
-    index_map = [int(line) for line in idx_path.read_text().split()]
-    return MatrixMetric(np.array(rows), dataset.features, index_map)
+    index_map = []
+    for number, line in enumerate(idx_path.read_text().strip().splitlines(), start=1):
+        try:
+            index_map.append(int(line))
+        except ValueError as exc:
+            raise ValidationError(f"metric index file {idx_path}, line {number}: {exc}") from None
+    try:
+        return MatrixMetric(np.array(rows), dataset.features, index_map)
+    except ValidationError as exc:
+        raise ValidationError(f"metric file {path}: {exc}") from None
 
 
 def save_hardness_handle(handle: HardnessMetricHandle, path) -> None:

@@ -1,5 +1,6 @@
 """Fairness losses: 0/1 and l1 variants, surrogate ramp, profiles, audits."""
 
+import contextlib
 import json
 import math
 from unittest import mock
@@ -491,7 +492,7 @@ class TestBlockedProfile:
         start = data.draw(st.integers(0, m), label="start")
         stop = data.draw(st.integers(start, m), label="stop")
         with mock.patch.object(core, "_PAIR_BLOCK", block):
-            rows = metric.pairwise_matrix(X, start, stop)
+            rows = metric.pairwise_matrix(X, np.arange(start, stop))
             full = metric.pairwise_matrix(X)
         assert rows.shape == (stop - start, m) and full.shape == (m, m)
         assert np.all(rows[np.arange(stop - start), np.arange(start, stop)] == 0.0)
@@ -503,6 +504,147 @@ class TestBlockedProfile:
             assert np.all(np.abs(rows - full[start:stop]) <= 2 * tol)
         else:
             assert np.array_equal(rows, full[start:stop])
+
+    @given(instance=profile_instances(("constant", "matrix", "skewed", "euclidean")),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_block_is_the_full_matrix_where_asked_and_0_elsewhere(self, instance, data):
+        kind, metric, X, _, _, block = instance
+        m = len(X)
+        index = st.lists(st.integers(0, m - 1), max_size=m + 2).map(
+            lambda v: np.array(v, dtype=np.intp))
+        rows, cols = data.draw(index, label="rows"), data.draw(index, label="cols")
+        where = np.array(data.draw(st.lists(st.booleans(), min_size=rows.size * cols.size,
+                                            max_size=rows.size * cols.size), label="where"),
+                         dtype=bool).reshape(rows.size, cols.size)
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            got = metric.pairwise_matrix(X, rows, cols, where=where)
+            full = metric.pairwise_matrix(X)
+        expected = np.where(where, full[np.ix_(rows, cols)], 0.0)
+        assert got.shape == (rows.size, cols.size)
+        assert np.all(got[~where] == 0.0)
+        if kind == "euclidean":
+            tol = gram_distance_tolerance(metric.scale, X.shape[1])
+            assert np.all(np.abs(got - expected) <= 2 * tol)
+        else:
+            assert np.array_equal(got, expected)
+
+
+class CountingMetric(SimilarityMetric):
+    """Records the index pairs of every pair_distances call of `inner`, a
+    metric on the distinct rows X."""
+
+    def __init__(self, inner, X):
+        self.inner = inner
+        self.index_of = {row.tobytes(): k for k, row in enumerate(X)}
+        self.pairs = []
+
+    def pair_distances(self, xs, ys):
+        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
+        self.pairs += [(self.index_of[x.tobytes()], self.index_of[y.tobytes()])
+                       for x, y in zip(xs, ys)]
+        return self.inner.pair_distances(xs, ys)
+
+
+def _grid_instance(kind, seed, m=40):
+    """m distinct points, grid predictions and a metric of `kind` on which a
+    large share of the pairs violate at gamma = 0.125. Gaps of exactly gamma
+    occur, and with the constant and matrix metrics gaps of exactly
+    d + gamma too."""
+    rng = np.random.default_rng(seed)
+    X = unit_ball_points(rng, m, 2)
+    values = rng.choice(GRID, size=m)
+    if kind == "constant":
+        metric = ConstantMetric(0.125)
+    elif kind == "matrix":
+        # asymmetric, so the orientation of each evaluated pair shows
+        metric = MatrixMetric(rng.choice(GRID[:4], size=(m, m)), X)
+    else:
+        metric = SkewedMetric()
+    return LabeledDataset(X, np.ones(m)), TablePredictor(X, values), values, metric
+
+
+class TestPrunedAudit:
+    """The profile and the population estimate evaluate the metric only on
+    pairs whose gap exceeds gamma, and the profile each unordered pair once,
+    in the orientation d(xs[min(i, j)], xs[max(i, j)]) of the original rows."""
+
+    GAMMA = 0.125
+
+    @pytest.mark.parametrize("kind", ["constant", "matrix", "skewed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rates_and_estimate_equal_the_loop_oracles(self, kind, seed):
+        S, h, values, metric = _grid_instance(kind, seed)
+        X, gamma, m = S.features, self.GAMMA, len(S)
+        gaps = np.abs(values[:, None] - values[None, :])
+        assert np.any(gaps == gamma)
+        with mock.patch.object(core, "_PAIR_BLOCK", 3 * m + 5):
+            rates = _per_individual_rates(h, S, metric, gamma)
+            estimate = population_mf_estimate(h, S, metric, gamma, 3000, seed).estimate
+        assert rates.tolist() == scalar.per_individual_rates(
+            h.predict, metric.distance, X, gamma).tolist()
+        assert estimate == scalar.population_mf_estimate(h, S, metric, gamma, 3000, seed)
+        assert np.mean(rates) > 0.1 and estimate > 0.1
+
+    # the constant metric is symmetric, the other two are not
+    @pytest.mark.parametrize("kind", ["constant", "matrix", "skewed"])
+    @pytest.mark.parametrize("block", [1, 50, 65_536])
+    def test_profile_evaluates_each_pair_above_gamma_once(self, kind, block):
+        S, h, values, inner = _grid_instance(kind, 3)
+        metric = CountingMetric(inner, S.features)
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            _per_individual_rates(h, S, metric, self.GAMMA)
+        pairs = set(metric.pairs)
+        assert len(pairs) == len(metric.pairs)
+        assert all(i < j for i, j in pairs)
+        i, j = np.triu_indices(len(S), 1)
+        above = np.abs(values[i] - values[j]) > self.GAMMA
+        assert pairs == set(zip(i[above].tolist(), j[above].tolist()))
+
+    def test_population_estimate_evaluates_only_pairs_above_gamma(self):
+        S, h, values, inner = _grid_instance("skewed", 4)
+        metric = CountingMetric(inner, S.features)
+        population_mf_estimate(h, S, metric, self.GAMMA, 5000, 4)
+        rng = np.random.default_rng(4)
+        first, second = rng.integers(0, len(S), size=5000), rng.integers(0, len(S), size=5000)
+        above = np.abs(values[first] - values[second]) > self.GAMMA
+        assert metric.pairs == list(zip(first[above].tolist(), second[above].tolist()))
+
+    def test_hardness_profile_at_1000_points_evaluates_each_pair_at_most_once(self):
+        paired, handle = sample_hardness_distribution(16, 500, "U", 5)
+        S = paired.dataset
+        metric = CountingMetric(HardnessMetric(handle), S.features)
+        h = LinearPredictor(0.9 * unit_ball_points(np.random.default_rng(5), 1, 16)[0])
+        _per_individual_rates(h, S, metric, 0.0)
+        assert len(metric.pairs) == len(set(metric.pairs)) <= 1000 * 999 // 2
+
+    def test_audit_predicts_the_sample_once(self, rng):
+        S = random_dataset(rng, 30, 3)
+        h = LinearPredictor(np.array([0.6, -0.3, 0.2]))
+        with mock.patch.object(h, "predict_batch", wraps=h.predict_batch) as spy:
+            audit_predictor(h, S, default_matching(S, 0), ScaledEuclideanMetric(0.8), 0.1,
+                            population_pairs=200, seed=1)
+        assert spy.call_count == 1
+
+
+def test_audit_calls_the_four_traced_entry_points_through_the_module(rng):
+    """The benchmark's tracing rebinds these attributes of the audit module
+    and reads S at position 1 and the population's n_pairs at position 4."""
+    from metricfair import audit
+
+    S = random_dataset(rng, 30, 3)
+    h = LinearPredictor(np.array([0.6, -0.3, 0.2]))
+    names = ("empirical_mf_loss", "empirical_l1_loss", "group_fairness_profile",
+             "population_mf_estimate")
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(
+            mock.patch.object(audit, name, wraps=getattr(audit, name))) for name in names}
+        audit.audit_predictor(h, S, default_matching(S, 0), ScaledEuclideanMetric(0.8), 0.1,
+                              population_pairs=123, seed=4)
+    for spy in spies.values():
+        spy.assert_called_once()
+        assert spy.call_args.args[1] is S
+    assert spies["population_mf_estimate"].call_args.args[4] == 123
 
 
 def _metric_on_duplicate_rows(kind):

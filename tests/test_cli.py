@@ -403,7 +403,23 @@ class TestInputFiles:
         data.write_text(f"x1,x2,y\n0.1,0.2,{label}\n0.3,-0.1,-1\n")
         code, stdout, err, out = self.audit(capsys, tmp_path, data)
         assert code == 2
-        assert err == "error: labels must be -1 or +1\n"
+        assert err == f"error: dataset file {data}, line 2: label must be -1 or +1, got {label}\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, reason", [
+        ("0.9,0.9,1", "row norm 1.27279220614 exceeds the unit ball"),
+        ("inf,0.1,1", "features must be finite"),
+        ("0.1,nan,-1", "features must be finite"),
+    ])
+    def test_row_outside_the_unit_ball_exits_two_naming_file_and_line(self, capsys, tmp_path,
+                                                                      row, reason):
+        data = tmp_path / "data.csv"
+        # line 3 holds the first bad row; line 4 a bad label that comes later
+        data.write_text(f"x1,x2,y\n0.1,0.2,1\n{row}\n0.3,-0.1,2\n")
+        code, stdout, err, out = self.audit(capsys, tmp_path, data)
+        assert code == 2
+        assert err == f"error: dataset file {data}, line 3: {reason}\n"
         assert stdout == ""
         assert not out.exists()
 
@@ -854,6 +870,65 @@ class TestMatrixMetricPipeline:
                          "--out", str(out), "--no-timestamp")
         assert code == 0
         assert json.loads(out.read_text())["results"]["empirical_mf_loss"] == 0.0
+
+
+def _matrix_metric_files(tmp_path, matrix_text, index_text="0\n1\n2\n"):
+    """A three-row dataset and the metric files of `matrix:<path>`."""
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,y\n0.1,0.2,1\n0.3,-0.1,-1\n-0.2,0.4,1\n")
+    metric = tmp_path / "metric.csv"
+    metric.write_text(matrix_text)
+    Path(f"{metric}.idx").write_text(index_text)
+    return data, metric
+
+
+class TestMatrixMetricFiles:
+    """A matrix metric's entries are distances: an entry outside [0, 1], a
+    non-numeric entry or a bad index exits 2 naming the file, instead of
+    training or auditing on it."""
+
+    @pytest.mark.parametrize("entry, shown", [("-0.5", "-0.5"), ("nan", "nan"),
+                                              ("1.5", "1.5"), ("inf", "inf")])
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    def test_entry_outside_the_unit_interval_exits_two(self, capsys, tmp_path, entry, shown,
+                                                        command):
+        data, metric = _matrix_metric_files(
+            tmp_path, f"0,0.2,0.3\n0.2,0,{entry}\n0.3,0.4,0\n")
+        out = tmp_path / "out.json"
+        if command == "train":
+            argv = ["train", "--alpha", "0.2", "--gamma", "0.3",
+                    "--predictor-out", str(tmp_path / "p.json")]
+        else:
+            predictor = tmp_path / "constant.json"
+            save_predictor_json(ConstantPredictor(0.5), predictor)
+            argv = ["audit", "--gamma", "0.3", "--predictor", str(predictor)]
+        code, stdout, err = run(capsys, *argv, "--data", str(data), "--metric", f"matrix:{metric}",
+                                "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert err == (f"error: metric file {metric}: metric matrix entry (1, 2) must be "
+                       f"in [0, 1], got {shown}\n")
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("matrix_text, index_text, message", [
+        ("0,0.2,0.3\n0.2,abc,0.4\n0.3,0.4,0\n", "0\n1\n2\n",
+         "metric file {metric}, line 2: could not convert string to float: 'abc'"),
+        ("0,0.2,0.3\n0.2,0\n0.3,0.4,0\n", "0\n1\n2\n",
+         "metric file {metric}, line 2: row has 2 fields, expected 3"),
+        ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "0\nx\n2\n",
+         "metric index file {metric}.idx, line 2: invalid literal for int() with base 10: 'x'"),
+        ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "0\n1\n7\n",
+         "metric file {metric}: index map entry 7 out of range"),
+    ])
+    def test_malformed_metric_file_exits_two_naming_file_and_line(
+            self, capsys, tmp_path, matrix_text, index_text, message):
+        data, metric = _matrix_metric_files(tmp_path, matrix_text, index_text)
+        out = tmp_path / "validate.json"
+        code, stdout, err = run(capsys, "validate-metric", "--data", str(data),
+                                "--metric", f"matrix:{metric}", "--triples", "10",
+                                "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert err == f"error: {message.format(metric=metric)}\n"
+        assert stdout == "" and not out.exists()
 
 
 class TestReproducibility:
