@@ -319,6 +319,10 @@ class LinearDotKernel(KernelSpec):
         return np.atleast_2d(xs) @ np.atleast_2d(ys).T
 
 
+#: rows per panel of check_psd's symmetry test
+_SYMMETRY_PANEL = 64
+
+
 def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     """Raise unless `gram` is finite and symmetric PSD within the relative
     tolerance: its smallest eigenvalue must be at least -rel_tolerance times
@@ -338,9 +342,13 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     gram = np.asarray(gram, dtype=np.float64)
     if not np.all(np.isfinite(gram)):
         raise ValidationError("gram matrix has non-finite entries")
-    if not np.allclose(gram, gram.T, atol=1e-10):
-        raise ValidationError("gram matrix is not symmetric")
     m = gram.shape[0]
+    # np.allclose(gram, gram.T, atol=1e-10) a panel of rows at a time, without
+    # m x m temporaries
+    for i in range(0, m, _SYMMETRY_PANEL):
+        a, b = gram[i:i + _SYMMETRY_PANEL], gram[:, i:i + _SYMMETRY_PANEL].T
+        if not np.all(np.abs(a - b) <= 1e-10 + 1e-5 * np.abs(b)):
+            raise ValidationError("gram matrix is not symmetric")
     factor_error = (m + 1) * np.finfo(np.float64).eps * float(np.trace(gram))
     top_floor = max(float(np.max(np.diag(gram))), float(gram.sum()) / m)
     if factor_error <= rel_tolerance * top_floor:

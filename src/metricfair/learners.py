@@ -9,7 +9,10 @@ K beta inside the RKHS ball beta' K beta <= B, constraining unclamped raw
 gaps (clamping to [0, 1] happens only at prediction time, which can only
 shrink gaps). The linear learner trains with `solve_pdhg`, which certifies
 how far its result is from the optimum; the kernel learner trains with
-`solve_annealed`.
+`solve_annealed`. Its subgradient steps overshoot, so the iterates revisit a
+handful of residual sign vectors; the products K v of the subgradients are
+memoised (the PRODUCT_MEMO_SIZE most recently used), which computes each
+once and changes no result.
 
 By the l1/l0 sandwich, a trained predictor with l1 loss <= tau has empirical
 0/1 fairness loss at slack gamma_tilde at most tau / gamma_tilde.
@@ -44,6 +47,9 @@ from .solver import SolverConfig, TrainingReport, feasible_scale, solve_annealed
 
 # the kernel learner's ridge warm start solves (K + RIDGE_LAMBDA * m I) beta = y01
 RIDGE_LAMBDA = 1e-3
+# the kernel learner's memo of subgradient products K v holds this many, the
+# least recently used going first
+PRODUCT_MEMO_SIZE = 8
 
 
 class SampleTooSmallError(MetricFairError):
@@ -240,10 +246,25 @@ def train_fair_kernel(
             raw_cache[key] = out
         return out
 
+    products: dict[bytes, np.ndarray] = {}
+
+    def K_times(v: np.ndarray) -> np.ndarray:
+        """K @ v, read-only, from a memo of the PRODUCT_MEMO_SIZE most
+        recently used products."""
+        key = v.tobytes()
+        out = products.pop(key, None)
+        if out is None:
+            out = K @ v
+            out.flags.writeable = False
+            if len(products) == PRODUCT_MEMO_SIZE:
+                del products[next(iter(products))]
+        products[key] = out
+        return out
+
     def objective(beta):
         residual = raw_of(beta) - y01
         signs = np.sign(residual)
-        return float(np.mean(np.abs(residual))), (K @ signs) / m
+        return float(np.mean(np.abs(residual))), K_times(signs) / m
 
     def constraint(beta):
         raw = raw_of(beta)
@@ -257,7 +278,7 @@ def train_fair_kernel(
             z = np.zeros(m)
             np.add.at(z, left, coef)
             np.add.at(z, right, -coef)
-            return K @ z
+            return K_times(z)
 
         return value, subgradient
 

@@ -1,13 +1,16 @@
 """One-pair-at-a-time reference implementations of the batched paths.
 
 These are the scalar forms the library computed before its metric callers
-and its predictors worked over batches, and the eigendecomposition form of
-the PSD check. The property tests require the library code to return what
-these return: exactly, except where a batched matrix product may round the
-last bits differently (the linear, logistic and kernel predictions).
+and its predictors worked over batches, the eigendecomposition form of the
+PSD check, and the kernel learner's solver closures as they were before its
+subgradient products were memoised. The property tests require the library
+code to return what these return: exactly, except where a batched matrix
+product may round the last bits differently (the linear, logistic and kernel
+predictions).
 """
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -106,6 +109,62 @@ def check_psd(gram, rel_tolerance=1e-8) -> None:
         raise ValidationError(
             f"gram matrix is not positive semidefinite (min eig {eigs.min():.3e})"
         )
+
+
+def kernel_closures(K, y01, left, right, dists, budget, b_used, products=None):
+    """The kernel learner's (objective, constraint, project), computing every
+    product K @ v afresh. `products`, when given, collects ("signs", v) and
+    ("z", v) with v as bytes for each subgradient product."""
+    m = len(y01)
+    n_edges = len(left)
+    raw_cache = {}
+
+    def raw_of(beta):
+        key = beta.tobytes()
+        out = raw_cache.get(key)
+        if out is None:
+            out = K @ beta
+            raw_cache.clear()
+            raw_cache[key] = out
+        return out
+
+    def objective(beta):
+        residual = raw_of(beta) - y01
+        signs = np.sign(residual)
+        if products is not None:
+            products.append(("signs", signs.tobytes()))
+        return float(np.mean(np.abs(residual))), (K @ signs) / m
+
+    def constraint(beta):
+        raw = raw_of(beta)
+        gaps = raw[left] - raw[right]
+        excess = np.abs(gaps) - dists
+        active = excess > 0
+        value = float(np.sum(excess[active])) / n_edges - budget
+
+        def subgradient():
+            coef = np.where(active, np.sign(gaps), 0.0) / n_edges
+            z = np.zeros(m)
+            np.add.at(z, left, coef)
+            np.add.at(z, right, -coef)
+            if products is not None:
+                products.append(("z", z.tobytes()))
+            return K @ z
+
+        return value, subgradient
+
+    def project(beta):
+        raw = raw_of(beta)
+        q = float(beta @ raw)
+        if q <= b_used or q <= 0:
+            return beta
+        scale = math.sqrt(b_used / q)
+        scaled = beta * scale
+        raw_cache.clear()
+        raw_cache[scaled.tobytes()] = raw * scale
+        return scaled
+
+    return objective, constraint, project
 
 
 def averaged_fair_paired_error(h, paired, distance) -> float:

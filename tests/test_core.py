@@ -233,6 +233,19 @@ class TestCheckPsd:
         B = np.random.default_rng(seed).standard_normal((m, m))
         self._same_verdict(B + B.T)
 
+    @given(m=st.integers(65, 200), seed=st.integers(0, 2**16), data=st.data(),
+           factor=st.one_of(st.just(1.0), st.floats(0.5, 2.0)), sign=st.sampled_from([-1, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetry_across_row_panels_decides_as_allclose(self, m, seed, data, factor, sign):
+        # several row panels and a partial last one; one entry moves by about
+        # the tolerance 1e-10 + 1e-5 |b| against its mirror entry b
+        A = np.random.default_rng(seed).standard_normal((m, m))
+        gram = A @ A.T
+        i = data.draw(st.integers(0, m - 1), label="i")
+        j = data.draw(st.integers(0, m - 1), label="j")
+        gram[i, j] += sign * factor * (1e-10 + 1e-5 * abs(gram[j, i]))
+        self._same_verdict(gram)
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_rank_deficient_linear_gram_takes_the_eigvalsh_path(self, rng, n):
         X = unit_ball_points(rng, 30, n)

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import scalar_reference as scalar
 from conftest import random_dataset, random_metric
 from metricfair import learners, solver
 from metricfair import (
@@ -424,3 +425,83 @@ class TestKernelWarmStart:
             assert mean_excess((1.0 + 1e-9) * start) > 0.5 * tau
         else:
             assert np.array_equal(start, fit)
+
+
+class TestMemoisedSubgradientProducts:
+    """The kernel learner computes each distinct subgradient product K v once
+    while it stays among the PRODUCT_MEMO_SIZE most recently used, and
+    returns what the unmemoised closures of scalar_reference return, bit for
+    bit."""
+
+    @staticmethod
+    def instance(m, n, B, step_c0, seed=1):
+        ds = random_dataset(np.random.default_rng(seed), m, n)
+        cfg = TrainConfig(alpha=0.2, gamma=0.3, learner=KernelLearner(B=B),
+                          solver=SolverConfig(max_iters=300, seed=0, step_c0=step_c0))
+        return ds, cfg
+
+    @pytest.mark.parametrize("m, n, B, step_c0, metric, tau, kind", [
+        (100, 10, 100.0, 5.0, ScaledEuclideanMetric(0.8), None, "never binds"),
+        (16, 3, 1e4, 0.5, ScaledEuclideanMetric(0.2), 0.01, "binds"),
+        (100, 10, 100.0, 0.5, ScaledEuclideanMetric(0.8), None, "evicts"),
+    ])
+    def test_bit_identical_to_the_unmemoised_closures(self, m, n, B, step_c0, metric, tau,
+                                                      kind):
+        ds, cfg = self.instance(m, n, B, step_c0)
+        predictor, report = train_fair_kernel(ds, metric, cfg, tau=tau)
+
+        K = gram_matrix(ds, VovkHalfKernel())
+        left, right, dists = matching_edges(ds, default_matching(ds, 0), metric)
+        products = []
+        closures = scalar.kernel_closures(K, ds.targets01, left, right, dists,
+                                          report.derived_params["tau"],
+                                          report.extras["B_used"], products)
+
+        def oracle_solve(objective, constraint, project, config, initial_point):
+            return solver.solve_annealed(*closures, config, initial_point)
+
+        with mock.patch.object(learners, "solve_annealed", oracle_solve):
+            expected, expected_report = train_fair_kernel(ds, metric, cfg, tau=tau)
+
+        assert predictor.beta.tobytes() == expected.beta.tobytes()
+        assert report == expected_report
+        lazy = [v for product, v in products if product == "z"]
+        signs = {v for product, v in products if product == "signs"}
+        if kind == "never binds":
+            assert not lazy
+        elif kind == "binds":
+            assert lazy
+            assert report.extras["n_feasible_iterates"] < cfg.solver.max_iters
+        else:
+            assert len(signs) > learners.PRODUCT_MEMO_SIZE
+
+    def test_each_distinct_product_is_computed_once(self):
+        # the steps overshoot, so the residual signs oscillate between a few
+        # vectors; unmemoised, each iteration makes two products
+        ds, cfg = self.instance(100, 10, 100.0, 5.0)
+        operands, results = [], []
+
+        class CountingGram(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ other
+                operands.append(np.array(other))
+                results.append(out)
+                return out
+
+        gram = learners.gram_matrix
+        with mock.patch.object(learners, "gram_matrix",
+                               lambda S, kernel: gram(S, kernel).view(CountingGram)):
+            _, report = train_fair_kernel(ds, ScaledEuclideanMetric(0.8), cfg)
+
+        # the constraint never binds, so every subgradient product is K @ signs
+        of_signs = [bool(np.all(np.isin(v, (-1.0, 0.0, 1.0)))) for v in operands]
+        distinct = len({v.tobytes() for v, sign in zip(operands, of_signs) if sign})
+        assert 0 < distinct <= learners.PRODUCT_MEMO_SIZE
+        assert sum(of_signs) == distinct
+        # besides one K @ beta per iteration: per stage, the projected start
+        # and the final constraint check; and the warm start's pull-in
+        assert len(operands) <= report.iterations + distinct + 2 * solver.ANNEAL_STAGES + 1
+        for out, sign in zip(results, of_signs):
+            if sign:
+                with pytest.raises(ValueError):
+                    out[0] = 0.0
