@@ -33,9 +33,7 @@ from .core import (
     Consecutive,
     DimensionMismatchError,
     KernelPredictor,
-    KernelSpec,
     LabeledDataset,
-    LinearDotKernel,
     LinearPredictor,
     LogisticPredictor,
     Matching,

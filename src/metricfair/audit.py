@@ -84,11 +84,15 @@ class PopulationEstimate:
     n_pairs: int
 
 
-def hoeffding_half_width(n_pairs: int, confidence: float = 0.95) -> float:
-    """Two-sided Hoeffding half-width for a [0,1] mean at the given confidence."""
+#: the level of the population estimate's two-sided Hoeffding interval
+CONFIDENCE = 0.95
+
+
+def hoeffding_half_width(n_pairs: int) -> float:
+    """Two-sided Hoeffding half-width for a [0,1] mean at CONFIDENCE."""
     if n_pairs < 1:
         raise ValidationError("need at least one pair")
-    return float(np.sqrt(np.log(2.0 / (1.0 - confidence)) / (2.0 * n_pairs)))
+    return float(np.sqrt(np.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * n_pairs)))
 
 
 def population_mf_estimate(

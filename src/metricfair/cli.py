@@ -19,15 +19,9 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from .audit import ALPHA2_GRID, audit_predictor
 from .core import MetricFairError, default_matching, validate_metric
-from .datagen import SyntheticSpec, generate_dataset_with_meta
+from .datagen import GENERATORS, SyntheticSpec, generate_dataset_with_meta
 from .hardness import AUDIT_PAIRS, DEMO_TRAINER, run_hardness_experiment
-from .learners import (
-    KernelLearner,
-    LinearLearner,
-    TrainConfig,
-    train_fair_kernel,
-    train_fair_linear,
-)
+from .learners import KernelLearner, TrainConfig, train_fair_kernel, train_fair_linear
 from .serde import (
     load_dataset_csv,
     load_metric,
@@ -99,8 +93,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--generator", required=True,
-                   choices=["unit-ball", "separable", "hardness-pairs"])
+    p.add_argument("--generator", required=True, choices=GENERATORS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--margin", type=float, default=SyntheticSpec.margin)
@@ -171,9 +164,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--mode", choices=["u", "v", "both"], default="both")
     p.add_argument("--seed", type=int)
-    p.add_argument("--learner", choices=_CHOICES["learner"],
-                   help="the learner whose accuracy gap is the headline (default: kernel); "
-                        "both learners train unless --skip-training is given")
     p.add_argument("--alpha", type=float, default=DEMO_TRAINER.alpha)
     p.add_argument("--gamma", type=float, default=DEMO_TRAINER.gamma)
     p.add_argument("--audit-pairs", type=int, default=AUDIT_PAIRS)
@@ -382,13 +372,11 @@ def _cmd_hardness(args) -> int:
     modes = {"u": ("U",), "v": ("V",), "both": ("U", "V")}[args.mode]
     trainer = dataclasses.replace(
         DEMO_TRAINER, alpha=args.alpha, gamma=args.gamma,
-        learner=LinearLearner() if args.learner == "linear" else DEMO_TRAINER.learner,
         solver=dataclasses.replace(DEMO_TRAINER.solver, max_iters=args.max_iters, seed=seed),
     )
     report = run_hardness_experiment(
         n=args.n, k_pairs=args.pairs, seed=seed, trainer=trainer, modes=modes,
-        n_audit_pairs=args.audit_pairs,
-        train_learners=() if args.skip_training else ("linear", "kernel"),
+        n_audit_pairs=args.audit_pairs, train=not args.skip_training,
     )
     _emit_report(args, {"mode": args.mode, "seed": seed}, report)
     return 0

@@ -279,44 +279,22 @@ class MatrixMetric(SimilarityMetric):
 # ---------------------------------------------------------------------------
 
 
-class KernelSpec:
-    """A positive-semidefinite kernel with known sup value M = sup K(x, x')."""
+class VovkHalfKernel:
+    """K(x, x') = 1 / (1 - <x, x'> / 2), the kernel of every kernel predictor;
+    on the unit ball K is in [2/3, 2], so its sup value M is 2."""
 
-    sup_value: float
+    sup_value = 2.0
+    name = "vovk-half"
 
     def gram(self, xs: np.ndarray) -> np.ndarray:
         xs = np.atleast_2d(xs)
         return self.cross(xs, xs)
 
-    def cross(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Matrix K[i, j] = K(xs[i], ys[j])."""
-        raise NotImplementedError
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
-
-
-class VovkHalfKernel(KernelSpec):
-    """K(x, x') = 1 / (1 - <x, x'> / 2); on the unit ball K is in [2/3, 2]."""
-
-    sup_value = 2.0
-    name = "vovk-half"
-
     def cross(self, xs, ys) -> np.ndarray:
+        """Matrix K[i, j] = K(xs[i], ys[j])."""
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
         return 1.0 / (1.0 - 0.5 * (xs @ ys.T))
-
-
-class LinearDotKernel(KernelSpec):
-    """K(x, x') = <x, x'>; on the unit ball K is in [-1, 1]."""
-
-    sup_value = 1.0
-    name = "linear-dot"
-
-    def cross(self, xs, ys) -> np.ndarray:
-        return np.atleast_2d(xs) @ np.atleast_2d(ys).T
 
 
 #: rows per panel of check_psd's symmetry test
@@ -336,8 +314,8 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     diagonal entry or the mean row sum); for the Vovk gram of 2001 points in
     10 dimensions the bound is 7.6e-13 of it. Like `eigvalsh`, it reads the
     lower triangle. When the factorisation breaks down (an indefinite gram,
-    or a singular one such as a linear kernel on more points than
-    dimensions), `eigvalsh` decides as before.
+    or a singular one such as X @ X.T on more points than dimensions),
+    `eigvalsh` decides as before.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if not np.all(np.isfinite(gram)):
@@ -454,10 +432,11 @@ class LogisticPredictor(Predictor):
 
 
 class KernelPredictor(Predictor):
-    """h(x) = clamp(sum_l beta_l K(x_l, x), 0, 1) over stored support points,
-    which must lie in the unit ball like a dataset's features."""
+    """h(x) = clamp(sum_l beta_l K(x_l, x), 0, 1) for the Vovk kernel K over
+    stored support points, which must lie in the unit ball like a dataset's
+    features."""
 
-    def __init__(self, support: np.ndarray, beta, kernel: KernelSpec):
+    def __init__(self, support: np.ndarray, beta):
         support = np.atleast_2d(np.asarray(support, dtype=np.float64))
         _check_unit_ball_rows(support, "support")
         beta = _as_float_vector(beta)
@@ -465,13 +444,12 @@ class KernelPredictor(Predictor):
             raise ValidationError("beta must have one coefficient per support point")
         self.support = _freeze(support)
         self.beta = _freeze(beta)
-        self.kernel = kernel
         self.dimension = support.shape[1]
 
     def raw_batch(self, xs) -> np.ndarray:
         """Unclamped scores sum_l beta_l K(x_l, x); training operates on these."""
         xs = self._check_dimension(np.atleast_2d(xs))
-        return self.kernel.cross(xs, self.support) @ self.beta
+        return VovkHalfKernel().cross(xs, self.support) @ self.beta
 
     def predict_batch(self, xs) -> np.ndarray:
         return np.clip(self.raw_batch(xs), 0.0, 1.0)

@@ -69,8 +69,6 @@ def generate_dataset_with_meta(spec: SyntheticSpec):
     # hardness-pairs
     if spec.m % 2 != 0:
         raise ValidationError("hardness-pairs needs an even m (points come in pairs)")
-    if spec.n < 4:
-        raise ValidationError("hardness-pairs needs n >= 4")
     paired, handle = sample_hardness_distribution(spec.n, spec.m // 2, spec.mode, spec.seed)
     return paired.dataset, {"handle": handle, "matching": paired.matching}
 

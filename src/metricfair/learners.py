@@ -29,7 +29,6 @@ from .audit import empirical_mf_loss
 from .bounds import kernel_norm_bound_B, kernel_slack, linear_slack, uniform_convergence_rho
 from .core import (
     KernelPredictor,
-    KernelSpec,
     LabeledDataset,
     LinearPredictor,
     Matching,
@@ -197,11 +196,9 @@ def train_fair_linear(
     return predictor, report
 
 
-def gram_matrix(S: LabeledDataset, kernel: KernelSpec) -> np.ndarray:
+def gram_matrix(S: LabeledDataset, kernel: VovkHalfKernel) -> np.ndarray:
     """Gram matrix K[i, j] = K(x_i, x_j); validated finite, symmetric and PSD."""
     K = kernel.gram(S.features)
-    if K.shape != (len(S), len(S)):
-        raise ValidationError("gram matrix shape does not match the sample")
     check_psd(K)
     return K
 
@@ -229,8 +226,7 @@ def train_fair_kernel(
     params = derive_solver_params(config, m, B=b_used)
     if tau is not None:
         params = replace(params, tau=float(tau))
-    kernel = VovkHalfKernel()
-    K = gram_matrix(S, kernel)
+    K = gram_matrix(S, VovkHalfKernel())
     y01 = S.targets01
     n_edges = len(M)
     budget = params.tau
@@ -305,7 +301,7 @@ def train_fair_kernel(
 
     solver_cfg = replace(config.solver, constraint_target=-0.5 * budget)
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)
-    predictor = KernelPredictor(S.features, beta, kernel)
+    predictor = KernelPredictor(S.features, beta)
     report = _finalize_report(
         report, predictor, S, M, d, params,
         extras={"learner": "kernel", "B_derived": b_raw, "B_used": b_used},

@@ -23,7 +23,6 @@ from .core import (
     ConstantPredictor,
     KernelPredictor,
     LabeledDataset,
-    LinearDotKernel,
     LinearPredictor,
     LogisticPredictor,
     MatrixMetric,
@@ -35,9 +34,6 @@ from .core import (
 from .hardness import HardnessMetric, HardnessMetricHandle
 
 SCHEMA_VERSION = 2
-
-_KERNELS = {"vovk-half": VovkHalfKernel, "linear-dot": LinearDotKernel}
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -120,12 +116,9 @@ def predictor_to_dict(predictor) -> dict:
             "lipschitz": predictor.lipschitz,
         }
     if isinstance(predictor, KernelPredictor):
-        name = getattr(predictor.kernel, "name", None)
-        if name not in _KERNELS:
-            raise ValidationError(f"kernel {name!r} is not serializable")
         return {
             "variant": "kernel",
-            "kernel": name,
+            "kernel": VovkHalfKernel.name,
             "support": predictor.support.tolist(),
             "beta": predictor.beta.tolist(),
         }
@@ -182,10 +175,9 @@ def predictor_from_dict(payload: dict):
                                  _checked(payload, "lipschitz", _is_number, "a number"))
     if variant == "kernel":
         name = _string(payload, "kernel")
-        if name not in _KERNELS:
+        if name != VovkHalfKernel.name:
             raise ValidationError(f"unknown kernel {name!r} under key 'kernel'")
-        return KernelPredictor(_matrix(payload, "support"), _vector(payload, "beta"),
-                               _KERNELS[name]())
+        return KernelPredictor(_matrix(payload, "support"), _vector(payload, "beta"))
     raise ValidationError(f"unknown predictor variant {variant!r}")
 
 

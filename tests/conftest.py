@@ -14,13 +14,11 @@ from metricfair import (
     ConstantPredictor,
     KernelPredictor,
     LabeledDataset,
-    LinearDotKernel,
     LinearPredictor,
     LogisticPredictor,
     Predictor,
     ScaledEuclideanMetric,
     SignReferencePredictor,
-    VovkHalfKernel,
 )
 
 # Property tests draw the same examples on every run and keep no example
@@ -73,7 +71,7 @@ def random_predictor(rng, n):
 
 
 #: predictor kinds of `predictor_with_formula`
-PREDICTOR_KINDS = ("constant", "linear", "logistic", "kernel-vovk", "kernel-linear-dot", "sign")
+PREDICTOR_KINDS = ("constant", "linear", "logistic", "kernel-vovk", "sign")
 
 
 def predictor_with_formula(kind, rng, n):
@@ -92,9 +90,8 @@ def predictor_with_formula(kind, rng, n):
     if kind == "logistic":
         h = LogisticPredictor(w, float(rng.uniform(0.5, 4.0)))
         return h, lambda x: scalar.logistic_predict(h, x), False
-    kernel = VovkHalfKernel() if kind == "kernel-vovk" else LinearDotKernel()
     size = int(rng.integers(1, 8))
-    h = KernelPredictor(unit_ball_points(rng, size, n), rng.standard_normal(size), kernel)
+    h = KernelPredictor(unit_ball_points(rng, size, n), rng.standard_normal(size))
     return h, lambda x: scalar.kernel_predict(h, x), False
 
 

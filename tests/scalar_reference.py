@@ -267,16 +267,12 @@ def logistic_predict(h, x) -> float:
     return float(sigmoid_transfer(np.dot(h.weights, x), h.lipschitz))
 
 
-#: K(x, y) of each serializable kernel, by kernel name
-KERNEL_VALUES = {
-    "vovk-half": lambda x, y: 1.0 / (1.0 - 0.5 * float(np.dot(x, y))),
-    "linear-dot": lambda x, y: float(np.dot(x, y)),
-}
+def vovk_kernel(x, y) -> float:
+    return 1.0 / (1.0 - 0.5 * float(np.dot(x, y)))
 
 
 def kernel_raw(h, x) -> float:
-    value = KERNEL_VALUES[h.kernel.name]
-    k = np.array([value(s, x) for s in h.support])
+    k = np.array([vovk_kernel(s, x) for s in h.support])
     return float(np.dot(h.beta, k))
 
 

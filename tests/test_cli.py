@@ -149,6 +149,15 @@ class TestGenData:
         assert len(ds) == 20
         assert handle.exists()
 
+    def test_hardness_pairs_below_dimension_four_exit_two(self, capsys, tmp_path):
+        out = tmp_path / "hard.csv"
+        code, stdout, err = run(capsys, "gen-data", "--generator", "hardness-pairs",
+                                "--n", "3", "--m", "20", "--seed", "3", "--out", str(out))
+        assert code == 2
+        assert err == "error: need dimension n >= 4\n"
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("generator", ["unit-ball", "separable"])
     def test_handle_out_needs_the_hardness_generator(self, capsys, tmp_path, generator):
         out, handle = tmp_path / "data.csv", tmp_path / "handle.json"
@@ -452,6 +461,8 @@ class TestInputFiles:
          "'kernel'"),
         ("predictor", '{"variant": "kernel", "kernel": "rbf", "support": [[0.1, 0.2]], '
                       '"beta": [1.0]}', "'kernel'"),
+        ("predictor", '{"variant": "kernel", "kernel": "linear-dot", "support": [[0.1, 0.2]], '
+                      '"beta": [1.0]}', "unknown kernel 'linear-dot' under key 'kernel'"),
         ("predictor", '{"variant": "linear", "weights": [0.1', "not valid JSON"),
         ("handle", "[]", "JSON object"),
         ("handle", '{"kind": "hardness-metric-handle", "mode": "V", "n": 2}', "'y'"),
@@ -824,6 +835,15 @@ class TestHardnessCommand:
         body = json.loads(report.read_text())
         assert body["results"]["reference_error"]["V"] == 0.0
         assert body["results"]["perfect_fairness_audit"]["V"]["n_violations"] == 0
+
+    def test_learner_flag_is_an_unknown_argument(self, capsys, tmp_path):
+        out = tmp_path / "hardness.json"
+        code, stdout, err = run(capsys, "hardness-demo", "--n", "8", "--pairs", "20",
+                                "--seed", "4", "--learner", "linear", "--out", str(out))
+        assert code == 1
+        assert err == "usage error: unrecognized arguments: --learner linear\n"
+        assert stdout == ""
+        assert not out.exists()
 
     def test_negative_audit_pairs_exit_two(self, capsys, tmp_path):
         out = tmp_path / "hardness.json"

@@ -18,7 +18,6 @@ from metricfair import (
     DimensionMismatchError,
     KernelPredictor,
     LabeledDataset,
-    LinearDotKernel,
     LinearPredictor,
     LogisticPredictor,
     Matching,
@@ -95,7 +94,7 @@ class TestPredict:
             ConstantPredictor(0.7),
             LinearPredictor(w),
             LogisticPredictor(w * 0.9, 5.0),
-            KernelPredictor(support, rng.standard_normal(6) * 2.0, VovkHalfKernel()),
+            KernelPredictor(support, rng.standard_normal(6) * 2.0),
         ]
         for h in predictors:
             vals = h.predict_batch(X)
@@ -176,10 +175,10 @@ class TestKernelPredictorSupport:
     def test_rejects_rows_outside_the_unit_ball(self, support, message):
         beta = np.ones(len(support))
         with pytest.raises(ValidationError, match=message):
-            KernelPredictor(np.array(support), beta, VovkHalfKernel())
+            KernelPredictor(np.array(support), beta)
 
     def test_norm_tolerance_accepts_ingestion_noise(self):
-        h = KernelPredictor(np.array([[0.6, 0.8 + 5e-10]]), np.array([0.3]), VovkHalfKernel())
+        h = KernelPredictor(np.array([[0.6, 0.8 + 5e-10]]), np.array([0.3]))
         assert h.dimension == 2
 
 
@@ -249,7 +248,7 @@ class TestCheckPsd:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_rank_deficient_linear_gram_takes_the_eigvalsh_path(self, rng, n):
         X = unit_ball_points(rng, 30, n)
-        gram = LinearDotKernel().gram(X)
+        gram = X @ X.T
         assert np.linalg.matrix_rank(gram) == n
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
             check_psd(gram)

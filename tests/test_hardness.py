@@ -13,6 +13,7 @@ from metricfair import core
 from metricfair import (
     HardnessMetric,
     KernelLearner,
+    LinearLearner,
     SignReferencePredictor,
     SignUndefinedError,
     SolverConfig,
@@ -228,7 +229,7 @@ class TestExperiment:
     def test_single_mode_run(self):
         report = run_hardness_experiment(
             n=8, k_pairs=20, seed=22, modes=("V",), n_audit_pairs=200,
-            train_learners=(),
+            train=False,
         )
         assert report.averaged_fair_error_u is None
         assert report.accuracy_gap is None
@@ -320,7 +321,19 @@ class TestBatchedAgainstScalar:
 
 
 class TestExperimentInputs:
+    def test_trainer_must_hold_a_kernel_learner(self):
+        trainer = TrainConfig(alpha=0.05, gamma=0.1, learner=LinearLearner())
+        with pytest.raises(ValidationError, match="config.learner must be a KernelLearner"):
+            run_hardness_experiment(n=8, k_pairs=5, seed=1, trainer=trainer, modes=("V",),
+                                    n_audit_pairs=10)
+
+    def test_a_linear_trainer_runs_when_nothing_trains(self):
+        trainer = TrainConfig(alpha=0.05, gamma=0.1, learner=LinearLearner())
+        report = run_hardness_experiment(n=8, k_pairs=5, seed=1, trainer=trainer, modes=("V",),
+                                         n_audit_pairs=10, train=False)
+        assert report.trained == {}
+
     def test_negative_audit_pairs_rejected(self):
         with pytest.raises(ValidationError, match="n_audit_pairs"):
             run_hardness_experiment(n=8, k_pairs=5, seed=1, modes=("V",),
-                                    n_audit_pairs=-1, train_learners=())
+                                    n_audit_pairs=-1, train=False)

@@ -22,7 +22,6 @@ from metricfair import (
     SolverDerivedParams,
     TrainingReport,
     ValidationError,
-    VovkHalfKernel,
     sample_hardness_distribution,
 )
 from metricfair.serde import (
@@ -65,8 +64,7 @@ class TestPredictorJson:
         lambda: ConstantPredictor(0.25),
         lambda: LinearPredictor(np.array([0.5, -0.25, 0.1])),
         lambda: LogisticPredictor(np.array([0.3, 0.4]), 2.5),
-        lambda: KernelPredictor(np.array([[0.2, 0.1], [0.0, -0.3]]),
-                                np.array([0.7, -0.2]), VovkHalfKernel()),
+        lambda: KernelPredictor(np.array([[0.2, 0.1], [0.0, -0.3]]), np.array([0.7, -0.2])),
     ])
     def test_round_trip(self, make, tmp_path, rng):
         original = make()

@@ -1,0 +1,46 @@
+"""tools/workload_outputs.py: every workload's outputs, free of run paths."""
+
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "workload_outputs.py"
+TINY = {
+    "linear-audit": {"n": 3, "m": 41, "max_iters": 60, "population_pairs": 500},
+    "kernel-train": {"n": 3, "m": 41, "max_iters": 40, "population_pairs": 500},
+    "hardness": {"n": 8, "m": 40, "pairs": 20, "audit_pairs": 200, "triples": 300},
+}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("workload_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_two_runs_write_the_same_bytes_and_no_run_directory(tmp_path):
+    tool = _load_tool()
+    workloads = [replace(w, sizes=TINY[w.name]) for w in tool.WORKLOADS.values()]
+    for run in ("a", "b"):
+        tool.write_outputs(3, tmp_path / run, workloads)
+    first, second = _files(tmp_path / "a"), _files(tmp_path / "b")
+    assert first == second
+    assert {"linear-audit/audit.json", "kernel-train/predictor.json", "hardness/demo.json",
+            "hardness/validate.json", "hardness/commands.txt"} <= set(first)
+    assert all(str(tmp_path).encode() not in body for body in first.values())
+    for name in tool.WORKLOADS:
+        commands = first[f"{name}/commands.txt"].decode().splitlines()
+        assert len(commands) == 1 + len(tool.WORKLOADS[name].commands)
+        assert all(line.startswith("0 ") for line in commands)
+        assert all(line.endswith("--no-timestamp") for line in commands[1:])
+
+
+def test_wrong_arguments_print_the_usage(capsys):
+    assert _load_tool().main(["1"]) == 1
+    assert capsys.readouterr().err == "usage: workload_outputs.py SEED DIR\n"
