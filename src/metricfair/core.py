@@ -292,13 +292,38 @@ class VovkHalfKernel:
 
     def cross(self, xs, ys) -> np.ndarray:
         """Matrix K[i, j] = K(xs[i], ys[j])."""
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
-        return 1.0 / (1.0 - 0.5 * (xs @ ys.T))
+        # 1 / (1 - 0.5 * (xs @ ys.T)) in place, bit for bit: -0.5 b is exact, 1 + (-b) is 1 - b
+        G = np.matmul(np.atleast_2d(xs), np.atleast_2d(ys).T, dtype=np.float64)
+        G *= -0.5
+        G += 1.0
+        return np.reciprocal(G, out=G)
 
 
 #: rows per panel of check_psd's symmetry test
 _SYMMETRY_PANEL = 64
+#: columns per panel of _cholesky_lower's blocked factorisation
+_CHOLESKY_PANEL = 128
+
+
+def _cholesky_lower(a: np.ndarray) -> np.ndarray:
+    """Write over `a` its lower Cholesky factor, read from its lower triangle,
+    and return it; raise LinAlgError unless `a` is positive definite. Blocked
+    right-looking (Golub & Van Loan, Matrix Computations, 4.2) in panels of
+    _CHOLESKY_PANEL columns, so that no temporary exceeds a panel-wide strip."""
+    m = a.shape[0]
+    for k in range(0, m, _CHOLESKY_PANEL):
+        e = min(k + _CHOLESKY_PANEL, m)
+        l11 = a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
+        if e == m:
+            break
+        # L21' = L11^-1 A21' by substitution: L11 reversed is upper triangular, so LU won't pivot
+        a[e:, k:e] = np.linalg.solve(l11[::-1, ::-1], a[e:, k:e].T[::-1])[::-1].T
+        a[k:e, e:] = 0.0
+        # A22 -= L21 L21' on and below the diagonal, a strip of rows at a time
+        for i in range(e, m, _CHOLESKY_PANEL):
+            j = min(i + _CHOLESKY_PANEL, m)
+            a[i:j, e:j] -= a[i:j, k:e] @ a[e:j, k:e].T
+    return a
 
 
 def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
@@ -313,11 +338,15 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     within the tolerance of a lower bound on the top eigenvalue (the largest
     diagonal entry or the mean row sum); for the Vovk gram of 2001 points in
     10 dimensions the bound is 7.6e-13 of it. Like `eigvalsh`, it reads the
-    lower triangle. When the factorisation breaks down (an indefinite gram,
+    lower triangle. It factors one working copy, blocked: that computes the
+    same inner products in another order, by conventional products and
+    substitution, so Thm 10.3 holds. When it breaks down (an indefinite gram,
     or a singular one such as X @ X.T on more points than dimensions),
     `eigvalsh` decides as before.
     """
     gram = np.asarray(gram, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
+        raise ValidationError(f"gram matrix must be square and non-empty, got shape {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise ValidationError("gram matrix has non-finite entries")
     m = gram.shape[0]
@@ -331,7 +360,8 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     top_floor = max(float(np.max(np.diag(gram))), float(gram.sum()) / m)
     if factor_error <= rel_tolerance * top_floor:
         try:
-            np.linalg.cholesky(gram)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _cholesky_lower(gram.copy())
             return
         except np.linalg.LinAlgError:
             pass

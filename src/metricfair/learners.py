@@ -289,10 +289,10 @@ def train_fair_kernel(
         raw_cache[scaled.tobytes()] = raw * scale
         return scaled
 
-    ridge = K.copy()
-    ridge[np.diag_indices(m)] += RIDGE_LAMBDA * m
-    init = np.linalg.solve(ridge, y01)
-    del ridge  # an m x m copy; free it before the solver runs
+    diagonal = K.diagonal().copy()
+    K[np.diag_indices(m)] += RIDGE_LAMBDA * m
+    init = np.linalg.solve(K, y01)
+    K[np.diag_indices(m)] = diagonal  # the ridge system was solved in K's own storage
     # raw scores scale linearly in beta, so the warm start is pulled in to
     # the solver's constraint target (mean excess tau/2) in closed form
     # instead of burning solver iterations on a feasibility march

@@ -102,6 +102,11 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+#: grams that are not square matrices with at least one row, and their ids
+NOT_SQUARE = [np.zeros((0, 0)), np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2)), np.float64(1.0)]
+NOT_SQUARE_IDS = ["empty", "2x3", "1-d", "3-d", "0-d"]
+
+
 def random_metric(rng):
     if rng.random() < 0.5:
         return ConstantMetric(float(rng.uniform(0.0, 0.6)))

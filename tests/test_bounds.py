@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conftest import NOT_SQUARE, NOT_SQUARE_IDS
 from metricfair import (
     MetricFairError,
     RademacherDominatesError,
@@ -51,6 +53,13 @@ class TestRademacherEstimator:
     def test_rejects_indefinite_gram(self):
         with pytest.raises(ValidationError):
             empirical_rademacher_kernel_ball(np.array([[1.0, 3.0], [3.0, 1.0]]), 1.0, 10, 0)
+
+    @pytest.mark.parametrize("gram", NOT_SQUARE, ids=NOT_SQUARE_IDS)
+    def test_rejects_shapes_other_than_square(self, gram):
+        shape = re.escape(str(np.shape(gram)))
+        with pytest.raises(ValidationError,
+                           match=f"must be square and non-empty, got shape {shape}"):
+            empirical_rademacher_kernel_ball(gram, 1.0, 10, 0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_gram(self, bad):

@@ -1,6 +1,7 @@
 """Domain types: datasets, metrics, predictors, matchings, metric validation."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as scalar
-from conftest import PREDICTOR_KINDS, predictor_with_formula, random_dataset, unit_ball_points
+from conftest import (NOT_SQUARE, NOT_SQUARE_IDS, PREDICTOR_KINDS, predictor_with_formula,
+                      random_dataset, unit_ball_points)
 from metricfair import core
 from metricfair import (
     ConstantMetric,
@@ -164,6 +166,18 @@ class TestKernels:
         with pytest.raises(ValidationError):
             check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", ["same", "distinct", "one row", "read-only"])
+    def test_cross_is_bit_identical_to_the_plain_formula(self, rng, shape):
+        xs = unit_ball_points(rng, 1 if shape == "one row" else 50, 4)
+        ys = xs if shape == "same" else unit_ball_points(rng, 30, 4)
+        if shape == "read-only":
+            for v in (xs, ys):
+                v.setflags(write=False)
+        got = VovkHalfKernel().cross(xs, ys)
+        assert np.array_equal(got, 1 / (1 - 0.5 * (xs @ ys.T)))
+        if shape == "same":
+            assert np.array_equal(VovkHalfKernel().gram(xs), got)
+
 
 class TestKernelPredictorSupport:
     @pytest.mark.parametrize("support, message", [
@@ -196,11 +210,16 @@ class TestCheckPsd:
     scalar_reference keeps, and leaves its input as it was."""
 
     def _same_verdict(self, gram, rel_tolerance=core.PSD_TOLERANCE):
+        # with the default panel a gram of up to _CHOLESKY_PANEL rows is
+        # factored in one LAPACK call; a panel of 8 factors it across several
+        # panels and a partial last one
         before = np.array(gram, copy=True)
-        verdict = _psd_verdict(check_psd, gram, rel_tolerance)
-        assert verdict == _psd_verdict(scalar.check_psd, before, rel_tolerance)
-        assert np.array_equal(gram, before)
-        return verdict
+        expected = _psd_verdict(scalar.check_psd, before, rel_tolerance)
+        for panel in (core._CHOLESKY_PANEL, 8):
+            with mock.patch.object(core, "_CHOLESKY_PANEL", panel):
+                assert _psd_verdict(check_psd, gram, rel_tolerance) == expected
+            assert np.array_equal(gram, before)
+        return expected
 
     @given(m=st.integers(1, 40), rank=st.integers(1, 40), seed=st.integers(0, 2**16),
            shift=st.sampled_from([0.0, 1e-3, -1e-14, -1e-10, -1e-6, -1e-2, -1.0]))
@@ -267,6 +286,32 @@ class TestCheckPsd:
             g.setflags(write=False)
         assert self._same_verdict(gram) is None
         assert "not positive semidefinite" in self._same_verdict(indefinite)
+
+    def test_overflow_after_a_subnormal_pivot_is_left_to_eigvalsh(self):
+        # across panels of 8, L21 = 1 / sqrt(5e-324) and L21 L21' overflows in
+        # the trailing update, which then fails to factor; it warns nothing
+        gram = np.eye(9)
+        gram[7, 7] = 5e-324
+        gram[8, 7] = gram[7, 8] = 1.0
+        assert "not positive semidefinite" in self._same_verdict(gram)
+
+    @pytest.mark.parametrize("panel", [8, core._CHOLESKY_PANEL])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "2p+3"])
+    def test_blocked_factor_matches_lapack_on_vovk_grams(self, rng, panel, offset):
+        m = 2 * panel + 3 if offset == "2p+3" else panel + offset
+        gram = VovkHalfKernel().gram(unit_ball_points(rng, m, 10))
+        expected = np.linalg.cholesky(gram)
+        with mock.patch.object(core, "_CHOLESKY_PANEL", panel):
+            got = core._cholesky_lower(gram.copy())
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(np.triu(got, 1), np.zeros((m, m)))
+
+    @pytest.mark.parametrize("gram", NOT_SQUARE, ids=NOT_SQUARE_IDS)
+    def test_rejects_shapes_other_than_square(self, gram):
+        shape = re.escape(str(np.shape(gram)))
+        with pytest.raises(ValidationError,
+                           match=f"must be square and non-empty, got shape {shape}"):
+            check_psd(gram)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])

@@ -426,6 +426,36 @@ class TestKernelWarmStart:
         else:
             assert np.array_equal(start, fit)
 
+    def test_ridge_solve_on_the_gram_in_place_leaves_it_as_built(self):
+        # the ridge system is solved on the gram's own storage; it is the
+        # K.copy() system bit for bit, and the gram is restored afterwards
+        ds = random_dataset(np.random.default_rng(5), 16, 3)
+        cfg = linear_config(solver=SolverConfig(max_iters=20, seed=0),
+                            learner=KernelLearner(B=1e4))
+        grams, solves = [], []
+        build, solve = learners.gram_matrix, np.linalg.solve
+
+        def capturing_build(S, kernel):
+            grams.append(build(S, kernel))
+            return grams[-1]
+
+        def capturing_solve(a, b):
+            out = solve(a, b)
+            solves.append((np.array(a), out.copy()))  # the learner scales out in place
+            return out
+
+        with mock.patch.object(learners, "gram_matrix", capturing_build), \
+                mock.patch.object(np.linalg, "solve", capturing_solve):
+            train_fair_kernel(ds, ScaledEuclideanMetric(0.2), cfg, tau=0.01)
+
+        K = VovkHalfKernel().gram(ds.features)
+        assert len(grams) == 1 and np.array_equal(grams[0], K)
+        ridge = K.copy()
+        ridge[np.diag_indices(len(ds))] += learners.RIDGE_LAMBDA * len(ds)
+        assert len(solves) == 1
+        assert np.array_equal(solves[0][0], ridge)
+        assert np.array_equal(solves[0][1], np.linalg.solve(ridge, ds.targets01))
+
 
 class TestMemoisedSubgradientProducts:
     """The kernel learner computes each distinct subgradient product K v once

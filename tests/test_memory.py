@@ -1,7 +1,8 @@
-"""The audit runs in memory bounded by its block size, not by m^2 or n_pairs.
+"""The audit runs in memory bounded by its block size, not by m^2 or n_pairs,
+and kernel training and its audit in two m x m arrays.
 
 `ru_maxrss` is the lifetime peak of a process, and the test process has
-already peaked elsewhere, so the audit runs in a fresh interpreter that
+already peaked elsewhere, so each case runs in a fresh interpreter that
 reports its own peak.
 """
 
@@ -33,11 +34,46 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_audit_peak_rss_stays_within_budget():
+#: peak RSS allowed to kernel train+audit at m = 3,000: two m x m float64
+#: arrays (72 MB each) and the interpreter with numpy and the data (about
+#: 40 MB), with room for panel temporaries. It peaked at 260 MB when the gram
+#: build, the PSD certificate and the ridge warm start each held three m x m
+#: arrays, and peaks at about 194 MB now.
+KERNEL_BUDGET_MB = 220
+
+KERNEL = """
+import resource, sys
+from metricfair.cli import run_cli
+
+work = sys.argv[1]
+for argv in (
+    ["gen-data", "--generator", "unit-ball", "--n", "10", "--m", "3000", "--seed", "1",
+     "--out", f"{work}/data.csv"],
+    ["train", "--learner", "kernel", "--kernel-b", "100", "--data", f"{work}/data.csv",
+     "--metric", "euclidean:0.8", "--alpha", "0.2", "--gamma", "0.3", "--max-iters", "5",
+     "--seed", "1", "--predictor-out", f"{work}/predictor.json", "--out", f"{work}/train.json"],
+    ["audit", "--data", f"{work}/data.csv", "--metric", "euclidean:0.8", "--gamma", "0.3",
+     "--predictor", f"{work}/predictor.json", "--population-pairs", "10000", "--seed", "1",
+     "--out", f"{work}/audit.json"],
+):
+    assert run_cli(argv) == 0, argv
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _peak_mb(code: str, *args: str) -> float:
+    """Peak RSS of `code` run in a fresh interpreter that prints its ru_maxrss."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", AUDIT], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB on Linux
-    assert peak_mb < BUDGET_MB
+    return int(proc.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def test_audit_peak_rss_stays_within_budget():
+    assert _peak_mb(AUDIT) < BUDGET_MB
+
+
+def test_kernel_train_and_audit_peak_rss_stays_within_two_gram_arrays(tmp_path):
+    assert _peak_mb(KERNEL, str(tmp_path)) < KERNEL_BUDGET_MB
