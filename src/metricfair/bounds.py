@@ -82,6 +82,12 @@ def _check_margin_args(G: float, delta: float, m: int) -> None:
         raise ValidationError("need m >= 2")
 
 
+def _kernel_margin(G: float, delta: float, m: int, mid: float) -> float:
+    """2G * (4 + mid + 17*sqrt(ln(4/delta))) / sqrt(m-1), the kernel-ball margin
+    with the complexity term `mid`."""
+    return 2.0 * G * (4.0 + mid + 17.0 * math.sqrt(math.log(4.0 / delta))) / math.sqrt(m - 1)
+
+
 def mf_generalization_delta(G: float, delta: float, m: int, r_hat: float) -> float:
     """Two-sided uniform-convergence margin for the empirical fairness loss.
 
@@ -104,8 +110,7 @@ def mf_generalization_delta_kernel(
     for name, v in (("C", C), ("M", M)):
         if not v >= 0:
             raise ValidationError(f"{name} must be non-negative, got {v}")
-    num = 4.0 + 4.0 * math.sqrt(2.0) * math.sqrt(C * M) + 17.0 * math.sqrt(math.log(4.0 / delta))
-    return 2.0 * G * num / math.sqrt(m - 1)
+    return _kernel_margin(G, delta, m, 4.0 * math.sqrt(2.0) * math.sqrt(C * M))
 
 
 def uniform_convergence_rho(G: float, delta: float, m: int, B: float | None = None) -> float:
@@ -114,13 +119,10 @@ def uniform_convergence_rho(G: float, delta: float, m: int, B: float | None = No
     replacing 4*sqrt(2) when a squared-norm bound B is supplied."""
     _check_margin_args(G, delta, m)
     if B is None:
-        mid = 4.0 * math.sqrt(2.0)
-    else:
-        if not B > 0:
-            raise ValidationError(f"B must be positive, got {B}")
-        mid = 8.0 * math.sqrt(B)
-    num = 4.0 + mid + 17.0 * math.sqrt(math.log(4.0 / delta))
-    return 2.0 * G * num / math.sqrt(m - 1)
+        return _kernel_margin(G, delta, m, 4.0 * math.sqrt(2.0))
+    if not B > 0:
+        raise ValidationError(f"B must be positive, got {B}")
+    return _kernel_margin(G, delta, m, 8.0 * math.sqrt(B))
 
 
 def linear_slack(eps_alpha: float, eps_gamma: float) -> float:

@@ -84,8 +84,26 @@ def _alpha2_grid(text: str) -> list[float]:
     return grid
 
 
-# the values of the choice flags of `train`, which its --config keys share
-_CHOICES = {"learner": ("linear", "kernel"), "theory_mode": ("empirical", "theoretical")}
+# Every `train` parameter: its --config key, whose flag is the key with dashes,
+# maps to the dataclass and field it sets and to its type or tuple of choices.
+_TRAIN_PARAMS = {
+    "learner": (TrainConfig, "learner", ("linear", "kernel")),
+    "alpha": (TrainConfig, "alpha", float),
+    "gamma": (TrainConfig, "gamma", float),
+    "eps": (TrainConfig, "eps", float),
+    "eps_alpha": (TrainConfig, "eps_alpha", float),
+    "eps_gamma": (TrainConfig, "eps_gamma", float),
+    "delta": (TrainConfig, "delta", float),
+    "theory_mode": (TrainConfig, "theory_mode", ("empirical", "theoretical")),
+    "kernel_b": (KernelLearner, "B", float),
+    "kernel_l": (KernelLearner, "L", float),
+    "b_max": (KernelLearner, "b_max", float),
+    "max_iters": (SolverConfig, "max_iters", int),
+    "step_c0": (SolverConfig, "step_c0", float),
+    "feas_tol": (SolverConfig, "feasibility_tolerance", float),
+}
+_TRAIN_HELP = {"kernel_b": "explicit squared-RKHS-norm bound",
+               "kernel_l": "derive B from this Lipschitz cap"}
 
 
 def _build_parser() -> _Parser:
@@ -107,20 +125,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--metric", required=True)
     p.add_argument("--config", help="JSON file with training parameters; flags override")
-    p.add_argument("--learner", choices=_CHOICES["learner"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eps-alpha", type=float)
-    p.add_argument("--eps-gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--theory-mode", choices=_CHOICES["theory_mode"])
-    p.add_argument("--kernel-b", type=float, help="explicit squared-RKHS-norm bound")
-    p.add_argument("--kernel-l", type=float, help="derive B from this Lipschitz cap")
-    p.add_argument("--b-max", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--step-c0", type=float)
-    p.add_argument("--feas-tol", type=float)
+    for key, (_, _, kind) in _TRAIN_PARAMS.items():
+        convert = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        p.add_argument("--" + key.replace("_", "-"), help=_TRAIN_HELP.get(key), **convert)
     p.add_argument("--seed", type=int)
     p.add_argument("--predictor-out", required=True)
     _add_report_flags(p)
@@ -203,66 +210,59 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-# The parameters that `train` flags and --config keys may set. Each unset one
-# takes the default of its TrainConfig, SolverConfig or KernelLearner field.
-_TRAIN_KEYS = (
-    "learner", "alpha", "gamma", "eps", "eps_alpha", "eps_gamma", "delta",
-    "theory_mode", "kernel_b", "kernel_l", "b_max", "max_iters", "step_c0", "feas_tol",
-)
-# keys whose dataclass field has another name
-_FIELD_NAMES = {"kernel_b": "B", "kernel_l": "L", "feas_tol": "feasibility_tolerance"}
-
-
 def _read_train_config(path) -> dict:
-    """Load a --config file and give its values the checks their flags get."""
+    """Load a --config file, checking and converting each value as its flag's."""
     try:
         cfg = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise UsageError(f"--config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("--config must hold a JSON object")
-    unknown = set(cfg) - set(_TRAIN_KEYS)
+    unknown = set(cfg) - set(_TRAIN_PARAMS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for name, value in cfg.items():
-        if name in _CHOICES:
-            ok = value in _CHOICES[name]
-        else:
-            number = int if name == "max_iters" else (int, float)
-            ok = isinstance(value, number) and not isinstance(value, bool)
-        if not ok:
+        kind = _TRAIN_PARAMS[name][2]
+        if isinstance(kind, tuple):
+            ok = value in kind
+        else:  # a JSON integer is a valid float, as "100" is for a float flag
+            ok = isinstance(value, (int, float) if kind is float else kind)
+        if not ok or isinstance(value, bool):
             raise UsageError(f"invalid config value for {name}: {value!r}")
+        cfg[name] = value if isinstance(kind, tuple) else kind(value)
     return cfg
-
-
-def _fields_of(cls, given: dict) -> dict:
-    """The entries of `given` that set a field of dataclass `cls`, keyed by
-    field name."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    renamed = {_FIELD_NAMES.get(k, k): v for k, v in given.items()}
-    return {k: v for k, v in renamed.items() if k in names}
 
 
 def _train_config(args, seed: int) -> TrainConfig:
     """Resolve training parameters: explicit flags override the optional
     --config JSON file, whose values override the dataclass defaults."""
     file_cfg = _read_train_config(args.config) if args.config else {}
-    given = {}
-    for name in _TRAIN_KEYS:
-        value = getattr(args, name)
-        if value is None:
-            value = file_cfg.get(name)
-        if value is not None:
-            given[name] = value
+    flags = {key: getattr(args, key) for key in _TRAIN_PARAMS if getattr(args, key) is not None}
+    fields = {TrainConfig: {}, KernelLearner: {}, SolverConfig: {"seed": seed}}
+    for key, value in {**file_cfg, **flags}.items():
+        cls, name, _ = _TRAIN_PARAMS[key]
+        fields[cls][name] = value
+    given = fields[TrainConfig]
     if given.pop("learner", None) == "kernel":
-        if "kernel_b" not in given and "kernel_l" not in given:
+        if "B" not in fields[KernelLearner] and "L" not in fields[KernelLearner]:
             raise UsageError("kernel learner needs --kernel-b or --kernel-l")
-        given["learner"] = KernelLearner(**_fields_of(KernelLearner, given))
-    given["solver"] = SolverConfig(seed=seed, **_fields_of(SolverConfig, given))
+        given["learner"] = KernelLearner(**fields[KernelLearner])
+    given["solver"] = SolverConfig(**fields[SolverConfig])
     for f in dataclasses.fields(TrainConfig):
         if f.name not in given and f.default is f.default_factory is dataclasses.MISSING:
             raise UsageError(f"missing required parameter --{f.name.replace('_', '-')}")
-    return TrainConfig(**_fields_of(TrainConfig, given))
+    return TrainConfig(**given)
+
+
+def _train_record(config: TrainConfig) -> dict:
+    """Every `train` parameter that `config` resolved to a value, under its
+    --config key: as a --config file, with the seed given apart, the record
+    rebuilds `config`. The kernel parameters appear for a kernel learner only."""
+    owners = {TrainConfig: config, SolverConfig: config.solver, KernelLearner: config.learner}
+    record = {key: getattr(owners[cls], name) for key, (cls, name, _) in _TRAIN_PARAMS.items()
+              if isinstance(owners[cls], cls) and getattr(owners[cls], name) is not None}
+    record["learner"] = "kernel" if isinstance(config.learner, KernelLearner) else "linear"
+    return record
 
 
 def _cmd_train(args) -> int:
@@ -271,14 +271,10 @@ def _cmd_train(args) -> int:
     metric = load_metric(args.metric, dataset)
     config = _train_config(args, seed)
     if isinstance(config.learner, KernelLearner):
-        learner_kind = "kernel"
         predictor, report = train_fair_kernel(dataset, metric, config)
     else:
-        learner_kind = "linear"
         predictor, report = train_fair_linear(dataset, metric, config)
-    params = {f.name: getattr(config, f.name) for f in dataclasses.fields(TrainConfig)
-              if f.name not in ("learner", "solver")}
-    params.update(learner=learner_kind, seed=seed)
+    params = {**_train_record(config), "seed": seed}
     save_predictor_json(predictor, args.predictor_out, training_config=params, report=report)
     _emit_report(args, params, report)
     return 0
@@ -297,7 +293,8 @@ def _cmd_audit(args) -> int:
         seed=seed,
     )
     params = {"gamma": args.gamma, "seed": seed, "metric": args.metric,
-              "predictor": predictor_to_dict(predictor)["variant"]}
+              "predictor": predictor_to_dict(predictor)["variant"],
+              "population_pairs": args.population_pairs}
     _emit_report(args, params, report)
     return 0
 
@@ -370,15 +367,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_hardness(args) -> int:
     seed = _resolve_seed(args)
     modes = {"u": ("U",), "v": ("V",), "both": ("U", "V")}[args.mode]
-    trainer = dataclasses.replace(
-        DEMO_TRAINER, alpha=args.alpha, gamma=args.gamma,
-        solver=dataclasses.replace(DEMO_TRAINER.solver, max_iters=args.max_iters, seed=seed),
-    )
+    solver = dataclasses.replace(DEMO_TRAINER.solver, max_iters=args.max_iters, seed=seed)
+    trainer = dataclasses.replace(DEMO_TRAINER, alpha=args.alpha, gamma=args.gamma, solver=solver)
     report = run_hardness_experiment(
         n=args.n, k_pairs=args.pairs, seed=seed, trainer=trainer, modes=modes,
         n_audit_pairs=args.audit_pairs, train=not args.skip_training,
     )
-    _emit_report(args, {"mode": args.mode, "seed": seed}, report)
+    params = {"mode": args.mode, "seed": seed, "trainer": _train_record(trainer)}
+    _emit_report(args, params, report)
     return 0
 
 
@@ -415,7 +411,7 @@ def run_cli(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (MetricFairError, OSError, ValueError, KeyError) as exc:
+    except (MetricFairError, OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -632,19 +632,21 @@ class TestTrainParameters:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         text = " ".join(readme.split())
         listing = text.split("whose keys are flag names with underscores:")[1].split(". ")[0]
-        assert tuple(re.findall(r"`(\w+)`", listing)) == cli._TRAIN_KEYS
+        assert tuple(re.findall(r"`(\w+)`", listing)) == tuple(cli._TRAIN_PARAMS)
 
-    @pytest.mark.parametrize("learner", [(), ("--learner", "kernel", "--kernel-b", "10")])
+    @pytest.mark.parametrize("learner, unset", [
+        ((), {"kernel_b", "kernel_l", "b_max"}),
+        (("--learner", "kernel", "--kernel-b", "10"), {"kernel_l"}),
+    ])
     def test_every_reported_parameter_is_a_config_key(self, capsys, dataset_file, tmp_path,
-                                                      learner):
+                                                      learner, unset):
         code, out, _ = run(capsys, "train", "--data", str(dataset_file),
                            "--metric", "euclidean:0.8", "--alpha", "0.3", "--gamma", "0.4",
                            *learner, "--max-iters", "50", "--seed", "5",
                            "--predictor-out", str(tmp_path / "m.json"), "--no-timestamp")
         assert code == 0
         params = json.loads(out)["params"]
-        assert "seed" in params
-        assert set(params) - {"seed"} <= set(cli._TRAIN_KEYS)
+        assert set(params) == set(cli._TRAIN_PARAMS) - unset | {"seed"}
 
     @pytest.mark.parametrize("kernel_b", [None, 10.0])
     def test_flags_give_the_dataclass_defaults(self, capsys, dataset_file, tmp_path, kernel_b):
@@ -667,10 +669,58 @@ class TestTrainParameters:
         params = {"alpha": cfg.alpha, "gamma": cfg.gamma, "eps": cfg.eps,
                   "eps_alpha": cfg.eps_alpha, "eps_gamma": cfg.eps_gamma,
                   "delta": cfg.delta, "learner": "linear" if kernel_b is None else "kernel",
-                  "theory_mode": cfg.theory_mode, "seed": 5}
+                  "theory_mode": cfg.theory_mode, "max_iters": cfg.solver.max_iters,
+                  "step_c0": cfg.solver.step_c0,
+                  "feas_tol": cfg.solver.feasibility_tolerance, "seed": 5}
+        if kernel_b is not None:
+            params.update(kernel_b=cfg.learner.B, b_max=cfg.learner.b_max)
         lib_out = tmp_path / "lib.json"
         save_predictor_json(predictor, lib_out, training_config=params, report=report)
         assert cli_out.read_bytes() == lib_out.read_bytes()
+
+    @pytest.fixture
+    def sample_file(self, capsys, tmp_path):
+        path = tmp_path / "sample.csv"
+        code, _, _ = run(capsys, "gen-data", "--generator", "unit-ball", "--n", "3",
+                         "--m", "41", "--seed", "1", "--out", str(path))
+        assert code == 0
+        return path
+
+    def train_to_bytes(self, capsys, tmp_path, data, name, *flags):
+        """The predictor JSON and report of a seed-1 train run."""
+        predictor, report = tmp_path / f"{name}-p.json", tmp_path / f"{name}-r.json"
+        code, _, err = run(capsys, "train", "--data", str(data), "--metric", "euclidean:0.8",
+                           *flags, "--seed", "1", "--predictor-out", str(predictor),
+                           "--out", str(report), "--no-timestamp")
+        assert code == 0, err
+        return predictor.read_bytes(), report.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ("--max-iters", "40", "--feas-tol", "1e-4"),
+        ("--learner", "kernel", "--kernel-b", "100", "--max-iters", "300", "--step-c0", "0.3"),
+        ("--learner", "kernel", "--kernel-l", "3", "--b-max", "50"),
+    ])
+    def test_report_params_as_a_config_file_reproduce_the_run(self, capsys, sample_file,
+                                                              tmp_path, flags):
+        first = self.train_to_bytes(capsys, tmp_path, sample_file, "first",
+                                    "--alpha", "0.2", "--gamma", "0.3", *flags)
+        params = json.loads(first[1])["params"]
+        del params["seed"]
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps(params))
+        again = self.train_to_bytes(capsys, tmp_path, sample_file, "again", "--config", str(config))
+        assert again == first
+
+    def test_a_config_integer_writes_what_its_flag_writes(self, capsys, sample_file, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kernel_b": 100}))
+        common = ("--learner", "kernel", "--alpha", "0.2", "--gamma", "0.3", "--max-iters", "50")
+        by_file = self.train_to_bytes(capsys, tmp_path, sample_file, "file", *common,
+                                      "--config", str(config))
+        by_flag = self.train_to_bytes(capsys, tmp_path, sample_file, "flag", *common,
+                                      "--kernel-b", "100")
+        assert by_file == by_flag
+        assert b'"kernel_b": 100.0' in by_flag[1]
 
     BASE = {"alpha": 0.3, "gamma": 0.4, "eps_alpha": 0.2, "eps_gamma": 0.2, "max_iters": 200}
 
@@ -738,6 +788,19 @@ class TestTrainParameters:
                            "--predictor-out", str(out))
         assert code == 1
         assert "usage error" in err and message in err
+        assert not out.exists()
+
+    def test_config_integer_beyond_the_float_range_exits_two(self, capsys, dataset_file,
+                                                             tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"kernel_b": 1' + "0" * 400 + "}")
+        out = tmp_path / "k.json"
+        code, _, err = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "euclidean:0.8", "--learner", "kernel",
+                           "--alpha", "0.3", "--gamma", "0.4", "--config", str(config),
+                           "--seed", "1", "--predictor-out", str(out))
+        assert code == 2
+        assert err == "error: int too large to convert to float\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ['{"alpha": 0.3', "", "{'alpha': 0.3}", '{"alpha": NaN'])
@@ -864,6 +927,17 @@ class TestHardnessCommand:
         assert body["results"]["modes"] == ["U"]
         assert body["results"]["averaged_fair_error_u"] == 0.5
         assert body["results"]["accuracy_gap"] is None
+
+    def test_report_records_the_trainer_its_flags_resolve(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "hardness-demo", "--n", "8", "--pairs", "20",
+                           "--mode", "v", "--seed", "4", "--alpha", "0.1", "--gamma", "0.2",
+                           "--max-iters", "7", "--skip-training", "--no-timestamp")
+        assert code == 0
+        trainer = json.loads(out)["params"]["trainer"]
+        assert trainer == {"alpha": 0.1, "gamma": 0.2, "eps": 0.1, "eps_alpha": 0.1,
+                           "eps_gamma": 0.1, "delta": 0.05, "theory_mode": "empirical",
+                           "learner": "kernel", "kernel_b": 1e4, "b_max": 1e4,
+                           "max_iters": 7, "step_c0": 0.5, "feas_tol": 1e-6}
 
 
 class TestMatrixMetricPipeline:
