@@ -10,9 +10,15 @@ gaps (clamping to [0, 1] happens only at prediction time, which can only
 shrink gaps). The linear learner trains with `solve_pdhg`, which certifies
 how far its result is from the optimum; the kernel learner trains with
 `solve_annealed`. Its subgradient steps overshoot, so the iterates revisit a
-handful of residual sign vectors; the products K v of the subgradients are
-memoised (the PRODUCT_MEMO_SIZE most recently used), which computes each
-once and changes no result.
+handful of residual sign vectors and step directions; the products K v of
+the subgradients and of the directions are memoised (the PRODUCT_MEMO_SIZE
+most recently used), which computes each once. Its `project` closure moves
+the cached raw scores along each step, K (w - t v) = K w - t K v, so an
+iteration makes no m x m product once its directions are memoised; K beta is
+computed afresh only where the cache misses (a stage's start, the solver's
+final check of its best iterate) and for the report. The moved raw scores
+round differently from a fresh product, so results can move in their last
+bits.
 
 By the l1/l0 sandwich, a trained predictor with l1 loss <= tau has empirical
 0/1 fairness loss at slack gamma_tilde at most tau / gamma_tilde.
@@ -46,8 +52,8 @@ from .solver import SolverConfig, TrainingReport, feasible_scale, solve_annealed
 
 # the kernel learner's ridge warm start solves (K + RIDGE_LAMBDA * m I) beta = y01
 RIDGE_LAMBDA = 1e-3
-# the kernel learner's memo of subgradient products K v holds this many, the
-# least recently used going first
+# the kernel learner's memo of products K v (subgradients and step directions)
+# holds this many, the least recently used going first
 PRODUCT_MEMO_SIZE = 8
 
 
@@ -278,16 +284,21 @@ def train_fair_kernel(
 
         return value, subgradient
 
-    def project(beta):
-        raw = raw_of(beta)
+    def project(w, step, direction):
+        # K (w - step v) = K w - step K v: w's raw scores are cached, and the
+        # step directions repeat, so K v comes from the memo
+        raw = raw_of(w)
+        beta = w
+        if step:
+            beta = w - step * direction
+            raw = raw - step * K_times(direction)
         q = float(beta @ raw)
-        if q <= b_used or q <= 0:
-            return beta
-        scale = math.sqrt(b_used / q)
-        scaled = beta * scale
+        if q > b_used:
+            scale = math.sqrt(b_used / q)
+            beta, raw = beta * scale, raw * scale
         raw_cache.clear()
-        raw_cache[scaled.tobytes()] = raw * scale
-        return scaled
+        raw_cache[beta.tobytes()] = raw
+        return beta
 
     diagonal = K.diagonal().copy()
     K[np.diag_indices(m)] += RIDGE_LAMBDA * m
@@ -301,6 +312,13 @@ def train_fair_kernel(
 
     solver_cfg = replace(config.solver, constraint_target=-0.5 * budget)
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)
+    # the solver's values come from raw scores moved along its steps; the
+    # report states those of the returned beta, from a fresh K @ beta
+    raw_cache.clear()
+    slack = max(constraint(beta)[0], 0.0)
+    report = replace(report, final_objective=float(np.mean(np.abs(raw_of(beta) - y01))),
+                     final_constraint_slack=slack,
+                     converged=slack <= config.solver.feasibility_tolerance)
     predictor = KernelPredictor(S.features, beta)
     report = _finalize_report(
         report, predictor, S, M, d, params,

@@ -9,7 +9,8 @@ GAP_TOLERANCE.
 
 `solve_constrained` is an alternating projected-subgradient solver for
 min f(w) s.t. g(w) <= 0, with f and g convex on a convex domain given by an
-exact projection. Each iteration takes an objective subgradient step when the
+exact projection, which is handed each step as (point, step length,
+direction). Each iteration takes an objective subgradient step when the
 iterate satisfies the constraint within tolerance and otherwise a constraint
 step whose length aims the constraint's linearisation at a target value.
 It returns its best feasible iterate. `solve_annealed` runs it in stages.
@@ -112,7 +113,12 @@ def solve_constrained(
 
     `objective(w)` returns (value, subgradient) and `constraint(w)` returns
     (value, a zero-argument callable that returns the subgradient);
-    `project(w)` maps onto the domain. Returns (point, TrainingReport), where
+    `project(w, step, direction)` returns the projection of
+    w - step * direction onto the domain. Every step goes through it with
+    the current iterate w and the subgradient it steps along, and the initial
+    point with step 0 and a zero direction, so a closure that keeps a linear
+    image of the iterate can move it along the step instead of recomputing
+    it. Returns (point, TrainingReport), where
     the point is the feasible iterate of least objective (the first of them
     on a tie). Raises InfeasibleError when no iterate ever meets the feasibility
     tolerance, attaching the point of smallest constraint value seen.
@@ -123,7 +129,8 @@ def solve_constrained(
     costly pays for it only when a step uses it.
     """
     tol = config.feasibility_tolerance
-    w = project(np.array(initial_point, dtype=np.float64))
+    w = np.array(initial_point, dtype=np.float64)
+    w = project(w, 0.0, np.zeros_like(w))
 
     best_w = None
     best_obj = math.inf
@@ -146,7 +153,7 @@ def solve_constrained(
             if sub_norm_sq == 0.0:
                 break  # 0 is a subgradient: w minimizes f
             step = config.step_c0 / math.sqrt(iterations)
-            w = project(w - step * f_sub)
+            w = project(w, step, f_sub)
         else:
             g_sub = g_sub()
             sub_norm_sq = float(np.dot(g_sub, g_sub))
@@ -155,7 +162,7 @@ def solve_constrained(
                 break
             target = min(config.constraint_target, 0.5 * tol)
             step = (g_val - target) / sub_norm_sq
-            w = project(w - step * g_sub)
+            w = project(w, step, g_sub)
 
     if n_feasible == 0:
         raise InfeasibleError(

@@ -153,7 +153,8 @@ def kernel_closures(K, y01, left, right, dists, budget, b_used, products=None):
 
         return value, subgradient
 
-    def project(beta):
+    def project(w, step, direction):
+        beta = w - step * direction
         raw = raw_of(beta)
         q = float(beta @ raw)
         if q <= b_used or q <= 0:

@@ -189,7 +189,8 @@ def test_criterion_06_kernel_learner_sanity():
     def no_constraint(beta):
         return -1.0, np.zeros(m)
 
-    def project(beta):
+    def project(w, step, direction):
+        beta = w - step * direction
         q = float(beta @ (K @ beta))
         return beta if q <= 1e4 else beta * math.sqrt(1e4 / q)
 

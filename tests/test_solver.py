@@ -29,9 +29,10 @@ from metricfair.solver import (
 )
 
 
-def disk_projection(w):
-    norm = float(np.linalg.norm(w))
-    return w if norm <= 1.0 else w / norm
+def disk_projection(w, step, direction):
+    x = w - step * direction
+    norm = float(np.linalg.norm(x))
+    return x if norm <= 1.0 else x / norm
 
 
 def l1_objective(w0):
@@ -62,7 +63,8 @@ TOY_PROGRAMS = {
     "unconstrained": (l1_objective(np.array([0.3, -0.2])), no_constraint, disk_projection,
                       np.zeros(2)),
     "linear, box": (lambda w: (float(-w[0]), np.array([-1.0])),
-                    half_plane(np.array([1.0]), 0.3), lambda w: np.clip(w, -1, 1),
+                    half_plane(np.array([1.0]), 0.3),
+                    lambda w, step, direction: np.clip(w - step * direction, -1, 1),
                     np.zeros(1)),
     "half-plane": (l1_objective(np.array([0.7, 0.5])), half_plane(np.array([1.0, 2.0]), 0.6),
                    disk_projection, np.array([0.7, 0.5])),
