@@ -286,14 +286,14 @@ class VovkHalfKernel:
     sup_value = 2.0
     name = "vovk-half"
 
-    def gram(self, xs: np.ndarray) -> np.ndarray:
+    def gram(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         xs = np.atleast_2d(xs)
-        return self.cross(xs, xs)
+        return self.cross(xs, xs, out)
 
-    def cross(self, xs, ys) -> np.ndarray:
-        """Matrix K[i, j] = K(xs[i], ys[j])."""
+    def cross(self, xs, ys, out: np.ndarray | None = None) -> np.ndarray:
+        """Matrix K[i, j] = K(xs[i], ys[j]), written over `out` when given."""
         # 1 / (1 - 0.5 * (xs @ ys.T)) in place, bit for bit: -0.5 b is exact, 1 + (-b) is 1 - b
-        G = np.matmul(np.atleast_2d(xs), np.atleast_2d(ys).T, dtype=np.float64)
+        G = np.matmul(np.atleast_2d(xs), np.atleast_2d(ys).T, out=out, dtype=np.float64)
         G *= -0.5
         G += 1.0
         return np.reciprocal(G, out=G)
@@ -303,6 +303,13 @@ class VovkHalfKernel:
 _SYMMETRY_PANEL = 64
 #: columns per panel of _cholesky_lower's blocked factorisation
 _CHOLESKY_PANEL = 128
+
+
+def _lower_solve(l11: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with l11 x = b, for a lower triangular panel `l11`: reversed, l11 is
+    upper triangular, so LU's partial pivoting never swaps a row and the
+    solve is a back substitution."""
+    return np.linalg.solve(l11[::-1, ::-1], b[::-1])[::-1]
 
 
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
@@ -316,8 +323,8 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
         l11 = a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
         if e == m:
             break
-        # L21' = L11^-1 A21' by substitution: L11 reversed is upper triangular, so LU won't pivot
-        a[e:, k:e] = np.linalg.solve(l11[::-1, ::-1], a[e:, k:e].T[::-1])[::-1].T
+        # L21' = L11^-1 A21'
+        a[e:, k:e] = _lower_solve(l11, a[e:, k:e].T).T
         a[k:e, e:] = 0.0
         # A22 -= L21 L21' on and below the diagonal, a strip of rows at a time
         for i in range(e, m, _CHOLESKY_PANEL):
@@ -326,10 +333,26 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
+def _cholesky_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L' x = b, for the factor L that _cholesky_lower wrote: forward
+    then back substitution, a panel of _CHOLESKY_PANEL rows at a time, so
+    that no temporary exceeds a panel-wide strip of L."""
+    m = l.shape[0]
+    x = np.array(b, dtype=np.float64)
+    panels = [(k, min(k + _CHOLESKY_PANEL, m)) for k in range(0, m, _CHOLESKY_PANEL)]
+    for k, e in panels:  # L z = b
+        x[k:e] = _lower_solve(l[k:e, k:e], x[k:e])
+        x[e:] -= l[e:, k:e] @ x[k:e]
+    for k, e in reversed(panels):  # L' x = z; L' is upper triangular, so LU won't pivot
+        x[k:e] -= l[e:, k:e].T @ x[e:]
+        x[k:e] = np.linalg.solve(l[k:e, k:e].T, x[k:e])
+    return x
+
+
+def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE, *, rebuild=None) -> None:
     """Raise unless `gram` is finite and symmetric PSD within the relative
     tolerance: its smallest eigenvalue must be at least -rel_tolerance times
-    its largest. `gram` is not modified.
+    its largest. `gram` is not modified unless `rebuild` is given.
 
     A Cholesky factorisation that completes is exact for gram + E with
     ||E|| at most about (m + 1) * eps * trace(gram) (Higham, Accuracy and
@@ -338,11 +361,18 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     within the tolerance of a lower bound on the top eigenvalue (the largest
     diagonal entry or the mean row sum); for the Vovk gram of 2001 points in
     10 dimensions the bound is 7.6e-13 of it. Like `eigvalsh`, it reads the
-    lower triangle. It factors one working copy, blocked: that computes the
+    lower triangle. It factors a working copy, blocked: that computes the
     same inner products in another order, by conventional products and
     substitution, so Thm 10.3 holds. When it breaks down (an indefinite gram,
     or a singular one such as X @ X.T on more points than dimensions),
     `eigvalsh` decides as before.
+
+    `rebuild`, a function of no arguments that returns `gram` afresh, makes
+    the certificate factor `gram`'s own storage instead of a copy, so that
+    no second m x m array is held. `gram` must then be a writable float64
+    array, and its contents are undefined after the call. When the
+    factorisation breaks down, `eigvalsh` decides on `rebuild()`, with the
+    verdict and message of the copying path.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
@@ -350,21 +380,30 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE) -> None:
     if not np.all(np.isfinite(gram)):
         raise ValidationError("gram matrix has non-finite entries")
     m = gram.shape[0]
-    # np.allclose(gram, gram.T, atol=1e-10) a panel of rows at a time, without
-    # m x m temporaries
+    # np.allclose(gram, gram.T, atol=1e-10) on and below the diagonal, a panel
+    # of rows at a time: |a - b| <= 1e-10 + 1e-5 |b| in both orders of a pair
+    # is the bound at min(|a|, |b|), and rounding is monotone, so the verdict
+    # is the same
     for i in range(0, m, _SYMMETRY_PANEL):
-        a, b = gram[i:i + _SYMMETRY_PANEL], gram[:, i:i + _SYMMETRY_PANEL].T
-        if not np.all(np.abs(a - b) <= 1e-10 + 1e-5 * np.abs(b)):
+        e = min(i + _SYMMETRY_PANEL, m)
+        a, b = gram[i:e, :e], gram[:e, i:e].T
+        bound = np.abs(a)
+        np.minimum(bound, np.abs(b), out=bound)
+        bound *= 1e-5
+        bound += 1e-10
+        gap = np.subtract(a, b)
+        if not np.all(np.abs(gap, out=gap) <= bound):
             raise ValidationError("gram matrix is not symmetric")
     factor_error = (m + 1) * np.finfo(np.float64).eps * float(np.trace(gram))
     top_floor = max(float(np.max(np.diag(gram))), float(gram.sum()) / m)
     if factor_error <= rel_tolerance * top_floor:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                _cholesky_lower(gram.copy())
+                _cholesky_lower(gram.copy() if rebuild is None else gram)
             return
         except np.linalg.LinAlgError:
-            pass
+            if rebuild is not None:
+                gram = np.asarray(rebuild(), dtype=np.float64)
     eigs = np.linalg.eigvalsh(gram)
     top = float(max(eigs.max(), 0.0))
     if float(eigs.min()) < -rel_tolerance * max(top, 1e-300):

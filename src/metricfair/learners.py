@@ -18,7 +18,10 @@ iteration makes no m x m product once its directions are memoised; K beta is
 computed afresh only where the cache misses (a stage's start, the solver's
 final check of its best iterate) and for the report. The moved raw scores
 round differently from a fresh product, so results can move in their last
-bits.
+bits. The kernel learner holds one m x m array: the gram's PSD certificate
+and the ridge warm start each factor it in place, and the gram is then built
+afresh in the same storage (O(m^2 n), against O(m^3) for a factorisation).
+It is released before the report's predictions build their own.
 
 By the l1/l0 sandwich, a trained predictor with l1 loss <= tau has empirical
 0/1 fairness loss at slack gamma_tilde at most tau / gamma_tilde.
@@ -42,6 +45,8 @@ from .core import (
     SimilarityMetric,
     ValidationError,
     VovkHalfKernel,
+    _cholesky_lower,
+    _cholesky_solve,
     check_open_unit,
     check_psd,
     default_matching,
@@ -203,10 +208,16 @@ def train_fair_linear(
 
 
 def gram_matrix(S: LabeledDataset, kernel: VovkHalfKernel) -> np.ndarray:
-    """Gram matrix K[i, j] = K(x_i, x_j); validated finite, symmetric and PSD."""
+    """Gram matrix K[i, j] = K(x_i, x_j); validated finite, symmetric and PSD.
+    The certificate factors K in place, and K is then built again in the
+    same storage, bit for bit."""
     K = kernel.gram(S.features)
-    check_psd(K)
-    return K
+
+    def rebuild():
+        return kernel.gram(S.features, out=K)
+
+    check_psd(K, rebuild=rebuild)
+    return rebuild()
 
 
 def train_fair_kernel(
@@ -232,7 +243,14 @@ def train_fair_kernel(
     params = derive_solver_params(config, m, B=b_used)
     if tau is not None:
         params = replace(params, tau=float(tau))
-    K = gram_matrix(S, VovkHalfKernel())
+    kernel = VovkHalfKernel()
+    K = gram_matrix(S, kernel)
+    # the ridge warm start factors K + RIDGE_LAMBDA m I in K's storage, which
+    # then holds K built afresh; writing over one array, rather than freeing
+    # and allocating, keeps the allocator from holding a second one
+    K[np.diag_indices(m)] += RIDGE_LAMBDA * m
+    init = _cholesky_solve(_cholesky_lower(K), S.targets01)
+    K = kernel.gram(S.features, out=K)
     y01 = S.targets01
     n_edges = len(M)
     budget = params.tau
@@ -300,10 +318,6 @@ def train_fair_kernel(
         raw_cache[beta.tobytes()] = raw
         return beta
 
-    diagonal = K.diagonal().copy()
-    K[np.diag_indices(m)] += RIDGE_LAMBDA * m
-    init = np.linalg.solve(K, y01)
-    K[np.diag_indices(m)] = diagonal  # the ridge system was solved in K's own storage
     # raw scores scale linearly in beta, so the warm start is pulled in to
     # the solver's constraint target (mean excess tau/2) in closed form
     # instead of burning solver iterations on a feasibility march
@@ -319,6 +333,7 @@ def train_fair_kernel(
     report = replace(report, final_objective=float(np.mean(np.abs(raw_of(beta) - y01))),
                      final_constraint_slack=slack,
                      converged=slack <= config.solver.feasibility_tolerance)
+    del K  # the report's predictions build an m x m matrix of their own
     predictor = KernelPredictor(S.features, beta)
     report = _finalize_report(
         report, predictor, S, M, d, params,

@@ -1,5 +1,6 @@
 """Domain types: datasets, metrics, predictors, matchings, metric validation."""
 
+import functools
 import math
 import re
 from unittest import mock
@@ -175,8 +176,13 @@ class TestKernels:
                 v.setflags(write=False)
         got = VovkHalfKernel().cross(xs, ys)
         assert np.array_equal(got, 1 / (1 - 0.5 * (xs @ ys.T)))
+        # written over a used array, the matrix is the same bit for bit
+        out = np.full(got.shape, np.nan)
+        assert VovkHalfKernel().cross(xs, ys, out=out) is out
+        assert np.array_equal(out, got)
         if shape == "same":
             assert np.array_equal(VovkHalfKernel().gram(xs), got)
+            assert np.array_equal(VovkHalfKernel().gram(xs, out=out), got)
 
 
 class TestKernelPredictorSupport:
@@ -207,18 +213,37 @@ def _psd_verdict(check, gram, rel_tolerance):
 
 class TestCheckPsd:
     """check_psd decides as the eigvalsh rule it replaced, which
-    scalar_reference keeps, and leaves its input as it was."""
+    scalar_reference keeps, and leaves its input as it was unless it is
+    given `rebuild`; then it factors its input in place, with the same
+    verdicts and messages."""
 
     def _same_verdict(self, gram, rel_tolerance=core.PSD_TOLERANCE):
         # with the default panel a gram of up to _CHOLESKY_PANEL rows is
         # factored in one LAPACK call; a panel of 8 factors it across several
-        # panels and a partial last one
+        # panels and a partial last one. The in-place path factors a writable
+        # copy, and whenever it reaches eigvalsh, eigvalsh reads the gram as
+        # it was: a rebuilt one after a breakdown
         before = np.array(gram, copy=True)
         expected = _psd_verdict(scalar.check_psd, before, rel_tolerance)
+        eigvalsh = np.linalg.eigvalsh
+        rebuilds = []
+
+        def rebuild():
+            rebuilds.append(before.copy())
+            return rebuilds[-1]
+
+        in_place = functools.partial(check_psd, rebuild=rebuild)
         for panel in (core._CHOLESKY_PANEL, 8):
             with mock.patch.object(core, "_CHOLESKY_PANEL", panel):
-                assert _psd_verdict(check_psd, gram, rel_tolerance) == expected
-            assert np.array_equal(gram, before)
+                with mock.patch.object(np.linalg, "eigvalsh", wraps=eigvalsh) as copying:
+                    assert _psd_verdict(check_psd, gram, rel_tolerance) == expected
+                assert np.array_equal(gram, before)
+                rebuilds.clear()
+                with mock.patch.object(np.linalg, "eigvalsh", wraps=eigvalsh) as factoring:
+                    assert _psd_verdict(in_place, before.copy(), rel_tolerance) == expected
+            assert factoring.call_count == copying.call_count
+            assert all(np.array_equal(call.args[0], before) for call in factoring.call_args_list)
+            assert len(rebuilds) <= factoring.call_count
         return expected
 
     @given(m=st.integers(1, 40), rank=st.integers(1, 40), seed=st.integers(0, 2**16),
@@ -264,6 +289,23 @@ class TestCheckPsd:
         gram[i, j] += sign * factor * (1e-10 + 1e-5 * abs(gram[j, i]))
         self._same_verdict(gram)
 
+    @pytest.mark.parametrize("i, j", [(5, 3), (3, 5), (70, 10), (10, 70), (140, 130), (130, 140),
+                                      (140, 20), (20, 140)],
+                             ids=["below, diagonal panel", "above, diagonal panel",
+                                  "below, across panels", "above, across panels",
+                                  "below, partial diagonal panel", "above, partial diagonal panel",
+                                  "below, into the partial panel", "above, into the partial panel"])
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_symmetry_violation_on_either_side_of_the_diagonal(self, i, j, factor):
+        # row panels of 64 over m = 150: two full ones and a partial one. The
+        # entry moves away from zero, so the bound is set by its mirror b
+        A = np.random.default_rng(7).standard_normal((150, 150))
+        gram = A @ A.T
+        b = gram[j, i]
+        gram[i, j] = b + math.copysign(factor * (1e-10 + 1e-5 * abs(b)), b)
+        verdict = self._same_verdict(gram)
+        assert verdict == ("gram matrix is not symmetric" if factor > 1 else None)
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_rank_deficient_linear_gram_takes_the_eigvalsh_path(self, rng, n):
         X = unit_ball_points(rng, 30, n)
@@ -305,6 +347,19 @@ class TestCheckPsd:
             got = core._cholesky_lower(gram.copy())
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(np.triu(got, 1), np.zeros((m, m)))
+
+    @pytest.mark.parametrize("panel", [8, core._CHOLESKY_PANEL])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "2p+3"])
+    def test_substitution_matches_lapack_on_shifted_vovk_grams(self, rng, panel, offset):
+        # the kernel learner's ridge system K + 1e-3 m I against 0/1 targets
+        m = 2 * panel + 3 if offset == "2p+3" else panel + offset
+        ridge = VovkHalfKernel().gram(unit_ball_points(rng, m, 10))
+        ridge[np.diag_indices(m)] += 1e-3 * m
+        targets = rng.integers(0, 2, m).astype(np.float64)
+        expected = np.linalg.solve(ridge, targets)
+        with mock.patch.object(core, "_CHOLESKY_PANEL", panel):
+            got = core._cholesky_solve(core._cholesky_lower(ridge.copy()), targets)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("gram", NOT_SQUARE, ids=NOT_SQUARE_IDS)
     def test_rejects_shapes_other_than_square(self, gram):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as scalar
 from conftest import random_dataset, random_metric
-from metricfair import learners, solver
+from metricfair import core, learners, solver
 from metricfair import (
     ConstantMetric,
     Consecutive,
@@ -265,6 +265,22 @@ class TestGram:
         eigs = np.linalg.eigvalsh(K)
         assert eigs.min() >= -1e-8 * eigs.max()
 
+    @pytest.mark.parametrize("m", [30, 300])
+    def test_certified_in_place_and_built_again_in_the_same_storage(self, rng, m):
+        # m = 300 spans three Cholesky panels
+        ds = random_dataset(rng, m, 5)
+        factored = []
+        factor = core._cholesky_lower
+
+        def recording_factor(a):
+            factored.append(a)
+            return factor(a)
+
+        with mock.patch.object(core, "_cholesky_lower", recording_factor):
+            K = gram_matrix(ds, VovkHalfKernel())
+        assert np.array_equal(K, VovkHalfKernel().gram(ds.features))
+        assert len(factored) == 1 and factored[0] is K
+
 
 class TestTrainKernel:
     def kernel_config(self, **kw):
@@ -426,37 +442,60 @@ class TestKernelWarmStart:
         if pulled_in:
             assert mean_excess((1.0 + 1e-9) * start) > 0.5 * tau
         else:
-            assert np.array_equal(start, fit)
+            assert np.max(np.abs(start - fit)) <= 1e-12 * np.max(np.abs(fit))
 
-    def test_ridge_solve_on_the_gram_in_place_leaves_it_as_built(self):
-        # the ridge system is solved on the gram's own storage; it is the
-        # K.copy() system bit for bit, and the gram is restored afterwards
-        ds = random_dataset(np.random.default_rng(5), 16, 3)
+    @pytest.mark.parametrize("panel", [8, core._CHOLESKY_PANEL])
+    def test_ridge_fit_is_solved_in_panels_and_the_solver_gets_a_fresh_gram(self, panel):
+        # the ridge system is factored in the certified gram's own storage and
+        # solved by substitution, a panel at a time: at m = 2 panels + 3 no
+        # LU solve is as large as the system. K is then built afresh there
+        m = 2 * panel + 3
+        ds = random_dataset(np.random.default_rng(5), m, 3)
         cfg = linear_config(solver=SolverConfig(max_iters=20, seed=0),
                             learner=KernelLearner(B=1e4))
-        grams, solves = [], []
-        build, solve = learners.gram_matrix, np.linalg.solve
+        builds, fits, lu_orders, first_objectives = [], [], [], []
+        build, substitute = VovkHalfKernel.gram, learners._cholesky_solve
+        solve, annealed = np.linalg.solve, learners.solve_annealed
 
-        def capturing_build(S, kernel):
-            grams.append(build(S, kernel))
-            return grams[-1]
+        def recording_build(kernel, xs, out=None):
+            builds.append(build(kernel, xs, out))
+            return builds[-1]
 
-        def capturing_solve(a, b):
-            out = solve(a, b)
-            solves.append((np.array(a), out.copy()))  # the learner scales out in place
-            return out
+        def recording_substitute(l, b):
+            fits.append(substitute(l, b))
+            return fits[-1].copy()  # the learner scales its start in place
 
-        with mock.patch.object(learners, "gram_matrix", capturing_build), \
-                mock.patch.object(np.linalg, "solve", capturing_solve):
+        def sizing_solve(a, b):
+            lu_orders.append(np.shape(a)[0])
+            return solve(a, b)
+
+        def probing_annealed(objective, constraint, project, config, initial_point):
+            first_objectives.append((initial_point.copy(), objective(initial_point)))
+            return annealed(objective, constraint, project, config, initial_point)
+
+        with mock.patch.object(core, "_CHOLESKY_PANEL", panel), \
+                mock.patch.object(VovkHalfKernel, "gram", recording_build), \
+                mock.patch.object(learners, "_cholesky_solve", recording_substitute), \
+                mock.patch.object(np.linalg, "solve", sizing_solve), \
+                mock.patch.object(learners, "solve_annealed", probing_annealed):
             train_fair_kernel(ds, ScaledEuclideanMetric(0.2), cfg, tau=0.01)
 
         K = VovkHalfKernel().gram(ds.features)
-        assert len(grams) == 1 and np.array_equal(grams[0], K)
         ridge = K.copy()
-        ridge[np.diag_indices(len(ds))] += learners.RIDGE_LAMBDA * len(ds)
-        assert len(solves) == 1
-        assert np.array_equal(solves[0][0], ridge)
-        assert np.array_equal(solves[0][1], np.linalg.solve(ridge, ds.targets01))
+        ridge[np.diag_indices(m)] += learners.RIDGE_LAMBDA * m
+        expected = np.linalg.solve(ridge, ds.targets01)
+        assert len(fits) == 1
+        assert np.max(np.abs(fits[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert 0 < max(lu_orders) <= panel
+        # three builds in one array: certified in place, factored for the
+        # ridge fit, and the solver's, whose values are those of a fresh gram
+        # bit for bit
+        assert len(builds) == 3 and all(b is builds[0] for b in builds)
+        assert np.array_equal(builds[0], K)
+        (start, (value, subgradient)), = first_objectives
+        residual = K @ start - ds.targets01
+        assert value == float(np.mean(np.abs(residual)))
+        assert np.array_equal(subgradient, K @ np.sign(residual) / m)
 
 
 class TestMemoisedSubgradientProducts:
@@ -530,13 +569,18 @@ class TestMemoisedSubgradientProducts:
         class CountingGram(np.ndarray):
             def __matmul__(self, other):
                 out = np.asarray(self) @ other
-                operands.append(np.array(other))
-                results.append(out)
+                if self.shape == (len(ds), len(ds)):  # the whole K, not a panel of a factor
+                    operands.append(np.array(other))
+                    results.append(out)
                 return out
 
-        gram = learners.gram_matrix
-        with mock.patch.object(learners, "gram_matrix",
-                               lambda S, kernel: gram(S, kernel).view(CountingGram)):
+        # every build counts, so the count reaches the K rebuilt for the solver
+        build = VovkHalfKernel.gram
+
+        def counting_build(kernel, xs, out=None):
+            return build(kernel, xs, out).view(CountingGram)
+
+        with mock.patch.object(VovkHalfKernel, "gram", counting_build):
             _, report = train_fair_kernel(ds, ScaledEuclideanMetric(0.8), cfg)
 
         # the constraint never binds, so every subgradient product is K @ signs

@@ -1,9 +1,10 @@
 """The audit runs in memory bounded by its block size, not by m^2 or n_pairs,
-and kernel training and its audit in two m x m arrays.
+and kernel training and its audit in one m x m array.
 
-`ru_maxrss` is the lifetime peak of a process, and the test process has
-already peaked elsewhere, so each case runs in a fresh interpreter that
-reports its own peak.
+The test process has already peaked elsewhere, so each case runs in a fresh
+interpreter that reports its own peak: VmHWM, the high-water mark of its
+resident set. Its `ru_maxrss` would not do: on Linux it also counts the
+address space the child had before exec, which is the test process's.
 """
 
 import os
@@ -19,7 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BUDGET_MB = 200
 
 AUDIT = """
-import resource
 import numpy as np
 import metricfair as mf
 from metricfair.core import unit_ball_points
@@ -30,19 +30,18 @@ S = mf.LabeledDataset(unit_ball_points(rng, m, n), np.ones(m))
 h = mf.LinearPredictor(np.full(n, 0.3))
 mf.audit_predictor(h, S, mf.default_matching(S, 1), mf.ScaledEuclideanMetric(0.8), 0.3,
                    population_pairs=1_000_000, seed=1)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-#: peak RSS allowed to kernel train+audit at m = 3,000: two m x m float64
-#: arrays (72 MB each) and the interpreter with numpy and the data (about
-#: 40 MB), with room for panel temporaries. It peaked at 260 MB when the gram
-#: build, the PSD certificate and the ridge warm start each held three m x m
-#: arrays, and peaks at about 194 MB now.
-KERNEL_BUDGET_MB = 220
+#: peak RSS allowed to kernel train+audit at m = 3,000: one m x m float64
+#: array (72 MB) and the interpreter with numpy and the data (about 40 MB),
+#: with room for panel temporaries. It peaked at 260 MB when the gram build,
+#: the PSD certificate and the ridge warm start each held three m x m arrays,
+#: at 194 MB with two, and peaks at about 121 MB now.
+KERNEL_BUDGET_MB = 150
 
 KERNEL = """
-import resource, sys
+import sys
 from metricfair.cli import run_cli
 
 work = sys.argv[1]
@@ -57,23 +56,27 @@ for argv in (
      "--out", f"{work}/audit.json"],
 ):
     assert run_cli(argv) == 0, argv
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+#: printed by each case at its end: VmHWM in KiB
+PEAK = """
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
 def _peak_mb(code: str, *args: str) -> float:
-    """Peak RSS of `code` run in a fresh interpreter that prints its ru_maxrss."""
+    """Peak RSS of `code` run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code + PEAK, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB on Linux
+    return int(proc.stdout.split()[-1]) / 1024.0
 
 
 def test_audit_peak_rss_stays_within_budget():
     assert _peak_mb(AUDIT) < BUDGET_MB
 
 
-def test_kernel_train_and_audit_peak_rss_stays_within_two_gram_arrays(tmp_path):
+def test_kernel_train_and_audit_peak_rss_stays_within_one_gram_array(tmp_path):
     assert _peak_mb(KERNEL, str(tmp_path)) < KERNEL_BUDGET_MB

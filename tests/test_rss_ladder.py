@@ -1,0 +1,31 @@
+"""tools/rss_ladder.py: the peak RSS after each step of kernel-train."""
+
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "rss_ladder.py"
+TINY = {"n": 3, "m": 41, "max_iters": 40, "population_pairs": 500}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("rss_ladder", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_line_per_step_in_order(tmp_path):
+    tool = _load_tool()
+    workload = replace(tool.WORKLOADS["kernel-train"], sizes=TINY)
+    rungs = tool.ladder(3, tmp_path, workload)
+    assert [step for step, _ in rungs] == [
+        "train: load", "train: gram + certificate", "train: ridge", "train: solver",
+        "train: report", "audit: load", "audit: audit"]
+    assert all(mb > 0 for _, mb in rungs)
+    assert (tmp_path / "audit.json").is_file()
+
+
+def test_wrong_arguments_print_the_usage(capsys):
+    assert _load_tool().main([]) == 1
+    assert capsys.readouterr().err == "usage: rss_ladder.py SEED\n"

@@ -1,0 +1,103 @@
+"""Print the peak RSS after each step of the benchmark's kernel-train
+workload, so that the kernel path's memory can be read step by step.
+
+    PYTHONPATH=src python tools/rss_ladder.py SEED
+
+The script runs kernel-train's ``gen-data`` set-up in a child process, and
+then its ``train`` and ``audit`` commands at the benchmark's sizes, in a
+temporary directory. It prints the process's peak resident set so far
+(VmHWM, which is ``ru_maxrss`` without the pages of the process that
+started it) as each step of the kernel path returns: loading the data, the
+gram with its PSD certificate, the ridge warm start's solve, the solver, the
+train report, and the audit. The peak never falls, so each line is the peak
+up to that step, and the script has to run as a fresh interpreter of its
+own. The steps are marked by wrapping metricfair's module functions from
+outside, so metricfair is imported from PYTHONPATH and another checkout's
+``src`` can be measured as well (a step whose function that checkout lacks
+is left out); ``perfbench`` is read from this checkout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+#: (metricfair module, function, step): a step's line is printed when the
+#: function returns
+STEPS = (
+    ("cli", "load_dataset_csv", "load"),
+    ("learners", "gram_matrix", "gram + certificate"),
+    ("learners", "_cholesky_solve", "ridge"),
+    ("learners", "solve_annealed", "solver"),
+    ("learners", "_finalize_report", "report"),
+    ("cli", "audit_predictor", "audit"),
+)
+
+
+SETUP = "import sys; from metricfair.cli import run_cli; sys.exit(run_cli(sys.argv[1:]))"
+
+
+def peak_mb() -> float:
+    """The process's peak RSS so far, in MB: VmHWM, which Linux gives in KiB."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024.0
+
+
+def ladder(seed: int, directory, workload=WORKLOADS["kernel-train"]) -> list[tuple[str, float]]:
+    """Run `workload`'s set-up in a child process and then its commands at
+    `seed` inside `directory`; return ("<command>: <step>", peak MB) as each
+    step returns."""
+    from metricfair.cli import run_cli
+
+    rungs = []
+    command = [""]
+
+    def marked(fn, step):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            rungs.append((f"{command[0]}: {step}", peak_mb()))
+            return out
+        return wrapper
+
+    work = Path(directory)
+    subprocess.run([sys.executable, "-c", SETUP, *workload.setup_argv(work, seed)],
+                   check=True, stdout=subprocess.DEVNULL)
+    with contextlib.ExitStack() as stack:
+        for name, attr, step in STEPS:
+            module = importlib.import_module(f"metricfair.{name}")
+            if hasattr(module, attr):
+                stack.enter_context(
+                    mock.patch.object(module, attr, marked(getattr(module, attr), step)))
+        for argv in workload.command_argvs(work, seed):
+            command[0] = argv[0]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                code = run_cli(argv)
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+    return rungs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: rss_ladder.py SEED", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as directory:
+        rungs = ladder(int(argv[0]), directory)
+    print(f"{'step':<28}peak RSS (MB)")
+    for step, mb in rungs:
+        print(f"{step:<28}{mb:.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
