@@ -299,7 +299,7 @@ class VovkHalfKernel:
         return np.reciprocal(G, out=G)
 
 
-#: rows per panel of check_psd's symmetry test
+#: rows per panel of check_psd's finiteness and symmetry tests
 _SYMMETRY_PANEL = 64
 #: columns per panel of _cholesky_lower's blocked factorisation
 _CHOLESKY_PANEL = 128
@@ -333,22 +333,6 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cholesky_solve(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with L L' x = b, for the factor L that _cholesky_lower wrote: forward
-    then back substitution, a panel of _CHOLESKY_PANEL rows at a time, so
-    that no temporary exceeds a panel-wide strip of L."""
-    m = l.shape[0]
-    x = np.array(b, dtype=np.float64)
-    panels = [(k, min(k + _CHOLESKY_PANEL, m)) for k in range(0, m, _CHOLESKY_PANEL)]
-    for k, e in panels:  # L z = b
-        x[k:e] = _lower_solve(l[k:e, k:e], x[k:e])
-        x[e:] -= l[e:, k:e] @ x[k:e]
-    for k, e in reversed(panels):  # L' x = z; L' is upper triangular, so LU won't pivot
-        x[k:e] -= l[e:, k:e].T @ x[e:]
-        x[k:e] = np.linalg.solve(l[k:e, k:e].T, x[k:e])
-    return x
-
-
 def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE, *, rebuild=None) -> None:
     """Raise unless `gram` is finite and symmetric PSD within the relative
     tolerance: its smallest eigenvalue must be at least -rel_tolerance times
@@ -377,9 +361,10 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE, *, rebuild
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
         raise ValidationError(f"gram matrix must be square and non-empty, got shape {gram.shape}")
-    if not np.all(np.isfinite(gram)):
-        raise ValidationError("gram matrix has non-finite entries")
     m = gram.shape[0]
+    for i in range(0, m, _SYMMETRY_PANEL):
+        if not np.all(np.isfinite(gram[i:i + _SYMMETRY_PANEL])):
+            raise ValidationError("gram matrix has non-finite entries")
     # np.allclose(gram, gram.T, atol=1e-10) on and below the diagonal, a panel
     # of rows at a time: |a - b| <= 1e-10 + 1e-5 |b| in both orders of a pair
     # is the bound at min(|a|, |b|), and rounding is monotone, so the verdict

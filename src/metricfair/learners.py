@@ -19,9 +19,10 @@ computed afresh only where the cache misses (a stage's start, the solver's
 final check of its best iterate) and for the report. The moved raw scores
 round differently from a fresh product, so results can move in their last
 bits. The kernel learner holds one m x m array: the gram's PSD certificate
-and the ridge warm start each factor it in place, and the gram is then built
-afresh in the same storage (O(m^2 n), against O(m^3) for a factorisation).
-It is released before the report's predictions build their own.
+factors it in place, and the gram is then built afresh in the same storage
+(O(m^2 n), against O(m^3) for a factorisation). The ridge warm start is
+solved by conjugate gradients on that gram, with m-vectors only. The gram is
+released before the report's predictions build their own.
 
 By the l1/l0 sandwich, a trained predictor with l1 loss <= tau has empirical
 0/1 fairness loss at slack gamma_tilde at most tau / gamma_tilde.
@@ -45,8 +46,6 @@ from .core import (
     SimilarityMetric,
     ValidationError,
     VovkHalfKernel,
-    _cholesky_lower,
-    _cholesky_solve,
     check_open_unit,
     check_psd,
     default_matching,
@@ -57,6 +56,10 @@ from .solver import SolverConfig, TrainingReport, feasible_scale, solve_annealed
 
 # the kernel learner's ridge warm start solves (K + RIDGE_LAMBDA * m I) beta = y01
 RIDGE_LAMBDA = 1e-3
+# by conjugate gradients, to a residual of RIDGE_TOLERANCE ||y01|| (see _ridge_fit)
+RIDGE_TOLERANCE = 1e-15
+RIDGE_MAX_ITERATIONS = math.ceil(0.5 * math.sqrt(1.0 + VovkHalfKernel.sup_value / RIDGE_LAMBDA)
+                                 * math.log(2.0 / RIDGE_TOLERANCE))
 # the kernel learner's memo of products K v (subgradients and step directions)
 # holds this many, the least recently used going first
 PRODUCT_MEMO_SIZE = 8
@@ -220,6 +223,29 @@ def gram_matrix(S: LabeledDataset, kernel: VovkHalfKernel) -> np.ndarray:
     return rebuild()
 
 
+def _ridge_fit(K: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """beta with (K + RIDGE_LAMBDA m I) beta = y for the certified gram K, by
+    conjugate gradients (Hestenes & Stiefel, 1952) on m-vectors. K's entries
+    are in (0, sup_value], so its top eigenvalue is at most sup_value * m and,
+    by check_psd, its lowest at least -PSD_TOLERANCE times that: the shift
+    bounds the condition number by kappa = 1 + sup_value / RIDGE_LAMBDA
+    whatever m is, and the error falls by 2 ((sqrt(kappa) - 1) / (sqrt(kappa)
+    + 1))^k in k steps, within RIDGE_TOLERANCE by RIDGE_MAX_ITERATIONS."""
+    beta, r = np.zeros(len(y)), np.array(y, dtype=np.float64)
+    p, rr = r.copy(), float(r @ r)
+    stop = RIDGE_TOLERANCE ** 2 * rr
+    for _ in range(RIDGE_MAX_ITERATIONS):
+        if rr <= stop:
+            break
+        q = K @ p + (RIDGE_LAMBDA * len(y)) * p
+        step = rr / float(p @ q)
+        beta += step * p
+        r -= step * q
+        rr, previous = float(r @ r), rr
+        p = r + (rr / previous) * p
+    return beta
+
+
 def train_fair_kernel(
     S: LabeledDataset,
     d: SimilarityMetric,
@@ -243,15 +269,9 @@ def train_fair_kernel(
     params = derive_solver_params(config, m, B=b_used)
     if tau is not None:
         params = replace(params, tau=float(tau))
-    kernel = VovkHalfKernel()
-    K = gram_matrix(S, kernel)
-    # the ridge warm start factors K + RIDGE_LAMBDA m I in K's storage, which
-    # then holds K built afresh; writing over one array, rather than freeing
-    # and allocating, keeps the allocator from holding a second one
-    K[np.diag_indices(m)] += RIDGE_LAMBDA * m
-    init = _cholesky_solve(_cholesky_lower(K), S.targets01)
-    K = kernel.gram(S.features, out=K)
+    K = gram_matrix(S, VovkHalfKernel())
     y01 = S.targets01
+    init = _ridge_fit(K, y01)
     n_edges = len(M)
     budget = params.tau
 

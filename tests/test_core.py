@@ -348,19 +348,6 @@ class TestCheckPsd:
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(np.triu(got, 1), np.zeros((m, m)))
 
-    @pytest.mark.parametrize("panel", [8, core._CHOLESKY_PANEL])
-    @pytest.mark.parametrize("offset", [-1, 0, 1, "2p+3"])
-    def test_substitution_matches_lapack_on_shifted_vovk_grams(self, rng, panel, offset):
-        # the kernel learner's ridge system K + 1e-3 m I against 0/1 targets
-        m = 2 * panel + 3 if offset == "2p+3" else panel + offset
-        ridge = VovkHalfKernel().gram(unit_ball_points(rng, m, 10))
-        ridge[np.diag_indices(m)] += 1e-3 * m
-        targets = rng.integers(0, 2, m).astype(np.float64)
-        expected = np.linalg.solve(ridge, targets)
-        with mock.patch.object(core, "_CHOLESKY_PANEL", panel):
-            got = core._cholesky_solve(core._cholesky_lower(ridge.copy()), targets)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-
     @pytest.mark.parametrize("gram", NOT_SQUARE, ids=NOT_SQUARE_IDS)
     def test_rejects_shapes_other_than_square(self, gram):
         shape = re.escape(str(np.shape(gram)))
@@ -375,6 +362,23 @@ class TestCheckPsd:
         gram[where] = bad
         with pytest.raises(ValidationError, match="gram matrix has non-finite entries"):
             check_psd(gram)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(140, 20), (20, 140)], ids=["below", "above"])
+    def test_non_finite_entries_are_found_a_panel_at_a_time_before_the_symmetry_scan(
+            self, bad, where):
+        # row panels of 64 over m = 150: the non-finite entry is in the last,
+        # partial panel's rows or columns, an asymmetric one in the first panel
+        A = np.random.default_rng(7).standard_normal((150, 150))
+        gram = A @ A.T
+        gram[5, 3] += 1.0
+        gram[where] = bad
+        with mock.patch.object(np, "isfinite", wraps=np.isfinite) as isfinite:
+            with pytest.raises(ValidationError, match="gram matrix has non-finite entries"):
+                check_psd(gram)
+        assert isfinite.called
+        assert all(np.shape(call.args[0])[0] <= core._SYMMETRY_PANEL
+                   for call in isfinite.call_args_list)
 
 
 def _sides(matching):

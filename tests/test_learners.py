@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as scalar
-from conftest import random_dataset, random_metric
+from conftest import random_dataset, random_metric, unit_ball_points
 from metricfair import core, learners, solver
 from metricfair import (
     ConstantMetric,
@@ -407,6 +407,23 @@ class TestKernelWarmStart:
     largest factor in [0, 1] whose mean excess over the matching's distances
     is at most tau/2, the constraint target."""
 
+    @staticmethod
+    def lapack_ridge_fit(K, y):
+        """(K + RIDGE_LAMBDA m I)^-1 y by np.linalg.solve."""
+        return np.linalg.solve(K + learners.RIDGE_LAMBDA * len(y) * np.eye(len(y)), y)
+
+    @staticmethod
+    def counted_ridge_fit(K, y):
+        """_ridge_fit(K, y) and the number of products with K it made."""
+        products = []
+
+        class CountingGram(np.ndarray):
+            def __matmul__(self, other):
+                products.append(None)
+                return np.asarray(self) @ other
+
+        return learners._ridge_fit(K.view(CountingGram), y), len(products)
+
     @pytest.mark.parametrize("metric, tau, pulled_in", [
         (ConstantMetric(1.0), 0.3, False),
         (ScaledEuclideanMetric(0.2), 0.01, True),
@@ -428,9 +445,7 @@ class TestKernelWarmStart:
             train_fair_kernel(ds, metric, cfg, tau=tau)
 
         K = gram_matrix(ds, VovkHalfKernel())
-        ridge = K.copy()
-        ridge[np.diag_indices(len(ds))] += learners.RIDGE_LAMBDA * len(ds)
-        fit = np.linalg.solve(ridge, ds.targets01)
+        fit = self.lapack_ridge_fit(K, ds.targets01)
         left, right, dists = matching_edges(ds, default_matching(ds, 0), metric)
 
         def mean_excess(beta):
@@ -446,24 +461,25 @@ class TestKernelWarmStart:
 
     @pytest.mark.parametrize("panel", [8, core._CHOLESKY_PANEL])
     def test_ridge_fit_is_solved_in_panels_and_the_solver_gets_a_fresh_gram(self, panel):
-        # the ridge system is factored in the certified gram's own storage and
-        # solved by substitution, a panel at a time: at m = 2 panels + 3 no
-        # LU solve is as large as the system. K is then built afresh there
+        # the gram is certified in its own storage, a panel at a time, and
+        # built afresh there: at m = 2 panels + 3 no LU solve is as large as
+        # the system. The ridge fit and the solver both run on that array
         m = 2 * panel + 3
         ds = random_dataset(np.random.default_rng(5), m, 3)
         cfg = linear_config(solver=SolverConfig(max_iters=20, seed=0),
                             learner=KernelLearner(B=1e4))
         builds, fits, lu_orders, first_objectives = [], [], [], []
-        build, substitute = VovkHalfKernel.gram, learners._cholesky_solve
+        build, ridge_fit = VovkHalfKernel.gram, learners._ridge_fit
         solve, annealed = np.linalg.solve, learners.solve_annealed
 
         def recording_build(kernel, xs, out=None):
             builds.append(build(kernel, xs, out))
             return builds[-1]
 
-        def recording_substitute(l, b):
-            fits.append(substitute(l, b))
-            return fits[-1].copy()  # the learner scales its start in place
+        def recording_ridge_fit(K, y):
+            fits.append((K is builds[-1], np.array_equal(K, build(VovkHalfKernel(), ds.features)),
+                         ridge_fit(K, y)))
+            return fits[-1][-1].copy()  # the learner scales its start in place
 
         def sizing_solve(a, b):
             lu_orders.append(np.shape(a)[0])
@@ -475,27 +491,65 @@ class TestKernelWarmStart:
 
         with mock.patch.object(core, "_CHOLESKY_PANEL", panel), \
                 mock.patch.object(VovkHalfKernel, "gram", recording_build), \
-                mock.patch.object(learners, "_cholesky_solve", recording_substitute), \
+                mock.patch.object(learners, "_ridge_fit", recording_ridge_fit), \
                 mock.patch.object(np.linalg, "solve", sizing_solve), \
                 mock.patch.object(learners, "solve_annealed", probing_annealed):
             train_fair_kernel(ds, ScaledEuclideanMetric(0.2), cfg, tau=0.01)
 
         K = VovkHalfKernel().gram(ds.features)
-        ridge = K.copy()
-        ridge[np.diag_indices(m)] += learners.RIDGE_LAMBDA * m
-        expected = np.linalg.solve(ridge, ds.targets01)
-        assert len(fits) == 1
-        assert np.max(np.abs(fits[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+        expected = self.lapack_ridge_fit(K, ds.targets01)
+        (same_array, fresh, fit), = fits
+        assert same_array and fresh
+        assert np.max(np.abs(fit - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert 0 < max(lu_orders) <= panel
-        # three builds in one array: certified in place, factored for the
-        # ridge fit, and the solver's, whose values are those of a fresh gram
-        # bit for bit
-        assert len(builds) == 3 and all(b is builds[0] for b in builds)
+        # two builds in one array: certified in place, then the ridge fit's
+        # and the solver's, whose values are those of a fresh gram bit for bit
+        assert len(builds) == 2 and builds[1] is builds[0]
         assert np.array_equal(builds[0], K)
         (start, (value, subgradient)), = first_objectives
         residual = K @ start - ds.targets01
         assert value == float(np.mean(np.abs(residual)))
         assert np.array_equal(subgradient, K @ np.sign(residual) / m)
+
+    @pytest.mark.parametrize("m", [7, 8, 9, 19, 127, 128, 129, 259])
+    def test_ridge_fit_matches_lapack_on_vovk_grams(self, rng, m):
+        # Cholesky panel sizes and their neighbours, 0/1 targets
+        K = gram_matrix(random_dataset(rng, m, 10), VovkHalfKernel())
+        targets = rng.integers(0, 2, m).astype(np.float64)
+        expected = self.lapack_ridge_fit(K, targets)
+        got, products = self.counted_ridge_fit(K, targets)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert 0 < products < learners.RIDGE_MAX_ITERATIONS
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(1, 300), n=st.integers(1, 300),
+           rows=st.sampled_from(["random", "duplicated", "near-identical", "norm 1 + tolerance"]),
+           labels=st.sampled_from(["random", "all -1", "all +1"]))
+    def test_ridge_fit_matches_lapack_and_stops_by_its_residual(self, seed, m, n, rows, labels):
+        # duplicated and near-identical rows repeat a third as many points,
+        # which makes K singular or nearly so; rows of norm 1 + NORM_TOLERANCE
+        # (less a rounding margin) put K's entries at its sup value. The error
+        # is normwise: all-one targets put the fit along K's top eigenvector,
+        # and in its largest entry rounding amplified by the condition number
+        # reaches 2e-12 at m = 300, where np.linalg.solve errs by up to 6e-13
+        rng = np.random.default_rng(seed)
+        X = unit_ball_points(rng, m, n)
+        if rows in ("duplicated", "near-identical"):
+            X = X[rng.integers(0, max(1, m // 3), m)]
+            if rows == "near-identical":
+                X += 1e-12 * rng.standard_normal((m, n))
+        elif rows == "norm 1 + tolerance":
+            X *= (1.0 + core.NORM_TOLERANCE - 1e-13) / np.linalg.norm(X, axis=1, keepdims=True)
+        y = {"random": rng.choice([-1, 1], m), "all -1": -np.ones(m), "all +1": np.ones(m)}
+        ds = LabeledDataset(X, y[labels])
+        K = gram_matrix(ds, VovkHalfKernel())
+        expected = self.lapack_ridge_fit(K, ds.targets01)
+        got, products = self.counted_ridge_fit(K, ds.targets01)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        # the residual rule stops it below the cap; zero targets need no product
+        assert products < learners.RIDGE_MAX_ITERATIONS
+        if labels == "all -1":
+            assert products == 0 and not np.any(got)
 
 
 class TestMemoisedSubgradientProducts:
@@ -580,8 +634,17 @@ class TestMemoisedSubgradientProducts:
         def counting_build(kernel, xs, out=None):
             return build(kernel, xs, out).view(CountingGram)
 
-        with mock.patch.object(VovkHalfKernel, "gram", counting_build):
+        # count from the solver's start: the ridge fit's products come before
+        annealed, solver_start = learners.solve_annealed, []
+
+        def marking_annealed(*args):
+            solver_start.append(len(operands))
+            return annealed(*args)
+
+        with mock.patch.object(VovkHalfKernel, "gram", counting_build), \
+                mock.patch.object(learners, "solve_annealed", marking_annealed):
             _, report = train_fair_kernel(ds, ScaledEuclideanMetric(0.8), cfg)
+        del operands[:solver_start[0]], results[:solver_start[0]]
 
         # the constraint never binds, so every subgradient product is K @ signs
         of_signs = [bool(np.all(np.isin(v, (-1.0, 0.0, 1.0)))) for v in operands]
@@ -590,8 +653,7 @@ class TestMemoisedSubgradientProducts:
         assert sum(of_signs) == distinct
         # K @ beta only at each stage's start (a later stage starts where the
         # previous stage's final constraint check left it), the last stage's
-        # final check, the report's fresh values and the warm start's pull-in;
-        # none per iteration
+        # final check and the report's fresh values; none per iteration
         assert len(operands) <= 2 * distinct + solver.ANNEAL_STAGES + 3
         assert report.iterations == 3 * cfg.solver.max_iters
         for out, sign in zip(results, of_signs):

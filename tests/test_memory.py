@@ -37,7 +37,9 @@ mf.audit_predictor(h, S, mf.default_matching(S, 1), mf.ScaledEuclideanMetric(0.8
 #: array (72 MB) and the interpreter with numpy and the data (about 40 MB),
 #: with room for panel temporaries. It peaked at 260 MB when the gram build,
 #: the PSD certificate and the ridge warm start each held three m x m arrays,
-#: at 194 MB with two, and peaks at about 121 MB now.
+#: and at 194 MB with two. It peaks at about 121 MB now: the certificate
+#: factors the one array in place, and the ridge warm start's conjugate
+#: gradients hold m-vectors only.
 KERNEL_BUDGET_MB = 150
 
 KERNEL = """

@@ -1,4 +1,4 @@
-"""tools/rss_ladder.py: the peak RSS after each step of kernel-train."""
+"""tools/rss_ladder.py: the peak RSS and wall time after each step of kernel-train."""
 
 import importlib.util
 from dataclasses import replace
@@ -19,10 +19,12 @@ def test_one_line_per_step_in_order(tmp_path):
     tool = _load_tool()
     workload = replace(tool.WORKLOADS["kernel-train"], sizes=TINY)
     rungs = tool.ladder(3, tmp_path, workload)
-    assert [step for step, _ in rungs] == [
+    assert [step for step, _, _ in rungs] == [
         "train: load", "train: gram + certificate", "train: ridge", "train: solver",
         "train: report", "audit: load", "audit: audit"]
-    assert all(mb > 0 for _, mb in rungs)
+    assert all(mb > 0 for _, mb, _ in rungs)
+    seconds = [s for _, _, s in rungs]
+    assert 0 <= seconds[0] and all(a <= b for a, b in zip(seconds, seconds[1:]))
     assert (tmp_path / "audit.json").is_file()
 
 

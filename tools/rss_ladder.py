@@ -1,5 +1,6 @@
-"""Print the peak RSS after each step of the benchmark's kernel-train
-workload, so that the kernel path's memory can be read step by step.
+"""Print the peak RSS and the wall time after each step of the benchmark's
+kernel-train workload, so that the kernel path's memory and time can be read
+step by step.
 
     PYTHONPATH=src python tools/rss_ladder.py SEED
 
@@ -11,10 +12,13 @@ started it) as each step of the kernel path returns: loading the data, the
 gram with its PSD certificate, the ridge warm start's solve, the solver, the
 train report, and the audit. The peak never falls, so each line is the peak
 up to that step, and the script has to run as a fresh interpreter of its
-own. The steps are marked by wrapping metricfair's module functions from
-outside, so metricfair is imported from PYTHONPATH and another checkout's
-``src`` can be measured as well (a step whose function that checkout lacks
-is left out); ``perfbench`` is read from this checkout.
+own. Beside it stands the wall time from the start of ``train`` to the
+step's return, so a step's own time is the difference of two lines. The
+steps are marked by wrapping metricfair's module functions from outside, so
+metricfair is imported from PYTHONPATH and another checkout's ``src`` can
+be measured as well (a step whose function that checkout lacks is left
+out); the ``gen-data`` child imports the same metricfair. ``perfbench`` is
+read from this checkout.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -37,7 +42,7 @@ from perfbench.workloads import WORKLOADS  # noqa: E402
 STEPS = (
     ("cli", "load_dataset_csv", "load"),
     ("learners", "gram_matrix", "gram + certificate"),
-    ("learners", "_cholesky_solve", "ridge"),
+    ("learners", "_ridge_fit", "ridge"),
     ("learners", "solve_annealed", "solver"),
     ("learners", "_finalize_report", "report"),
     ("cli", "audit_predictor", "audit"),
@@ -53,10 +58,12 @@ def peak_mb() -> float:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024.0
 
 
-def ladder(seed: int, directory, workload=WORKLOADS["kernel-train"]) -> list[tuple[str, float]]:
+def ladder(seed: int, directory,
+           workload=WORKLOADS["kernel-train"]) -> list[tuple[str, float, float]]:
     """Run `workload`'s set-up in a child process and then its commands at
-    `seed` inside `directory`; return ("<command>: <step>", peak MB) as each
-    step returns."""
+    `seed` inside `directory`; return ("<command>: <step>", peak MB, seconds
+    since the first command started) as each step returns."""
+    import metricfair
     from metricfair.cli import run_cli
 
     rungs = []
@@ -65,13 +72,17 @@ def ladder(seed: int, directory, workload=WORKLOADS["kernel-train"]) -> list[tup
     def marked(fn, step):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            rungs.append((f"{command[0]}: {step}", peak_mb()))
+            rungs.append((f"{command[0]}: {step}", peak_mb(), time.perf_counter() - start))
             return out
         return wrapper
 
     work = Path(directory)
+    # the child imports the metricfair this process runs, whatever put it on the path
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(metricfair.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
     subprocess.run([sys.executable, "-c", SETUP, *workload.setup_argv(work, seed)],
-                   check=True, stdout=subprocess.DEVNULL)
+                   check=True, stdout=subprocess.DEVNULL, env=env)
+    start = time.perf_counter()
     with contextlib.ExitStack() as stack:
         for name, attr, step in STEPS:
             module = importlib.import_module(f"metricfair.{name}")
@@ -93,9 +104,9 @@ def main(argv: list[str]) -> int:
         return 1
     with tempfile.TemporaryDirectory() as directory:
         rungs = ladder(int(argv[0]), directory)
-    print(f"{'step':<28}peak RSS (MB)")
-    for step, mb in rungs:
-        print(f"{step:<28}{mb:.1f}")
+    print(f"{'step':<28}{'peak RSS (MB)':>14}{'time (s)':>10}")
+    for step, mb, seconds in rungs:
+        print(f"{step:<28}{mb:>14.1f}{seconds:>10.3f}")
     return 0
 
 
