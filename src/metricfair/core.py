@@ -305,13 +305,6 @@ _SYMMETRY_PANEL = 64
 _CHOLESKY_PANEL = 128
 
 
-def _lower_solve(l11: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with l11 x = b, for a lower triangular panel `l11`: reversed, l11 is
-    upper triangular, so LU's partial pivoting never swaps a row and the
-    solve is a back substitution."""
-    return np.linalg.solve(l11[::-1, ::-1], b[::-1])[::-1]
-
-
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Write over `a` its lower Cholesky factor, read from its lower triangle,
     and return it; raise LinAlgError unless `a` is positive definite. Blocked
@@ -323,8 +316,9 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
         l11 = a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
         if e == m:
             break
-        # L21' = L11^-1 A21'
-        a[e:, k:e] = _lower_solve(l11, a[e:, k:e].T).T
+        # L21' = L11^-1 A21'; reversed, L11 is upper triangular, so LU's
+        # partial pivoting never swaps a row and the solve is a back substitution
+        a[e:, k:e] = np.linalg.solve(l11[::-1, ::-1], a[e:, k:e].T[::-1])[::-1].T
         a[k:e, e:] = 0.0
         # A22 -= L21 L21' on and below the diagonal, a strip of rows at a time
         for i in range(e, m, _CHOLESKY_PANEL):

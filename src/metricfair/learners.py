@@ -9,20 +9,18 @@ K beta inside the RKHS ball beta' K beta <= B, constraining unclamped raw
 gaps (clamping to [0, 1] happens only at prediction time, which can only
 shrink gaps). The linear learner trains with `solve_pdhg`, which certifies
 how far its result is from the optimum; the kernel learner trains with
-`solve_annealed`. Its subgradient steps overshoot, so the iterates revisit a
-handful of residual sign vectors and step directions; the products K v of
-the subgradients and of the directions are memoised (the PRODUCT_MEMO_SIZE
-most recently used), which computes each once. Its `project` closure moves
-the cached raw scores along each step, K (w - t v) = K w - t K v, so an
-iteration makes no m x m product once its directions are memoised; K beta is
+`solve_annealed`, and its path keeps four invariants. One m x m array: the
+gram's PSD certificate factors it in place, and it is then rebuilt in the
+same storage (O(m^2 n), against O(m^3) for a factorisation). A CG warm start:
+conjugate gradients on that gram solve the ridge fit with m-vectors only.
+Memoised products: the overshooting subgradient steps revisit a handful of
+sign vectors and directions, whose products K v are memoised (the
+PRODUCT_MEMO_SIZE most recently used), and `project` moves the cached raw
+scores along each step, K (w - t v) = K w - t K v, which rounds differently
+from a fresh product in the last bits. The report reads the learner's K beta,
 computed afresh only where the cache misses (a stage's start, the solver's
-final check of its best iterate) and for the report. The moved raw scores
-round differently from a fresh product, so results can move in their last
-bits. The kernel learner holds one m x m array: the gram's PSD certificate
-factors it in place, and the gram is then built afresh in the same storage
-(O(m^2 n), against O(m^3) for a factorisation). The ridge warm start is
-solved by conjugate gradients on that gram, with m-vectors only. The gram is
-released before the report's predictions build their own.
+final check of its best iterate) and once for the report's objective, slack
+and predictions on S, the predictor's support.
 
 By the l1/l0 sandwich, a trained predictor with l1 loss <= tau has empirical
 0/1 fairness loss at slack gamma_tilde at most tau / gamma_tilde.
@@ -172,11 +170,26 @@ def derive_solver_params(config: TrainConfig, m: int,
                                tau_theoretical=tau_theoretical)
 
 
-def _finalize_report(report: TrainingReport, predictor, S, M, d, params, extras) -> TrainingReport:
-    mf = empirical_mf_loss(predictor, S, M, d, params.gamma_tilde)
+def _program(S: LabeledDataset, d: SimilarityMetric, config: TrainConfig,
+             matching: Matching | None, tau: float | None, B: float | None = None):
+    """A learner's program: the matching (the seeded default unless given), its
+    edges and distances, and the budgets at len(S) with a `tau` >= 0 override."""
+    M = matching if matching is not None else default_matching(S, config.solver.seed)
+    left, right, dists = matching_edges(S, M, d)
+    params = derive_solver_params(config, len(S), B=B)
+    if tau is not None:
+        tau = float(tau)
+        if not tau >= 0:
+            raise ValidationError(f"the fairness budget must be >= 0, got {tau}")
+        params = replace(params, tau=tau)
+    return M, left, right, dists, params
+
+
+def _finalize_report(report: TrainingReport, predictor, S, M, d, params, extras,
+                     values=None) -> TrainingReport:
     return replace(
         report,
-        empirical_mf_loss=mf,
+        empirical_mf_loss=empirical_mf_loss(predictor, S, M, d, params.gamma_tilde, values=values),
         mf_loss_bound=params.tau / params.gamma_tilde if params.gamma_tilde > 0 else None,
         derived_params={**report.derived_params, **asdict(params)},
         extras={**report.extras, **extras},
@@ -196,11 +209,7 @@ def train_fair_linear(
     the solver cannot fail for tau >= 0; it returns a feasible point together
     with a certified lower bound on the optimum.
     """
-    M = matching if matching is not None else default_matching(S, config.solver.seed)
-    left, right, dists = matching_edges(S, M, d)
-    params = derive_solver_params(config, len(S))
-    if tau is not None:
-        params = replace(params, tau=float(tau))
+    M, left, right, dists, params = _program(S, d, config, matching, tau)
     X = S.features
     # h(x) - y01 = <w, x>/2 - (y01 - 1/2), and a pair's gap is its raw gap halved
     w, report = solve_pdhg(0.5 * X, S.targets01 - 0.5, 0.5 * (X[left] - X[right]), dists,
@@ -260,15 +269,10 @@ def train_fair_kernel(
     """
     if not isinstance(config.learner, KernelLearner):
         raise ValidationError("config.learner must be a KernelLearner")
-    learner = config.learner
     m = len(S)
-    M = matching if matching is not None else default_matching(S, config.solver.seed)
-    left, right, dists = matching_edges(S, M, d)
-    slack = kernel_slack(config.eps, config.eps_alpha, config.eps_gamma)
-    b_raw, b_used = resolve_kernel_B(learner, slack)
-    params = derive_solver_params(config, m, B=b_used)
-    if tau is not None:
-        params = replace(params, tau=float(tau))
+    b_raw, b_used = resolve_kernel_B(config.learner,
+                                     kernel_slack(config.eps, config.eps_alpha, config.eps_gamma))
+    M, left, right, dists, params = _program(S, d, config, matching, tau, B=b_used)
     K = gram_matrix(S, VovkHalfKernel())
     y01 = S.targets01
     init = _ridge_fit(K, y01)
@@ -346,18 +350,19 @@ def train_fair_kernel(
 
     solver_cfg = replace(config.solver, constraint_target=-0.5 * budget)
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)
-    # the solver's values come from raw scores moved along its steps; the
-    # report states those of the returned beta, from a fresh K @ beta
+    # the report states the returned beta's values, and its predictions on S
+    # (the support), from a fresh K @ beta, not the raw scores moved by steps
     raw_cache.clear()
     slack = max(constraint(beta)[0], 0.0)
-    report = replace(report, final_objective=float(np.mean(np.abs(raw_of(beta) - y01))),
+    raw = raw_of(beta)
+    report = replace(report, final_objective=float(np.mean(np.abs(raw - y01))),
                      final_constraint_slack=slack,
                      converged=slack <= config.solver.feasibility_tolerance)
-    del K  # the report's predictions build an m x m matrix of their own
     predictor = KernelPredictor(S.features, beta)
     report = _finalize_report(
         report, predictor, S, M, d, params,
         extras={"learner": "kernel", "B_derived": b_raw, "B_used": b_used},
+        values=np.clip(raw, 0.0, 1.0),
     )
     return predictor, report
 

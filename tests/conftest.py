@@ -20,6 +20,7 @@ from metricfair import (
     ScaledEuclideanMetric,
     SignReferencePredictor,
 )
+from metricfair.core import unit_ball_points
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a run neither depends on nor writes a .hypothesis/ directory.
@@ -41,12 +42,6 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     config.stash[_HYPOTHESIS_HOME].cleanup()
-
-
-def unit_ball_points(rng, m, n):
-    g = rng.standard_normal((m, n))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    return g * (rng.random(m) ** (1.0 / n))[:, None]
 
 
 def random_dataset(rng, m, n):

@@ -224,6 +224,22 @@ class TestMatchingEdges:
         assert not (gram.called or pdhg.called or annealed.called)
 
 
+@pytest.mark.parametrize("tau", [-0.1, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("learner", [None, KernelLearner(B=10.0)], ids=["linear", "kernel"])
+def test_negative_or_nan_budget_override_rejected_before_training(rng, learner, tau):
+    # under ConstantMetric(1.0) no edge can be unfair, so nothing but the
+    # check stands between a bad tau and the solvers
+    S = random_dataset(rng, 20, 2)
+    config = linear_config() if learner is None else linear_config(learner=learner)
+    train = train_fair_linear if learner is None else train_fair_kernel
+    with mock.patch.object(learners, "gram_matrix") as gram, \
+            mock.patch.object(learners, "solve_pdhg") as pdhg, \
+            mock.patch.object(learners, "solve_annealed") as annealed:
+        with pytest.raises(ValidationError, match=f"^the fairness budget must be >= 0, got {tau}$"):
+            train(S, ConstantMetric(1.0), config, tau=tau)
+    assert not (gram.called or pdhg.called or annealed.called)
+
+
 class TestConvexity:
     def test_midpoint_feasibility_and_objective(self, rng):
         for _ in range(60):
@@ -265,6 +281,31 @@ class TestGram:
         eigs = np.linalg.eigvalsh(K)
         assert eigs.min() >= -1e-8 * eigs.max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(1, 300), n=st.integers(1, 300),
+           rows=st.sampled_from(["random", "duplicated", "near-identical", "norm 1 + tolerance"]))
+    def test_vovk_gram_is_psd_within_its_rounding_bound(self, seed, m, n, rows):
+        # the exact gram sum_k (<x, y>/2)^k is PSD (Schur product theorem);
+        # each computed entry errs by at most about 2(n + 2)u relative and
+        # lies in [2/3, 2], so lambda_min >= -6(n + 2)u lambda_max, far
+        # inside PSD_TOLERANCE. Duplicated and near-identical rows make K
+        # singular or nearly so; rows of norm 1 + NORM_TOLERANCE (less a
+        # rounding margin) put its entries at the sup value
+        rng = np.random.default_rng(seed)
+        X = unit_ball_points(rng, m, n)
+        if rows in ("duplicated", "near-identical"):
+            X = X[rng.integers(0, max(1, m // 3), m)]
+            if rows == "near-identical":
+                X += 1e-12 * rng.standard_normal((m, n))
+        elif rows == "norm 1 + tolerance":
+            X *= (1.0 + core.NORM_TOLERANCE - 1e-13) / np.linalg.norm(X, axis=1, keepdims=True)
+        K = gram_matrix(LabeledDataset(X, np.ones(m)), VovkHalfKernel())
+        bound = 6 * (n + 2) * np.finfo(np.float64).eps / 2
+        eigs = np.linalg.eigvalsh(K)
+        assert eigs.min() >= -bound * eigs.max()
+        assert bound <= core.PSD_TOLERANCE
+        core.check_psd(K)
+
     @pytest.mark.parametrize("m", [30, 300])
     def test_certified_in_place_and_built_again_in_the_same_storage(self, rng, m):
         # m = 300 spans three Cholesky panels
@@ -295,6 +336,35 @@ class TestTrainKernel:
         pred, _ = train_fair_kernel(ds, ConstantMetric(1.0), self.kernel_config())
         K = gram_matrix(ds, VovkHalfKernel())
         assert np.max(np.abs(K @ pred.beta - pred.raw_batch(ds.features))) <= 1e-9
+
+    def test_report_reads_the_learners_own_raw_scores(self, rng):
+        # the gram is built twice (certified in place, then afresh in the
+        # same storage); the report's predictions on S are the clipped K beta
+        # the learner computes for its objective, not a third build through
+        # the predictor, and bit for bit what the predictor gives
+        ds = random_dataset(rng, 60, 3)
+        d = ScaledEuclideanMetric(0.2)
+        cfg = self.kernel_config(solver=SolverConfig(max_iters=200, seed=0))
+        cross, loss = VovkHalfKernel.cross, learners.empirical_mf_loss
+        crossed, predictions = [], []
+
+        def counting_cross(kernel, xs, ys, out=None):
+            crossed.append(len(xs))
+            return cross(kernel, xs, ys, out)
+
+        def recording_loss(*args, values=None, **kwargs):
+            predictions.append(values)
+            return loss(*args, values=values, **kwargs)
+
+        with mock.patch.object(VovkHalfKernel, "cross", counting_cross), \
+                mock.patch.object(learners, "empirical_mf_loss", recording_loss):
+            pred, report = train_fair_kernel(ds, d, cfg)
+        assert crossed == [60, 60]
+        (values,) = predictions
+        assert np.array_equal(values, pred.predict_batch(ds.features))
+        M = default_matching(ds, cfg.solver.seed)
+        expected = empirical_mf_loss(pred, ds, M, d, report.derived_params["gamma_tilde"])
+        assert report.empirical_mf_loss == expected > 0
 
     def test_zero_budget_equalizes_matched_pair(self):
         X = np.array([[0.6, 0.1], [-0.5, 0.3]])
