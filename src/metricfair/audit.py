@@ -107,23 +107,30 @@ def population_mf_estimate(
 ) -> PopulationEstimate:
     """Monte-Carlo estimate of the population 0/1 fairness loss.
 
-    Pairs of rows of S are drawn i.i.d. with replacement, all first rows
-    before all second rows; the half-width is the 95% two-sided Hoeffding
-    bound, so it is distribution-free. Each row of S is predicted once and
-    the pairs are compared in blocks of core._PAIR_BLOCK pairs, so only the
-    two index arrays grow with n_pairs. Distances are evaluated only for the
-    pairs whose gap exceeds gamma.
+    Pairs of rows of S are drawn i.i.d. with replacement from the seed's
+    stream, all n_pairs first rows before all second rows; the half-width
+    is the 95% two-sided Hoeffding bound, so it is distribution-free. Each
+    row of S is predicted once, and the pairs are drawn and compared in
+    blocks of core._PAIR_BLOCK pairs, so memory does not grow with n_pairs.
+    Two generators seeded alike draw the two sides in step. The second
+    reaches the second rows by drawing the n_pairs first rows and dropping
+    them: a bounded draw rejects some of the stream's numbers, so how far to
+    jump is known only by drawing. A draw made a block at a time continues
+    the stream, so the pairs do not depend on the block size. Distances are
+    evaluated only for the pairs whose gap exceeds gamma.
     """
     _check_gamma(gamma)
     half_width = hoeffding_half_width(n_pairs)
-    rng = np.random.default_rng(seed)
-    first = rng.integers(0, len(S), size=n_pairs)
-    second = rng.integers(0, len(S), size=n_pairs)
     values = _predictions(h, S, values)
-    block = core._PAIR_BLOCK
+    m, block = len(S), core._PAIR_BLOCK
+    starts = range(0, n_pairs, block)
+    first, second = np.random.default_rng(seed), np.random.default_rng(seed)
+    for start in starts:
+        second.integers(0, m, size=min(block, n_pairs - start))
     violations = 0
-    for start in range(0, n_pairs, block):
-        a, b = first[start:start + block], second[start:start + block]
+    for start in starts:
+        size = min(block, n_pairs - start)
+        a, b = first.integers(0, m, size=size), second.integers(0, m, size=size)
         gaps = np.abs(values[a] - values[b])
         near = gaps > gamma
         dists = d.pair_distances(S.features[a[near]], S.features[b[near]])

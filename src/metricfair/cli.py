@@ -414,6 +414,10 @@ def run_cli(argv) -> int:
     except (MetricFairError, OSError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare MemoryError is blank
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -212,8 +212,12 @@ class ScaledEuclideanMetric(SimilarityMetric):
             raise ValidationError(f"scale must be finite and non-negative, got {self.scale}")
 
     def pair_distances(self, xs, ys) -> np.ndarray:
+        # the operations of np.linalg.norm(xs - ys, axis=1) on real input,
+        # without its conj() copy, so the distances are bit for bit the same
         xs, ys = _pair_rows(xs, ys)
-        return np.minimum(1.0, self.scale * np.linalg.norm(xs - ys, axis=1))
+        squares = xs - ys
+        np.multiply(squares, squares, out=squares)
+        return np.minimum(1.0, self.scale * np.sqrt(np.add.reduce(squares, axis=1)))
 
     def pairwise_matrix(self, xs, rows=None, cols=None, where=None) -> np.ndarray:
         # the Gram form fills the whole block, then zeroes what is not asked for

@@ -65,7 +65,7 @@ def load_dataset_csv(path) -> LabeledDataset:
             f"dataset file {path}, line 1: header must be x1,...,xn,y; got {lines[0]!r}")
     if len(lines) == 1:
         raise ValidationError(f"dataset file {path} has no rows")
-    table = np.array(_float_rows(lines[1:], len(header), f"dataset file {path}", first=2))
+    table = _float_table(lines[1:], len(header), f"dataset file {path}", first=2)
     features, labels = table[:, :-1], table[:, -1]
     norms = np.linalg.norm(features, axis=1)
     bad_label = ~np.isin(labels, (-1, 1))
@@ -82,6 +82,21 @@ def load_dataset_csv(path) -> LabeledDataset:
             reason = f"row norm {norms[k]:.12g} exceeds the unit ball"
         raise ValidationError(f"dataset file {path}, line {k + 2}: {reason}")
     return LabeledDataset(features, labels)
+
+
+def _float_table(lines, width: int, what: str, first: int) -> np.ndarray:
+    """The lines as a (len(lines), width) float array, parsed by one numpy
+    call when every line has `width` fields; numpy converts each cell as
+    float() does. Otherwise, or if a cell is not a number, _float_rows
+    parses the lines one by one and names the first bad one."""
+    if all(line.count(",") == width - 1 for line in lines):
+        try:
+            cells = np.array(",".join(lines).split(","), dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            return cells.reshape(len(lines), width)
+    return np.array(_float_rows(lines, width, what, first))
 
 
 def _float_rows(lines, width: int, what: str, first: int) -> list[list[float]]:
@@ -230,7 +245,7 @@ def save_matrix_metric(matrix: np.ndarray, index_map, path) -> None:
 def load_matrix_metric(path, dataset: LabeledDataset) -> MatrixMetric:
     """Errors name the file and, for a malformed line, its 1-based number."""
     lines = Path(path).read_text().strip().splitlines()
-    rows = _float_rows(lines, len(lines), f"metric file {path}", first=1)
+    matrix = _float_table(lines, len(lines), f"metric file {path}", first=1)
     idx_path = Path(str(path) + ".idx")
     if not idx_path.exists():
         raise ValidationError(f"missing metric index file {idx_path}")
@@ -241,7 +256,7 @@ def load_matrix_metric(path, dataset: LabeledDataset) -> MatrixMetric:
         except ValueError as exc:
             raise ValidationError(f"metric index file {idx_path}, line {number}: {exc}") from None
     try:
-        return MatrixMetric(np.array(rows), dataset.features, index_map)
+        return MatrixMetric(matrix, dataset.features, index_map)
     except ValidationError as exc:
         raise ValidationError(f"metric file {path}: {exc}") from None
 

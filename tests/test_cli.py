@@ -158,6 +158,28 @@ class TestGenData:
         assert stdout == ""
         assert not out.exists()
 
+    def test_allocation_beyond_the_address_space_exits_two(self, capsys, tmp_path):
+        # 10**13 x 10 float64 features are 728 TiB, more than the 128 TiB of
+        # user address space, so the allocation fails at once whatever the
+        # overcommit setting
+        out = tmp_path / "data.csv"
+        code, stdout, err = run(capsys, "gen-data", "--generator", "unit-ball", "--n", "10",
+                                "--m", "10000000000000", "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: Unable to allocate 728. TiB") and err.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_memory_error_without_a_message_says_out_of_memory(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "gen-data", exhausted)
+        code, stdout, err = run(capsys, "gen-data", "--generator", "unit-ball", "--n", "2",
+                                "--m", "5", "--seed", "1", "--out", str(tmp_path / "d.csv"))
+        assert (code, stdout, err) == (2, "", "error: out of memory\n")
+
     @pytest.mark.parametrize("generator", ["unit-ball", "separable"])
     def test_handle_out_needs_the_hardness_generator(self, capsys, tmp_path, generator):
         out, handle = tmp_path / "data.csv", tmp_path / "handle.json"

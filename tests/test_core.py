@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scalar_reference as scalar
 from conftest import (NOT_SQUARE, NOT_SQUARE_IDS, PREDICTOR_KINDS, predictor_with_formula,
@@ -529,6 +530,30 @@ class TestValidateMetric:
         # a NaN scale makes every distance NaN, and an infinite one d(x, x)
         with pytest.raises(ValidationError, match=f"scale must be finite and non-negative, got {scale}"):
             ScaledEuclideanMetric(scale)
+
+    @given(k=st.integers(0, 12), n=st.integers(1, 40), scale=st.floats(0.0, 1e3),
+           layout=st.sampled_from(["contiguous", "one row", "strided", "fortran"]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_euclidean_distances_are_the_norms_bit_for_bit(self, k, n, scale, layout,
+                                                                   data):
+        # magnitudes from 1e-160 to 1e160 make squares that underflow,
+        # overflow and round; NaN and infinite features are drawn too
+        values = hnp.arrays(np.float64, (2 * k + 1, 2 * n),
+                            elements=st.floats(width=64) | st.floats(-1e-160, 1e-160)
+                            | st.floats(-1e160, 1e160))
+        X, Y = data.draw(values, label="X"), data.draw(values, label="Y")
+        xs, ys = {
+            "contiguous": (X[:k, :n].copy(), Y[:k, :n].copy()),
+            "one row": (X[0, :n], Y[:k, :n]),
+            "strided": (X[1::2, ::2], Y[:-1:2, 1::2]),
+            "fortran": (np.asfortranarray(X[:k, :n]), np.asfortranarray(Y[:k, :n])),
+        }[layout]
+        with np.errstate(all="ignore"):
+            expected = np.minimum(1.0, scale * np.linalg.norm(xs - ys, axis=1))
+            got = ScaledEuclideanMetric(scale).pair_distances(xs, ys)
+        assert got.shape == expected.shape == (k,)
+        assert got.tobytes() == expected.tobytes()
 
 
 class BrokenMetric(SimilarityMetric):

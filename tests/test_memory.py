@@ -15,11 +15,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: peak RSS allowed to the child process. At the sizes below the blocked
-#: audit peaks at about 75 MB, interpreter and numpy included; one dense
+#: audit peaks at about 42 MB, interpreter and numpy included; one dense
 #: m x m float array takes 288 MB, and the dense audit peaked at 1.1 GB.
 BUDGET_MB = 200
 
+#: run with the population estimate's n_pairs as its argument
 AUDIT = """
+import sys
 import numpy as np
 import metricfair as mf
 from metricfair.core import unit_ball_points
@@ -29,7 +31,7 @@ rng = np.random.default_rng(1)
 S = mf.LabeledDataset(unit_ball_points(rng, m, n), np.ones(m))
 h = mf.LinearPredictor(np.full(n, 0.3))
 mf.audit_predictor(h, S, mf.default_matching(S, 1), mf.ScaledEuclideanMetric(0.8), 0.3,
-                   population_pairs=1_000_000, seed=1)
+                   population_pairs=int(sys.argv[1]), seed=1)
 """
 
 
@@ -77,7 +79,13 @@ def _peak_mb(code: str, *args: str) -> float:
 
 
 def test_audit_peak_rss_stays_within_budget():
-    assert _peak_mb(AUDIT) < BUDGET_MB
+    assert _peak_mb(AUDIT, "1000000") < BUDGET_MB
+
+
+def test_population_estimate_peak_rss_does_not_grow_with_n_pairs():
+    # 4e6 pairs of int64 row indices would take 64 MB whole; drawn a block at
+    # a time they take 1 MB
+    assert abs(_peak_mb(AUDIT, "4000000") - _peak_mb(AUDIT, "100000")) < 4.0
 
 
 def test_kernel_train_and_audit_peak_rss_stays_within_one_gram_array(tmp_path):

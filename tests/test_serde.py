@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset, strict_json
 from metricfair import (
@@ -25,6 +27,8 @@ from metricfair import (
     sample_hardness_distribution,
 )
 from metricfair.serde import (
+    _float_rows,
+    _float_table,
     load_dataset_csv,
     load_hardness_handle,
     load_metric,
@@ -35,6 +39,10 @@ from metricfair.serde import (
     save_predictor_json,
     write_report,
 )
+
+#: cells that float() reads in an unusual way or rejects
+ODD_CELLS = [" 1.5", "1_0", "\u0661", "Infinity", "-nan", "1e400", "-0.0", "", " ", "0x10",
+             "nan(0x1)", "abc", "1e", "_1"]
 
 
 class TestDatasetCsv:
@@ -57,6 +65,27 @@ class TestDatasetCsv:
         path.write_text("a,b\n0.1,0.2\n")
         with pytest.raises(ValidationError):
             load_dataset_csv(path)
+
+    @given(width=st.integers(1, 5), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_call_parse_matches_the_line_by_line_parse(self, width, data):
+        # cells float() accepts, cells it rejects, and lines with a field
+        # too many or too few
+        cell = (st.floats(width=64).map(repr) | st.integers(-99, 99).map(str)
+                | st.sampled_from(ODD_CELLS))
+        row = st.lists(cell, min_size=width, max_size=width)
+        if data.draw(st.booleans(), label="misshapen"):
+            row = row | st.lists(cell, min_size=0, max_size=width + 2)
+        lines = data.draw(st.lists(row.map(",".join), max_size=6), label="lines")
+        try:
+            expected = np.array(_float_rows(lines, width, "table", first=2))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                _float_table(lines, width, "table", first=2)
+            assert str(raised.value) == str(exc)
+        else:
+            table = _float_table(lines, width, "table", first=2)
+            assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
 
 
 class TestPredictorJson:
