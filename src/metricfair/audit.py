@@ -117,7 +117,9 @@ def population_mf_estimate(
     them: a bounded draw rejects some of the stream's numbers, so how far to
     jump is known only by drawing. A draw made a block at a time continues
     the stream, so the pairs do not depend on the block size. Distances are
-    evaluated only for the pairs whose gap exceeds gamma.
+    evaluated only for the pairs whose gap exceeds gamma: each block picks
+    them once as one index array, gathers their rows, gaps and indices by
+    it, and makes one pair_distances call, an empty one if none is near.
     """
     _check_gamma(gamma)
     half_width = hoeffding_half_width(n_pairs)
@@ -131,10 +133,13 @@ def population_mf_estimate(
     for start in starts:
         size = min(block, n_pairs - start)
         a, b = first.integers(0, m, size=size), second.integers(0, m, size=size)
-        gaps = np.abs(values[a] - values[b])
-        near = gaps > gamma
-        dists = d.pair_distances(S.features[a[near]], S.features[b[near]])
-        violations += int(np.count_nonzero(gaps[near] > dists + gamma))
+        gaps = values.take(a)
+        gaps -= values.take(b)
+        np.abs(gaps, out=gaps)
+        near = np.flatnonzero(gaps > gamma)
+        a, b = a.take(near), b.take(near)
+        dists = d.pair_distances(S.features.take(a, axis=0), S.features.take(b, axis=0))
+        violations += int(np.count_nonzero(gaps.take(near) > dists + gamma))
     return PopulationEstimate(violations / n_pairs, half_width, n_pairs)
 
 

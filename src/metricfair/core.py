@@ -145,7 +145,9 @@ def _block_entries(rows: np.ndarray, cols: np.ndarray, where) -> np.ndarray:
     """The entries of a block to evaluate: those in `where` that pair two
     different rows of `xs`."""
     entries = rows[:, None] != cols[None, :]
-    return entries if where is None else entries & where
+    if where is not None:
+        entries &= where
+    return entries
 
 
 class SimilarityMetric:
@@ -171,7 +173,7 @@ class SimilarityMetric:
         default). Entry (a, b) is d(xs[min(i, j)], xs[max(i, j)]) with
         i = rows[a] and j = cols[b], and 0 where i == j. Only the entries
         where the boolean block `where` holds are evaluated; the others are
-        0. Each entry is one pair of a `pair_distances` call, made on about
+        +0.0. Each entry is one pair of a `pair_distances` call, made on about
         _PAIR_BLOCK pairs at a time."""
         xs = np.atleast_2d(xs)
         rows, cols = _block_indices(xs, rows, cols)
@@ -220,14 +222,24 @@ class ScaledEuclideanMetric(SimilarityMetric):
         return np.minimum(1.0, self.scale * np.sqrt(np.add.reduce(squares, axis=1)))
 
     def pairwise_matrix(self, xs, rows=None, cols=None, where=None) -> np.ndarray:
-        # the Gram form fills the whole block, then zeroes what is not asked for
+        # the Gram form min(1, scale * sqrt(max(|l|^2 + |r|^2 - 2 l.r, 0)))
+        # fills the whole block in place, in that order of operations, then
+        # is multiplied by the 0/1 entries asked for: on rows whose squares do
+        # not overflow (dataset rows lie in the unit ball) every entry is
+        # finite and >= +0, so the product is exact and gives +0 elsewhere
         xs = np.atleast_2d(xs)
         rows, cols = _block_indices(xs, rows, cols)
-        left, right = xs[rows], xs[cols]
-        d2 = np.maximum(np.sum(left * left, axis=1)[:, None] + np.sum(right * right, axis=1)[None, :]
-                        - 2.0 * (left @ right.T), 0.0)
-        out = np.minimum(1.0, self.scale * np.sqrt(d2))
-        out[~_block_entries(rows, cols, where)] = 0.0
+        left, right = xs.take(rows, axis=0), xs.take(cols, axis=0)
+        products = left @ right.T
+        products *= 2.0
+        out = np.sum(left * left, axis=1)[:, None] + np.sum(right * right, axis=1)[None, :]
+        out -= products
+        del products
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        out *= self.scale
+        np.minimum(out, 1.0, out=out)
+        out *= _block_entries(rows, cols, where)
         return out
 
 

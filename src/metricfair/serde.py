@@ -35,10 +35,6 @@ from .hardness import HardnessMetric, HardnessMetricHandle
 
 SCHEMA_VERSION = 2
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # Dataset CSV: header x1,...,xn,y with y in {-1, 1}
 # ---------------------------------------------------------------------------
@@ -46,9 +42,11 @@ def _fmt(value: float) -> str:
 
 def save_dataset_csv(dataset: LabeledDataset, path) -> None:
     n = dataset.dimension
+    # "%.17g" % x is format(x, ".17g"); one format per row is the fast path
+    row = ",".join(["%.17g"] * n + ["%d"])
+    table = np.column_stack((dataset.features, dataset.labels)).tolist()
     lines = [",".join([f"x{i + 1}" for i in range(n)] + ["y"])]
-    for row, label in zip(dataset.features, dataset.labels):
-        lines.append(",".join([_fmt(v) for v in row] + [str(int(label))]))
+    lines += [row % tuple(cells) for cells in table]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -237,7 +235,8 @@ def save_matrix_metric(matrix: np.ndarray, index_map, path) -> None:
     """Matrix CSV at `path`; companion index file at `path + '.idx'` maps
     matrix row order to dataset row order (one integer per line)."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    lines = [",".join(_fmt(v) for v in row) for row in matrix]
+    row = ",".join(["%.17g"] * matrix.shape[1])
+    lines = [row % tuple(cells) for cells in matrix.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
     Path(str(path) + ".idx").write_text("\n".join(str(int(i)) for i in index_map) + "\n")
 

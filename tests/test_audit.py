@@ -530,6 +530,61 @@ class TestBlockedProfile:
             assert np.array_equal(got, expected)
 
 
+def gram_block_oracle(scale, xs, rows, cols, where):
+    """ScaledEuclideanMetric's block as one expression: the Gram form
+    min(1, scale * sqrt(max(|l|^2 + |r|^2 - 2 l.r, 0))) over the whole block,
+    then 0 wherever an entry was not asked for."""
+    left, right = xs[rows], xs[cols]
+    d2 = np.maximum(np.sum(left * left, axis=1)[:, None] + np.sum(right * right, axis=1)[None, :]
+                    - 2.0 * (left @ right.T), 0.0)
+    out = np.minimum(1.0, scale * np.sqrt(d2))
+    asked = rows[:, None] != cols[None, :]
+    if where is not None:
+        asked &= where
+    out[~asked] = 0.0
+    return out
+
+
+@st.composite
+def euclidean_blocks(draw):
+    """(scale, points, rows, cols, where): up to 10 points of up to 6
+    coordinates with repeated rows, index lists with repeats (or None for
+    every row), and a random `where` mask or None. Scales of 50 saturate
+    most entries at 1, a scale of 0 zeroes them all."""
+    n = draw(st.integers(1, 6), label="n")
+    distinct = draw(st.lists(st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n),
+                             min_size=1, max_size=6), label="distinct rows")
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=10),
+                 label="rows of the points")
+    X = np.array(distinct)[picks]
+    index = st.none() | st.lists(st.integers(0, len(X) - 1), max_size=len(X) + 3).map(
+        lambda v: np.array(v, dtype=np.intp))
+    rows, cols = draw(index, label="rows"), draw(index, label="cols")
+    shape = tuple(len(X) if v is None else v.size for v in (rows, cols))
+    where = draw(st.none() | st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]).map(
+        lambda v: np.array(v, dtype=bool).reshape(shape)), label="where")
+    scale = draw(st.sampled_from((0.0, 0.05, 0.8, 50.0)) | st.floats(0.0, 60.0), label="scale")
+    return scale, X, rows, cols, where
+
+
+@given(block=euclidean_blocks())
+@settings(max_examples=300, deadline=None)
+def test_euclidean_block_is_the_gram_expression_bit_for_bit(block):
+    """The in-place block keeps the expression's order of operations, and
+    multiplying by the 0/1 entries asked for leaves +0 elsewhere: equal
+    values and equal sign bits, which the tolerance-bounded tests above
+    would not notice if the operations were reordered."""
+    scale, X, rows, cols, where = block
+    every = np.arange(len(X))
+    expected = gram_block_oracle(scale, X, every if rows is None else rows,
+                                 every if cols is None else cols, where)
+    got = ScaledEuclideanMetric(scale).pairwise_matrix(X, rows, cols, where=where)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 class CountingMetric(SimilarityMetric):
     """Records the index pairs of every pair_distances call of `inner`, a
     metric on the distinct rows X."""
@@ -562,6 +617,66 @@ def _grid_instance(kind, seed, m=40):
     else:
         metric = SkewedMetric()
     return LabeledDataset(X, np.ones(m)), TablePredictor(X, values), values, metric
+
+
+class CallLog(SimilarityMetric):
+    """Forwards to `inner`, logging each pair_distances call with its pair
+    count and each pairwise_matrix call with its rows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def pair_distances(self, xs, ys):
+        self.calls.append(("pair_distances", len(np.atleast_2d(xs))))
+        return self.inner.pair_distances(xs, ys)
+
+    def pairwise_matrix(self, xs, rows=None, cols=None, where=None):
+        self.calls.append(("pairwise_matrix", np.asarray(rows).tolist()))
+        return self.inner.pairwise_matrix(xs, rows, cols, where=where)
+
+
+class TestMetricCallShape:
+    """The audit's block loops call the metric once per block, so the calls
+    and pairs a traced run counts depend on the blocks, not on how a block
+    is gathered."""
+
+    def test_population_estimate_calls_pair_distances_once_per_block(self):
+        block = core._PAIR_BLOCK
+        n_pairs, gamma, seed = 3 * block + 7, 0.5, 8
+        S = random_dataset(np.random.default_rng(seed), 500, 3)
+        h = LinearPredictor(np.array([0.6, -0.3, 0.2]))
+        metric = CallLog(ScaledEuclideanMetric(0.8))
+        population_mf_estimate(h, S, metric, gamma, n_pairs, seed)
+        draws = np.random.default_rng(seed)
+        first, second = (draws.integers(0, len(S), size=n_pairs) for _ in range(2))
+        values = h.predict_batch(S.features)
+        near = np.abs(values[first] - values[second]) > gamma
+        assert metric.calls == [("pair_distances", int(np.count_nonzero(near[s:s + block])))
+                                for s in range(0, n_pairs, block)]
+        # the last block's 7 pairs have no near pair: still one call, of none
+        assert len(metric.calls) == 4 and metric.calls[-1] == ("pair_distances", 0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_profile_calls_pairwise_matrix_once_per_block_with_a_near_pair(self, gamma):
+        m, per_block = 40, 5
+        rng = np.random.default_rng(9)
+        X = unit_ball_points(rng, m, 2)
+        values = rng.random(m)
+        metric = CallLog(ScaledEuclideanMetric(0.8))
+        with mock.patch.object(core, "_PAIR_BLOCK", per_block * m + 3):
+            _per_individual_rates(TablePredictor(X, values), LabeledDataset(X, np.ones(m)),
+                                  metric, gamma)
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+        expected = [("pairwise_matrix", order[start:start + per_block].tolist())
+                    for start in range(0, m, per_block)
+                    if any(ranked[j] - ranked[i] > gamma
+                           for i in range(start, min(start + per_block, m))
+                           for j in range(i + 1, m))]
+        assert metric.calls == expected
+        # at gamma = 0.5 the highest-ranked blocks have no near pair
+        assert len(expected) == m // per_block if gamma == 0.0 else 0 < len(expected) < m // per_block
 
 
 class TestPrunedAudit:

@@ -17,6 +17,7 @@ from metricfair import (
     HardnessMetric,
     HardnessReport,
     KernelPredictor,
+    LabeledDataset,
     LinearPredictor,
     LogisticPredictor,
     MetricUndefinedError,
@@ -86,6 +87,50 @@ class TestDatasetCsv:
         else:
             table = _float_table(lines, width, "table", first=2)
             assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+
+
+#: floats whose 17-digit form is easy to get wrong: signed zeros, the
+#: smallest subnormal, other subnormals, the smallest normal, the largest
+#: double below 1 and the largest finite double
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 0.1, 1.7976931348623157e308]
+
+
+def _formatted(cells) -> str:
+    return ",".join(format(x, ".17g") for x in cells)
+
+
+class TestCsvWriters:
+    """Each row is written with one %-format; every float must read as
+    format(x, ".17g") writes it."""
+
+    @given(rows=st.lists(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(), min_size=3,
+                                  max_size=3), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_metric_rows_are_format_17g(self, rows, tmp_path_factory):
+        path = tmp_path_factory.mktemp("metric") / "metric.csv"
+        save_matrix_metric(np.array(rows), [0, 1, 2], path)
+        assert path.read_text() == "".join(_formatted(row) + "\n" for row in rows)
+
+    @given(width=st.integers(1, 5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dataset_rows_are_format_17g_and_the_label(self, width, data, tmp_path_factory):
+        # |cell| <= 0.4 keeps a row of up to 5 in the unit ball; 1 - 2^-53
+        # leads a row whose other cells are zeros or subnormals
+        small = st.sampled_from([x for x in EDGE_FLOATS if abs(x) < 1e-300])
+        cell = small | st.sampled_from([0.1, -0.1]) | st.floats(-0.4, 0.4)
+        row = (st.lists(cell, min_size=width, max_size=width)
+               | st.tuples(st.sampled_from([1.0 - 2.0**-53, -(1.0 - 2.0**-53)]),
+                           st.lists(small, min_size=width - 1, max_size=width - 1)).map(
+                   lambda t: [t[0], *t[1]]))
+        rows = data.draw(st.lists(row, min_size=1, max_size=5), label="rows")
+        labels = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(rows),
+                                    max_size=len(rows)), label="labels")
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        save_dataset_csv(LabeledDataset(np.array(rows), np.array(labels)), path)
+        header = ",".join([f"x{i + 1}" for i in range(width)] + ["y"])
+        assert path.read_text() == header + "\n" + "".join(
+            f"{_formatted(row)},{label}\n" for row, label in zip(rows, labels))
 
 
 class TestPredictorJson:
