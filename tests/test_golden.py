@@ -29,6 +29,9 @@ COMMANDS = (
      "--out", "data.csv"),
     ("gen-data", "--generator", "separable", "--n", "3", "--m", "41", "--margin", "0.1",
      "--noise-rate", "0.1", "--seed", "1", "--out", "separable.csv"),
+    # margin 0.9 caps the orthogonal part of most rows at sqrt(1 - 0.81)
+    ("gen-data", "--generator", "separable", "--n", "10", "--m", "41", "--margin", "0.9",
+     "--noise-rate", "0.3", "--seed", "1", "--out", "separable-cap.csv"),
     ("train", "--data", "data.csv", "--metric", "euclidean:0.8", "--alpha", "0.2",
      "--gamma", "0.3", "--max-iters", "300", "--seed", "1",
      "--predictor-out", "linear.json", "--out", "train-linear.json", *REPORT),
@@ -52,6 +55,8 @@ COMMANDS = (
      "--out", "hardness.json", *REPORT),
     ("gen-data", "--generator", "hardness-pairs", "--n", "8", "--m", "40", "--seed", "1",
      "--out", "hard.csv", "--handle-out", "handle.json"),
+    ("gen-data", "--generator", "hardness-pairs", "--mode", "v", "--n", "8", "--m", "40",
+     "--seed", "1", "--out", "hard-v.csv", "--handle-out", "handle-v.json"),
     ("validate-metric", "--data", "hard.csv", "--metric", "hardness:handle.json",
      "--triples", "2000", "--seed", "1", "--out", "validate.json", *REPORT),
     ("bounds", "--formula", "delta-m", "--formula", "lin-accuracy", "--formula", "inf-fpac",
