@@ -112,9 +112,18 @@ def unit_ball_points(rng: np.random.Generator, count: int, dimension: int) -> np
     """`count` points drawn uniformly from the `dimension`-dimensional unit
     ball: Gaussian directions, then radii U ** (1 / dimension)."""
     g = rng.standard_normal((count, dimension))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = rng.random(count) ** (1.0 / dimension)
-    return g * radii[:, None]
+    return scale_into_ball(g, rng.random(count) ** (1.0 / dimension))
+
+
+def scale_into_ball(g: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
+    """Gaussian draws `g`, one point a row, scaled in place into a ball: each
+    row is divided by its norm (np.linalg.norm's unless given), floored at
+    1e-300, then multiplied by its radius."""
+    if norms is None:
+        norms = np.linalg.norm(g, axis=1)
+    g /= np.maximum(norms, 1e-300)[:, None]
+    g *= radii[:, None]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +235,21 @@ class ScaledEuclideanMetric(SimilarityMetric):
         # fills the whole block in place, in that order of operations, then
         # is multiplied by the 0/1 entries asked for: on rows whose squares do
         # not overflow (dataset rows lie in the unit ball) every entry is
-        # finite and >= +0, so the product is exact and gives +0 elsewhere
+        # finite and >= +0, so the product is exact and gives +0 elsewhere.
+        # Each intermediate is at most about 2 (|l|^2 + |r|^2) in magnitude;
+        # where that could overflow (norms near 1e154 and beyond, or rows
+        # that are not finite) the block takes the pair form instead
         xs = np.atleast_2d(xs)
         rows, cols = _block_indices(xs, rows, cols)
         left, right = xs.take(rows, axis=0), xs.take(cols, axis=0)
+        with np.errstate(over="ignore"):
+            left_sq, right_sq = np.sum(left * left, axis=1), np.sum(right * right, axis=1)
+            bounded = np.isfinite(4.0 * (left_sq.max(initial=0.0) + right_sq.max(initial=0.0)))
+        if not bounded:
+            return SimilarityMetric.pairwise_matrix(self, xs, rows, cols, where)
         products = left @ right.T
         products *= 2.0
-        out = np.sum(left * left, axis=1)[:, None] + np.sum(right * right, axis=1)[None, :]
+        out = left_sq[:, None] + right_sq[None, :]
         out -= products
         del products
         np.maximum(out, 0.0, out=out)

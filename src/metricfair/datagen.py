@@ -1,4 +1,20 @@
-"""Synthetic dataset generators, all deterministic given a seed."""
+"""Synthetic dataset generators, all deterministic given a seed.
+
+A seed fixes the bytes of the CSV that `gen-data` writes. Each generator's
+order of draws from `np.random.default_rng(seed)` is part of that contract:
+
+- unit-ball: m x n normals, m uniforms for the radii, then n normals for w*;
+- separable: n normals for w*, then per row n normals and 3 uniforms (the
+  radius, the margin offset and the side), then m uniforms for label noise;
+- hardness-pairs: the seed bits (mode U) or y (mode V), then per pair n - 1
+  normals and 2 uniforms (the radius and the side) and, in mode V, n - 1
+  sign flips.
+
+The per-row loops only draw; the shaping runs once on whole arrays, in the
+arithmetic that one row at a time would do. The per-row dot products stay
+one np.dot (BLAS ddot) per row, because X @ w_star and einsum add in
+another order and change the last bit of some rows.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, ValidationError, unit_ball_points
+from .core import LabeledDataset, ValidationError, scale_into_ball, unit_ball_points
 from .hardness import sample_hardness_distribution
 
 GENERATORS = ("unit-ball", "separable", "hardness-pairs")
@@ -47,21 +63,39 @@ def generate_dataset_with_meta(spec: SyntheticSpec):
         w_star = rng.standard_normal(spec.n)
         w_star /= max(float(np.linalg.norm(w_star)), 1e-300)
         X = np.empty((spec.m, spec.n))
-        labels = np.empty(spec.m, dtype=np.int64)
+        draws = np.empty((spec.m, 3))
         for i in range(spec.m):
-            # orthogonal part in the ball of radius sqrt(1 - margin^2), then a
-            # separating component of magnitude >= margin along w_star
-            ortho = unit_ball_points(rng, 1, spec.n)[0]
-            ortho -= np.dot(ortho, w_star) * w_star
-            cap = np.sqrt(max(1.0 - spec.margin**2, 0.0))
-            onorm = float(np.linalg.norm(ortho))
-            if onorm > cap:
-                ortho *= cap / onorm
-            t_max = np.sqrt(max(1.0 - float(np.dot(ortho, ortho)), spec.margin**2))
-            t = rng.uniform(spec.margin, t_max)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            X[i] = ortho + sign * t * w_star
-            labels[i] = int(sign)
+            rng.standard_normal(out=X[i])
+            rng.random(out=draws[i])
+        # orthogonal part in the ball of radius sqrt(1 - margin^2), then a
+        # separating component of magnitude >= margin along w_star; besides X
+        # only one m x n array (step) is held, and few m-vectors at a time
+        scale_into_ball(X, draws[:, 0] ** (1.0 / spec.n))
+        step = np.fromiter((np.dot(x, w_star) for x in X), float, spec.m)[:, None] * w_star
+        X -= step
+        squares = np.fromiter((np.dot(x, x) for x in X), float, spec.m)
+        norms = np.sqrt(squares)
+        cap = np.sqrt(max(1.0 - spec.margin**2, 0.0))
+        capped = np.flatnonzero(norms > cap)
+        shrink = np.ones(spec.m)
+        shrink[capped] = cap / norms[capped]
+        X *= shrink[:, None]
+        del norms, shrink
+        # only the rows the cap rescaled have a new |ortho|^2
+        squares[capped] = np.fromiter((np.dot(X[i], X[i]) for i in capped), float, capped.size)
+        # t = margin + (t_max - margin) * u, the arithmetic of
+        # rng.uniform(margin, t_max), then signed
+        t = np.sqrt(np.maximum(1.0 - squares, spec.margin**2))
+        del squares
+        t -= spec.margin
+        t *= draws[:, 1]
+        t += spec.margin
+        sign = np.where(draws[:, 2] < 0.5, 1.0, -1.0)
+        del draws
+        t *= sign
+        X += np.multiply(t[:, None], w_star, out=step)
+        del step, t
+        labels = sign.astype(np.int64)
         noise_mask = rng.random(spec.m) < spec.noise_rate
         labels[noise_mask] *= -1
         return LabeledDataset(X, labels), {"w_star": w_star, "noise_mask": noise_mask}

@@ -36,6 +36,7 @@ from .core import (
     ValidationError,
     _pair_rows,
     matching_edges,
+    scale_into_ball,
 )
 from .learners import (
     KernelLearner,
@@ -197,22 +198,26 @@ def sample_hardness_distribution(n: int, k_pairs: int, mode: str, seed):
     # full point (with |x_n| = 1/2) stays inside the unit ball
     head_radius = math.sqrt(3.0) / 2.0
     rows = np.empty((2 * k_pairs, n))
-    labels = np.empty(2 * k_pairs, dtype=np.int64)
+    points, counterparts = rows[0::2], rows[1::2]
+    heads = points[:, : n - 1]
+    draws = np.empty((k_pairs, 2))
+    flips = handle.seed_bits if mode == "U" else np.empty((k_pairs, n - 1), dtype=np.uint8)
     for t in range(k_pairs):
-        head = rng.standard_normal(n - 1)
-        head /= max(float(np.linalg.norm(head)), 1e-300)
-        head *= head_radius * rng.random() ** (1.0 / (n - 1))
-        head[head == 0.0] = 1e-12  # zero coordinates have probability 0; guard anyway
-        last = 0.5 if rng.random() < 0.5 else -0.5
-        x = np.concatenate([head, [last]])
-        flips = handle.seed_bits if mode == "U" else rng.integers(0, 2, size=n - 1).astype(np.uint8)
-        counterpart = x.copy()
-        counterpart[: n - 1] *= 1.0 - 2.0 * flips
-        counterpart[-1] = -last
-        rows[2 * t] = x
-        rows[2 * t + 1] = counterpart
-        labels[2 * t] = 1 if last > 0 else -1
-        labels[2 * t + 1] = -labels[2 * t]
+        rng.standard_normal(out=heads[t])
+        rng.random(out=draws[t])
+        if mode == "V":
+            flips[t] = rng.integers(0, 2, size=n - 1)
+    # one np.dot (BLAS ddot) and one Python-float power per row, as the
+    # norms and radii of single draws round them
+    norms = np.sqrt(np.fromiter((np.dot(head, head) for head in heads), float, k_pairs))
+    radii = np.fromiter((head_radius * float(r) ** (1.0 / (n - 1)) for r in draws[:, 0]),
+                        float, k_pairs)
+    scale_into_ball(heads, radii, norms)
+    heads[heads == 0.0] = 1e-12  # zero coordinates have probability 0; guard anyway
+    points[:, -1] = np.where(draws[:, 1] < 0.5, 0.5, -0.5)
+    np.multiply(heads, 1.0 - 2.0 * flips, out=counterparts[:, : n - 1])
+    np.negative(points[:, -1], out=counterparts[:, -1])
+    labels = np.where(rows[:, -1] > 0, 1, -1)
     dataset = LabeledDataset(rows, labels)
     matching = Matching(np.arange(0, 2 * k_pairs, 2), np.arange(1, 2 * k_pairs, 2), 2 * k_pairs)
     return HardPairedDataset(dataset, matching), handle

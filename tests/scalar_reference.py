@@ -7,6 +7,11 @@ subgradient products were memoised. The property tests require the library
 code to return what these return: exactly, except where a batched matrix
 product may round the last bits differently (the linear, logistic and kernel
 predictions).
+
+The data generators are kept here too: `unit_ball_points` as it normalised
+through np.linalg.norm, and the separable generator and the hardness sampler
+as they drew and shaped one row per iteration. The library's outputs must
+match theirs bit for bit.
 """
 
 import hashlib
@@ -301,3 +306,69 @@ def pair_l1_loss(predict, distance, x, y) -> float:
 def surrogate_loss(predict, distance, x, y, gamma, G) -> float:
     gap = abs(predict(x) - predict(y))
     return float(np.clip(G * (gap - distance(x, y) - gamma), 0.0, 1.0))
+
+
+# --- the generators, one row per iteration -----------------------------------
+
+
+def unit_ball_points(rng, count, dimension):
+    g = rng.standard_normal((count, dimension))
+    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+    radii = rng.random(count) ** (1.0 / dimension)
+    return g * radii[:, None]
+
+
+def separable_dataset(n, m, seed, margin, noise_rate):
+    """The separable generator's (features, labels, w_star, noise_mask)."""
+    rng = np.random.default_rng(seed)
+    w_star = rng.standard_normal(n)
+    w_star /= max(float(np.linalg.norm(w_star)), 1e-300)
+    X = np.empty((m, n))
+    labels = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        # orthogonal part in the ball of radius sqrt(1 - margin^2), then a
+        # separating component of magnitude >= margin along w_star
+        ortho = unit_ball_points(rng, 1, n)[0]
+        ortho -= np.dot(ortho, w_star) * w_star
+        cap = np.sqrt(max(1.0 - margin**2, 0.0))
+        onorm = float(np.linalg.norm(ortho))
+        if onorm > cap:
+            ortho *= cap / onorm
+        t_max = np.sqrt(max(1.0 - float(np.dot(ortho, ortho)), margin**2))
+        t = rng.uniform(margin, t_max)
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        X[i] = ortho + sign * t * w_star
+        labels[i] = int(sign)
+    noise_mask = rng.random(m) < noise_rate
+    labels[noise_mask] *= -1
+    return X, labels, w_star, noise_mask
+
+
+def hardness_sample(n, k_pairs, mode, seed):
+    """The hardness sampler's (rows, labels, y, seed_bits or None)."""
+    rng = np.random.default_rng(seed)
+    if mode == "U":
+        seed_bits = rng.integers(0, 2, size=n - 1).astype(np.uint8)
+        y = expand_seed(seed_bits)
+    else:
+        seed_bits = None
+        y = rng.integers(0, 2, size=2 * n).astype(np.uint8)
+    head_radius = math.sqrt(3.0) / 2.0
+    rows = np.empty((2 * k_pairs, n))
+    labels = np.empty(2 * k_pairs, dtype=np.int64)
+    for t in range(k_pairs):
+        head = rng.standard_normal(n - 1)
+        head /= max(float(np.linalg.norm(head)), 1e-300)
+        head *= head_radius * rng.random() ** (1.0 / (n - 1))
+        head[head == 0.0] = 1e-12
+        last = 0.5 if rng.random() < 0.5 else -0.5
+        x = np.concatenate([head, [last]])
+        flips = seed_bits if mode == "U" else rng.integers(0, 2, size=n - 1).astype(np.uint8)
+        counterpart = x.copy()
+        counterpart[: n - 1] *= 1.0 - 2.0 * flips
+        counterpart[-1] = -last
+        rows[2 * t] = x
+        rows[2 * t + 1] = counterpart
+        labels[2 * t] = 1 if last > 0 else -1
+        labels[2 * t + 1] = -labels[2 * t]
+    return rows, labels, y, seed_bits

@@ -555,6 +555,29 @@ class TestValidateMetric:
         assert got.shape == expected.shape == (k,)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 50.0])
+    @pytest.mark.parametrize("rows", [
+        [[1e200], [0.0], [3e200]],  # the squared norms overflow
+        [[1.2e154, 0.0], [0.0, 1.2e154], [0.1, 0.1]],  # finite squares whose sums overflow
+        [[np.inf, 0.1], [0.1, 0.2], [-0.3, 0.1]],
+        [[np.nan, 0.1], [0.1, 0.2], [-0.3, 0.1]],
+    ], ids=["overflowing squares", "overflowing sums", "inf", "nan"])
+    def test_scaled_euclidean_block_of_huge_rows_is_the_pair_form(self, rows, scale):
+        # the Gram form would make inf - inf = NaN across the block, on the
+        # diagonal and on the entries not asked for too
+        X = np.array(rows)
+        i, j = np.triu_indices(len(X), 1)
+        metric = ScaledEuclideanMetric(scale)
+        where = np.array([[True, False, True], [True, True, True]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = metric.pair_distances(X[i], X[j])
+            got = metric.pairwise_matrix(X)
+            block = metric.pairwise_matrix(X, [2, 0], [0, 1, 2], where=where)
+        expected = np.zeros((len(X), len(X)))
+        expected[i, j] = expected[j, i] = pairs
+        assert got.tobytes() == expected.tobytes()
+        assert block.tobytes() == np.where(where, expected[[2, 0]], 0.0).tobytes()
+
 
 class BrokenMetric(SimilarityMetric):
     """Asymmetric, outside [0, 1], non-zero on identical points and in breach

@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_reference as scalar
 from metricfair import SyntheticSpec, ValidationError, generate_dataset, generate_dataset_with_meta
+
+
+def same_bits(a, b) -> bool:
+    """Equal float arrays, down to the sign of zero."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestSeparable:
@@ -27,6 +35,32 @@ class TestSeparable:
         assert np.all(margins[~noise] >= 0.3 - 1e-12)
         assert np.all(margins[noise] <= -0.3 + 1e-12)
         assert 0 < noise.sum() < 200
+
+
+class TestRowLoopOracles:
+    """The generators against their row-at-a-time loops in scalar_reference."""
+
+    @given(n=st.integers(1, 40), m=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+           margin=st.sampled_from((1e-3, 0.1, 0.9, 1.0)) | st.floats(1e-3, 1.0),
+           noise_rate=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 0.5))
+    @settings(max_examples=150, deadline=None)
+    def test_separable_matches_the_row_loop_bit_for_bit(self, n, m, seed, margin, noise_rate):
+        # at margin 0.9 most rows exceed the cap on the orthogonal part, at
+        # 1.0 every row does
+        spec = SyntheticSpec("separable", n=n, m=m, seed=seed, margin=margin,
+                             noise_rate=noise_rate)
+        ds, meta = generate_dataset_with_meta(spec)
+        X, labels, w_star, noise_mask = scalar.separable_dataset(n, m, seed, margin, noise_rate)
+        assert same_bits(ds.features, X)
+        assert np.array_equal(ds.labels, labels)
+        assert same_bits(meta["w_star"], w_star)
+        assert np.array_equal(meta["noise_mask"], noise_mask)
+
+    @given(n=st.integers(1, 40), m=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_unit_ball_points_match_the_norm_expression_bit_for_bit(self, n, m, seed):
+        ds = generate_dataset(SyntheticSpec("unit-ball", n=n, m=m, seed=seed))
+        assert same_bits(ds.features, scalar.unit_ball_points(np.random.default_rng(seed), m, n))
 
 
 class TestUnitBall:

@@ -132,6 +132,23 @@ class TestSampling:
         for i, j in counterparts(paired):
             assert np.allclose(np.abs(X[i]), np.abs(X[j]))
 
+    @given(n=st.integers(4, 40), k=st.integers(1, 150), mode=st.sampled_from(("U", "V")),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_sampler_matches_the_row_loop_bit_for_bit(self, n, k, mode, seed):
+        paired, handle = sample_hardness_distribution(n, k, mode, seed)
+        rows, labels, y, seed_bits = scalar.hardness_sample(n, k, mode, seed)
+        features = paired.dataset.features
+        assert features.shape == rows.shape
+        assert np.array_equal(features.view(np.int64), rows.view(np.int64))
+        assert np.array_equal(paired.dataset.labels, labels)
+        assert np.array_equal(handle.y, y)
+        assert (handle.seed_bits is None) == (seed_bits is None)
+        if seed_bits is not None:
+            assert np.array_equal(handle.seed_bits, seed_bits)
+        assert paired.matching.left.tolist() == list(range(0, 2 * k, 2))
+        assert paired.matching.right.tolist() == list(range(1, 2 * k, 2))
+
     def test_all_points_inside_unit_ball(self):
         paired, _ = sample_hardness_distribution(6, 500, "V", 9)
         assert np.all(np.linalg.norm(paired.dataset.features, axis=1) <= 1.0 + 1e-12)
