@@ -42,17 +42,22 @@ def _predictions(h, S: LabeledDataset, values) -> np.ndarray:
     return h.predict_batch(S.features) if values is None else values
 
 
-def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, values):
-    left, right, dists = matching_edges(S, M, d)
+def _edge_gaps_and_distances(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, values,
+                             dists=None):
+    """The edges' prediction gaps and distances: `dists` when the caller has
+    taken them from matching_edges."""
+    if dists is None:
+        _, _, dists = matching_edges(S, M, d)
     values = _predictions(h, S, values)
-    return np.abs(values[left] - values[right]), dists
+    return np.abs(values[M.left] - values[M.right]), dists
 
 
 def empirical_mf_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, gamma: float,
-                      *, values=None) -> float:
-    """Average 0/1 fairness loss over the matching's edges."""
+                      *, values=None, dists=None) -> float:
+    """Average 0/1 fairness loss over the matching's edges; `dists`, when
+    given, are their distances as matching_edges(S, M, d) returns them."""
     _check_gamma(gamma)
-    gaps, dists = _edge_gaps_and_distances(h, S, M, d, values)
+    gaps, dists = _edge_gaps_and_distances(h, S, M, d, values, dists)
     return float(np.mean(gaps > dists + gamma))
 
 

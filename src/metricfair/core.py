@@ -11,6 +11,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -332,31 +333,46 @@ class VovkHalfKernel:
         return np.reciprocal(G, out=G)
 
 
-#: rows per panel of check_psd's finiteness and symmetry tests
+#: rows per panel, and columns per tile, of check_psd's finiteness and
+#: symmetry tests
 _SYMMETRY_PANEL = 64
 #: columns per panel of _cholesky_lower's blocked factorisation
 _CHOLESKY_PANEL = 128
+#: panels of rows per strip of _cholesky_lower's panel solves, and panels of
+#: columns per tile of its trailing updates
+_STRIP_PANELS = 4
 
 
 def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Write over `a` its lower Cholesky factor, read from its lower triangle,
     and return it; raise LinAlgError unless `a` is positive definite. Blocked
     right-looking (Golub & Van Loan, Matrix Computations, 4.2) in panels of
-    _CHOLESKY_PANEL columns, so that no temporary exceeds a panel-wide strip."""
+    _CHOLESKY_PANEL columns. Below each diagonal panel it works a strip of
+    rows at a time, so that no temporary exceeds _STRIP_PANELS panels,
+    whatever the order of `a`."""
     m = a.shape[0]
-    for k in range(0, m, _CHOLESKY_PANEL):
-        e = min(k + _CHOLESKY_PANEL, m)
+    p = _CHOLESKY_PANEL
+    strip = _STRIP_PANELS * p
+    for k in range(0, m, p):
+        e = min(k + p, m)
         l11 = a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
         if e == m:
             break
-        # L21' = L11^-1 A21'; reversed, L11 is upper triangular, so LU's
-        # partial pivoting never swaps a row and the solve is a back substitution
-        a[e:, k:e] = np.linalg.solve(l11[::-1, ::-1], a[e:, k:e].T[::-1])[::-1].T
+        # reversed, L11 is upper triangular, so LU's partial pivoting never
+        # swaps a row and each solve below is a back substitution
+        upper = l11[::-1, ::-1]
         a[k:e, e:] = 0.0
-        # A22 -= L21 L21' on and below the diagonal, a strip of rows at a time
-        for i in range(e, m, _CHOLESKY_PANEL):
-            j = min(i + _CHOLESKY_PANEL, m)
-            a[i:j, e:j] -= a[i:j, k:e] @ a[e:j, k:e].T
+        for s in range(e, m, strip):
+            t = min(s + strip, m)
+            # L21' = L11^-1 A21' for the strip's rows
+            a[s:t, k:e] = np.linalg.solve(upper, a[s:t, k:e].T[::-1])[::-1].T
+            # A22 -= L21 L21' on and below the diagonal, a panel of rows by a
+            # strip of columns at a time, from the rows of L21 solved so far
+            for i in range(s, t, p):
+                j = min(i + p, m)
+                for c in range(e, j, strip):
+                    f = min(c + strip, j)
+                    a[i:j, c:f] -= a[i:j, k:e] @ a[c:f, k:e].T
     return a
 
 
@@ -383,31 +399,47 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE, *, rebuild
     no second m x m array is held. `gram` must then be a writable float64
     array, and its contents are undefined after the call. When the
     factorisation breaks down, `eigvalsh` decides on `rebuild()`, with the
-    verdict and message of the copying path.
+    verdict and message of the copying path. With `rebuild`, and short of
+    that fallback, nothing larger than a strip of _STRIP_PANELS panels is
+    allocated: about 2.3 MB over the gram at m = 1,500 to 4,500 (at most
+    3 MB in tests/test_memory.py), so kernel training peaks at the
+    interpreter plus one m x m array.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.size == 0:
         raise ValidationError(f"gram matrix must be square and non-empty, got shape {gram.shape}")
     m = gram.shape[0]
-    for i in range(0, m, _SYMMETRY_PANEL):
-        if not np.all(np.isfinite(gram[i:i + _SYMMETRY_PANEL])):
-            raise ValidationError("gram matrix has non-finite entries")
+    # a sum is finite only if every entry is; a finite gram can still
+    # overflow it, so the panel scan decides when it is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, trace = float(gram.sum()), float(np.trace(gram))
+    if not math.isfinite(total):
+        for i in range(0, m, _SYMMETRY_PANEL):
+            if not np.all(np.isfinite(gram[i:i + _SYMMETRY_PANEL])):
+                raise ValidationError("gram matrix has non-finite entries")
     # np.allclose(gram, gram.T, atol=1e-10) on and below the diagonal, a panel
-    # of rows at a time: |a - b| <= 1e-10 + 1e-5 |b| in both orders of a pair
-    # is the bound at min(|a|, |b|), and rounding is monotone, so the verdict
-    # is the same
+    # of rows at a time, and a tile of it at a time where it is not exactly
+    # symmetric: |a - b| <= 1e-10 + 1e-5 |b| in both orders of a pair is the
+    # bound at min(|a|, |b|), and rounding is monotone, so the verdict is the
+    # same
     for i in range(0, m, _SYMMETRY_PANEL):
         e = min(i + _SYMMETRY_PANEL, m)
-        a, b = gram[i:e, :e], gram[:e, i:e].T
-        bound = np.abs(a)
-        np.minimum(bound, np.abs(b), out=bound)
-        bound *= 1e-5
-        bound += 1e-10
-        gap = np.subtract(a, b)
-        if not np.all(np.abs(gap, out=gap) <= bound):
-            raise ValidationError("gram matrix is not symmetric")
-    factor_error = (m + 1) * np.finfo(np.float64).eps * float(np.trace(gram))
-    top_floor = max(float(np.max(np.diag(gram))), float(gram.sum()) / m)
+        if np.array_equal(gram[i:e, :e], gram[:e, i:e].T):
+            continue
+        for c in range(0, e, _SYMMETRY_PANEL):
+            f = min(c + _SYMMETRY_PANEL, e)
+            a, b = gram[i:e, c:f], gram[c:f, i:e].T
+            bound = np.abs(a)
+            np.minimum(bound, np.abs(b), out=bound)
+            bound *= 1e-5
+            bound += 1e-10
+            # a gap that overflows is beyond any bound
+            with np.errstate(over="ignore"):
+                gap = np.subtract(a, b)
+            if not np.all(np.abs(gap, out=gap) <= bound):
+                raise ValidationError("gram matrix is not symmetric")
+    factor_error = (m + 1) * np.finfo(np.float64).eps * trace
+    top_floor = max(float(np.max(np.diag(gram))), total / m)
     if factor_error <= rel_tolerance * top_floor:
         try:
             with np.errstate(over="ignore", invalid="ignore"):

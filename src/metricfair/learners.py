@@ -185,11 +185,14 @@ def _program(S: LabeledDataset, d: SimilarityMetric, config: TrainConfig,
     return M, left, right, dists, params
 
 
-def _finalize_report(report: TrainingReport, predictor, S, M, d, params, extras,
+def _finalize_report(report: TrainingReport, predictor, S, M, d, dists, params, extras,
                      values=None) -> TrainingReport:
+    """The report with its loss on the matching, whose edge distances
+    `dists` the program already holds, and the derived budgets."""
     return replace(
         report,
-        empirical_mf_loss=empirical_mf_loss(predictor, S, M, d, params.gamma_tilde, values=values),
+        empirical_mf_loss=empirical_mf_loss(predictor, S, M, d, params.gamma_tilde,
+                                            values=values, dists=dists),
         mf_loss_bound=params.tau / params.gamma_tilde if params.gamma_tilde > 0 else None,
         derived_params={**report.derived_params, **asdict(params)},
         extras={**report.extras, **extras},
@@ -215,7 +218,8 @@ def train_fair_linear(
     w, report = solve_pdhg(0.5 * X, S.targets01 - 0.5, 0.5 * (X[left] - X[right]), dists,
                            params.tau, 1.0, config.solver)
     predictor = LinearPredictor(w)
-    report = _finalize_report(report, predictor, S, M, d, params, extras={"learner": "linear"})
+    report = _finalize_report(report, predictor, S, M, d, dists, params,
+                              extras={"learner": "linear"})
     return predictor, report
 
 
@@ -360,7 +364,7 @@ def train_fair_kernel(
                      converged=slack <= config.solver.feasibility_tolerance)
     predictor = KernelPredictor(S.features, beta)
     report = _finalize_report(
-        report, predictor, S, M, d, params,
+        report, predictor, S, M, d, dists, params,
         extras={"learner": "kernel", "B_derived": b_raw, "B_used": b_used},
         values=np.clip(raw, 0.0, 1.0),
     )

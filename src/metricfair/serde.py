@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 from pathlib import Path
@@ -152,17 +153,24 @@ def _checked(payload: dict, key: str, ok, expected: str):
     return value
 
 
+def _numbers(values) -> bool:
+    """Whether every item is a number: one pass over their types, which for
+    JSON input are int and float only."""
+    return set(map(type, values)) <= {int, float} or all(map(_is_number, values))
+
+
 def _vector(payload: dict, key: str) -> np.ndarray:
-    value = _checked(payload, key, lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    value = _checked(payload, key, lambda v: isinstance(v, list) and _numbers(v),
                      "a list of numbers")
     return np.array(value, dtype=np.float64)
 
 
 def _matrix(payload: dict, key: str) -> np.ndarray:
     def ok(v):
-        return (isinstance(v, list) and all(isinstance(row, list) for row in v)
-                and len({len(row) for row in v}) <= 1
-                and all(_is_number(x) for row in v for x in row))
+        return (isinstance(v, list)
+                and (set(map(type, v)) <= {list} or all(isinstance(row, list) for row in v))
+                and len(set(map(len, v))) <= 1
+                and _numbers(tuple(itertools.chain.from_iterable(v))))
     return np.array(_checked(payload, key, ok, "a list of equally long lists of numbers"),
                     dtype=np.float64)
 
@@ -308,29 +316,67 @@ def load_metric(spec: str, dataset: LabeledDataset | None = None) -> SimilarityM
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(value):
-    # plain floats come first: predictor JSON holds tens of thousands of them
+def _dump(value) -> str:
+    """`value` as json.dumps writes it with indent=2 and sorted keys, after
+    these rules: a dict's keys become strings, a tuple or a numpy array a
+    list, a dataclass record a dict of its fields, a numpy number a Python
+    one, NaN null and +-inf "inf"/"-inf". A list of finite plain floats, or
+    of equally long lists of them, is written by one join or %-format of
+    float.__repr__, as json's encoder writes each float; every other value
+    by json's encoders."""
+    return _encode(value, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """`value` as _dump writes it, where `newline` starts each of its lines:
+    a newline and the indent of the level it is at."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = {str(k): v for k, v in value.items()}
+        return ("{" + inner + ("," + inner).join(
+            [json.dumps(k) + ": " + _encode(items[k], inner) for k in sorted(items)])
+            + newline + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        text = _float_items(value, inner) or ("," + inner).join([_encode(v, inner) for v in value])
+        return "[" + inner + text + newline + "]"
+    if isinstance(value, np.ndarray):
+        return _encode(value.tolist(), newline)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _encode({f.name: getattr(value, f.name) for f in dataclasses.fields(value)},
+                       newline)
+    if isinstance(value, (np.floating, np.integer)) and not isinstance(value, float):
+        value = value.item()
     if isinstance(value, float):  # np.float64 too, a float subclass
         if math.isnan(value):
+            value = None
+        elif math.isinf(value):
+            value = "inf" if value > 0 else "-inf"
+    return json.dumps(value)
+
+
+def _float_items(items, newline: str) -> str | None:
+    """The items of a non-empty list, one a line at `newline`, when they are
+    plain floats or equally long non-empty lists of plain floats, all
+    finite; else None."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        text = ("," + newline).join(map(float.__repr__, items))
+    elif kinds == {list} and len(set(map(len, items))) == 1 and items[0]:
+        floats = tuple(itertools.chain.from_iterable(items))
+        if set(map(type, floats)) != {float}:
             return None
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonable(value.item())
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    return value
-
-
-def _dump(value) -> str:
-    return json.dumps(_jsonable(value), indent=2, sort_keys=True) + "\n"
+        inner = newline + "  "
+        row = "[" + inner + ("," + inner).join(["%r"] * len(items[0])) + newline + "]"
+        text = ("," + newline).join([row] * len(items)) % floats
+    else:
+        return None
+    # json writes NaN and +-inf, which float.__repr__ spells with an "n", otherwise
+    return None if "n" in text else text
 
 
 def write_report(payload: dict, path=None, no_timestamp: bool = False) -> str:

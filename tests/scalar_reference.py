@@ -14,6 +14,7 @@ as they drew and shaped one row per iteration. The library's outputs must
 match theirs bit for bit.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -114,6 +115,21 @@ def check_psd(gram, rel_tolerance=1e-8) -> None:
         raise ValidationError(
             f"gram matrix is not positive semidefinite (min eig {eigs.min():.3e})"
         )
+
+
+def check_psd_by_cholesky(gram, rel_tolerance=1e-8) -> None:
+    """`check_psd` in its plain form: finiteness, `np.allclose` symmetry, then
+    `np.linalg.cholesky` on a copy, and the eigenvalue rule above when that
+    breaks down."""
+    gram = np.asarray(gram, dtype=np.float64)
+    if not np.all(np.isfinite(gram)):
+        raise ValidationError("gram matrix has non-finite entries")
+    if not np.allclose(gram, gram.T, atol=1e-10):
+        raise ValidationError("gram matrix is not symmetric")
+    try:
+        np.linalg.cholesky(gram.copy())
+    except np.linalg.LinAlgError:
+        check_psd(gram, rel_tolerance)
 
 
 def kernel_closures(K, y01, left, right, dists, budget, b_used, products=None):
@@ -372,3 +388,27 @@ def hardness_sample(n, k_pairs, mode, seed):
         labels[2 * t] = 1 if last > 0 else -1
         labels[2 * t + 1] = -labels[2 * t]
     return rows, labels, y, seed_bits
+
+
+def jsonable(value):
+    """`value` under serde._dump's rules, for json.dumps(..., indent=2,
+    sort_keys=True) to write as _dump does: str keys, lists for tuples and
+    arrays, records as dicts of their fields, Python numbers, NaN as None and
+    +-inf as "inf"/"-inf"."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return jsonable(value.tolist())
+    if isinstance(value, (np.floating, np.integer)):
+        return jsonable(value.item())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value

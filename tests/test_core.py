@@ -349,6 +349,12 @@ class TestCheckPsd:
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(np.triu(got, 1), np.zeros((m, m)))
 
+    def test_asymmetry_whose_gap_overflows_is_rejected_without_a_warning(self):
+        # 1e308 - (-1e308) overflows; warnings are errors in this suite
+        gram = np.array([[1e308, -1e308], [1e308, 1e308]])
+        with pytest.raises(ValidationError, match="^gram matrix is not symmetric$"):
+            check_psd(gram)
+
     @pytest.mark.parametrize("gram", NOT_SQUARE, ids=NOT_SQUARE_IDS)
     def test_rejects_shapes_other_than_square(self, gram):
         shape = re.escape(str(np.shape(gram)))
@@ -380,6 +386,79 @@ class TestCheckPsd:
         assert isfinite.called
         assert all(np.shape(call.args[0])[0] <= core._SYMMETRY_PANEL
                    for call in isfinite.call_args_list)
+
+
+#: what check_psd says of each kind of gram _grams draws: None accepts
+_GRAM_VERDICTS = {
+    "definite": None,
+    "vovk": None,
+    "singular": None,
+    "asymmetric within tolerance": None,
+    "overflowing sum, definite": None,
+    "asymmetric beyond tolerance": "gram matrix is not symmetric",
+    "indefinite": "gram matrix is not positive semidefinite",
+    "overflowing sum, negative definite": "gram matrix is not positive semidefinite",
+    "non-finite": "gram matrix has non-finite entries",
+}
+
+
+@st.composite
+def _grams(draw):
+    """(kind, gram) with m of up to 48 rows, or of 129 to 160 to span the
+    default panels with a partial last one."""
+    kind = draw(st.sampled_from(sorted(_GRAM_VERDICTS)))
+    m = draw(st.one_of(st.integers(6, 48), st.integers(129, 160)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16), label="seed"))
+    if kind == "singular":
+        X = rng.standard_normal((m, draw(st.integers(1, 5), label="rank")))
+        return kind, X @ X.T
+    if kind == "indefinite":
+        B = rng.standard_normal((m, m))
+        return kind, B + B.T
+    if kind == "vovk" or kind.startswith("overflowing sum"):
+        gram = VovkHalfKernel().gram(unit_ball_points(rng, m, 10))
+        # entries of 6.7e306 to 2e307: m^2 of them overflow the sum
+        if kind.startswith("overflowing sum"):
+            gram *= 1e307 if kind.endswith(", definite") else -1e307
+        return kind, gram
+    A = rng.standard_normal((m, m))
+    gram = A @ A.T
+    i, j = (draw(st.integers(0, m - 1), label=side) for side in ("i", "j"))
+    if kind == "non-finite":
+        for _ in range(draw(st.integers(1, 2), label="entries")):
+            gram[i, j] = draw(st.sampled_from([np.inf, -np.inf, np.nan]), label="value")
+            i, j = j, draw(st.integers(0, m - 1), label="next")
+    elif kind.startswith("asymmetric") and i != j:
+        # the entry moves away from zero, so the bound is set by its mirror b
+        factor = draw(st.sampled_from([0.5, 0.99] if kind.endswith("within tolerance")
+                                      else [1.01, 2.0]), label="factor")
+        b = gram[j, i]
+        gram[i, j] = b + math.copysign(factor * (1e-10 + 1e-5 * abs(b)), b)
+    elif kind.startswith("asymmetric"):
+        kind = "definite"
+    return kind, gram
+
+
+class TestCheckPsdAgainstThePlainForm:
+    """check_psd decides, with the same message, as its plain form: an
+    np.allclose symmetry test, np.linalg.cholesky on a copy, and eigvalsh
+    when that breaks down; with its default panels and with panels of 8,
+    copying and factoring in place."""
+
+    @given(case=_grams())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_and_message(self, case):
+        kind, gram = case
+        expected = _psd_verdict(scalar.check_psd_by_cholesky, gram, core.PSD_TOLERANCE)
+        assert (expected or "").startswith(_GRAM_VERDICTS[kind] or "")
+        assert (expected is None) == (_GRAM_VERDICTS[kind] is None)
+        in_place = functools.partial(check_psd, rebuild=gram.copy)
+        for cholesky, symmetry in ((core._CHOLESKY_PANEL, core._SYMMETRY_PANEL), (8, 8)):
+            with mock.patch.multiple(core, _CHOLESKY_PANEL=cholesky, _SYMMETRY_PANEL=symmetry):
+                copy = gram.copy()
+                assert _psd_verdict(check_psd, copy, core.PSD_TOLERANCE) == expected
+                assert np.array_equal(copy, gram, equal_nan=True)
+                assert _psd_verdict(in_place, gram.copy(), core.PSD_TOLERANCE) == expected
 
 
 def _sides(matching):

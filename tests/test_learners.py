@@ -240,6 +240,25 @@ def test_negative_or_nan_budget_override_rejected_before_training(rng, learner, 
     assert not (gram.called or pdhg.called or annealed.called)
 
 
+@pytest.mark.parametrize("learner", [None, KernelLearner(B=10.0)], ids=["linear", "kernel"])
+def test_a_training_measures_its_matching_once(rng, learner):
+    # the report's loss reads the edge distances the program already holds,
+    # and equals the loss measured afresh
+    S = random_dataset(rng, 40, 3)
+    d = ScaledEuclideanMetric(0.2)
+    config = linear_config(solver=SolverConfig(max_iters=200, seed=0))
+    if learner is not None:
+        config = linear_config(learner=learner, solver=SolverConfig(max_iters=200, seed=0))
+    train = train_fair_linear if learner is None else train_fair_kernel
+    with mock.patch.object(ScaledEuclideanMetric, "pair_distances", autospec=True,
+                           side_effect=ScaledEuclideanMetric.pair_distances) as measured:
+        predictor, report = train(S, d, config)
+    assert measured.call_count == 1
+    M = default_matching(S, config.solver.seed)
+    gamma = report.derived_params["gamma_tilde"]
+    assert report.empirical_mf_loss == empirical_mf_loss(predictor, S, M, d, gamma)
+
+
 class TestConvexity:
     def test_midpoint_feasibility_and_objective(self, rng):
         for _ in range(60):

@@ -1,5 +1,6 @@
 """The audit runs in memory bounded by its block size, not by m^2 or n_pairs,
-and kernel training and its audit in one m x m array.
+kernel training and its audit in one m x m array, and the PSD certificate
+in scratch that does not grow with m.
 
 The test process has already peaked elsewhere, so each case runs in a fresh
 interpreter that reports its own peak: VmHWM, the high-water mark of its
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -39,9 +42,10 @@ mf.audit_predictor(h, S, mf.default_matching(S, 1), mf.ScaledEuclideanMetric(0.8
 #: array (72 MB) and the interpreter with numpy and the data (about 40 MB),
 #: with room for panel temporaries. It peaked at 260 MB when the gram build,
 #: the PSD certificate and the ridge warm start each held three m x m arrays,
-#: and at 194 MB with two. It peaks at about 121 MB now: the certificate
-#: factors the one array in place, and the ridge warm start's conjugate
-#: gradients hold m-vectors only.
+#: and at 194 MB with two, and at about 121 MB when the certificate factored
+#: the one array in place with panel-by-m temporaries. It peaks at about
+#: 111 MB now: the certificate's temporaries are panel-sized, and the ridge
+#: warm start's conjugate gradients hold m-vectors only.
 KERNEL_BUDGET_MB = 150
 
 KERNEL = """
@@ -62,20 +66,51 @@ for argv in (
     assert run_cli(argv) == 0, argv
 """
 
+#: the most the PSD certificate may add to the resident set over the gram it
+#: factors in place, at any m. Its temporaries are a panel or a strip of
+#: panels: it adds about 2.3 MB at m = 1,500 and 3,000 (with panel-by-m
+#: strips it added 7.1 and 14.1 MB)
+CERTIFICATE_SCRATCH_MB = 3.0
+
+#: run with m as its argument; prints the certificate's peak RSS over the
+#: resident set it was called with, in KiB
+CERTIFICATE = """
+import sys
+import numpy as np
+from metricfair.core import VovkHalfKernel, check_psd, unit_ball_points
+
+def status(key):
+    with open("/proc/self/status") as lines:
+        return next(int(line.split()[1]) for line in lines if line.startswith(key + ":"))
+
+X = unit_ball_points(np.random.default_rng(1), int(sys.argv[1]), 10)
+kernel = VovkHalfKernel()
+K = kernel.gram(X)
+before = status("VmRSS")
+assert status("VmHWM") - before < 1024, "the set-up peaked above the resident set"
+check_psd(K, rebuild=lambda: kernel.gram(X, out=K))
+print(status("VmHWM") - before)
+"""
+
 #: printed by each case at its end: VmHWM in KiB
 PEAK = """
 print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))
 """
 
 
-def _peak_mb(code: str, *args: str) -> float:
-    """Peak RSS of `code` run in a fresh interpreter."""
+def _child_mb(code: str, *args: str) -> float:
+    """The KiB that `code`, run in a fresh interpreter, prints last, in MB."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", code + PEAK, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1]) / 1024.0
+
+
+def _peak_mb(code: str, *args: str) -> float:
+    """Peak RSS of `code` run in a fresh interpreter."""
+    return _child_mb(code + PEAK, *args)
 
 
 def test_audit_peak_rss_stays_within_budget():
@@ -90,3 +125,8 @@ def test_population_estimate_peak_rss_does_not_grow_with_n_pairs():
 
 def test_kernel_train_and_audit_peak_rss_stays_within_one_gram_array(tmp_path):
     assert _peak_mb(KERNEL, str(tmp_path)) < KERNEL_BUDGET_MB
+
+
+@pytest.mark.parametrize("m", [1500, 3000])
+def test_psd_certificate_scratch_does_not_grow_with_m(m):
+    assert _child_mb(CERTIFICATE, str(m)) <= CERTIFICATE_SCRATCH_MB

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as scalar
 from conftest import random_dataset, strict_json
 from metricfair import (
     ConstantMetric,
@@ -28,8 +29,11 @@ from metricfair import (
     sample_hardness_distribution,
 )
 from metricfair.serde import (
+    _dump,
     _float_rows,
     _float_table,
+    _matrix,
+    _vector,
     load_dataset_csv,
     load_hardness_handle,
     load_metric,
@@ -261,3 +265,79 @@ class TestRecordSerialization:
                        "inner": {"G": 10.0, "rho": 3.5, "gamma_tilde": 0.2, "tau": 0.04,
                                  "tau_theoretical": -0.6}},
         }
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    first: object
+    second: object
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16,
+                -1e-7, math.inf, -math.inf, math.nan]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS[:-3]))
+_SCALARS = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(), st.none(), st.text(), st.sampled_from(["é", "ü\u2603", "\ud800", "\x00"]))
+_FLOAT_LISTS = st.one_of(st.lists(_FINITE, max_size=6), st.lists(_FLOATS, max_size=6))
+_FLOAT_ROWS = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.lists(st.one_of(_FINITE, _FLOATS), min_size=k, max_size=k), max_size=4))
+_RAGGED = st.lists(st.lists(_FINITE, max_size=3), max_size=4)
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _FLOAT_LISTS, _FLOAT_LISTS.map(np.array), _FLOAT_ROWS, _RAGGED),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), children, max_size=4),
+        st.builds(_Record, children, children),
+    ),
+    max_leaves=24,
+)
+
+
+@given(value=_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_dump_writes_what_the_json_encoder_writes(value):
+    # float lists and equally long float rows take the join and %-format path
+    assert _dump(value) == json.dumps(scalar.jsonable(value), indent=2, sort_keys=True) + "\n"
+
+
+def _old_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_ITEMS = st.one_of(st.integers(), _FLOATS, st.booleans(), st.none(), st.text(max_size=3),
+                   _FINITE.map(np.float64), st.lists(_FINITE, max_size=2))
+
+
+@given(value=st.one_of(st.lists(_ITEMS, max_size=5), st.lists(st.integers() | _FINITE, max_size=5),
+                       _ITEMS))
+@settings(max_examples=200, deadline=None)
+def test_vector_accepts_what_a_check_per_item_accepts(value):
+    ok = isinstance(value, list) and all(map(_old_number, value))
+    if ok:
+        assert np.array_equal(_vector({"w": value}, "w"), np.array(value, dtype=np.float64),
+                              equal_nan=True)
+    else:
+        with pytest.raises(ValidationError, match="^key 'w' must be a list of numbers, got "):
+            _vector({"w": value}, "w")
+
+
+@given(value=st.one_of(st.lists(st.lists(_ITEMS, max_size=3), max_size=4),
+                       st.integers(0, 3).flatmap(lambda k: st.lists(
+                           st.lists(st.integers() | _FINITE, min_size=k, max_size=k), max_size=4)),
+                       st.lists(_ITEMS, max_size=3)))
+@settings(max_examples=200, deadline=None)
+def test_matrix_accepts_what_a_check_per_item_accepts(value):
+    ok = (isinstance(value, list) and all(isinstance(row, list) for row in value)
+          and len({len(row) for row in value}) <= 1
+          and all(_old_number(x) for row in value for x in row))
+    if ok:
+        assert np.array_equal(_matrix({"s": value}, "s"), np.array(value, dtype=np.float64),
+                              equal_nan=True)
+    else:
+        with pytest.raises(ValidationError, match="^key 's' must be a list of equally long lists "
+                                                  "of numbers, got "):
+            _matrix({"s": value}, "s")

@@ -9,16 +9,17 @@ then its ``train`` and ``audit`` commands at the benchmark's sizes, in a
 temporary directory. It prints the process's peak resident set so far
 (VmHWM, which is ``ru_maxrss`` without the pages of the process that
 started it) as each step of the kernel path returns: loading the data, the
-gram with its PSD certificate, the ridge warm start's solve, the solver, the
-train report, and the audit. The peak never falls, so each line is the peak
-up to that step, and the script has to run as a fresh interpreter of its
-own. Beside it stands the wall time from the start of ``train`` to the
-step's return, so a step's own time is the difference of two lines. The
-steps are marked by wrapping metricfair's module functions from outside, so
-metricfair is imported from PYTHONPATH and another checkout's ``src`` can
-be measured as well (a step whose function that checkout lacks is left
-out); the ``gen-data`` child imports the same metricfair. ``perfbench`` is
-read from this checkout.
+gram, its PSD certificate, the gram's rebuild over the factored array, the
+ridge warm start's solve, the solver, the train report, and the audit. The
+certificate's line less the gram's is its own peak over the gram. The peak
+never falls, so each line is the peak up to that step, and the script has
+to run as a fresh interpreter of its own. Beside it stands the wall time
+from the start of ``train`` to the step's return, so a step's own time is
+the difference of two lines. The steps are marked by wrapping metricfair's
+module functions from outside, so metricfair is imported from PYTHONPATH
+and another checkout's ``src`` can be measured as well (a step whose
+function that checkout lacks is left out); the ``gen-data`` child imports
+the same metricfair. ``perfbench`` is read from this checkout.
 """
 
 from __future__ import annotations
@@ -37,15 +38,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
-#: (metricfair module, function, step): a step's line is printed when the
-#: function returns
+#: (metricfair module, function, step on the call, step on the return): a
+#: step's line is printed when the function is called or returns
 STEPS = (
-    ("cli", "load_dataset_csv", "load"),
-    ("learners", "gram_matrix", "gram + certificate"),
-    ("learners", "_ridge_fit", "ridge"),
-    ("learners", "solve_annealed", "solver"),
-    ("learners", "_finalize_report", "report"),
-    ("cli", "audit_predictor", "audit"),
+    ("cli", "load_dataset_csv", None, "load"),
+    ("learners", "check_psd", "gram", "certificate"),
+    ("learners", "gram_matrix", None, "rebuild"),
+    ("learners", "_ridge_fit", None, "ridge"),
+    ("learners", "solve_annealed", None, "solver"),
+    ("learners", "_finalize_report", None, "report"),
+    ("cli", "audit_predictor", None, "audit"),
 )
 
 
@@ -69,10 +71,15 @@ def ladder(seed: int, directory,
     rungs = []
     command = [""]
 
-    def marked(fn, step):
+    def rung(step):
+        rungs.append((f"{command[0]}: {step}", peak_mb(), time.perf_counter() - start))
+
+    def marked(fn, called, returned):
         def wrapper(*args, **kwargs):
+            if called is not None:
+                rung(called)
             out = fn(*args, **kwargs)
-            rungs.append((f"{command[0]}: {step}", peak_mb(), time.perf_counter() - start))
+            rung(returned)
             return out
         return wrapper
 
@@ -84,11 +91,11 @@ def ladder(seed: int, directory,
                    check=True, stdout=subprocess.DEVNULL, env=env)
     start = time.perf_counter()
     with contextlib.ExitStack() as stack:
-        for name, attr, step in STEPS:
+        for name, attr, called, returned in STEPS:
             module = importlib.import_module(f"metricfair.{name}")
             if hasattr(module, attr):
-                stack.enter_context(
-                    mock.patch.object(module, attr, marked(getattr(module, attr), step)))
+                stack.enter_context(mock.patch.object(
+                    module, attr, marked(getattr(module, attr), called, returned)))
         for argv in workload.command_argvs(work, seed):
             command[0] = argv[0]
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
