@@ -10,8 +10,9 @@ a single pair's loss is the empirical loss over a one-edge `Matching`.
 Since d >= 0, a pair whose prediction gap is at most gamma cannot violate,
 so the all-pairs profile and the population estimate evaluate the metric
 only on pairs whose gap exceeds gamma, and the profile evaluates each
-unordered pair once. `audit_predictor` predicts the sample once and passes
-the values down through the `values` keyword of each loss.
+unordered pair once. `audit_predictor` predicts the sample once and takes
+the matching's distances once, and passes them down through the `values`
+and `dists` keywords of each loss.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def empirical_mf_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric, ga
 
 
 def empirical_l1_loss(h, S: LabeledDataset, M: Matching, d: SimilarityMetric,
-                      *, values=None) -> float:
-    """Average l1 fairness loss over the matching's edges."""
-    gaps, dists = _edge_gaps_and_distances(h, S, M, d, values)
+                      *, values=None, dists=None) -> float:
+    """Average l1 fairness loss over the matching's edges; `dists` as in
+    empirical_mf_loss."""
+    gaps, dists = _edge_gaps_and_distances(h, S, M, d, values, dists)
     return float(np.mean(np.maximum(0.0, gaps - dists)))
 
 
@@ -272,13 +274,15 @@ def audit_predictor(
 ) -> FairnessReport:
     """Run the full audit: matching-based losses, the all-pairs group profile,
     and (optionally) a Monte-Carlo population estimate over pairs of rows of
-    S; `population_pairs` of 0 skips the estimate. S is predicted once."""
+    S; `population_pairs` of 0 skips the estimate. S is predicted once, and
+    the matching's distances are taken once for both matching losses."""
     if population_pairs < 0:
         raise ValidationError(f"population_pairs must be >= 0, got {population_pairs}")
     _check_gamma(gamma)
     values = h.predict_batch(S.features)
-    mf = empirical_mf_loss(h, S, M, d, gamma, values=values)
-    l1 = empirical_l1_loss(h, S, M, d, values=values)
+    _, _, dists = matching_edges(S, M, d)
+    mf = empirical_mf_loss(h, S, M, d, gamma, values=values, dists=dists)
+    l1 = empirical_l1_loss(h, S, M, d, values=values, dists=dists)
     profile = group_fairness_profile(h, S, d, gamma, alpha2_grid, values=values)
     pop_est = pop_ci = None
     if population_pairs > 0:

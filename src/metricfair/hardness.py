@@ -58,6 +58,8 @@ DEMO_TRAINER = TrainConfig(
 
 # the pairs the perfect-fairness audit of run_hardness_experiment checks
 AUDIT_PAIRS = 10_000
+#: the pairs that audit draws and checks at a time
+_AUDIT_BLOCK = 2048
 
 
 class SignUndefinedError(MetricFairError):
@@ -258,24 +260,36 @@ def averaged_fair_paired_error(h, paired: HardPairedDataset, metric: SimilarityM
 
 
 def _audit_pairs(paired: HardPairedDataset, rng: np.random.Generator, n_audit: int):
-    """The rows (xs, ys) of n_audit pairs: the within-pair edges first, then
-    random distinct cross pairs.
+    """The rows (xs, ys) of n_audit pairs, yielded at most _AUDIT_BLOCK pairs
+    at a time: the within-pair edges first, then random distinct cross pairs.
 
-    Cross pairs are drawn in bulk and those with i == j dropped; bulk draws
-    continue the generator's stream, so the pairs match one-at-a-time draws.
+    Cross pairs are drawn a block at a time and those with i == j dropped;
+    each draw continues the generator's stream and asks for no more pairs
+    than are missing, so the pairs match one-at-a-time draws.
     """
-    left = [paired.matching.left[:n_audit]]
-    right = [paired.matching.right[:n_audit]]
-    count = len(left[0])
-    m = len(paired.dataset)
-    while count < n_audit:
-        i, j = rng.integers(0, m, size=(n_audit - count, 2)).T
-        keep = i != j
-        left.append(i[keep])
-        right.append(j[keep])
-        count += int(np.count_nonzero(keep))
     X = paired.dataset.features
-    return X[np.concatenate(left)], X[np.concatenate(right)]
+    edges = min(n_audit, paired.k)
+    for start in range(0, edges, _AUDIT_BLOCK):
+        stop = min(start + _AUDIT_BLOCK, edges)
+        yield X[paired.matching.left[start:stop]], X[paired.matching.right[start:stop]]
+    count, m = edges, len(paired.dataset)
+    while count < n_audit:
+        i, j = rng.integers(0, m, size=(min(_AUDIT_BLOCK, n_audit - count), 2)).T
+        keep = i != j
+        yield X[i[keep]], X[j[keep]]
+        count += int(np.count_nonzero(keep))
+
+
+def _perfect_fairness_audit(h, paired: HardPairedDataset, metric: SimilarityMetric,
+                            rng: np.random.Generator, n_audit: int) -> dict:
+    """is_perfectly_fair at tolerance 0 over the n_audit pairs of
+    _audit_pairs, one block at a time, so no block outlives its check."""
+    audited = violations = 0
+    for xs, ys in _audit_pairs(paired, rng, n_audit):
+        audited += len(xs)
+        violations += len(is_perfectly_fair(h, xs, ys, metric, tolerance=0.0)[1])
+    return {"n_pairs_audited": audited, "perfectly_fair": violations == 0,
+            "n_violations": violations}
 
 
 @dataclass(frozen=True)
@@ -342,13 +356,8 @@ def run_hardness_experiment(
         if mode == "U":
             averaged_u = averaged_fair_paired_error(reference, paired, metric)
         if mode == "V":
-            xs, ys = _audit_pairs(paired, rng_audit, n_audit_pairs)
-            ok, violations = is_perfectly_fair(reference, xs, ys, metric, tolerance=0.0)
-            fairness_audit[mode] = {
-                "n_pairs_audited": len(xs),
-                "perfectly_fair": ok,
-                "n_violations": len(violations),
-            }
+            fairness_audit[mode] = _perfect_fairness_audit(reference, paired, metric, rng_audit,
+                                                           n_audit_pairs)
 
     trained: dict[str, dict] = {}
     configs = (

@@ -1,6 +1,14 @@
 """File formats: dataset CSV, predictor JSON, metric files, report JSON.
 
-Floats are written with 17 significant digits so CSV round trips are exact.
+Floats are written with 17 significant digits so CSV round trips are exact,
+_WRITE_ROWS rows at a time. A CSV file is read as its lines by
+str.splitlines, each cell by float(): the loaders return that array bit for
+bit, or raise a ValidationError that names the first bad line. A plain file
+(ASCII, no empty line and no character of _NOT_PLAIN) is parsed by one
+np.loadtxt call, which converts each cell as float() does and holds no
+Python object per cell, so the load takes about the array; any other file,
+or a plain file with a cell numpy rejects (1_0, which float() reads), is
+parsed line by line, holding a string per cell.
 Every JSON file goes through `_dump`: report records (dataclasses) are
 written field for field, NaN as null and +-inf as "inf"/"-inf", with sorted
 keys, so identical inputs produce byte-identical files (timestamps can be
@@ -14,6 +22,8 @@ import datetime
 import itertools
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -41,30 +51,40 @@ SCHEMA_VERSION = 2
 # ---------------------------------------------------------------------------
 
 
+#: rows the CSV writers format and write at a time
+_WRITE_ROWS = 4096
+#: bytes read at a time while a CSV file's lines are checked
+_READ_BYTES = 1 << 20
+#: the characters other than "\n" at which str.splitlines breaks ASCII text,
+#: and \x1f, which numpy's reader strips from a cell as whitespace and
+#: float() does not (nor \x1c-\x1e)
+_NOT_PLAIN = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def save_dataset_csv(dataset: LabeledDataset, path) -> None:
     n = dataset.dimension
-    # "%.17g" % x is format(x, ".17g"); one format per row is the fast path
-    row = ",".join(["%.17g"] * n + ["%d"])
-    table = np.column_stack((dataset.features, dataset.labels)).tolist()
-    lines = [",".join([f"x{i + 1}" for i in range(n)] + ["y"])]
-    lines += [row % tuple(cells) for cells in table]
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ",".join([f"x{i + 1}" for i in range(n)] + ["y"]) + "\n"
+    _write_rows(path, header, np.column_stack((dataset.features, dataset.labels)),
+                ",".join(["%.17g"] * n + ["%d"]) + "\n")
+
+
+def _write_rows(path, header: str, table: np.ndarray, row: str) -> None:
+    """`header`, then each row of `table` %-formatted by `row`, written
+    _WRITE_ROWS rows at a time by one %-format each, so only one chunk of
+    the table is ever held as Python floats and text. ("%.17g" % x is
+    format(x, ".17g").)"""
+    with open(path, "w") as file:
+        file.write(header)
+        for start in range(0, len(table), _WRITE_ROWS):
+            chunk = table[start:start + _WRITE_ROWS]
+            file.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def load_dataset_csv(path) -> LabeledDataset:
     """Errors name the file and, for the first malformed row, the first row
     with a label other than -1 or +1 or the first row outside the unit ball,
     its 1-based line number."""
-    lines = Path(path).read_text().rstrip().splitlines()
-    if not lines:
-        raise ValidationError(f"dataset file {path} is empty")
-    header = lines[0].split(",")
-    if header[-1] != "y" or len(header) < 2:
-        raise ValidationError(
-            f"dataset file {path}, line 1: header must be x1,...,xn,y; got {lines[0]!r}")
-    if len(lines) == 1:
-        raise ValidationError(f"dataset file {path} has no rows")
-    table = _float_table(lines[1:], len(header), f"dataset file {path}", first=2)
+    table = _dataset_table(path)
     features, labels = table[:, :-1], table[:, -1]
     norms = np.linalg.norm(features, axis=1)
     bad_label = ~np.isin(labels, (-1, 1))
@@ -83,19 +103,69 @@ def load_dataset_csv(path) -> LabeledDataset:
     return LabeledDataset(features, labels)
 
 
-def _float_table(lines, width: int, what: str, first: int) -> np.ndarray:
-    """The lines as a (len(lines), width) float array, parsed by one numpy
-    call when every line has `width` fields; numpy converts each cell as
-    float() does. Otherwise, or if a cell is not a number, _float_rows
-    parses the lines one by one and names the first bad one."""
-    if all(line.count(",") == width - 1 for line in lines):
+def _dataset_table(path) -> np.ndarray:
+    """The rows below the dataset file's header x1,...,xn,y as a float
+    array: by _float_table when the file is plain, else line by line."""
+    plain = _plain_lines(path)
+    if plain is not None:
+        header = plain[0].split(",")
+        if header[-1] == "y" and len(header) >= 2:
+            table = _float_table(path, 1, (plain[1] - 1, len(header)))
+            if table is not None:
+                return table
+    lines = Path(path).read_text().rstrip().splitlines()
+    if not lines:
+        raise ValidationError(f"dataset file {path} is empty")
+    header = lines[0].split(",")
+    if header[-1] != "y" or len(header) < 2:
+        raise ValidationError(
+            f"dataset file {path}, line 1: header must be x1,...,xn,y; got {lines[0]!r}")
+    if len(lines) == 1:
+        raise ValidationError(f"dataset file {path} has no rows")
+    return np.array(_float_rows(lines[1:], len(header), f"dataset file {path}", first=2))
+
+
+def _plain_lines(path) -> tuple[str, int] | None:
+    """The first line, without its newline, and the number of newlines of
+    the regular file at `path`, if str.splitlines and numpy's reader split
+    it into the same lines and float() and numpy read each cell alike: the
+    file is ASCII, no line is empty (numpy skips empty lines) and none holds
+    a character of _NOT_PLAIN. Else None, also when it cannot be opened.
+    The file is read _READ_BYTES at a time."""
+    try:
+        with open(path, "rb") as file:
+            # numpy reads the file again, so it must not be a pipe
+            if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                return None
+            first = chunk = file.readline()
+            count, previous = 0, b"\n"
+            while chunk:
+                if (not chunk.isascii() or b"\n\n" in previous + chunk[:1] or b"\n\n" in chunk
+                        or any(c in chunk for c in _NOT_PLAIN)):
+                    return None
+                count += chunk.count(b"\n")
+                previous, chunk = chunk[-1:], file.read(_READ_BYTES)
+    except OSError:
+        return None
+    return first.removesuffix(b"\n").decode("ascii"), count
+
+
+def _float_table(path, skip: int, shape: tuple[int, int]) -> np.ndarray | None:
+    """The lines of the file at `path` below its first `skip` as a float
+    array of `shape`, parsed by one numpy call that converts each cell as
+    float() does, with no Python object per cell; None if there is no line
+    to parse, numpy rejects a cell or the table has another shape. Only for
+    a file that _plain_lines accepts, with shape[0] its newlines below the
+    first `skip`: a last line without a newline makes one row more."""
+    if shape[0] < 1:  # numpy warns on a file with no rows
+        return None
+    with open(path, encoding="ascii") as file:
         try:
-            cells = np.array(",".join(lines).split(","), dtype=np.float64)
+            table = np.loadtxt(file, delimiter=",", comments=None, quotechar=None, ndmin=2,
+                               skiprows=skip)
         except ValueError:
-            pass
-        else:
-            return cells.reshape(len(lines), width)
-    return np.array(_float_rows(lines, width, what, first))
+            return None
+    return table if table.shape == shape else None
 
 
 def _float_rows(lines, width: int, what: str, first: int) -> list[list[float]]:
@@ -243,16 +313,17 @@ def save_matrix_metric(matrix: np.ndarray, index_map, path) -> None:
     """Matrix CSV at `path`; companion index file at `path + '.idx'` maps
     matrix row order to dataset row order (one integer per line)."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    row = ",".join(["%.17g"] * matrix.shape[1])
-    lines = [row % tuple(cells) for cells in matrix.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "", matrix, ",".join(["%.17g"] * matrix.shape[1]) + "\n")
     Path(str(path) + ".idx").write_text("\n".join(str(int(i)) for i in index_map) + "\n")
 
 
 def load_matrix_metric(path, dataset: LabeledDataset) -> MatrixMetric:
     """Errors name the file and, for a malformed line, its 1-based number."""
-    lines = Path(path).read_text().strip().splitlines()
-    matrix = _float_table(lines, len(lines), f"metric file {path}", first=1)
+    plain = _plain_lines(path)
+    matrix = None if plain is None else _float_table(path, 0, (plain[1], plain[1]))
+    if matrix is None:
+        lines = Path(path).read_text().strip().splitlines()
+        matrix = np.array(_float_rows(lines, len(lines), f"metric file {path}", first=1))
     idx_path = Path(str(path) + ".idx")
     if not idx_path.exists():
         raise ValidationError(f"missing metric index file {idx_path}")

@@ -12,15 +12,22 @@ The data generators are kept here too: `unit_ball_points` as it normalised
 through np.linalg.norm, and the separable generator and the hardness sampler
 as they drew and shaped one row per iteration. The library's outputs must
 match theirs bit for bit.
+
+The CSV loaders are kept as they parsed a whole file through one list of
+lines and one joined and split list of cells (`load_dataset_csv` and
+`load_matrix_metric`): the library's loaders must return the same arrays
+bit for bit, or raise the same error.
 """
 
 import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 
 from metricfair import Consecutive, SignUndefinedError, ValidationError, sigmoid_transfer
+from metricfair.core import NORM_TOLERANCE, LabeledDataset, MatrixMetric
 
 
 def expand_seed(seed_bits) -> np.ndarray:
@@ -412,3 +419,84 @@ def jsonable(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     return value
+
+
+def load_dataset_csv(path) -> LabeledDataset:
+    """Errors name the file and, for the first malformed row, the first row
+    with a label other than -1 or +1 or the first row outside the unit ball,
+    its 1-based line number."""
+    lines = Path(path).read_text().rstrip().splitlines()
+    if not lines:
+        raise ValidationError(f"dataset file {path} is empty")
+    header = lines[0].split(",")
+    if header[-1] != "y" or len(header) < 2:
+        raise ValidationError(
+            f"dataset file {path}, line 1: header must be x1,...,xn,y; got {lines[0]!r}")
+    if len(lines) == 1:
+        raise ValidationError(f"dataset file {path} has no rows")
+    table = _float_table(lines[1:], len(header), f"dataset file {path}", first=2)
+    features, labels = table[:, :-1], table[:, -1]
+    norms = np.linalg.norm(features, axis=1)
+    bad_label = ~np.isin(labels, (-1, 1))
+    # NaN fails the comparison
+    outside = ~(norms <= 1.0 + NORM_TOLERANCE)
+    bad = np.flatnonzero(bad_label | outside)
+    if bad.size:
+        k = int(bad[0])
+        if bad_label[k]:
+            reason = f"label must be -1 or +1, got {float(labels[k])!r}"
+        elif not np.all(np.isfinite(features[k])):
+            reason = "features must be finite"
+        else:
+            reason = f"row norm {norms[k]:.12g} exceeds the unit ball"
+        raise ValidationError(f"dataset file {path}, line {k + 2}: {reason}")
+    return LabeledDataset(features, labels)
+
+
+def _float_table(lines, width: int, what: str, first: int) -> np.ndarray:
+    """The lines as a (len(lines), width) float array, parsed by one numpy
+    call when every line has `width` fields; numpy converts each cell as
+    float() does. Otherwise, or if a cell is not a number, _float_rows
+    parses the lines one by one and names the first bad one."""
+    if all(line.count(",") == width - 1 for line in lines):
+        try:
+            cells = np.array(",".join(lines).split(","), dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            return cells.reshape(len(lines), width)
+    return np.array(_float_rows(lines, width, what, first))
+
+
+def _float_rows(lines, width: int, what: str, first: int) -> list[list[float]]:
+    """Each line as `width` comma-separated floats; an error names `what`
+    and the 1-based number of the line, the first of which is `first`."""
+    rows = []
+    for number, line in enumerate(lines, start=first):
+        parts = line.split(",")
+        try:
+            if len(parts) != width:
+                raise ValueError(f"row has {len(parts)} fields, expected {width}")
+            rows.append([float(v) for v in parts])
+        except ValueError as exc:
+            raise ValidationError(f"{what}, line {number}: {exc}") from None
+    return rows
+
+
+def load_matrix_metric(path, dataset: LabeledDataset) -> MatrixMetric:
+    """Errors name the file and, for a malformed line, its 1-based number."""
+    lines = Path(path).read_text().strip().splitlines()
+    matrix = _float_table(lines, len(lines), f"metric file {path}", first=1)
+    idx_path = Path(str(path) + ".idx")
+    if not idx_path.exists():
+        raise ValidationError(f"missing metric index file {idx_path}")
+    index_map = []
+    for number, line in enumerate(idx_path.read_text().strip().splitlines(), start=1):
+        try:
+            index_map.append(int(line))
+        except ValueError as exc:
+            raise ValidationError(f"metric index file {idx_path}, line {number}: {exc}") from None
+    try:
+        return MatrixMetric(matrix, dataset.features, index_map)
+    except ValidationError as exc:
+        raise ValidationError(f"metric file {path}: {exc}") from None

@@ -657,6 +657,19 @@ class TestMetricCallShape:
         # the last block's 7 pairs have no near pair: still one call, of none
         assert len(metric.calls) == 4 and metric.calls[-1] == ("pair_distances", 0)
 
+    def test_audit_takes_the_matching_distances_once(self):
+        S = random_dataset(np.random.default_rng(4), 60, 3)
+        h = LinearPredictor(np.array([0.6, -0.3, 0.2]))
+        M = default_matching(S, 4)
+        metric = CallLog(ScaledEuclideanMetric(0.8))
+        report = audit_predictor(h, S, M, metric, 0.05)
+        assert [call for call in metric.calls if call[0] == "pair_distances"] == [
+            ("pair_distances", len(M))]
+        # the losses are those each computes with its own distances
+        inner = metric.inner
+        assert report.empirical_mf_loss == empirical_mf_loss(h, S, M, inner, 0.05)
+        assert report.empirical_l1_loss == empirical_l1_loss(h, S, M, inner)
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_profile_calls_pairwise_matrix_once_per_block_with_a_near_pair(self, gamma):
         m, per_block = 40, 5

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as scalar
-from metricfair import core
+from metricfair import core, hardness
 from metricfair import (
     HardnessMetric,
     KernelLearner,
@@ -307,9 +307,9 @@ class TestBatchedAgainstScalar:
         assert np.array_equal(got, expected)
 
     @given(n=st.integers(4, 16), k=st.integers(1, 30), mode=st.sampled_from(("U", "V")),
-           n_audit=st.integers(0, 120), seed=st.integers(0, 2**16))
+           n_audit=st.integers(0, 120), block=st.integers(1, 50), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_hardness_callers_match_scalar_loops(self, n, k, mode, n_audit, seed):
+    def test_hardness_callers_match_scalar_loops(self, n, k, mode, n_audit, block, seed):
         paired, handle = sample_hardness_distribution(n, k, mode, seed)
         X = paired.dataset.features
         metric = HardnessMetric(handle)
@@ -322,7 +322,12 @@ class TestBatchedAgainstScalar:
         got = averaged_fair_paired_error(h, paired, metric)
         assert got.hex() == scalar.averaged_fair_paired_error(h, paired, distance).hex()
 
-        xs, ys = _audit_pairs(paired, np.random.default_rng(seed), n_audit)
+        # the pairs do not depend on the block size they are drawn in
+        with mock.patch.object(hardness, "_AUDIT_BLOCK", block):
+            blocks = list(_audit_pairs(paired, np.random.default_rng(seed), n_audit))
+        assert all(len(xs) == len(ys) <= block for xs, ys in blocks)
+        xs = np.concatenate([np.empty((0, n))] + [xs for xs, _ in blocks])
+        ys = np.concatenate([np.empty((0, n))] + [ys for _, ys in blocks])
         expected_pairs = scalar.audit_pairs(paired, np.random.default_rng(seed), n_audit)
         assert xs.shape == ys.shape == (n_audit, n)
         assert len(expected_pairs) == n_audit

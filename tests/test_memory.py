@@ -1,6 +1,8 @@
 """The audit runs in memory bounded by its block size, not by m^2 or n_pairs,
-kernel training and its audit in one m x m array, and the PSD certificate
-in scratch that does not grow with m.
+kernel training and its audit in one m x m array, the PSD certificate in
+scratch that does not grow with m, a dataset CSV loads in about twice its
+array, and the hardness demo's perfect-fairness audit in memory that does
+not grow with its pairs.
 
 The test process has already peaked elsewhere, so each case runs in a fresh
 interpreter that reports its own peak: VmHWM, the high-water mark of its
@@ -13,7 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from metricfair import LabeledDataset
+from metricfair.core import unit_ball_points
+from metricfair.serde import save_dataset_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,16 +79,19 @@ for argv in (
 #: strips it added 7.1 and 14.1 MB)
 CERTIFICATE_SCRATCH_MB = 3.0
 
-#: run with m as its argument; prints the certificate's peak RSS over the
-#: resident set it was called with, in KiB
-CERTIFICATE = """
-import sys
-import numpy as np
-from metricfair.core import VovkHalfKernel, check_psd, unit_ball_points
-
+#: defines status(key): a field of /proc/self/status, in KiB
+STATUS = """
 def status(key):
     with open("/proc/self/status") as lines:
         return next(int(line.split()[1]) for line in lines if line.startswith(key + ":"))
+"""
+
+#: run with m as its argument; prints the certificate's peak RSS over the
+#: resident set it was called with, in KiB
+CERTIFICATE = STATUS + """
+import sys
+import numpy as np
+from metricfair.core import VovkHalfKernel, check_psd, unit_ball_points
 
 X = unit_ball_points(np.random.default_rng(1), int(sys.argv[1]), 10)
 kernel = VovkHalfKernel()
@@ -90,6 +100,37 @@ before = status("VmRSS")
 assert status("VmHWM") - before < 1024, "the set-up peaked above the resident set"
 check_psd(K, rebuild=lambda: kernel.gram(X, out=K))
 print(status("VmHWM") - before)
+"""
+
+#: the most loading a 100,000 x 10 dataset CSV (21 MB of text, an 8.8 MB
+#: array) may add to the resident set: numpy's reader parses it into one
+#: array, and the features' norms and the dataset's copy of them take about
+#: one more, 19 MB in all. The lines, a string per cell and their joined
+#: text took 145 MB
+CSV_LOAD_MB = 40.0
+
+#: run with the CSV's path; prints the load's peak RSS over the resident
+#: set before it, in KiB
+CSV_LOAD = STATUS + """
+import sys
+from metricfair.serde import load_dataset_csv
+
+before = status("VmRSS")
+assert status("VmHWM") - before < 1024, "the set-up peaked above the resident set"
+load_dataset_csv(sys.argv[1])
+print(status("VmHWM") - before)
+"""
+
+#: run with --audit-pairs and a scratch directory as its arguments: the
+#: hardness workload's demo, whose peak is set by its kernel trainings
+DEMO = """
+import contextlib, os, sys
+from metricfair.cli import run_cli
+
+argv = ["hardness-demo", "--n", "32", "--pairs", "500", "--mode", "both",
+        "--audit-pairs", sys.argv[1], "--seed", "1", "--out", f"{sys.argv[2]}/demo.json"]
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    assert run_cli(argv) == 0
 """
 
 #: printed by each case at its end: VmHWM in KiB
@@ -130,3 +171,17 @@ def test_kernel_train_and_audit_peak_rss_stays_within_one_gram_array(tmp_path):
 @pytest.mark.parametrize("m", [1500, 3000])
 def test_psd_certificate_scratch_does_not_grow_with_m(m):
     assert _child_mb(CERTIFICATE, str(m)) <= CERTIFICATE_SCRATCH_MB
+
+
+def test_dataset_csv_loads_in_about_twice_its_array(tmp_path):
+    m, n = 100_000, 10
+    rng = np.random.default_rng(1)
+    path = tmp_path / "data.csv"
+    save_dataset_csv(LabeledDataset(unit_ball_points(rng, m, n), np.ones(m)), path)
+    assert _child_mb(CSV_LOAD, str(path)) <= CSV_LOAD_MB
+
+
+def test_hardness_demo_peak_rss_does_not_grow_with_audit_pairs(tmp_path):
+    # drawn and checked a block at a time, 40,000 pairs of 32-float rows
+    # take no more than none; whole, they added 28 MB
+    assert abs(_peak_mb(DEMO, "40000", str(tmp_path)) - _peak_mb(DEMO, "0", str(tmp_path))) <= 2.0

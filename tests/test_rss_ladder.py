@@ -1,4 +1,4 @@
-"""tools/rss_ladder.py: the peak RSS and wall time after each step of kernel-train."""
+"""tools/rss_ladder.py: the peak RSS and wall time after each step of a workload."""
 
 import importlib.util
 from dataclasses import replace
@@ -28,6 +28,16 @@ def test_one_line_per_step_in_order(tmp_path):
     assert (tmp_path / "audit.json").is_file()
 
 
+def test_linear_audit_leaves_out_the_steps_it_never_reaches(tmp_path):
+    tool = _load_tool()
+    workload = replace(tool.WORKLOADS["linear-audit"], sizes={**TINY, "max_iters": 100})
+    rungs = tool.ladder(3, tmp_path, workload)
+    assert [step for step, _, _ in rungs] == [
+        "train: load", "train: solver", "train: report", "audit: load", "audit: audit"]
+
+
 def test_wrong_arguments_print_the_usage(capsys):
-    assert _load_tool().main([]) == 1
-    assert capsys.readouterr().err == "usage: rss_ladder.py SEED\n"
+    for argv in ([], ["1", "no-such-workload"], ["1", "kernel-train", "2"]):
+        assert _load_tool().main(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage: rss_ladder.py SEED [linear-audit|kernel-train|hardness]\n")

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,14 +30,17 @@ from metricfair import (
     ValidationError,
     sample_hardness_distribution,
 )
+from metricfair import serde
 from metricfair.serde import (
     _dump,
     _float_rows,
     _float_table,
+    _plain_lines,
     _matrix,
     _vector,
     load_dataset_csv,
     load_hardness_handle,
+    load_matrix_metric,
     load_metric,
     load_predictor_json,
     save_dataset_csv,
@@ -73,7 +78,7 @@ class TestDatasetCsv:
 
     @given(width=st.integers(1, 5), data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_one_call_parse_matches_the_line_by_line_parse(self, width, data):
+    def test_one_call_parse_matches_the_line_by_line_parse(self, width, data, tmp_path_factory):
         # cells float() accepts, cells it rejects, and lines with a field
         # too many or too few
         cell = (st.floats(width=64).map(repr) | st.integers(-99, 99).map(str)
@@ -82,15 +87,142 @@ class TestDatasetCsv:
         if data.draw(st.booleans(), label="misshapen"):
             row = row | st.lists(cell, min_size=0, max_size=width + 2)
         lines = data.draw(st.lists(row.map(",".join), max_size=6), label="lines")
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        if _plain_lines(path) is None:
+            # a non-ASCII cell, or an empty line, which numpy would skip
+            assert not all(line.isascii() and line for line in lines)
+            return
+        table = _float_table(path, 0, (len(lines), width))
         try:
             expected = np.array(_float_rows(lines, width, "table", first=2))
-        except ValidationError as exc:
-            with pytest.raises(ValidationError) as raised:
-                _float_table(lines, width, "table", first=2)
-            assert str(raised.value) == str(exc)
+        except ValidationError:
+            assert table is None
         else:
-            table = _float_table(lines, width, "table", first=2)
-            assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+            if table is None:
+                # no rows, or a cell that only float() reads, such as 1_0
+                assert not lines or any("_" in line for line in lines)
+            else:
+                assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+
+
+#: text put into generated CSV files: the line breaks str.splitlines knows
+#: besides "\n" (CRLF, a lone CR, form feed, ...), a BOM, non-ASCII digits,
+#: a comment and a quote character, whitespace, a field separator, an
+#: underscore and a NUL
+_EDITS = ["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028",
+          "\ufeff", "\u0661", "\uff11", "#", '"', " ", "\t", ",", "_", "\x00", ""]
+
+
+@st.composite
+def _csv_file(draw, rows, cells):
+    """The text of a CSV file of `rows` lines, each `cells` drawn as lists of
+    cell strings, mostly with a final newline, and in about half the files
+    with up to three edits: some characters at one place removed and some
+    text from _EDITS put in. Edits make blank, short and long lines, lines
+    with trailing whitespace and lines split by other breaks."""
+    lines = [",".join(draw(cells)) for _ in range(rows)]
+    text = "\n".join(lines) + draw(st.sampled_from(["\n"] * 5 + ["", "\n\n", " \n", "\r\n"]))
+    edits = st.lists(st.tuples(st.floats(0, 1), st.sampled_from(_EDITS), st.integers(0, 2)),
+                     min_size=1, max_size=3)
+    for where, insert, delete in draw(st.just(()) | edits):
+        k = int(where * len(text))
+        text = text[:k] + insert + text[k + delete:]
+    return text
+
+
+def _loaded(load, *args):
+    """The shapes and bytes of the arrays load(*args) returns, or the type and
+    message of what it raises."""
+    try:
+        result = load(*args)
+    except Exception as exc:  # the reference's own errors, whatever they are
+        return type(exc), str(exc)
+    if isinstance(result, LabeledDataset):
+        return [(a.shape, a.tobytes()) for a in (result.features, result.labels)]
+    return result.matrix.shape, result.matrix.tobytes()
+
+
+_FLOAT_CELLS = (st.floats(-0.4, 0.4).map(repr) | st.floats(-0.4, 0.4).map(lambda x: f"{x:.17g}")
+                | st.sampled_from(["0", "-0.0", "5e-324", " 0.25", "0.125 ", "\t1e-3"]))
+#: cells of a dataset or a matrix file: numbers that are in range, and in
+#: some files cells from ODD_CELLS and out-of-range numbers
+_CELLS = {
+    "feature": (_FLOAT_CELLS, st.sampled_from(ODD_CELLS + ["0.9", "nan"])),
+    "label": (st.sampled_from(["1", "-1", "1.0", " -1", "+1"]),
+              st.sampled_from(["0.5", "nan", "1_0"])),
+    "entry": (_FLOAT_CELLS.map(lambda c: c.replace("-", "")),
+              st.sampled_from(ODD_CELLS + ["1.5", "-0.5", "nan"])),
+}
+
+
+def _cells(data, kind):
+    """The cells of one kind for one file, odd ones in about half the files."""
+    plain, odd = _CELLS[kind]
+    return plain | odd if data.draw(st.booleans(), label=f"odd {kind}s") else plain
+
+
+class TestCsvReaderAgainstTheReference:
+    """The loaders return what the line-by-line reference of
+    scalar_reference returns, bit for bit, or raise the same error: whether
+    a file takes numpy's one-call parse or falls back to the line-by-line
+    parse, which names the first bad line."""
+
+    @given(n=st.integers(1, 4), rows=st.integers(0, 5), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dataset_loader(self, n, rows, data, tmp_path_factory):
+        header = st.just([f"x{i + 1}" for i in range(n)] + ["y"])
+        row = st.tuples(st.lists(_cells(data, "feature"), min_size=n, max_size=n),
+                        _cells(data, "label")).map(lambda t: [*t[0], t[1]])
+        text = (data.draw(_csv_file(1, header), label="header")
+                + data.draw(_csv_file(rows, row), label="rows"))
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _loaded(load_dataset_csv, path) == _loaded(scalar.load_dataset_csv, path)
+
+    @given(k=st.integers(1, 4), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_loader(self, k, data, tmp_path_factory):
+        row = st.lists(_cells(data, "entry"), min_size=k, max_size=k)
+        text = data.draw(_csv_file(k, row), label="text")
+        path = tmp_path_factory.mktemp("metric") / "metric.csv"
+        path.write_bytes(text.encode("utf-8"))
+        Path(f"{path}.idx").write_text("".join(f"{i}\n" for i in range(k)))
+        ds = random_dataset(np.random.default_rng(k), k, 2)
+        assert _loaded(load_matrix_metric, path, ds) == _loaded(scalar.load_matrix_metric, path, ds)
+
+    @pytest.mark.parametrize("edge", ["{}0.5", "0.5{}"])
+    @pytest.mark.parametrize("other", list("\r\x0b\x0c\x1c\x1d\x1e\x1f\t") + ["\r\n", ""])
+    def test_a_break_or_whitespace_beside_a_cell(self, edge, other, tmp_path):
+        # splitlines breaks at each of these but \x1f and \t, while numpy's
+        # reader sees one cell padded with whitespace
+        ds = random_dataset(np.random.default_rng(3), 3, 2)
+        path = tmp_path / "metric.csv"
+        path.write_text(f"0,{edge.format(other)},0.25\n0.5,0,0.75\n0.25,0.75,0\n")
+        Path(f"{path}.idx").write_text("0\n1\n2\n")
+        assert _loaded(load_matrix_metric, path, ds) == _loaded(scalar.load_matrix_metric, path, ds)
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1,x2,y\n0.5,0.25,1\n{edge.format(other)},0.25,-1\n0.5,0,1\n")
+        assert _loaded(load_dataset_csv, path) == _loaded(scalar.load_dataset_csv, path)
+
+    def test_a_missing_file_or_a_directory_raises_as_before(self, tmp_path):
+        for path in (tmp_path / "missing.csv", tmp_path):
+            assert _loaded(load_dataset_csv, path) == _loaded(scalar.load_dataset_csv, path)
+
+    def test_a_plain_file_takes_the_one_call_parse(self, rng, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset_csv(random_dataset(rng, 7, 3), path)
+        with mock.patch.object(serde, "_float_rows", side_effect=AssertionError):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("text", ["x1,y\n0.5,1\r\n", "x1,y\n1_0,1\n", "x1,y\n\n0.5,1\n",
+                                      "x1,y\n0.5,1", "\ufeffx1,y\n0.5,1\n"])
+    def test_any_other_file_is_parsed_line_by_line(self, text, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(serde, "_float_rows", wraps=serde._float_rows) as rows:
+            _loaded(load_dataset_csv, path)
+        rows.assert_called_once()
 
 
 #: floats whose 17-digit form is easy to get wrong: signed zeros, the

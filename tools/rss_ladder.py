@@ -1,25 +1,28 @@
-"""Print the peak RSS and the wall time after each step of the benchmark's
-kernel-train workload, so that the kernel path's memory and time can be read
-step by step.
+"""Print the peak RSS and the wall time after each step of one of the
+benchmark's workloads, so that its memory and time can be read step by step.
 
-    PYTHONPATH=src python tools/rss_ladder.py SEED
+    PYTHONPATH=src python tools/rss_ladder.py SEED [WORKLOAD]
 
-The script runs kernel-train's ``gen-data`` set-up in a child process, and
-then its ``train`` and ``audit`` commands at the benchmark's sizes, in a
-temporary directory. It prints the process's peak resident set so far
-(VmHWM, which is ``ru_maxrss`` without the pages of the process that
-started it) as each step of the kernel path returns: loading the data, the
-gram, its PSD certificate, the gram's rebuild over the factored array, the
-ridge warm start's solve, the solver, the train report, and the audit. The
-certificate's line less the gram's is its own peak over the gram. The peak
-never falls, so each line is the peak up to that step, and the script has
-to run as a fresh interpreter of its own. Beside it stands the wall time
-from the start of ``train`` to the step's return, so a step's own time is
-the difference of two lines. The steps are marked by wrapping metricfair's
-module functions from outside, so metricfair is imported from PYTHONPATH
-and another checkout's ``src`` can be measured as well (a step whose
-function that checkout lacks is left out); the ``gen-data`` child imports
-the same metricfair. ``perfbench`` is read from this checkout.
+WORKLOAD names a workload of ``perfbench.workloads.WORKLOADS`` and is
+kernel-train unless given. The script runs the workload's ``gen-data``
+set-up in a child process, and then its timed commands at the benchmark's
+sizes, in a temporary directory. It prints the process's peak resident set
+so far (VmHWM, which is ``ru_maxrss`` without the pages of the process that
+started it) as each step returns: loading the data, the gram, its PSD
+certificate, the gram's rebuild over the factored array, the ridge warm
+start's solve, the solver, the train report, and the audit. The
+certificate's line less the gram's is its own peak over the gram. A step
+the workload never reaches is left out: linear-audit's ``train`` has no
+gram, so its ladder reads load, solver, report, and then the audit's load
+and audit. The peak never falls, so each line is the peak up to that step,
+and the script has to run as a fresh interpreter of its own. Beside it
+stands the wall time from the start of the first command to the step's
+return, so a step's own time is the difference of two lines. The steps are
+marked by wrapping metricfair's module functions from outside, so
+metricfair is imported from PYTHONPATH and another checkout's ``src`` can
+be measured as well (a step whose function that checkout lacks is left
+out); the ``gen-data`` child imports the same metricfair. ``perfbench`` is
+read from this checkout.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ STEPS = (
     ("learners", "gram_matrix", None, "rebuild"),
     ("learners", "_ridge_fit", None, "ridge"),
     ("learners", "solve_annealed", None, "solver"),
+    ("learners", "solve_pdhg", None, "solver"),
     ("learners", "_finalize_report", None, "report"),
     ("cli", "audit_predictor", None, "audit"),
 )
@@ -106,11 +110,11 @@ def ladder(seed: int, directory,
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: rss_ladder.py SEED", file=sys.stderr)
+    if not 1 <= len(argv) <= 2 or argv[1:] and argv[1] not in WORKLOADS:
+        print(f"usage: rss_ladder.py SEED [{'|'.join(WORKLOADS)}]", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as directory:
-        rungs = ladder(int(argv[0]), directory)
+        rungs = ladder(int(argv[0]), directory, WORKLOADS[argv[1] if argv[1:] else "kernel-train"])
     print(f"{'step':<28}{'peak RSS (MB)':>14}{'time (s)':>10}")
     for step, mb, seconds in rungs:
         print(f"{step:<28}{mb:>14.1f}{seconds:>10.3f}")
