@@ -74,7 +74,6 @@ from .learners import (
     SampleTooSmallError,
     SolverDerivedParams,
     TrainConfig,
-    brute_force_oracle_2d,
     derive_solver_params,
     gram_matrix,
     resolve_kernel_B,

@@ -165,13 +165,17 @@ def _per_individual_rates(h, S: LabeledDataset, d: SimilarityMetric, gamma: floa
     it. Each unordered pair is evaluated once, from its earlier-ranked row,
     and only when its gap exceeds gamma; a violation counts for both rows.
     The ranking is walked in blocks of rows of about core._PAIR_BLOCK
-    entries, so memory grows with m, not m^2.
+    entries, so memory grows with m, not m^2. The metric's block function
+    gives each block's distances: pairwise_matrix's, or for the Euclidean
+    metric the same bits from one rank-ordered copy of the rows and their
+    squared norms.
     """
     _check_gamma(gamma)
     values = _predictions(h, S, values)
     m = len(S)
     order = np.argsort(values, kind="stable")
     ranked = values[order]
+    block = d._ranked_blocks(S.features, order)
     counts = np.zeros(m, dtype=np.intp)
     rows = max(1, core._PAIR_BLOCK // m)
     for start in range(0, m, rows):
@@ -183,7 +187,7 @@ def _per_individual_rates(h, S: LabeledDataset, d: SimilarityMetric, gamma: floa
         near = gaps > gamma
         if not near.any():
             continue
-        dists = d.pairwise_matrix(S.features, order[start:stop], order[first:], where=near)
+        dists = block(start, stop, first, near)
         violated = gaps > dists + gamma
         counts[order[start:stop]] += np.count_nonzero(violated, axis=1)
         counts[order[first:]] += np.count_nonzero(violated, axis=0)

@@ -196,6 +196,39 @@ class SimilarityMetric:
             out[r0 + a, b] = self.pair_distances(xs[np.minimum(i, j)], xs[np.maximum(i, j)])
         return out
 
+    def _ranked_blocks(self, xs: np.ndarray, order: np.ndarray):
+        """The block function of the audit's all-pairs profile over the rows
+        of `xs` ranked by `order`: block(start, stop, first, near) is
+        pairwise_matrix(xs, order[start:stop], order[first:], where=near),
+        one call per block. The profile calls this once."""
+        def block(start, stop, first, near):
+            return self.pairwise_matrix(xs, order[start:stop], order[first:], where=near)
+        return block
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """|x|^2 for each row x of `rows`: a sum over the row alone, so a row's
+    bits do not depend on the rows around it."""
+    return np.sum(rows * rows, axis=1)
+
+
+def _gram_distances(scale: float, left, right, left_sq, right_sq) -> np.ndarray:
+    """min(1, scale * sqrt(max(|l|^2 + |r|^2 - 2 l.r, 0))) for each row l of
+    `left` and r of `right`, given their squared norms, as a new block built
+    in place in that order of operations. Each intermediate is at most about
+    2 (|l|^2 + |r|^2) in magnitude; on rows whose squares do not overflow
+    every entry is finite and >= +0."""
+    products = left @ right.T
+    products *= 2.0
+    out = left_sq[:, None] + right_sq[None, :]
+    out -= products
+    del products
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    out *= scale
+    np.minimum(out, 1.0, out=out)
+    return out
+
 
 @dataclass(frozen=True)
 class ConstantMetric(SimilarityMetric):
@@ -232,33 +265,42 @@ class ScaledEuclideanMetric(SimilarityMetric):
         return np.minimum(1.0, self.scale * np.sqrt(np.add.reduce(squares, axis=1)))
 
     def pairwise_matrix(self, xs, rows=None, cols=None, where=None) -> np.ndarray:
-        # the Gram form min(1, scale * sqrt(max(|l|^2 + |r|^2 - 2 l.r, 0)))
-        # fills the whole block in place, in that order of operations, then
-        # is multiplied by the 0/1 entries asked for: on rows whose squares do
-        # not overflow (dataset rows lie in the unit ball) every entry is
-        # finite and >= +0, so the product is exact and gives +0 elsewhere.
-        # Each intermediate is at most about 2 (|l|^2 + |r|^2) in magnitude;
-        # where that could overflow (norms near 1e154 and beyond, or rows
-        # that are not finite) the block takes the pair form instead
+        # the Gram form fills the whole block, then is multiplied by the 0/1
+        # entries asked for: on rows whose squares do not overflow (dataset
+        # rows lie in the unit ball) every entry is finite and >= +0, so the
+        # product is exact and gives +0 elsewhere. Where the Gram form could
+        # overflow (norms near 1e154 and beyond, or rows that are not finite)
+        # the block takes the pair form instead
         xs = np.atleast_2d(xs)
         rows, cols = _block_indices(xs, rows, cols)
         left, right = xs.take(rows, axis=0), xs.take(cols, axis=0)
         with np.errstate(over="ignore"):
-            left_sq, right_sq = np.sum(left * left, axis=1), np.sum(right * right, axis=1)
+            left_sq, right_sq = _squared_norms(left), _squared_norms(right)
             bounded = np.isfinite(4.0 * (left_sq.max(initial=0.0) + right_sq.max(initial=0.0)))
         if not bounded:
             return SimilarityMetric.pairwise_matrix(self, xs, rows, cols, where)
-        products = left @ right.T
-        products *= 2.0
-        out = left_sq[:, None] + right_sq[None, :]
-        out -= products
-        del products
-        np.maximum(out, 0.0, out=out)
-        np.sqrt(out, out=out)
-        out *= self.scale
-        np.minimum(out, 1.0, out=out)
+        out = _gram_distances(self.scale, left, right, left_sq, right_sq)
         out *= _block_entries(rows, cols, where)
         return out
+
+    def _ranked_blocks(self, xs, order):
+        # a subclass with a pairwise_matrix of its own is called per block
+        if type(self).pairwise_matrix is not ScaledEuclideanMetric.pairwise_matrix:
+            return super()._ranked_blocks(xs, order)
+        # the profile's rows are a dataset's, in the unit ball, so the Gram
+        # form is bounded. Each block's rows and norms are slices of one
+        # ranked copy, so they are the bits pairwise_matrix would gather; a
+        # diagonal entry has gap 0, so `near` leaves it out as the block's
+        # entries would
+        ranked = xs.take(order, axis=0)
+        squares = _squared_norms(ranked)
+
+        def block(start, stop, first, near):
+            out = _gram_distances(self.scale, ranked[start:stop], ranked[first:],
+                                  squares[start:stop], squares[first:])
+            out *= near
+            return out
+        return block
 
 
 class MatrixMetric(SimilarityMetric):

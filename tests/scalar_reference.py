@@ -17,6 +17,10 @@ The CSV loaders are kept as they parsed a whole file through one list of
 lines and one joined and split list of cells (`load_dataset_csv` and
 `load_matrix_metric`): the library's loaders must return the same arrays
 bit for bit, or raise the same error.
+
+The audit's all-pairs profile is kept as it called `pairwise_matrix` once per
+block for every metric (`blocked_per_individual_rates`): the profile must
+return the same rates bit for bit.
 """
 
 import dataclasses
@@ -26,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from metricfair import Consecutive, SignUndefinedError, ValidationError, sigmoid_transfer
+from metricfair import Consecutive, SignUndefinedError, ValidationError, core, sigmoid_transfer
+from metricfair.audit import _check_gamma, _predictions
 from metricfair.core import NORM_TOLERANCE, LabeledDataset, MatrixMetric
 
 
@@ -283,6 +288,43 @@ def per_individual_rates(predict, distance, xs, gamma) -> np.ndarray:
             count += abs(values[i] - values[j]) > dist + gamma
         rates[i] = count / m
     return rates
+
+
+def blocked_per_individual_rates(h, S, d, gamma, *, values=None) -> np.ndarray:
+    """The profile's rates as the audit computed them with one
+    `d.pairwise_matrix` call per block, whatever the metric.
+
+    For each x in S, the fraction of x' in S (self included) violating the
+    fairness condition at slack gamma.
+
+    The rows are ranked by prediction, so the rows whose gap to a row
+    exceeds gamma are a suffix of the ranking after it and a prefix before
+    it. Each unordered pair is evaluated once, from its earlier-ranked row,
+    and only when its gap exceeds gamma; a violation counts for both rows.
+    The ranking is walked in blocks of rows of about core._PAIR_BLOCK
+    entries, so memory grows with m, not m^2.
+    """
+    _check_gamma(gamma)
+    values = _predictions(h, S, values)
+    m = len(S)
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    counts = np.zeros(m, dtype=np.intp)
+    rows = max(1, core._PAIR_BLOCK // m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        # the first rank whose gap to the block's first row exceeds gamma;
+        # for the later rows of the block that rank comes no earlier
+        first = start + 1 + int(np.count_nonzero(ranked[start + 1:] - ranked[start] <= gamma))
+        gaps = ranked[None, first:] - ranked[start:stop, None]
+        near = gaps > gamma
+        if not near.any():
+            continue
+        dists = d.pairwise_matrix(S.features, order[start:stop], order[first:], where=near)
+        violated = gaps > dists + gamma
+        counts[order[start:stop]] += np.count_nonzero(violated, axis=1)
+        counts[order[first:]] += np.count_nonzero(violated, axis=0)
+    return counts / m
 
 
 # --- predictors, one point at a time ----------------------------------------

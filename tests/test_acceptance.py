@@ -16,6 +16,7 @@ import pytest
 
 import metricfair as mf
 from conftest import random_dataset, random_metric, random_predictor, unit_ball_points
+from grid_oracle import brute_force_oracle_2d
 from metricfair.cli import run_cli
 from metricfair.serde import save_dataset_csv, save_predictor_json
 
@@ -152,7 +153,7 @@ def test_criterion_05_linear_learner_vs_oracle():
             solver=mf.SolverConfig(max_iters=1200, seed=trial),
         )
         predictor, report = mf.train_fair_linear(ds, d, config)
-        _, oracle_obj = mf.brute_force_oracle_2d(ds, d, config, 0.01)
+        _, oracle_obj = brute_force_oracle_2d(ds, d, config, 0.01)
         worst_gap = max(worst_gap, report.final_objective - oracle_obj)
         worst_slack = max(worst_slack, report.final_constraint_slack)
     elapsed = time.time() - started

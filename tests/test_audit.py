@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -753,6 +754,104 @@ class TestPrunedAudit:
             audit_predictor(h, S, default_matching(S, 0), ScaledEuclideanMetric(0.8), 0.1,
                             population_pairs=200, seed=1)
         assert spy.call_count == 1
+
+
+@dataclass(frozen=True)
+class OwnMatrixEuclidean(ScaledEuclideanMetric):
+    """A Euclidean metric with a pairwise_matrix of its own, which logs the
+    rows of each call: the profile must call it as it calls any metric."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def pairwise_matrix(self, xs, rows=None, cols=None, where=None):
+        self.calls.append(np.asarray(rows).tolist())
+        return super().pairwise_matrix(xs, rows, cols, where=where)
+
+
+#: the metrics of `ranked_profiles`
+RANKED_KINDS = ("euclidean", "own-matrix", "skewed", "matrix", "hardness")
+
+
+@st.composite
+def ranked_profiles(draw):
+    """(metric, dataset, predictor, gamma, patched block) with 1 to 300
+    rows, many of them repeats of earlier ones, predictions with ties, and a
+    _PAIR_BLOCK that gives row blocks of 1, 2 or 3 rows."""
+    kind = draw(st.sampled_from(RANKED_KINDS), label="metric")
+    m = draw(st.integers(1, 12) | st.integers(13, 300), label="m")
+    distinct = draw(st.integers(1, m), label="distinct rows")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "hardness":
+        paired, handle = sample_hardness_distribution(
+            draw(st.integers(4, 7), label="n"), (distinct + 1) // 2, draw(st.sampled_from("UV")),
+            int(rng.integers(2**31)))
+        rows, metric = paired.dataset.features[:distinct], HardnessMetric(handle)
+    else:
+        # SkewedMetric reads two coordinates
+        rows = unit_ball_points(rng, distinct, draw(st.integers(2, 12), label="n"))
+        scale = draw(st.sampled_from((0.0, 5e-324, 1e-300)) | st.floats(0.05, 5.0), label="scale")
+        if kind == "euclidean":
+            metric = ScaledEuclideanMetric(scale)
+        elif kind == "own-matrix":
+            metric = OwnMatrixEuclidean(scale)
+        elif kind == "skewed":
+            metric = SkewedMetric()
+        else:
+            metric = MatrixMetric(rng.choice(GRID, size=(distinct, distinct)), rows)
+    picks = np.concatenate([np.arange(distinct), rng.integers(0, distinct, size=m - distinct)])
+    X = rows[rng.permutation(picks)]
+    # a prediction per distinct row, from the grid for many ties
+    table = rng.choice(GRID, size=distinct) if draw(st.booleans(), label="tied") else \
+        rng.random(distinct)
+    h = TablePredictor(rows, table)
+    gamma = draw(st.just(0.0) | _grid_or_float(0.0, 0.9), label="gamma")
+    block = draw(st.integers(1, 3), label="rows per block") * m + \
+        draw(st.integers(0, m - 1), label="block remainder")
+    return metric, LabeledDataset(X, np.ones(m)), h, gamma, block
+
+
+class TestRankedProfile:
+    """The profile's rates are those of the audit that called pairwise_matrix
+    once per block for every metric, kept in scalar_reference, bit for bit.
+    The Euclidean metric reads its blocks from one rank-ordered copy of the
+    rows; every other metric, and a Euclidean subclass with a pairwise_matrix
+    of its own, is still called once per block."""
+
+    @given(instance=ranked_profiles())
+    @settings(max_examples=80, deadline=None)
+    def test_rates_equal_the_per_block_oracle(self, instance):
+        metric, S, h, gamma, block = instance
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            got = _per_individual_rates(h, S, metric, gamma)
+            calls = list(getattr(metric, "calls", ()))
+            expected = scalar.blocked_per_individual_rates(h, S, metric, gamma)
+        assert np.array_equal(got, expected)
+        if isinstance(metric, OwnMatrixEuclidean):
+            assert calls == metric.calls[len(calls):]
+
+    @given(instance=ranked_profiles(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_block_function_is_pairwise_matrix_bit_for_bit(self, instance, data):
+        """Each block of a walk over randomly ranked rows, from a random first
+        column, where a random mask with a false diagonal holds, as the
+        profile asks for them: signs of zeros included."""
+        metric, S, _, _, block = instance
+        m = len(S)
+        rows = max(1, block // m)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        share = data.draw(st.floats(0.0, 1.0), label="share of the block asked for")
+        order = rng.permutation(m)
+        blocks = metric._ranked_blocks(S.features, order)
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            first = int(rng.integers(start + 1, m + 1))
+            near = rng.random((stop - start, m - first)) < share
+            near &= np.arange(first, m)[None, :] != np.arange(start, stop)[:, None]
+            got = blocks(start, stop, first, near)
+            expected = metric.pairwise_matrix(S.features, order[start:stop], order[first:],
+                                              where=near)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_audit_calls_the_four_traced_entry_points_through_the_module(rng):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as scalar
 from conftest import random_dataset, random_metric, unit_ball_points
+from grid_oracle import brute_force_oracle_2d
 from metricfair import core, learners, solver
 from metricfair import (
     ConstantMetric,
@@ -23,7 +24,6 @@ from metricfair import (
     TrainConfig,
     ValidationError,
     VovkHalfKernel,
-    brute_force_oracle_2d,
     build_matching,
     default_matching,
     derive_solver_params,

@@ -1,8 +1,9 @@
 """The audit runs in memory bounded by its block size, not by m^2 or n_pairs,
 kernel training and its audit in one m x m array, the PSD certificate in
 scratch that does not grow with m, a dataset CSV loads in about twice its
-array, and the hardness demo's perfect-fairness audit in memory that does
-not grow with its pairs.
+array, the hardness demo's perfect-fairness audit in memory that does not
+grow with its pairs, and the all-pairs profile in one copy of the rows and a
+block.
 
 The test process has already peaked elsewhere, so each case runs in a fresh
 interpreter that reports its own peak: VmHWM, the high-water mark of its
@@ -121,6 +122,31 @@ load_dataset_csv(sys.argv[1])
 print(status("VmHWM") - before)
 """
 
+#: the most the all-pairs profile may add to the resident set at m = 20,000
+#: and n = 10: its rank-ordered copy of the rows (1.6 MB), their squared
+#: norms and its row blocks of about core._PAIR_BLOCK entries. It adds about
+#: 2.9 MB; gathering each block's rows and norms afresh added 4.8 MB
+PROFILE_MB = 6.0
+
+#: prints the profile's peak RSS over the resident set it was called with,
+#: in KiB
+PROFILE = STATUS + """
+import numpy as np
+from metricfair import LabeledDataset, LinearPredictor, ScaledEuclideanMetric
+from metricfair.audit import group_fairness_profile
+from metricfair.core import unit_ball_points
+
+m, n = 20_000, 10
+rng = np.random.default_rng(1)
+S = LabeledDataset(unit_ball_points(rng, m, n), np.ones(m))
+h = LinearPredictor(0.9 * unit_ball_points(rng, 1, n)[0])
+values = h.predict_batch(S.features)
+before = status("VmRSS")
+assert status("VmHWM") - before < 1024, "the set-up peaked above the resident set"
+group_fairness_profile(h, S, ScaledEuclideanMetric(0.3), 0.05, (0.1,), values=values)
+print(status("VmHWM") - before)
+"""
+
 #: run with --audit-pairs and a scratch directory as its arguments: the
 #: hardness workload's demo, whose peak is set by its kernel trainings
 DEMO = """
@@ -185,3 +211,7 @@ def test_hardness_demo_peak_rss_does_not_grow_with_audit_pairs(tmp_path):
     # drawn and checked a block at a time, 40,000 pairs of 32-float rows
     # take no more than none; whole, they added 28 MB
     assert abs(_peak_mb(DEMO, "40000", str(tmp_path)) - _peak_mb(DEMO, "0", str(tmp_path))) <= 2.0
+
+
+def test_profile_holds_one_ranked_copy_of_the_rows_and_a_block():
+    assert _child_mb(PROFILE) <= PROFILE_MB

@@ -21,7 +21,8 @@ def test_one_line_per_step_in_order(tmp_path):
     rungs = tool.ladder(3, tmp_path, workload)
     assert [step for step, _, _ in rungs] == [
         "train: load", "train: gram", "train: certificate", "train: rebuild", "train: ridge",
-        "train: solver", "train: report", "audit: load", "audit: audit"]
+        "train: solver", "train: report", "audit: load", "audit: profile", "audit: population",
+        "audit: audit"]
     assert all(mb > 0 for _, mb, _ in rungs)
     seconds = [s for _, _, s in rungs]
     assert 0 <= seconds[0] and all(a <= b for a, b in zip(seconds, seconds[1:]))
@@ -33,7 +34,8 @@ def test_linear_audit_leaves_out_the_steps_it_never_reaches(tmp_path):
     workload = replace(tool.WORKLOADS["linear-audit"], sizes={**TINY, "max_iters": 100})
     rungs = tool.ladder(3, tmp_path, workload)
     assert [step for step, _, _ in rungs] == [
-        "train: load", "train: solver", "train: report", "audit: load", "audit: audit"]
+        "train: load", "train: solver", "train: report", "audit: load", "audit: profile",
+        "audit: population", "audit: audit"]
 
 
 def test_wrong_arguments_print_the_usage(capsys):

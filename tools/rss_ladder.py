@@ -10,12 +10,14 @@ sizes, in a temporary directory. It prints the process's peak resident set
 so far (VmHWM, which is ``ru_maxrss`` without the pages of the process that
 started it) as each step returns: loading the data, the gram, its PSD
 certificate, the gram's rebuild over the factored array, the ridge warm
-start's solve, the solver, the train report, and the audit. The
+start's solve, the solver, the train report, the audit's all-pairs
+profile and its population estimate, and the whole audit. The
 certificate's line less the gram's is its own peak over the gram. A step
 the workload never reaches is left out: linear-audit's ``train`` has no
-gram, so its ladder reads load, solver, report, and then the audit's load
-and audit. The peak never falls, so each line is the peak up to that step,
-and the script has to run as a fresh interpreter of its own. Beside it
+gram, so its ladder reads load, solver, report, and then the audit's load,
+profile, population and audit. The peak never falls, so each line is the
+peak up to that step, and the script has to run as a fresh interpreter of
+its own. Beside it
 stands the wall time from the start of the first command to the step's
 return, so a step's own time is the difference of two lines. The steps are
 marked by wrapping metricfair's module functions from outside, so
@@ -51,6 +53,8 @@ STEPS = (
     ("learners", "solve_annealed", None, "solver"),
     ("learners", "solve_pdhg", None, "solver"),
     ("learners", "_finalize_report", None, "report"),
+    ("audit", "group_fairness_profile", None, "profile"),
+    ("audit", "population_mf_estimate", None, "population"),
     ("cli", "audit_predictor", None, "audit"),
 )
 
