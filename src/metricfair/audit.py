@@ -112,11 +112,16 @@ def population_mf_estimate(
     *,
     values=None,
 ) -> PopulationEstimate:
-    """Monte-Carlo estimate of the population 0/1 fairness loss.
+    """Monte-Carlo estimate of S's own 0/1 fairness loss over all ordered
+    pairs of its rows, a row with itself included.
 
     Pairs of rows of S are drawn i.i.d. with replacement from the seed's
     stream, all n_pairs first rows before all second rows; the half-width
-    is the 95% two-sided Hoeffding bound, so it is distribution-free. Each
+    is the 95% two-sided Hoeffding bound on the Monte-Carlo error around
+    that S-value, so it is distribution-free. It does not cover S's own
+    sampling error, so it is no interval for the population rate: on 30
+    fresh samples of 4,001 unit-ball points it missed that rate in 13 (see
+    ROADMAP.md's measurements). Each
     row of S is predicted once, and the pairs are drawn and compared in
     blocks of core._PAIR_BLOCK pairs, so memory does not grow with n_pairs.
     Two generators seeded alike draw the two sides in step. The second
@@ -248,6 +253,12 @@ def is_perfectly_fair(h, xs, ys, d: SimilarityMetric, tolerance: float = 0.0):
 
 @dataclass(frozen=True)
 class FairnessReport:
+    """An audit's losses. `population_estimate` is population_mf_estimate's
+    Monte-Carlo estimate of S's all-ordered-pairs loss, and `population_ci`
+    its half-width, which bounds only the Monte-Carlo error around that
+    S-value, not the distance to the population rate (None when no pairs
+    were drawn)."""
+
     empirical_mf_loss: float
     empirical_l1_loss: float
     population_estimate: float | None

@@ -48,10 +48,13 @@ def _as_float_vector(values) -> np.ndarray:
 
 def _check_unit_ball_rows(rows: np.ndarray, what: str) -> None:
     """Raise unless every row of `rows` is finite with norm at most
-    1 + NORM_TOLERANCE."""
-    if not np.all(np.isfinite(rows)):
+    1 + NORM_TOLERANCE. The rows are checked about _PAIR_BLOCK entries at a
+    time, so the check holds no temporary the size of `rows`."""
+    step = max(_PAIR_BLOCK // max(rows.shape[1], 1), 1)
+    blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
+    if not all(np.all(np.isfinite(block)) for block in blocks):
         raise ValidationError(f"{what} must be finite")
-    worst = float(np.max(np.linalg.norm(rows, axis=1), initial=0.0))
+    worst = max((float(np.max(np.linalg.norm(block, axis=1))) for block in blocks), default=0.0)
     if worst > 1.0 + NORM_TOLERANCE:
         raise ValidationError(f"{what} norm {worst:.12g} exceeds the unit ball")
 

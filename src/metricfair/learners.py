@@ -14,9 +14,10 @@ gram's PSD certificate factors it in place, and it is then rebuilt in the
 same storage (O(m^2 n), against O(m^3) for a factorisation). A CG warm start:
 conjugate gradients on that gram solve the ridge fit with m-vectors only.
 Memoised products: the overshooting subgradient steps revisit a handful of
-sign vectors and directions, whose products K v are memoised (the
-PRODUCT_MEMO_SIZE most recently used), and `project` moves the cached raw
-scores along each step, K (w - t v) = K w - t K v, which rounds differently
+sign patterns, each fixing a subgradient; the PRODUCT_MEMO_SIZE most recently
+used are memoised by their bit-packed masks with the subgradient and its K
+product, and `project` moves the last iterate's raw scores, held with it by
+identity, along each step, K (w - t v) = K w - t K v, which rounds differently
 from a fresh product in the last bits. The report reads the learner's K beta,
 computed afresh only where the cache misses (a stage's start, the solver's
 final check of its best iterate) and once for the report's objective, slack
@@ -58,8 +59,8 @@ RIDGE_LAMBDA = 1e-3
 RIDGE_TOLERANCE = 1e-15
 RIDGE_MAX_ITERATIONS = math.ceil(0.5 * math.sqrt(1.0 + VovkHalfKernel.sup_value / RIDGE_LAMBDA)
                                  * math.log(2.0 / RIDGE_TOLERANCE))
-# the kernel learner's memo of products K v (subgradients and step directions)
-# holds this many, the least recently used going first
+# the kernel learner's memo holds the subgradients of this many sign
+# patterns, with their products with K, the least recently used going first
 PRODUCT_MEMO_SIZE = 8
 
 
@@ -283,36 +284,38 @@ def train_fair_kernel(
     n_edges = len(M)
     budget = params.tau
 
-    raw_cache: dict[bytes, np.ndarray] = {}
+    # the last iterate and its raw scores K beta; the solver never changes an
+    # iterate in place, so an iterate that is it or has its bytes has them
+    held_beta = held_raw = np.empty(0)
 
     def raw_of(beta: np.ndarray) -> np.ndarray:
-        key = beta.tobytes()
-        out = raw_cache.get(key)
-        if out is None:
-            out = K @ beta
-            raw_cache.clear()
-            raw_cache[key] = out
-        return out
+        nonlocal held_beta, held_raw
+        if beta is not held_beta and beta.tobytes() != held_beta.tobytes():
+            held_beta, held_raw = beta, K @ beta
+        return held_raw
 
-    products: dict[bytes, np.ndarray] = {}
+    # a sign pattern fixes a subgradient; the memo holds [subgradient, K times
+    # it once a step moves along it], read-only, for the PRODUCT_MEMO_SIZE most
+    # recently used patterns, and `handed` is the entry handed out last
+    memo: dict[tuple, list] = {}
+    handed = [None, None]
 
-    def K_times(v: np.ndarray) -> np.ndarray:
-        """K @ v, read-only, from a memo of the PRODUCT_MEMO_SIZE most
-        recently used products."""
-        key = v.tobytes()
-        out = products.pop(key, None)
-        if out is None:
-            out = K @ v
-            out.flags.writeable = False
-            if len(products) == PRODUCT_MEMO_SIZE:
-                del products[next(iter(products))]
-        products[key] = out
-        return out
+    def memoised(pattern: tuple, subgradient) -> np.ndarray:
+        nonlocal handed
+        handed = memo.pop(pattern, None)
+        if handed is None:
+            handed = [subgradient(), None]
+            handed[0].flags.writeable = False
+            if len(memo) == PRODUCT_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        memo[pattern] = handed
+        return handed[0]
 
     def objective(beta):
         residual = raw_of(beta) - y01
-        signs = np.sign(residual)
-        return float(np.mean(np.abs(residual))), K_times(signs) / m
+        # the masks tell np.sign's 1, -1, 0 and NaN apart
+        key = ("objective", np.packbits([residual >= 0, residual <= 0]).tobytes())
+        return float(np.mean(np.abs(residual))), memoised(key, lambda: K @ np.sign(residual) / m)
 
     def constraint(beta):
         raw = raw_of(beta)
@@ -321,29 +324,36 @@ def train_fair_kernel(
         active = excess > 0
         value = float(np.sum(excess[active])) / n_edges - budget
 
-        def subgradient():
+        def product():
             coef = np.where(active, np.sign(gaps), 0.0) / n_edges
             z = np.zeros(m)
             np.add.at(z, left, coef)
             np.add.at(z, right, -coef)
-            return K_times(z)
+            return K @ z
+
+        def subgradient():
+            key = ("constraint", np.packbits([active & (gaps > 0), active & (gaps < 0)]).tobytes())
+            return memoised(key, product)
 
         return value, subgradient
 
     def project(w, step, direction):
-        # K (w - step v) = K w - step K v: w's raw scores are cached, and the
-        # step directions repeat, so K v comes from the memo
+        # K (w - step v) = K w - step K v: w's raw scores are held, and K v of the
+        # subgradient handed out last is memoised with it (else a fresh product)
+        nonlocal held_beta, held_raw
         raw = raw_of(w)
         beta = w
         if step:
             beta = w - step * direction
-            raw = raw - step * K_times(direction)
+            if direction is handed[0] and handed[1] is None:
+                handed[1] = K @ direction
+                handed[1].flags.writeable = False
+            raw = raw - step * (handed[1] if direction is handed[0] else K @ direction)
         q = float(beta @ raw)
         if q > b_used:
             scale = math.sqrt(b_used / q)
             beta, raw = beta * scale, raw * scale
-        raw_cache.clear()
-        raw_cache[beta.tobytes()] = raw
+        held_beta, held_raw = beta, raw
         return beta
 
     # raw scores scale linearly in beta, so the warm start is pulled in to
@@ -356,7 +366,7 @@ def train_fair_kernel(
     beta, report = solve_annealed(objective, constraint, project, solver_cfg, init)
     # the report states the returned beta's values, and its predictions on S
     # (the support), from a fresh K @ beta, not the raw scores moved by steps
-    raw_cache.clear()
+    held_beta = np.empty(0)
     slack = max(constraint(beta)[0], 0.0)
     raw = raw_of(beta)
     report = replace(report, final_objective=float(np.mean(np.abs(raw - y01))),

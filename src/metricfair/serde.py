@@ -53,6 +53,8 @@ SCHEMA_VERSION = 2
 
 #: rows the CSV writers format and write at a time
 _WRITE_ROWS = 4096
+#: rows the dataset loader moves to the front of its parsed table at a time
+_MOVE_ROWS = 4096
 #: bytes read at a time while a CSV file's lines are checked
 _READ_BYTES = 1 << 20
 #: the characters other than "\n" at which str.splitlines breaks ASCII text,
@@ -83,24 +85,45 @@ def _write_rows(path, header: str, table: np.ndarray, row: str) -> None:
 def load_dataset_csv(path) -> LabeledDataset:
     """Errors name the file and, for the first malformed row, the first row
     with a label other than -1 or +1 or the first row outside the unit ball,
-    its 1-based line number."""
+    its 1-based line number. The dataset checks its rows once, and its
+    features are kept in the parsed table's own storage, so a load takes
+    about the table."""
     table = _dataset_table(path)
-    features, labels = table[:, :-1], table[:, -1]
-    norms = np.linalg.norm(features, axis=1)
-    bad_label = ~np.isin(labels, (-1, 1))
-    # NaN fails the comparison
-    outside = ~(norms <= 1.0 + NORM_TOLERANCE)
-    bad = np.flatnonzero(bad_label | outside)
-    if bad.size:
-        k = int(bad[0])
-        if bad_label[k]:
-            reason = f"label must be -1 or +1, got {float(labels[k])!r}"
-        elif not np.all(np.isfinite(features[k])):
-            reason = "features must be finite"
-        else:
-            reason = f"row norm {norms[k]:.12g} exceeds the unit ball"
-        raise ValidationError(f"dataset file {path}, line {k + 2}: {reason}")
-    return LabeledDataset(features, labels)
+    labels = table[:, -1].copy()
+    features = _leading_columns(table)
+    try:
+        return LabeledDataset(features, labels)
+    except ValidationError:
+        norms = np.linalg.norm(features, axis=1)
+        bad_label = ~np.isin(labels, (-1, 1))
+        # NaN fails the comparison
+        outside = ~(norms <= 1.0 + NORM_TOLERANCE)
+        bad = np.flatnonzero(bad_label | outside)
+        if not bad.size:
+            raise
+    k = int(bad[0])
+    if bad_label[k]:
+        reason = f"label must be -1 or +1, got {float(labels[k])!r}"
+    elif not np.all(np.isfinite(features[k])):
+        reason = "features must be finite"
+    else:
+        reason = f"row norm {norms[k]:.12g} exceeds the unit ball"
+    raise ValidationError(f"dataset file {path}, line {k + 2}: {reason}")
+
+
+def _leading_columns(table: np.ndarray) -> np.ndarray:
+    """table[:, :-1] as a C-contiguous array in the table's own storage: the
+    rows are moved to its front _MOVE_ROWS at a time, and the storage then
+    shrinks in place to them. The table is spent."""
+    m, width = table.shape
+    for start in range(0, m, _MOVE_ROWS):
+        stop = min(start + _MOVE_ROWS, m)
+        # the destination ends before the rows still to be moved start
+        table.reshape(-1)[start * (width - 1):stop * (width - 1)] = table[start:stop, :-1].ravel()
+    # the table is the loader's own and no view of it is left (refcheck
+    # would also count a debugger's references)
+    table.resize(m * (width - 1), refcheck=False)
+    return table.reshape(m, width - 1)
 
 
 def _dataset_table(path) -> np.ndarray:

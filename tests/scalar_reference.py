@@ -3,7 +3,8 @@
 These are the scalar forms the library computed before its metric callers
 and its predictors worked over batches, the eigendecomposition form of the
 PSD check, and the kernel learner's solver closures as they were before its
-subgradient products were memoised. The property tests require the library
+subgradient products were memoised, and as they were while its caches were
+looked up by the bytes of each vector. The property tests require the library
 code to return what these return: exactly, except where a batched matrix
 product may round the last bits differently (the linear, logistic and kernel
 predictions).
@@ -197,6 +198,76 @@ def kernel_closures(K, y01, left, right, dists, budget, b_used, products=None):
         raw_cache.clear()
         raw_cache[scaled.tobytes()] = raw * scale
         return scaled
+
+    return objective, constraint, project
+
+
+def bytes_memoised_kernel_closures(K, y01, left, right, dists, budget, b_used,
+                                   memo_size=8):
+    """The kernel learner's (objective, constraint, project) as they were
+    before its caches were held by identity and keyed by sign pattern: the
+    raw scores K beta and a memo of the `memo_size` most recently used
+    products K v, both looked up by the bytes of beta or v."""
+    m = len(y01)
+    n_edges = len(left)
+    raw_cache: dict[bytes, np.ndarray] = {}
+
+    def raw_of(beta: np.ndarray) -> np.ndarray:
+        key = beta.tobytes()
+        out = raw_cache.get(key)
+        if out is None:
+            out = K @ beta
+            raw_cache.clear()
+            raw_cache[key] = out
+        return out
+
+    products: dict[bytes, np.ndarray] = {}
+
+    def K_times(v: np.ndarray) -> np.ndarray:
+        key = v.tobytes()
+        out = products.pop(key, None)
+        if out is None:
+            out = K @ v
+            out.flags.writeable = False
+            if len(products) == memo_size:
+                del products[next(iter(products))]
+        products[key] = out
+        return out
+
+    def objective(beta):
+        residual = raw_of(beta) - y01
+        signs = np.sign(residual)
+        return float(np.mean(np.abs(residual))), K_times(signs) / m
+
+    def constraint(beta):
+        raw = raw_of(beta)
+        gaps = raw[left] - raw[right]
+        excess = np.abs(gaps) - dists
+        active = excess > 0
+        value = float(np.sum(excess[active])) / n_edges - budget
+
+        def subgradient():
+            coef = np.where(active, np.sign(gaps), 0.0) / n_edges
+            z = np.zeros(m)
+            np.add.at(z, left, coef)
+            np.add.at(z, right, -coef)
+            return K_times(z)
+
+        return value, subgradient
+
+    def project(w, step, direction):
+        raw = raw_of(w)
+        beta = w
+        if step:
+            beta = w - step * direction
+            raw = raw - step * K_times(direction)
+        q = float(beta @ raw)
+        if q > b_used:
+            scale = math.sqrt(b_used / q)
+            beta, raw = beta * scale, raw * scale
+        raw_cache.clear()
+        raw_cache[beta.tobytes()] = raw
+        return beta
 
     return objective, constraint, project
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as scalar
@@ -745,10 +745,99 @@ class TestMemoisedSubgradientProducts:
         # final check and the report's fresh values; none per iteration
         assert len(operands) <= 2 * distinct + solver.ANNEAL_STAGES + 3
         assert report.iterations == 3 * cfg.solver.max_iters
-        for out, sign in zip(results, of_signs):
-            if sign:
-                with pytest.raises(ValueError):
-                    out[0] = 0.0
+        # the memo holds each sign pattern's direction K signs / m and its
+        # product with K, read-only; the product K @ signs is transient
+        directions = {(out / len(ds)).tobytes() for out, sign in zip(results, of_signs) if sign}
+        along = [out for v, out in zip(operands, results) if v.tobytes() in directions]
+        assert along
+        for out in along:
+            with pytest.raises(ValueError):
+                out[0] = 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(4, 60), n=st.integers(2, 10),
+           B=st.sampled_from([1.0, 100.0, 1e4]), step_c0=st.sampled_from([0.5, 5.0]),
+           scale=st.floats(0.05, 0.8), tau=st.sampled_from([None, 0.0, 0.01]))
+    def test_same_result_as_the_closures_keyed_by_bytes(self, seed, m, n, B, step_c0, scale,
+                                                        tau):
+        # the raw scores held by identity and the memo keyed by sign pattern
+        # change only time: the closures that looked both up by the bytes of
+        # each vector return the same beta and report, bit for bit, whether
+        # the constraint binds (short scales, the tau override) or not
+        ds, cfg = self.instance(m, n, B, step_c0, seed)
+        metric = ScaledEuclideanMetric(scale)
+        predictor, report = train_fair_kernel(ds, metric, cfg, tau=tau)
+
+        K = gram_matrix(ds, VovkHalfKernel())
+        left, right, dists = matching_edges(ds, default_matching(ds, 0), metric)
+        closures = scalar.bytes_memoised_kernel_closures(
+            K, ds.targets01, left, right, dists, report.derived_params["tau"],
+            report.extras["B_used"])
+
+        def oracle_solve(objective, constraint, project, config, initial_point):
+            return solver.solve_annealed(*closures, config, initial_point)
+
+        with mock.patch.object(learners, "solve_annealed", oracle_solve):
+            expected, expected_report = train_fair_kernel(ds, metric, cfg, tau=tau)
+        assert predictor.beta.tobytes() == expected.beta.tobytes()
+        assert report == expected_report
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(4, 30), B=st.sampled_from([1.0, 100.0]),
+           tau=st.sampled_from([0.0, 0.01, 0.1]),
+           walk=st.lists(st.tuples(st.sampled_from(["objective", "constraint", "copy", "restart",
+                                                    "zero", "below", "nan"]),
+                                   st.floats(0.0, 2.0)), min_size=1, max_size=30))
+    @example(seed=1, m=4, B=100.0, tau=0.01,
+             walk=[("objective", 1.0), ("copy", 0.0), ("objective", 1.0), ("constraint", 1.0),
+                   ("copy", 0.0), ("constraint", 1.0), ("restart", 0.0), ("objective", 0.0),
+                   ("zero", 0.0), ("objective", 0.0), ("below", 0.0), ("objective", 0.0),
+                   ("nan", 0.0), ("objective", 0.0), ("constraint", 0.0)])
+    def test_a_walk_reads_what_the_closures_keyed_by_bytes_read(self, seed, m, B, tau, walk):
+        # the solver's calls and more: copies of an iterate (same bytes, a new
+        # array), stage starts, and points whose residuals are 0 (beta = 0,
+        # for labels -1), all negative or NaN, which only the objective's two
+        # masks together tell apart; every value, subgradient and iterate is
+        # that of the closures keyed by bytes, bit for bit
+        ds, cfg = self.instance(m, 3, B, 0.5, seed)
+        metric = ScaledEuclideanMetric(0.2)
+        handed = []
+
+        def capture(*args):
+            handed.extend(args)
+            raise InterruptedError
+
+        with mock.patch.object(learners, "solve_annealed", capture), \
+                pytest.raises(InterruptedError):
+            train_fair_kernel(ds, metric, cfg, tau=tau)
+        K = gram_matrix(ds, VovkHalfKernel())
+        left, right, dists = matching_edges(ds, default_matching(ds, 0), metric)
+        both = (handed[:3], scalar.bytes_memoised_kernel_closures(K, ds.targets01, left, right,
+                                                                  dists, tau, B))
+        points = [handed[4], handed[4].copy()]
+
+        def same(outputs):
+            assert outputs[0].tobytes() == outputs[1].tobytes()
+
+        for op, step in walk:
+            if op in ("objective", "constraint"):
+                values, subs = [], []
+                for (objective, constraint, _), w in zip(both, points):
+                    value, sub = (objective if op == "objective" else constraint)(w)
+                    values.append(np.float64(value))
+                    subs.append(sub if op == "objective" else sub())
+                same(values)
+                same(subs)
+                points = [project(w, step, sub)
+                          for (*_, project), w, sub in zip(both, points, subs)]
+            elif op == "copy":
+                points = [w.copy() for w in points]
+            elif op == "restart":
+                points = [project(w.copy(), 0.0, np.zeros(m))
+                          for (*_, project), w in zip(both, points)]
+            else:
+                points = [np.full(m, {"zero": 0.0, "below": -1e-3, "nan": np.nan}[op])] * 2
+            same(points)
 
 
 class TestRawScoresAlongTheSteps:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as scalar
-from conftest import random_dataset, strict_json
+from conftest import random_dataset, strict_json, unit_ball_points
 from metricfair import (
     ConstantMetric,
     ConstantPredictor,
@@ -204,6 +204,26 @@ class TestCsvReaderAgainstTheReference:
         path = tmp_path / "data.csv"
         path.write_text(f"x1,x2,y\n0.5,0.25,1\n{edge.format(other)},0.25,-1\n0.5,0,1\n")
         assert _loaded(load_dataset_csv, path) == _loaded(scalar.load_dataset_csv, path)
+
+    @given(n=st.integers(1, 4), rows=st.integers(1, 12), block=st.integers(1, 5),
+           bad=st.sampled_from([None, "label", "norm", "nan"]), at=st.integers(0, 11),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=50, deadline=None)
+    def test_the_features_are_moved_a_block_of_rows_at_a_time(self, n, rows, block, bad, at,
+                                                              seed, tmp_path_factory):
+        # the dataset keeps its features at the front of the parsed table's
+        # storage, moved _MOVE_ROWS rows at a time over rows still to be read
+        table = np.column_stack((unit_ball_points(np.random.default_rng(seed), rows, n),
+                                 np.ones(rows)))
+        if bad is not None:
+            table[at % rows, {"label": -1, "norm": 0, "nan": 0}[bad]] = {
+                "label": 0.5, "norm": 1.5, "nan": np.nan}[bad]
+        path = tmp_path_factory.mktemp("data") / "data.csv"
+        header = ",".join([f"x{i + 1}" for i in range(n)] + ["y"])
+        path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n"
+                                              for row in table.tolist()))
+        with mock.patch.object(serde, "_MOVE_ROWS", block):
+            assert _loaded(load_dataset_csv, path) == _loaded(scalar.load_dataset_csv, path)
 
     def test_a_missing_file_or_a_directory_raises_as_before(self, tmp_path):
         for path in (tmp_path / "missing.csv", tmp_path):

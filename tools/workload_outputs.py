@@ -6,11 +6,14 @@ versions of metricfair can be compared file by file.
 For each workload of ``perfbench.workloads.WORKLOADS``, at the benchmark's
 sizes, the script runs the ``gen-data`` set-up and then every timed command
 with ``--no-timestamp``, from inside ``DIR/<workload>/`` and with relative
-paths, so that no output records where it ran. Next to the files the
-commands write, ``NN-<command>.out`` holds each command's stdout and stderr,
-and ``commands.txt`` lists each command with its exit code (validate-metric
-exits 2 on a metric that breaks an axiom, which is an output like any
-other). metricfair is imported from PYTHONPATH, so the script runs against
+paths, so that no output records where it ran. The benchmark trains at
+``euclidean:0.8``, where neither learner's fairness constraint binds, so
+linear-audit and kernel-train also run with every ``--metric`` at
+``euclidean:0.1``, where it does, inside ``DIR/<workload>-binding/``. Next
+to the files the commands write, ``NN-<command>.out`` holds each command's
+stdout and stderr, and ``commands.txt`` lists each command with its exit
+code (validate-metric exits 2 on a metric that breaks an axiom, which is an
+output like any other). metricfair is imported from PYTHONPATH, so the script runs against
 another checkout's ``src`` as well; ``perfbench`` is read from this
 checkout:
 
@@ -24,14 +27,32 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from perfbench.workloads import WORKLOADS  # noqa: E402
+from perfbench.workloads import WORKLOADS, Workload  # noqa: E402
+
+#: the metric of the binding runs
+BINDING_METRIC = "euclidean:0.1"
 
 
-def write_outputs(seed: int, directory, workloads=tuple(WORKLOADS.values())) -> None:
+def binding(workload: Workload) -> Workload:
+    """`workload` with every --metric at BINDING_METRIC, named <name>-binding."""
+    def rebind(command):
+        return tuple(BINDING_METRIC if flag == "--metric" else token
+                     for flag, token in zip(("", *command), command))
+
+    return replace(workload, name=f"{workload.name}-binding",
+                   commands=tuple(rebind(command) for command in workload.commands))
+
+
+OUTPUT_WORKLOADS = (*WORKLOADS.values(),
+                    *(binding(WORKLOADS[name]) for name in ("linear-audit", "kernel-train")))
+
+
+def write_outputs(seed: int, directory, workloads=OUTPUT_WORKLOADS) -> None:
     """Run each workload's commands at `seed` inside `directory`/<name>/."""
     from metricfair.cli import run_cli
 
