@@ -136,7 +136,7 @@ def scale_into_ball(g: np.ndarray, radii: np.ndarray, norms=None) -> np.ndarray:
 
 
 #: pairs, or matrix entries, per block wherever pairs are evaluated in pieces:
-#: the default pairwise_matrix and the audit's profile and population estimate
+#: pairwise_matrix and the audit's profile and population estimate
 _PAIR_BLOCK = 65_536
 
 
@@ -147,29 +147,13 @@ def _pair_rows(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_arrays(xs, ys)
 
 
-def _block_indices(xs: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """A block's row and column indices into `xs`, all of its rows by default."""
-    every = np.arange(xs.shape[0])
-    return (every if rows is None else np.asarray(rows, dtype=np.intp),
-            every if cols is None else np.asarray(cols, dtype=np.intp))
-
-
-def _block_entries(rows: np.ndarray, cols: np.ndarray, where) -> np.ndarray:
-    """The entries of a block to evaluate: those in `where` that pair two
-    different rows of `xs`."""
-    entries = rows[:, None] != cols[None, :]
-    if where is not None:
-        entries &= where
-    return entries
-
-
 class SimilarityMetric:
     """Pairwise distance with outputs in [0, 1] and d(x, x) = 0.
 
-    A metric implements `pair_distances`; `distance` and the default
-    `pairwise_matrix` are derived from it. The audit relies on d >= 0: it
-    never evaluates a pair whose prediction gap is at most gamma, since such
-    a pair cannot violate.
+    A metric implements `pair_distances`; `distance` and `pairwise_matrix`
+    are derived from it, and no built-in metric overrides them. The audit
+    relies on d >= 0: it never evaluates a pair whose prediction gap is at
+    most gamma, since such a pair cannot violate.
     """
 
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -189,12 +173,17 @@ class SimilarityMetric:
         +0.0. Each entry is one pair of a `pair_distances` call, made on about
         _PAIR_BLOCK pairs at a time."""
         xs = np.atleast_2d(xs)
-        rows, cols = _block_indices(xs, rows, cols)
+        every = np.arange(xs.shape[0])
+        rows = every if rows is None else np.asarray(rows, dtype=np.intp)
+        cols = every if cols is None else np.asarray(cols, dtype=np.intp)
         out = np.zeros((rows.size, cols.size))
         step = max(1, _PAIR_BLOCK // max(cols.size, 1))
         for r0 in range(0, rows.size, step):
-            chunk = None if where is None else where[r0:r0 + step]
-            a, b = np.nonzero(_block_entries(rows[r0:r0 + step], cols, chunk))
+            # the entries asked for that pair two different rows of xs
+            entries = rows[r0:r0 + step, None] != cols[None, :]
+            if where is not None:
+                entries &= where[r0:r0 + step]
+            a, b = np.nonzero(entries)
             i, j = rows[r0 + a], cols[b]
             out[r0 + a, b] = self.pair_distances(xs[np.minimum(i, j)], xs[np.maximum(i, j)])
         return out
@@ -203,16 +192,12 @@ class SimilarityMetric:
         """The block function of the audit's all-pairs profile over the rows
         of `xs` ranked by `order`: block(start, stop, first, near) is
         pairwise_matrix(xs, order[start:stop], order[first:], where=near),
-        one call per block. The profile calls this once."""
+        one call per block. The profile calls this once. Only
+        ScaledEuclideanMetric itself overrides it, with Gram-form blocks
+        within rounding of its pair_distances."""
         def block(start, stop, first, near):
             return self.pairwise_matrix(xs, order[start:stop], order[first:], where=near)
         return block
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """|x|^2 for each row x of `rows`: a sum over the row alone, so a row's
-    bits do not depend on the rows around it."""
-    return np.sum(rows * rows, axis=1)
 
 
 def _gram_distances(scale: float, left, right, left_sq, right_sq) -> np.ndarray:
@@ -267,36 +252,19 @@ class ScaledEuclideanMetric(SimilarityMetric):
         np.multiply(squares, squares, out=squares)
         return np.minimum(1.0, self.scale * np.sqrt(np.add.reduce(squares, axis=1)))
 
-    def pairwise_matrix(self, xs, rows=None, cols=None, where=None) -> np.ndarray:
-        # the Gram form fills the whole block, then is multiplied by the 0/1
-        # entries asked for: on rows whose squares do not overflow (dataset
-        # rows lie in the unit ball) every entry is finite and >= +0, so the
-        # product is exact and gives +0 elsewhere. Where the Gram form could
-        # overflow (norms near 1e154 and beyond, or rows that are not finite)
-        # the block takes the pair form instead
-        xs = np.atleast_2d(xs)
-        rows, cols = _block_indices(xs, rows, cols)
-        left, right = xs.take(rows, axis=0), xs.take(cols, axis=0)
-        with np.errstate(over="ignore"):
-            left_sq, right_sq = _squared_norms(left), _squared_norms(right)
-            bounded = np.isfinite(4.0 * (left_sq.max(initial=0.0) + right_sq.max(initial=0.0)))
-        if not bounded:
-            return SimilarityMetric.pairwise_matrix(self, xs, rows, cols, where)
-        out = _gram_distances(self.scale, left, right, left_sq, right_sq)
-        out *= _block_entries(rows, cols, where)
-        return out
-
     def _ranked_blocks(self, xs, order):
-        # a subclass with a pairwise_matrix of its own is called per block
-        if type(self).pairwise_matrix is not ScaledEuclideanMetric.pairwise_matrix:
+        # a subclass is called per block, through its own pair_distances or
+        # pairwise_matrix
+        if type(self) is not ScaledEuclideanMetric:
             return super()._ranked_blocks(xs, order)
-        # the profile's rows are a dataset's, in the unit ball, so the Gram
-        # form is bounded. Each block's rows and norms are slices of one
-        # ranked copy, so they are the bits pairwise_matrix would gather; a
-        # diagonal entry has gap 0, so `near` leaves it out as the block's
-        # entries would
+        # the profile's rows are a dataset's, in the unit ball, so every Gram
+        # entry is finite and >= +0, and multiplying by the 0/1 entries of
+        # `near` is exact and gives +0 elsewhere; a diagonal entry has gap 0,
+        # so `near` leaves it out. Each block's rows and squared norms are
+        # slices of one ranked copy, and a row's squared norm is a sum over
+        # that row alone, so its bits do not depend on the block
         ranked = xs.take(order, axis=0)
-        squares = _squared_norms(ranked)
+        squares = np.sum(ranked * ranked, axis=1)
 
         def block(start, stop, first, near):
             out = _gram_distances(self.scale, ranked[start:stop], ranked[first:],
@@ -378,8 +346,7 @@ class VovkHalfKernel:
         return np.reciprocal(G, out=G)
 
 
-#: rows per panel, and columns per tile, of check_psd's finiteness and
-#: symmetry tests
+#: rows per panel of check_psd's finiteness and symmetry tests
 _SYMMETRY_PANEL = 64
 #: columns per panel of _cholesky_lower's blocked factorisation
 _CHOLESKY_PANEL = 128
@@ -462,26 +429,16 @@ def check_psd(gram: np.ndarray, rel_tolerance: float = PSD_TOLERANCE, *, rebuild
         for i in range(0, m, _SYMMETRY_PANEL):
             if not np.all(np.isfinite(gram[i:i + _SYMMETRY_PANEL])):
                 raise ValidationError("gram matrix has non-finite entries")
-    # np.allclose(gram, gram.T, atol=1e-10) on and below the diagonal, a panel
-    # of rows at a time, and a tile of it at a time where it is not exactly
-    # symmetric: |a - b| <= 1e-10 + 1e-5 |b| in both orders of a pair is the
-    # bound at min(|a|, |b|), and rounding is monotone, so the verdict is the
-    # same
+    # np.allclose(gram, gram.T, atol=1e-10), a panel of rows at a time: each
+    # panel's columns up to the end of its diagonal block, tested in both
+    # orders, cover every pair of entries of the matrix
     for i in range(0, m, _SYMMETRY_PANEL):
         e = min(i + _SYMMETRY_PANEL, m)
-        if np.array_equal(gram[i:e, :e], gram[:e, i:e].T):
-            continue
-        for c in range(0, e, _SYMMETRY_PANEL):
-            f = min(c + _SYMMETRY_PANEL, e)
-            a, b = gram[i:e, c:f], gram[c:f, i:e].T
-            bound = np.abs(a)
-            np.minimum(bound, np.abs(b), out=bound)
-            bound *= 1e-5
-            bound += 1e-10
-            # a gap that overflows is beyond any bound
-            with np.errstate(over="ignore"):
-                gap = np.subtract(a, b)
-            if not np.all(np.abs(gap, out=gap) <= bound):
+        a, b = gram[i:e, :e], gram[:e, i:e].T
+        # a gap that overflows is beyond any bound
+        with np.errstate(over="ignore"):
+            if not (np.array_equal(a, b)
+                    or np.allclose(a, b, atol=1e-10) and np.allclose(b, a, atol=1e-10)):
                 raise ValidationError("gram matrix is not symmetric")
     factor_error = (m + 1) * np.finfo(np.float64).eps * trace
     top_floor = max(float(np.max(np.diag(gram))), total / m)
@@ -579,8 +536,9 @@ class LogisticPredictor(Predictor):
 
     def __init__(self, weights, lipschitz: float):
         self.weights = _unit_weights(weights)
-        if lipschitz < 0:
-            raise ValidationError("lipschitz constant must be non-negative")
+        if not 0.0 <= lipschitz < np.inf:
+            raise ValidationError(
+                f"lipschitz constant must be finite and non-negative, got {lipschitz}")
         self.lipschitz = float(lipschitz)
         self.dimension = self.weights.shape[0]
 

@@ -19,9 +19,10 @@ lines and one joined and split list of cells (`load_dataset_csv` and
 `load_matrix_metric`): the library's loaders must return the same arrays
 bit for bit, or raise the same error.
 
-The audit's all-pairs profile is kept as it called `pairwise_matrix` once per
-block for every metric (`blocked_per_individual_rates`): the profile must
-return the same rates bit for bit.
+The audit's all-pairs profile is kept as it evaluated one block at a time
+(`blocked_per_individual_rates`): a `pairwise_matrix` call per block, except
+for ScaledEuclideanMetric itself, whose blocks are the Gram form of
+`gram_block_oracle`. The profile must return the same rates bit for bit.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ import numpy as np
 
 from metricfair import Consecutive, SignUndefinedError, ValidationError, core, sigmoid_transfer
 from metricfair.audit import _check_gamma, _predictions
-from metricfair.core import NORM_TOLERANCE, LabeledDataset, MatrixMetric
+from metricfair.core import NORM_TOLERANCE, LabeledDataset, MatrixMetric, ScaledEuclideanMetric
 
 
 def expand_seed(seed_bits) -> np.ndarray:
@@ -361,9 +362,25 @@ def per_individual_rates(predict, distance, xs, gamma) -> np.ndarray:
     return rates
 
 
+def gram_block_oracle(scale, xs, rows, cols, where):
+    """ScaledEuclideanMetric's Gram-form block as one expression:
+    min(1, scale * sqrt(max(|l|^2 + |r|^2 - 2 l.r, 0))) over the whole block,
+    then 0 wherever an entry was not asked for."""
+    left, right = xs[rows], xs[cols]
+    d2 = np.maximum(np.sum(left * left, axis=1)[:, None] + np.sum(right * right, axis=1)[None, :]
+                    - 2.0 * (left @ right.T), 0.0)
+    out = np.minimum(1.0, scale * np.sqrt(d2))
+    asked = rows[:, None] != cols[None, :]
+    if where is not None:
+        asked &= where
+    out[~asked] = 0.0
+    return out
+
+
 def blocked_per_individual_rates(h, S, d, gamma, *, values=None) -> np.ndarray:
-    """The profile's rates as the audit computed them with one
-    `d.pairwise_matrix` call per block, whatever the metric.
+    """The profile's rates as the audit computes them a block at a time: with
+    `gram_block_oracle` when d is a ScaledEuclideanMetric and not a subclass
+    of it, and with one `d.pairwise_matrix` call per block otherwise.
 
     For each x in S, the fraction of x' in S (self included) violating the
     fairness condition at slack gamma.
@@ -391,7 +408,10 @@ def blocked_per_individual_rates(h, S, d, gamma, *, values=None) -> np.ndarray:
         near = gaps > gamma
         if not near.any():
             continue
-        dists = d.pairwise_matrix(S.features, order[start:stop], order[first:], where=near)
+        if type(d) is ScaledEuclideanMetric:
+            dists = gram_block_oracle(d.scale, S.features, order[start:stop], order[first:], near)
+        else:
+            dists = d.pairwise_matrix(S.features, order[start:stop], order[first:], where=near)
         violated = gaps > dists + gamma
         counts[order[start:stop]] += np.count_nonzero(violated, axis=1)
         counts[order[first:]] += np.count_nonzero(violated, axis=0)

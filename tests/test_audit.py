@@ -399,9 +399,9 @@ class SkewedMetric(SimilarityMetric):
 
 
 def gram_distance_tolerance(scale: float, n: int) -> float:
-    """A bound on |pairwise_matrix - pair_distances| of ScaledEuclideanMetric
-    on points of the n-dimensional unit ball, with eps the machine epsilon and
-    u = eps / 2 the unit roundoff.
+    """A bound on |Gram-form distance - pair_distances| of
+    ScaledEuclideanMetric on points of the n-dimensional unit ball, with eps
+    the machine epsilon and u = eps / 2 the unit roundoff.
 
     The Gram form computes d2 = |x|^2 + |y|^2 - 2<x, y>. Each of the three
     inner products is within gamma_n |x|.|y| <= gamma_n ~ n u of its value
@@ -488,7 +488,7 @@ class TestBlockedProfile:
            data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_row_range_is_a_slice_of_the_full_matrix(self, instance, data):
-        kind, metric, X, _, _, block = instance
+        _, metric, X, _, _, block = instance
         m = len(X)
         start = data.draw(st.integers(0, m), label="start")
         stop = data.draw(st.integers(start, m), label="stop")
@@ -498,19 +498,13 @@ class TestBlockedProfile:
         assert rows.shape == (stop - start, m) and full.shape == (m, m)
         assert np.all(rows[np.arange(stop - start), np.arange(start, stop)] == 0.0)
         assert np.all(np.diag(full) == 0.0)
-        if kind == "euclidean":
-            # both are Gram forms, each within the tolerance of pair_distances;
-            # a row block's matrix product may round differently from the full one
-            tol = gram_distance_tolerance(metric.scale, X.shape[1])
-            assert np.all(np.abs(rows - full[start:stop]) <= 2 * tol)
-        else:
-            assert np.array_equal(rows, full[start:stop])
+        assert np.array_equal(rows, full[start:stop])
 
     @given(instance=profile_instances(("constant", "matrix", "skewed", "euclidean")),
            data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_any_block_is_the_full_matrix_where_asked_and_0_elsewhere(self, instance, data):
-        kind, metric, X, _, _, block = instance
+        _, metric, X, _, _, block = instance
         m = len(X)
         index = st.lists(st.integers(0, m - 1), max_size=m + 2).map(
             lambda v: np.array(v, dtype=np.intp))
@@ -524,66 +518,7 @@ class TestBlockedProfile:
         expected = np.where(where, full[np.ix_(rows, cols)], 0.0)
         assert got.shape == (rows.size, cols.size)
         assert np.all(got[~where] == 0.0)
-        if kind == "euclidean":
-            tol = gram_distance_tolerance(metric.scale, X.shape[1])
-            assert np.all(np.abs(got - expected) <= 2 * tol)
-        else:
-            assert np.array_equal(got, expected)
-
-
-def gram_block_oracle(scale, xs, rows, cols, where):
-    """ScaledEuclideanMetric's block as one expression: the Gram form
-    min(1, scale * sqrt(max(|l|^2 + |r|^2 - 2 l.r, 0))) over the whole block,
-    then 0 wherever an entry was not asked for."""
-    left, right = xs[rows], xs[cols]
-    d2 = np.maximum(np.sum(left * left, axis=1)[:, None] + np.sum(right * right, axis=1)[None, :]
-                    - 2.0 * (left @ right.T), 0.0)
-    out = np.minimum(1.0, scale * np.sqrt(d2))
-    asked = rows[:, None] != cols[None, :]
-    if where is not None:
-        asked &= where
-    out[~asked] = 0.0
-    return out
-
-
-@st.composite
-def euclidean_blocks(draw):
-    """(scale, points, rows, cols, where): up to 10 points of up to 6
-    coordinates with repeated rows, index lists with repeats (or None for
-    every row), and a random `where` mask or None. Scales of 50 saturate
-    most entries at 1, a scale of 0 zeroes them all."""
-    n = draw(st.integers(1, 6), label="n")
-    distinct = draw(st.lists(st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n),
-                             min_size=1, max_size=6), label="distinct rows")
-    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=10),
-                 label="rows of the points")
-    X = np.array(distinct)[picks]
-    index = st.none() | st.lists(st.integers(0, len(X) - 1), max_size=len(X) + 3).map(
-        lambda v: np.array(v, dtype=np.intp))
-    rows, cols = draw(index, label="rows"), draw(index, label="cols")
-    shape = tuple(len(X) if v is None else v.size for v in (rows, cols))
-    where = draw(st.none() | st.lists(st.booleans(), min_size=shape[0] * shape[1],
-                                      max_size=shape[0] * shape[1]).map(
-        lambda v: np.array(v, dtype=bool).reshape(shape)), label="where")
-    scale = draw(st.sampled_from((0.0, 0.05, 0.8, 50.0)) | st.floats(0.0, 60.0), label="scale")
-    return scale, X, rows, cols, where
-
-
-@given(block=euclidean_blocks())
-@settings(max_examples=300, deadline=None)
-def test_euclidean_block_is_the_gram_expression_bit_for_bit(block):
-    """The in-place block keeps the expression's order of operations, and
-    multiplying by the 0/1 entries asked for leaves +0 elsewhere: equal
-    values and equal sign bits, which the tolerance-bounded tests above
-    would not notice if the operations were reordered."""
-    scale, X, rows, cols, where = block
-    every = np.arange(len(X))
-    expected = gram_block_oracle(scale, X, every if rows is None else rows,
-                                 every if cols is None else cols, where)
-    got = ScaledEuclideanMetric(scale).pairwise_matrix(X, rows, cols, where=where)
-    assert got.shape == expected.shape
-    assert np.array_equal(got, expected)
-    assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert np.array_equal(got, expected)
 
 
 class CountingMetric(SimilarityMetric):
@@ -768,17 +703,26 @@ class OwnMatrixEuclidean(ScaledEuclideanMetric):
         return super().pairwise_matrix(xs, rows, cols, where=where)
 
 
+class HalfEuclidean(ScaledEuclideanMetric):
+    """Half the Euclidean distance, given only by its own pair_distances:
+    the profile must use these, not the Gram form of the parent's."""
+
+    def pair_distances(self, xs, ys):
+        return 0.5 * super().pair_distances(xs, ys)
+
+
 #: the metrics of `ranked_profiles`
-RANKED_KINDS = ("euclidean", "own-matrix", "skewed", "matrix", "hardness")
+RANKED_KINDS = ("euclidean", "own-matrix", "own-distance", "skewed", "matrix", "hardness")
 
 
 @st.composite
-def ranked_profiles(draw):
-    """(metric, dataset, predictor, gamma, patched block) with 1 to 300
+def ranked_profiles(draw, kinds=RANKED_KINDS, most=300):
+    """(metric, dataset, predictor, gamma, patched block) with 1 to `most`
     rows, many of them repeats of earlier ones, predictions with ties, and a
-    _PAIR_BLOCK that gives row blocks of 1, 2 or 3 rows."""
-    kind = draw(st.sampled_from(RANKED_KINDS), label="metric")
-    m = draw(st.integers(1, 12) | st.integers(13, 300), label="m")
+    _PAIR_BLOCK that gives row blocks of 1, 2 or 3 rows. A scale of 50
+    saturates most Euclidean distances at 1, a scale of 0 zeroes them all."""
+    kind = draw(st.sampled_from(kinds), label="metric")
+    m = draw(st.integers(1, 12) | st.integers(13, most), label="m")
     distinct = draw(st.integers(1, m), label="distinct rows")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if kind == "hardness":
@@ -789,11 +733,14 @@ def ranked_profiles(draw):
     else:
         # SkewedMetric reads two coordinates
         rows = unit_ball_points(rng, distinct, draw(st.integers(2, 12), label="n"))
-        scale = draw(st.sampled_from((0.0, 5e-324, 1e-300)) | st.floats(0.05, 5.0), label="scale")
+        scale = draw(st.sampled_from((0.0, 5e-324, 1e-300, 50.0)) | st.floats(0.05, 5.0),
+                     label="scale")
         if kind == "euclidean":
             metric = ScaledEuclideanMetric(scale)
         elif kind == "own-matrix":
             metric = OwnMatrixEuclidean(scale)
+        elif kind == "own-distance":
+            metric = HalfEuclidean(scale)
         elif kind == "skewed":
             metric = SkewedMetric()
         else:
@@ -811,11 +758,10 @@ def ranked_profiles(draw):
 
 
 class TestRankedProfile:
-    """The profile's rates are those of the audit that called pairwise_matrix
-    once per block for every metric, kept in scalar_reference, bit for bit.
-    The Euclidean metric reads its blocks from one rank-ordered copy of the
-    rows; every other metric, and a Euclidean subclass with a pairwise_matrix
-    of its own, is still called once per block."""
+    """The profile's rates are those of the per-block audit kept in
+    scalar_reference, bit for bit. ScaledEuclideanMetric itself reads Gram
+    blocks from one rank-ordered copy of the rows; every other metric, and
+    every subclass of it, is called once per block."""
 
     @given(instance=ranked_profiles())
     @settings(max_examples=80, deadline=None)
@@ -829,12 +775,24 @@ class TestRankedProfile:
         if isinstance(metric, OwnMatrixEuclidean):
             assert calls == metric.calls[len(calls):]
 
+    @given(instance=ranked_profiles(("own-distance",), most=60))
+    @settings(max_examples=40, deadline=None)
+    def test_a_subclass_is_profiled_by_its_own_distance(self, instance):
+        metric, S, h, gamma, block = instance
+        with mock.patch.object(core, "_PAIR_BLOCK", block):
+            got = _per_individual_rates(h, S, metric, gamma)
+        expected = scalar.per_individual_rates(h.predict, metric.distance, S.features, gamma)
+        assert got.tolist() == expected.tolist()
+
     @given(instance=ranked_profiles(), data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_block_function_is_pairwise_matrix_bit_for_bit(self, instance, data):
         """Each block of a walk over randomly ranked rows, from a random first
         column, where a random mask with a false diagonal holds, as the
-        profile asks for them: signs of zeros included."""
+        profile asks for them: signs of zeros included. The reference is
+        pairwise_matrix, or for ScaledEuclideanMetric itself the Gram
+        expression of scalar_reference, whose order of operations and +0
+        outside the mask the tolerance-bounded tests would not check."""
         metric, S, _, _, block = instance
         m = len(S)
         rows = max(1, block // m)
@@ -848,8 +806,12 @@ class TestRankedProfile:
             near = rng.random((stop - start, m - first)) < share
             near &= np.arange(first, m)[None, :] != np.arange(start, stop)[:, None]
             got = blocks(start, stop, first, near)
-            expected = metric.pairwise_matrix(S.features, order[start:stop], order[first:],
-                                              where=near)
+            if type(metric) is ScaledEuclideanMetric:
+                expected = scalar.gram_block_oracle(metric.scale, S.features, order[start:stop],
+                                                    order[first:], near)
+            else:
+                expected = metric.pairwise_matrix(S.features, order[start:stop], order[first:],
+                                                  where=near)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -899,10 +861,7 @@ def test_pairwise_matrix_equals_pair_distances_on_duplicate_rows(kind):
     expected = metric.pair_distances(X[i], X[j]).reshape(len(X), len(X))
     got = metric.pairwise_matrix(X)
     assert np.any((expected == 0.0) & (i != j).reshape(got.shape))
-    if kind == "euclidean":
-        assert np.all(np.abs(got - expected) <= gram_distance_tolerance(0.8, X.shape[1]))
-    else:
-        assert np.array_equal(got, expected)
+    assert np.array_equal(got, expected)
 
 
 class TestPerfectFairness:

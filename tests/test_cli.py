@@ -514,6 +514,19 @@ class TestInputFiles:
         assert stdout == ""
         assert not out.exists()
 
+    # JSON reads NaN, Infinity and a float beyond the largest as non-finite
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400", "-0.5"])
+    def test_logistic_predictor_without_a_finite_lipschitz_constant_exits_two(
+            self, capsys, dataset_file, tmp_path, value):
+        path = tmp_path / "predictor.json"
+        path.write_text(f'{{"variant": "logistic", "weights": [0.5, 0.1], "lipschitz": {value}}}')
+        code, stdout, err, out = self.audit(capsys, tmp_path, dataset_file, predictor=path)
+        assert code == 2
+        assert err == (f"error: predictor file {path}: lipschitz constant must be finite "
+                       f"and non-negative, got {float(value)}\n")
+        assert stdout == ""
+        assert not out.exists()
+
     def test_schema_1_predictor_audits_like_schema_2(self, capsys, dataset_file, tmp_path):
         schema_1 = tmp_path / "schema-1.json"
         schema_1.write_text(json.dumps({

@@ -83,6 +83,15 @@ class TestPredict:
         assert h.predict(np.array([1.0])) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.98201, abs=1e-5)
 
+    @pytest.mark.parametrize("lipschitz", [np.nan, np.inf, -np.inf, -0.5])
+    def test_logistic_rejects_a_lipschitz_constant_not_finite_and_non_negative(self, lipschitz):
+        with pytest.raises(ValidationError, match="lipschitz constant must be finite and "
+                                                  f"non-negative, got {lipschitz}"):
+            LogisticPredictor(np.array([0.5]), lipschitz)
+
+    def test_logistic_accepts_a_lipschitz_constant_of_zero(self):
+        assert LogisticPredictor(np.array([0.5]), 0.0).predict(np.array([0.3])) == 0.5
+
     def test_dimension_mismatch(self):
         h = LinearPredictor(np.array([0.5, 0.1]))
         with pytest.raises(DimensionMismatchError):

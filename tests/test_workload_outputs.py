@@ -1,5 +1,5 @@
-"""tools/workload_outputs.py: every workload's outputs, and the binding runs'
-outputs, free of run paths."""
+"""tools/workload_outputs.py: every workload's outputs, and the outputs of
+the runs at another metric, free of run paths."""
 
 import importlib.util
 from dataclasses import replace
@@ -27,8 +27,9 @@ def _files(root: Path) -> dict[str, bytes]:
 
 def test_two_runs_write_the_same_bytes_and_no_run_directory(tmp_path):
     tool = _load_tool()
-    workloads = [replace(w, sizes=TINY[w.name.removesuffix("-binding")])
-                 for w in tool.OUTPUT_WORKLOADS]
+    workloads = [
+        replace(w, sizes=TINY[w.name.removesuffix("-binding").removesuffix("-constant")])
+        for w in tool.OUTPUT_WORKLOADS]
     for run in ("a", "b"):
         tool.write_outputs(3, tmp_path / run, workloads)
     first, second = _files(tmp_path / "a"), _files(tmp_path / "b")
@@ -36,7 +37,9 @@ def test_two_runs_write_the_same_bytes_and_no_run_directory(tmp_path):
     assert {"linear-audit/audit.json", "kernel-train/predictor.json", "hardness/demo.json",
             "hardness/validate.json", "hardness/commands.txt",
             "linear-audit-binding/predictor.json", "linear-audit-binding/audit.json",
-            "kernel-train-binding/predictor.json", "kernel-train-binding/audit.json"} <= set(first)
+            "kernel-train-binding/predictor.json", "kernel-train-binding/audit.json",
+            "linear-audit-constant/predictor.json",
+            "linear-audit-constant/audit.json"} <= set(first)
     assert all(str(tmp_path).encode() not in body for body in first.values())
     for workload in workloads:
         commands = first[f"{workload.name}/commands.txt"].decode().splitlines()
@@ -45,18 +48,23 @@ def test_two_runs_write_the_same_bytes_and_no_run_directory(tmp_path):
         assert all(line.endswith("--no-timestamp") for line in commands[1:])
         if workload.name.endswith("-binding"):
             assert all("--metric euclidean:0.1 " in line for line in commands[1:])
+        if workload.name.endswith("-constant"):
+            assert all("--metric constant:0.2 " in line for line in commands[1:])
 
 
 def test_the_binding_runs_are_the_benchmarks_commands_at_a_short_metric_scale():
     tool = _load_tool()
     assert [w.name for w in tool.OUTPUT_WORKLOADS] == [
-        *tool.WORKLOADS, "linear-audit-binding", "kernel-train-binding"]
-    for name in ("linear-audit", "kernel-train"):
-        workload, rebound = tool.WORKLOADS[name], tool.binding(tool.WORKLOADS[name])
+        *tool.WORKLOADS, "linear-audit-binding", "kernel-train-binding", "linear-audit-constant"]
+    by_name = {w.name: w for w in tool.OUTPUT_WORKLOADS}
+    for name, metric in (("linear-audit-binding", "euclidean:0.1"),
+                         ("kernel-train-binding", "euclidean:0.1"),
+                         ("linear-audit-constant", "constant:0.2")):
+        workload, rebound = tool.WORKLOADS[name.rsplit("-", 1)[0]], by_name[name]
         assert (rebound.gen_data, rebound.sizes) == (workload.gen_data, workload.sizes)
         for command, changed in zip(workload.commands, rebound.commands, strict=True):
             assert [t for t in command if t.startswith("euclidean:")] == ["euclidean:0.8"]
-            assert changed == tuple(t.replace("euclidean:0.8", "euclidean:0.1") for t in command)
+            assert changed == tuple(t.replace("euclidean:0.8", metric) for t in command)
 
 
 def test_wrong_arguments_print_the_usage(capsys):

@@ -9,7 +9,9 @@ with ``--no-timestamp``, from inside ``DIR/<workload>/`` and with relative
 paths, so that no output records where it ran. The benchmark trains at
 ``euclidean:0.8``, where neither learner's fairness constraint binds, so
 linear-audit and kernel-train also run with every ``--metric`` at
-``euclidean:0.1``, where it does, inside ``DIR/<workload>-binding/``. Next
+``euclidean:0.1``, where it does, inside ``DIR/<workload>-binding/``. No
+workload audits with a metric other than the Euclidean one, so linear-audit
+also runs at ``constant:0.2``, inside ``DIR/linear-audit-constant/``. Next
 to the files the commands write, ``NN-<command>.out`` holds each command's
 stdout and stderr, and ``commands.txt`` lists each command with its exit
 code (validate-metric exits 2 on a metric that breaks an axiom, which is an
@@ -34,22 +36,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench.workloads import WORKLOADS, Workload  # noqa: E402
 
-#: the metric of the binding runs
-BINDING_METRIC = "euclidean:0.1"
 
-
-def binding(workload: Workload) -> Workload:
-    """`workload` with every --metric at BINDING_METRIC, named <name>-binding."""
+def rebound(workload: Workload, metric: str, suffix: str) -> Workload:
+    """`workload` with every --metric at `metric`, named <name>-<suffix>."""
     def rebind(command):
-        return tuple(BINDING_METRIC if flag == "--metric" else token
+        return tuple(metric if flag == "--metric" else token
                      for flag, token in zip(("", *command), command))
 
-    return replace(workload, name=f"{workload.name}-binding",
+    return replace(workload, name=f"{workload.name}-{suffix}",
                    commands=tuple(rebind(command) for command in workload.commands))
 
 
-OUTPUT_WORKLOADS = (*WORKLOADS.values(),
-                    *(binding(WORKLOADS[name]) for name in ("linear-audit", "kernel-train")))
+OUTPUT_WORKLOADS = (
+    *WORKLOADS.values(),
+    rebound(WORKLOADS["linear-audit"], "euclidean:0.1", "binding"),
+    rebound(WORKLOADS["kernel-train"], "euclidean:0.1", "binding"),
+    rebound(WORKLOADS["linear-audit"], "constant:0.2", "constant"),
+)
 
 
 def write_outputs(seed: int, directory, workloads=OUTPUT_WORKLOADS) -> None:
