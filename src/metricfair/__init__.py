@@ -54,7 +54,7 @@ from .core import (
     sigmoid_transfer,
     validate_metric,
 )
-from .datagen import SyntheticSpec, generate_dataset, generate_dataset_with_meta
+from .datagen import SyntheticSpec, generate_dataset_with_meta
 from .hardness import (
     HardnessMetric,
     HardnessMetricHandle,
@@ -70,7 +70,6 @@ from .hardness import (
 )
 from .learners import (
     KernelLearner,
-    LinearLearner,
     SampleTooSmallError,
     SolverDerivedParams,
     TrainConfig,

@@ -213,7 +213,6 @@ def sample_complexity_inf_fpac(
     delta: float,
     m_pac: int,
     rademacher_at,
-    m_start: int = 3,
 ) -> SampleComplexity:
     """Information-theoretic PACF sample size.
 
@@ -228,7 +227,7 @@ def sample_complexity_inf_fpac(
         raise ValidationError("m_pac must be >= 1")
     r_of = rademacher_at if callable(rademacher_at) else (lambda k: float(rademacher_at))
     numerator = 8.0 + 34.0 * math.sqrt(math.log(4.0 / delta))
-    m = _ceil_to_odd(max(m_start, m_pac, 3))
+    m = _ceil_to_odd(max(m_pac, 3))
     for _ in range(FIXED_POINT_ROUNDS):
         k = max((m - 1) // 2, 1)
         r = float(r_of(k))

@@ -244,8 +244,11 @@ def _train_config(args, seed: int) -> TrainConfig:
         fields[cls][name] = value
     given = fields[TrainConfig]
     if given.pop("learner", None) == "kernel":
-        if "B" not in fields[KernelLearner] and "L" not in fields[KernelLearner]:
+        bounds = {"B", "L"} & set(fields[KernelLearner])
+        if not bounds:
             raise UsageError("kernel learner needs --kernel-b or --kernel-l")
+        if len(bounds) > 1:
+            raise UsageError("kernel learner takes --kernel-b or --kernel-l, not both")
         given["learner"] = KernelLearner(**fields[KernelLearner])
     given["solver"] = SolverConfig(**fields[SolverConfig])
     for f in dataclasses.fields(TrainConfig):
@@ -322,8 +325,8 @@ def _inf_fpac(a) -> int:
 
 _ACCURACY = ("epsilon", "eps_alpha", "eps_gamma", "alpha", "delta")
 
-# Each `bounds` formula: the flags it needs, where "b|l" needs --b or --l,
-# and its value as a function of the parsed arguments.
+# Each `bounds` formula: the flags it needs, where "b|l" needs exactly one of
+# --b and --l, and its value as a function of the parsed arguments.
 _FORMULAS = {
     "delta-m": (("g", "delta", "m", "rhat"), lambda a: bounds_mod.mf_generalization_delta(
         a.g, a.delta, a.m, a.rhat)),
@@ -339,10 +342,18 @@ _FORMULAS = {
 
 
 def _check_needs(args, formula: str, needs) -> None:
-    """Raise a UsageError naming each flag, or choice of flags, that
-    `formula` needs and that is unset."""
-    unset = [" or ".join("--" + name.replace("_", "-") for name in need.split("|"))
-             for need in needs if all(getattr(args, n) is None for n in need.split("|"))]
+    """Raise a UsageError naming a choice of flags that `formula` needs and
+    whose flags are both set, or each flag, or choice of flags, that it needs
+    and that is unset."""
+    unset = []
+    for need in needs:
+        names = need.split("|")
+        flags = " or ".join("--" + name.replace("_", "-") for name in names)
+        given = sum(getattr(args, name) is not None for name in names)
+        if given > 1:
+            raise UsageError(f"formula {formula} takes {flags}, not both")
+        if not given:
+            unset.append(flags)
     if unset:
         raise UsageError(f"formula {formula} needs " + ", ".join(unset))
 

@@ -300,9 +300,13 @@ class MatrixMetric(SimilarityMetric):
             raise ValidationError("index map length must match the matrix order")
         self.matrix = _freeze(matrix)
         self._row_of: dict[bytes, int] = {}
+        seen = set()
         for row, dataset_row in enumerate(index_map):
             if not 0 <= dataset_row < points.shape[0]:
                 raise ValidationError(f"index map entry {dataset_row} out of range")
+            if dataset_row in seen:
+                raise ValidationError(f"index map entry {dataset_row} appears more than once")
+            seen.add(dataset_row)
             self._row_of[points[dataset_row].tobytes()] = row
 
     def _lookup(self, xs: np.ndarray) -> np.ndarray:
@@ -332,10 +336,6 @@ class VovkHalfKernel:
 
     sup_value = 2.0
     name = "vovk-half"
-
-    def gram(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        xs = np.atleast_2d(xs)
-        return self.cross(xs, xs, out)
 
     def cross(self, xs, ys, out: np.ndarray | None = None) -> np.ndarray:
         """Matrix K[i, j] = K(xs[i], ys[j]), written over `out` when given."""

@@ -35,16 +35,11 @@ from .core import (
     SimilarityMetric,
     ValidationError,
     _pair_rows,
+    build_matching,
     matching_edges,
     scale_into_ball,
 )
-from .learners import (
-    KernelLearner,
-    LinearLearner,
-    TrainConfig,
-    train_fair_kernel,
-    train_fair_linear,
-)
+from .learners import KernelLearner, TrainConfig, train_fair_kernel, train_fair_linear
 from .solver import SolverConfig
 
 
@@ -138,7 +133,6 @@ class HardnessMetric(SimilarityMetric):
 
     def __init__(self, handle: HardnessMetricHandle):
         self.handle = handle
-        self._n = handle.n
 
     def pair_distances(self, xs, ys) -> np.ndarray:
         """Identical rows are at distance 0 and rows on the same side of the
@@ -147,8 +141,9 @@ class HardnessMetric(SimilarityMetric):
         only those pairs are hashed."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape[-1] != self._n or ys.shape[-1] != self._n:
-            raise ValidationError(f"hardness metric expects dimension {self._n}")
+        n = self.handle.n
+        if xs.shape[-1] != n or ys.shape[-1] != n:
+            raise ValidationError(f"hardness metric expects dimension {n}")
         xs, ys = _pair_rows(xs, ys)
         differ = ~np.all(xs == ys, axis=1)
         if np.any(((xs == 0.0) | (ys == 0.0))[differ]):
@@ -221,8 +216,7 @@ def sample_hardness_distribution(n: int, k_pairs: int, mode: str, seed):
     np.negative(points[:, -1], out=counterparts[:, -1])
     labels = np.where(rows[:, -1] > 0, 1, -1)
     dataset = LabeledDataset(rows, labels)
-    matching = Matching(np.arange(0, 2 * k_pairs, 2), np.arange(1, 2 * k_pairs, 2), 2 * k_pairs)
-    return HardPairedDataset(dataset, matching), handle
+    return HardPairedDataset(dataset, build_matching(dataset)), handle
 
 
 class SignReferencePredictor(Predictor):
@@ -361,7 +355,7 @@ def run_hardness_experiment(
 
     trained: dict[str, dict] = {}
     configs = (
-        {"linear": replace(trainer, learner=LinearLearner()), "kernel": trainer} if train else {})
+        {"linear": replace(trainer, learner=None), "kernel": trainer} if train else {})
     for learner_name, config in configs.items():
         per_mode: dict[str, float | None] = {}
         for mode, (paired, handle) in sampled.items():

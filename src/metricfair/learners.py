@@ -69,15 +69,10 @@ class SampleTooSmallError(MetricFairError):
 
 
 @dataclass(frozen=True)
-class LinearLearner:
-    """Train h(x) = (1 + <w, x>)/2 over the unit disk."""
-
-
-@dataclass(frozen=True)
 class KernelLearner:
     """Train representer coefficients in a Vovk-kernel ball of squared norm B.
 
-    B may be given explicitly or derived from the sigmoid Lipschitz cap L
+    B is either given explicitly or derived from the sigmoid Lipschitz cap L
     (the derivation assumes the Vovk kernel); the derived value is
     astronomically large, so it is capped at `b_max` (both values are
     reported). Training starts from the ridge fit.
@@ -94,13 +89,17 @@ class KernelLearner:
             value = getattr(self, name)
             if value is not None and math.isnan(value):
                 raise ValidationError(f"{name} must not be NaN")
+        if self.B is not None and self.L is not None:
+            raise ValidationError("kernel learner takes an explicit B or a Lipschitz cap L, "
+                                  "not both")
         if not self.b_max > 0:
             raise ValidationError(f"b_max must be positive, got {self.b_max}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Target fairness (alpha, gamma), error parameters, and solver knobs."""
+    """Target fairness (alpha, gamma), error parameters, and solver knobs;
+    `learner` is a KernelLearner, or None for the linear learner."""
 
     alpha: float
     gamma: float
@@ -108,7 +107,7 @@ class TrainConfig:
     eps_alpha: float = 0.1
     eps_gamma: float = 0.1
     delta: float = 0.05
-    learner: LinearLearner | KernelLearner = field(default_factory=LinearLearner)
+    learner: KernelLearner | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     theory_mode: str = "empirical"
 
@@ -228,10 +227,10 @@ def gram_matrix(S: LabeledDataset, kernel: VovkHalfKernel) -> np.ndarray:
     """Gram matrix K[i, j] = K(x_i, x_j); validated finite, symmetric and PSD.
     The certificate factors K in place, and K is then built again in the
     same storage, bit for bit."""
-    K = kernel.gram(S.features)
+    K = kernel.cross(S.features, S.features)
 
     def rebuild():
-        return kernel.gram(S.features, out=K)
+        return kernel.cross(S.features, S.features, out=K)
 
     check_psd(K, rebuild=rebuild)
     return rebuild()

@@ -173,9 +173,7 @@ class TestSampleComplexities:
 
     def test_inf_fpac_fixed_point_with_shrinking_r(self):
         sc = sample_complexity_inf_fpac(
-            0.3, 0.3, 0.05, m_pac=3, rademacher_at=lambda k: 0.01 / math.sqrt(k),
-            m_start=5,
-        )
+            0.3, 0.3, 0.05, m_pac=3, rademacher_at=lambda k: 0.01 / math.sqrt(k))
         # self-consistency: plugging the answer back reproduces it
         k = (sc.m - 1) // 2
         denom = 0.09 - 8 * 0.01 / math.sqrt(k)

@@ -247,6 +247,24 @@ class TestBounds:
         assert err == "usage error: formula sigmoid-accuracy needs --b or --l\n"
         assert out == ""
 
+    # each half alone exits 0, or 2 for a Rademacher constant that dominates
+    @pytest.mark.parametrize("formula, flags, choice", [
+        ("sigmoid-accuracy", ("--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
+                              "--alpha", "0.1", "--delta", "0.05", "--b", "10", "--l", "3"),
+         "--b or --l"),
+        ("inf-fpac", ("--eps-alpha", "0.5", "--eps-gamma", "0.5", "--delta", "0.1",
+                      "--rademacher-coeff", "0.01", "--rademacher-const", "0.5"),
+         "--rademacher-coeff or --rademacher-const"),
+    ])
+    def test_both_halves_of_an_either_or_input_is_usage_error(self, capsys, tmp_path,
+                                                              formula, flags, choice):
+        out = tmp_path / "bounds.json"
+        code, stdout, err = run(capsys, "bounds", "--formula", formula, *flags,
+                                "--out", str(out))
+        assert code == 1
+        assert err == f"usage error: formula {formula} takes {choice}, not both\n"
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("bound", [("--b", "100"), ("--l", "3")])
     def test_sigmoid_accuracy_equals_the_kernel_formula(self, capsys, bound):
         flag, value = bound
@@ -291,6 +309,9 @@ class TestBounds:
              "--c", "1", "--sup-m", "1", "--l", "3", "--eps-star", "0.5",
              "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
              "--alpha", "0.1", "--rademacher-const", "0.001")
+    # a flag that VALID leaves out takes the place of the other half of its
+    # either-or pair, at a valid value
+    EITHER_OR = {"--b": ("--l", "100"), "--rademacher-coeff": ("--rademacher-const", "0.001")}
 
     @pytest.mark.parametrize("formula, flag, message", [
         ("delta-m", "--g", "G must be >= 1, got nan"),
@@ -305,10 +326,15 @@ class TestBounds:
         ("inf-fpac", "--rademacher-coeff", "Rademacher value at matching size 1 is NaN"),
     ])
     def test_nan_input_exits_two_and_names_it(self, capsys, tmp_path, formula, flag, message):
-        code, _, _ = run(capsys, "bounds", "--formula", formula, *self.VALID)
+        valid = list(self.VALID)
+        if flag in self.EITHER_OR:
+            other, value = self.EITHER_OR[flag]
+            at = valid.index(other)
+            valid[at:at + 2] = [flag, value]
+        code, _, _ = run(capsys, "bounds", "--formula", formula, *valid)
         assert code == 0
         out = tmp_path / "bounds.json"
-        code, stdout, err = run(capsys, "bounds", "--formula", formula, *self.VALID,
+        code, stdout, err = run(capsys, "bounds", "--formula", formula, *valid,
                                 flag, "nan", "--out", str(out))
         assert code == 2
         assert err == f"error: {message}\n"
@@ -884,6 +910,27 @@ class TestTrainParameters:
         assert err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (("--kernel-b", "10", "--kernel-l", "3"), None),
+        ((), {"kernel_b": 10, "kernel_l": 3}),
+        (("--kernel-b", "10"), {"kernel_l": 3}),
+        (("--kernel-l", "3"), {"kernel_b": 10}),
+    ], ids=["flags", "config", "flag-b-config-l", "flag-l-config-b"])
+    def test_both_kernel_bounds_is_usage_error(self, capsys, dataset_file, tmp_path,
+                                               flags, config):
+        argv = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "k.json"
+        code, _, err = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "euclidean:0.8", "--learner", "kernel", *flags, *argv,
+                           "--alpha", "0.2", "--gamma", "0.3", "--seed", "1",
+                           "--predictor-out", str(out))
+        assert code == 1
+        assert err == "usage error: kernel learner takes --kernel-b or --kernel-l, not both\n"
+        assert not out.exists()
+
 
 class TestValidateMetricCommand:
     def test_clean_metric_exits_zero(self, capsys, dataset_file, tmp_path):
@@ -1047,6 +1094,8 @@ class TestMatrixMetricFiles:
          "metric index file {metric}.idx, line 2: invalid literal for int() with base 10: 'x'"),
         ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "0\n1\n7\n",
          "metric file {metric}: index map entry 7 out of range"),
+        ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "0\n0\n2\n",
+         "metric file {metric}: index map entry 0 appears more than once"),
     ])
     def test_malformed_metric_file_exits_two_naming_file_and_line(
             self, capsys, tmp_path, matrix_text, index_text, message):

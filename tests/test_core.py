@@ -152,7 +152,7 @@ class TestKernels:
     def test_vovk_range_and_sup(self, rng):
         k = VovkHalfKernel()
         X = unit_ball_points(rng, 60, 3)
-        G = k.gram(X)
+        G = k.cross(X, X)
         assert np.all(G >= 2.0 / 3.0 - 1e-12) and np.all(G <= 2.0 + 1e-12)
         assert k.sup_value == 2.0
 
@@ -168,7 +168,7 @@ class TestKernels:
         k = VovkHalfKernel()
         for _ in range(5):
             X = unit_ball_points(rng, 40, 4)
-            G = k.gram(X)
+            G = k.cross(X, X)
             eigs = np.linalg.eigvalsh(G)
             assert eigs.min() >= -1e-8 * eigs.max()
             check_psd(G)
@@ -190,9 +190,6 @@ class TestKernels:
         out = np.full(got.shape, np.nan)
         assert VovkHalfKernel().cross(xs, ys, out=out) is out
         assert np.array_equal(out, got)
-        if shape == "same":
-            assert np.array_equal(VovkHalfKernel().gram(xs), got)
-            assert np.array_equal(VovkHalfKernel().gram(xs, out=out), got)
 
 
 class TestKernelPredictorSupport:
@@ -327,7 +324,8 @@ class TestCheckPsd:
         assert self._same_verdict(gram) is None
 
     def test_definite_kernel_gram_is_certified_without_eigvalsh(self, rng):
-        gram = VovkHalfKernel().gram(unit_ball_points(rng, 200, 10))
+        X = unit_ball_points(rng, 200, 10)
+        gram = VovkHalfKernel().cross(X, X)
         with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
             check_psd(gram)
 
@@ -351,7 +349,8 @@ class TestCheckPsd:
     @pytest.mark.parametrize("offset", [-1, 0, 1, "2p+3"])
     def test_blocked_factor_matches_lapack_on_vovk_grams(self, rng, panel, offset):
         m = 2 * panel + 3 if offset == "2p+3" else panel + offset
-        gram = VovkHalfKernel().gram(unit_ball_points(rng, m, 10))
+        X = unit_ball_points(rng, m, 10)
+        gram = VovkHalfKernel().cross(X, X)
         expected = np.linalg.cholesky(gram)
         with mock.patch.object(core, "_CHOLESKY_PANEL", panel):
             got = core._cholesky_lower(gram.copy())
@@ -425,7 +424,8 @@ def _grams(draw):
         B = rng.standard_normal((m, m))
         return kind, B + B.T
     if kind == "vovk" or kind.startswith("overflowing sum"):
-        gram = VovkHalfKernel().gram(unit_ball_points(rng, m, 10))
+        X = unit_ball_points(rng, m, 10)
+        gram = VovkHalfKernel().cross(X, X)
         # entries of 6.7e306 to 2e307: m^2 of them overflow the sum
         if kind.startswith("overflowing sum"):
             gram *= 1e307 if kind.endswith(", definite") else -1e307

@@ -1,12 +1,15 @@
 """Synthetic dataset generators."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as scalar
-from metricfair import SyntheticSpec, ValidationError, generate_dataset, generate_dataset_with_meta
+from metricfair import SyntheticSpec, ValidationError, core, generate_dataset_with_meta
 
 
 def same_bits(a, b) -> bool:
@@ -36,37 +39,55 @@ class TestSeparable:
         assert np.all(margins[noise] <= -0.3 + 1e-12)
         assert 0 < noise.sum() < 200
 
+    def test_generation_peaks_within_a_few_times_its_features(self):
+        # the features, the labels, the noise draw and the temporaries of one
+        # block of about core._PAIR_BLOCK entries: about 3.6 times the feature
+        # bytes; shaped on whole arrays, the generation traced 6.1 times them
+        spec = SyntheticSpec("separable", n=2, m=100_000, seed=1, margin=0.9)
+        tracemalloc.start()
+        try:
+            ds, _ = generate_dataset_with_meta(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * ds.features.nbytes
+
 
 class TestRowLoopOracles:
     """The generators against their row-at-a-time loops in scalar_reference."""
 
     @given(n=st.integers(1, 40), m=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
            margin=st.sampled_from((1e-3, 0.1, 0.9, 1.0)) | st.floats(1e-3, 1.0),
-           noise_rate=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 0.5))
+           noise_rate=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 0.5),
+           block=st.integers(1, 400))
     @settings(max_examples=150, deadline=None)
-    def test_separable_matches_the_row_loop_bit_for_bit(self, n, m, seed, margin, noise_rate):
+    def test_separable_matches_the_row_loop_bit_for_bit(self, n, m, seed, margin, noise_rate,
+                                                        block):
         # at margin 0.9 most rows exceed the cap on the orthogonal part, at
         # 1.0 every row does
         spec = SyntheticSpec("separable", n=n, m=m, seed=seed, margin=margin,
                              noise_rate=noise_rate)
-        ds, meta = generate_dataset_with_meta(spec)
         X, labels, w_star, noise_mask = scalar.separable_dataset(n, m, seed, margin, noise_rate)
-        assert same_bits(ds.features, X)
-        assert np.array_equal(ds.labels, labels)
-        assert same_bits(meta["w_star"], w_star)
-        assert np.array_equal(meta["noise_mask"], noise_mask)
+        # all m rows in one block, and in blocks of max(block // n, 1) rows
+        for pair_block in (core._PAIR_BLOCK, block):
+            with mock.patch.object(core, "_PAIR_BLOCK", pair_block):
+                ds, meta = generate_dataset_with_meta(spec)
+            assert same_bits(ds.features, X)
+            assert np.array_equal(ds.labels, labels)
+            assert same_bits(meta["w_star"], w_star)
+            assert np.array_equal(meta["noise_mask"], noise_mask)
 
     @given(n=st.integers(1, 40), m=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_unit_ball_points_match_the_norm_expression_bit_for_bit(self, n, m, seed):
-        ds = generate_dataset(SyntheticSpec("unit-ball", n=n, m=m, seed=seed))
+        ds, _ = generate_dataset_with_meta(SyntheticSpec("unit-ball", n=n, m=m, seed=seed))
         assert same_bits(ds.features, scalar.unit_ball_points(np.random.default_rng(seed), m, n))
 
 
 class TestUnitBall:
     def test_norms_bounded(self):
         spec = SyntheticSpec("unit-ball", n=4, m=10_000, seed=8)
-        ds = generate_dataset(spec)
+        ds, _ = generate_dataset_with_meta(spec)
         assert float(np.linalg.norm(ds.features, axis=1).max()) <= 1.0
         assert set(np.unique(ds.labels)) <= {-1, 1}
 
@@ -83,15 +104,15 @@ class TestHardnessPairs:
 
     def test_odd_m_rejected(self):
         with pytest.raises(ValidationError):
-            generate_dataset(SyntheticSpec("hardness-pairs", n=8, m=41, seed=9))
+            generate_dataset_with_meta(SyntheticSpec("hardness-pairs", n=8, m=41, seed=9))
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("generator", ["unit-ball", "separable", "hardness-pairs"])
     def test_same_seed_same_data(self, generator):
         spec = SyntheticSpec(generator, n=8, m=40, seed=123)
-        a = generate_dataset(spec)
-        b = generate_dataset(spec)
+        a, _ = generate_dataset_with_meta(spec)
+        b, _ = generate_dataset_with_meta(spec)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 

@@ -13,7 +13,6 @@ from metricfair import core, hardness
 from metricfair import (
     HardnessMetric,
     KernelLearner,
-    LinearLearner,
     SignReferencePredictor,
     SignUndefinedError,
     SolverConfig,
@@ -344,13 +343,13 @@ class TestBatchedAgainstScalar:
 
 class TestExperimentInputs:
     def test_trainer_must_hold_a_kernel_learner(self):
-        trainer = TrainConfig(alpha=0.05, gamma=0.1, learner=LinearLearner())
+        trainer = TrainConfig(alpha=0.05, gamma=0.1, learner=None)
         with pytest.raises(ValidationError, match="config.learner must be a KernelLearner"):
             run_hardness_experiment(n=8, k_pairs=5, seed=1, trainer=trainer, modes=("V",),
                                     n_audit_pairs=10)
 
     def test_a_linear_trainer_runs_when_nothing_trains(self):
-        trainer = TrainConfig(alpha=0.05, gamma=0.1, learner=LinearLearner())
+        trainer = TrainConfig(alpha=0.05, gamma=0.1, learner=None)
         report = run_hardness_experiment(n=8, k_pairs=5, seed=1, trainer=trainer, modes=("V",),
                                          n_audit_pairs=10, train=False)
         assert report.trained == {}

@@ -338,7 +338,7 @@ class TestGram:
 
         with mock.patch.object(core, "_cholesky_lower", recording_factor):
             K = gram_matrix(ds, VovkHalfKernel())
-        assert np.array_equal(K, VovkHalfKernel().gram(ds.features))
+        assert np.array_equal(K, VovkHalfKernel().cross(ds.features, ds.features))
         assert len(factored) == 1 and factored[0] is K
 
 
@@ -433,6 +433,7 @@ class TestTrainKernel:
         ({"B": 10.0, "b_max": float("nan")}, "b_max must be positive, got nan"),
         ({"B": 10.0, "b_max": -1.0}, "b_max must be positive, got -1.0"),
         ({"L": 3.0, "b_max": 0.0}, "b_max must be positive, got 0.0"),
+        ({"B": 10.0, "L": 3.0}, "takes an explicit B or a Lipschitz cap L, not both"),
     ])
     def test_learner_spec_rejects_nan_and_non_positive_cap(self, kwargs, message):
         with pytest.raises(ValidationError, match=message):
@@ -558,16 +559,16 @@ class TestKernelWarmStart:
         cfg = linear_config(solver=SolverConfig(max_iters=20, seed=0),
                             learner=KernelLearner(B=1e4))
         builds, fits, lu_orders, first_objectives = [], [], [], []
-        build, ridge_fit = VovkHalfKernel.gram, learners._ridge_fit
+        build, ridge_fit = VovkHalfKernel.cross, learners._ridge_fit
         solve, annealed = np.linalg.solve, learners.solve_annealed
 
-        def recording_build(kernel, xs, out=None):
-            builds.append(build(kernel, xs, out))
+        def recording_build(kernel, xs, ys, out=None):
+            builds.append(build(kernel, xs, ys, out))
             return builds[-1]
 
         def recording_ridge_fit(K, y):
-            fits.append((K is builds[-1], np.array_equal(K, build(VovkHalfKernel(), ds.features)),
-                         ridge_fit(K, y)))
+            fresh = build(VovkHalfKernel(), ds.features, ds.features)
+            fits.append((K is builds[-1], np.array_equal(K, fresh), ridge_fit(K, y)))
             return fits[-1][-1].copy()  # the learner scales its start in place
 
         def sizing_solve(a, b):
@@ -579,13 +580,13 @@ class TestKernelWarmStart:
             return annealed(objective, constraint, project, config, initial_point)
 
         with mock.patch.object(core, "_CHOLESKY_PANEL", panel), \
-                mock.patch.object(VovkHalfKernel, "gram", recording_build), \
+                mock.patch.object(VovkHalfKernel, "cross", recording_build), \
                 mock.patch.object(learners, "_ridge_fit", recording_ridge_fit), \
                 mock.patch.object(np.linalg, "solve", sizing_solve), \
                 mock.patch.object(learners, "solve_annealed", probing_annealed):
             train_fair_kernel(ds, ScaledEuclideanMetric(0.2), cfg, tau=0.01)
 
-        K = VovkHalfKernel().gram(ds.features)
+        K = VovkHalfKernel().cross(ds.features, ds.features)
         expected = self.lapack_ridge_fit(K, ds.targets01)
         (same_array, fresh, fit), = fits
         assert same_array and fresh
@@ -718,10 +719,10 @@ class TestMemoisedSubgradientProducts:
                 return out
 
         # every build counts, so the count reaches the K rebuilt for the solver
-        build = VovkHalfKernel.gram
+        build = VovkHalfKernel.cross
 
-        def counting_build(kernel, xs, out=None):
-            return build(kernel, xs, out).view(CountingGram)
+        def counting_build(kernel, xs, ys, out=None):
+            return build(kernel, xs, ys, out).view(CountingGram)
 
         # count from the solver's start: the ridge fit's products come before
         annealed, solver_start = learners.solve_annealed, []
@@ -730,7 +731,7 @@ class TestMemoisedSubgradientProducts:
             solver_start.append(len(operands))
             return annealed(*args)
 
-        with mock.patch.object(VovkHalfKernel, "gram", counting_build), \
+        with mock.patch.object(VovkHalfKernel, "cross", counting_build), \
                 mock.patch.object(learners, "solve_annealed", marking_annealed):
             _, report = train_fair_kernel(ds, ScaledEuclideanMetric(0.8), cfg)
         del operands[:solver_start[0]], results[:solver_start[0]]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from metricfair import SolverConfig, TrainConfig, default_matching, train_fair_linear
-from metricfair.datagen import SyntheticSpec, generate_dataset
+from metricfair.datagen import SyntheticSpec, generate_dataset_with_meta
 from metricfair.serde import load_metric
 from metricfair.solver import GAP_TOLERANCE
 
@@ -63,8 +63,8 @@ def lp_bracket(X, y01, left, right, dists, tau):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("spec, binding", [("euclidean:0.8", False), ("euclidean:0.1", True)])
 def test_certificate_brackets_the_lp_optimum(seed, spec, binding):
-    ds = generate_dataset(SyntheticSpec(generator="separable", n=3, m=201, margin=0.1,
-                                        noise_rate=0.1, seed=seed))
+    ds, _ = generate_dataset_with_meta(SyntheticSpec(generator="separable", n=3, m=201,
+                                                     margin=0.1, noise_rate=0.1, seed=seed))
     metric = load_metric(spec)
     cfg = TrainConfig(alpha=0.2, gamma=0.3, solver=SolverConfig(seed=seed))
     predictor, report = train_fair_linear(ds, metric, cfg)

@@ -96,10 +96,10 @@ from metricfair.core import VovkHalfKernel, check_psd, unit_ball_points
 
 X = unit_ball_points(np.random.default_rng(1), int(sys.argv[1]), 10)
 kernel = VovkHalfKernel()
-K = kernel.gram(X)
+K = kernel.cross(X, X)
 before = status("VmRSS")
 assert status("VmHWM") - before < 1024, "the set-up peaked above the resident set"
-check_psd(K, rebuild=lambda: kernel.gram(X, out=K))
+check_psd(K, rebuild=lambda: kernel.cross(X, X, out=K))
 print(status("VmHWM") - before)
 """
 
