@@ -394,9 +394,7 @@ def _cmd_validate_metric(args) -> int:
     dataset = load_dataset_csv(args.data)
     metric = load_metric(args.metric, dataset)
     report = validate_metric(metric, dataset, args.triples, seed)
-    # the JSON of a validation is a summary of its violations, not its fields
-    _emit_report(args, {"metric": args.metric, "triples": args.triples, "seed": seed},
-                 report.to_dict())
+    _emit_report(args, {"metric": args.metric, "triples": args.triples, "seed": seed}, report)
     return 0 if report.ok else 2
 
 

@@ -94,10 +94,10 @@ class LabeledDataset:
         if labels.shape != (feats.shape[0],):
             raise ValidationError("labels must align with feature rows")
         _check_unit_ball_rows(feats, "features")
-        if not np.all(np.isin(labels, (-1, 1))):
+        if not np.all((labels == 1.0) | (labels == -1.0)):  # unsigned labels cannot hold -1
             raise ValidationError("labels must be -1 or +1")
         object.__setattr__(self, "features", _freeze(feats))
-        object.__setattr__(self, "labels", _freeze(labels.astype(np.int64)))
+        object.__setattr__(self, "labels", _freeze(labels.astype(np.int64, copy=False)))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -279,7 +279,8 @@ class MatrixMetric(SimilarityMetric):
 
     Rows are tied to dataset rows through an index map; evaluation on raw
     vectors looks the vector up among the known points and raises
-    MetricUndefinedError for unknown ones. Every entry must be in [0, 1].
+    MetricUndefinedError for unknown ones. Every entry must be in [0, 1],
+    and the matrix rows and columns of two identical points must be equal.
     """
 
     def __init__(self, matrix: np.ndarray, points: np.ndarray, index_map: Sequence[int] | None = None):
@@ -307,7 +308,12 @@ class MatrixMetric(SimilarityMetric):
             if dataset_row in seen:
                 raise ValidationError(f"index map entry {dataset_row} appears more than once")
             seen.add(dataset_row)
-            self._row_of[points[dataset_row].tobytes()] = row
+            twin = self._row_of.setdefault(points[dataset_row].tobytes(), row)
+            if twin != row and not (np.array_equal(matrix[twin], matrix[row])
+                                    and np.array_equal(matrix[:, twin], matrix[:, row])):
+                raise ValidationError(
+                    f"index map entries {index_map[twin]} and {dataset_row} have identical "
+                    "features but different matrix rows or columns")
 
     def _lookup(self, xs: np.ndarray) -> np.ndarray:
         """Matrix rows of the points in `xs`, one dictionary lookup each."""
@@ -660,28 +666,17 @@ def matching_edges(S: LabeledDataset, M: Matching, d: SimilarityMetric):
 
 @dataclass(frozen=True)
 class MetricValidationReport:
-    """Sampled-triple audit of the metric axioms on a dataset."""
+    """Sampled-triple audit of the metric axioms on a dataset: the count of
+    each kind of violation and the first 20 of each kind in draw order."""
 
     n_triples: int
+    n_symmetry_violations: int
+    n_range_violations: int
+    n_triangle_violations: int
     symmetry_violations: tuple
     range_violations: tuple
     triangle_violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not (self.symmetry_violations or self.range_violations or self.triangle_violations)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_triples": self.n_triples,
-            "n_symmetry_violations": len(self.symmetry_violations),
-            "n_range_violations": len(self.range_violations),
-            "n_triangle_violations": len(self.triangle_violations),
-            "symmetry_violations": [list(v) for v in self.symmetry_violations[:20]],
-            "range_violations": [list(v) for v in self.range_violations[:20]],
-            "triangle_violations": [list(v) for v in self.triangle_violations[:20]],
-            "ok": self.ok,
-        }
+    ok: bool
 
 
 #: triples per block in validate_metric; bounds its memory for any n_triples
@@ -704,19 +699,16 @@ def validate_metric(
     (a, b) and records (a, b, d(X[a], X[b]), d(X[b], X[a])). Triples are
     drawn and checked in blocks of _TRIPLE_BLOCK; drawing a block at a time
     continues the generator's stream, so the triples do not depend on the
-    block size.
+    block size. Each kind is counted per block, and a record is built only
+    for the first 20 of each kind.
     """
     if n_triples < 1:
         raise ValidationError("n_triples must be >= 1")
     rng = np.random.default_rng(seed)
     m = len(dataset)
     X = dataset.features
-    symmetry = []
-    rng_viol = []
-    triangle = []
-
-    def sorted_pair(i, j):
-        return metric.pair_distances(X[np.minimum(i, j)], X[np.maximum(i, j)])
+    n_symmetry = n_range = n_triangle = 0
+    symmetry, rng_viol, triangle = [], [], []
 
     for start in range(0, n_triples, _TRIPLE_BLOCK):
         idx = rng.integers(0, m, size=(min(_TRIPLE_BLOCK, n_triples - start), 3))
@@ -724,31 +716,36 @@ def validate_metric(
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         dab = metric.pair_distances(X[lo], X[hi])
         reversed_dab = metric.pair_distances(X[hi], X[lo])
-        dac = sorted_pair(a, c)
-        dcb = sorted_pair(c, b)
+        dac = metric.pair_distances(X[np.minimum(a, c)], X[np.maximum(a, c)])
+        dcb = metric.pair_distances(X[np.minimum(c, b)], X[np.maximum(c, b)])
         daa = metric.pair_distances(X[a], X[a])
         sides = np.stack([dab, dac, dcb])
         out_of_range = ~((sides >= -tolerance) & (sides <= 1.0 + tolerance))
         first_bad = np.argmax(out_of_range, axis=0)
         range_bad = out_of_range.any(axis=0)
         reflexive_bad = np.abs(daa) > tolerance
-        for t in np.flatnonzero(np.abs(dab - reversed_dab) > tolerance).tolist():
+        symmetry_bad = np.abs(dab - reversed_dab) > tolerance
+        triangle_bad = dab > dac + dcb + tolerance
+        n_symmetry += int(np.count_nonzero(symmetry_bad))
+        n_range += int(np.count_nonzero(range_bad) + np.count_nonzero(reflexive_bad))
+        n_triangle += int(np.count_nonzero(triangle_bad))
+        for t in np.flatnonzero(symmetry_bad)[:20 - len(symmetry)].tolist():
             forward, backward = float(dab[t]), float(reversed_dab[t])
             if a[t] > b[t]:
                 forward, backward = backward, forward
             symmetry.append((int(a[t]), int(b[t]), forward, backward))
-        for t in np.flatnonzero(range_bad | reflexive_bad).tolist():
+        for t in np.flatnonzero(range_bad | reflexive_bad)[:20 - len(rng_viol)].tolist():
             at = int(a[t])
             if range_bad[t]:
                 rng_viol.append((at, int(b[t]), int(c[t]), float(sides[first_bad[t], t])))
             if reflexive_bad[t]:
                 rng_viol.append((at, at, at, float(daa[t])))
-        for t in np.flatnonzero(dab > dac + dcb + tolerance).tolist():
+        del rng_viol[20:]
+        for t in np.flatnonzero(triangle_bad)[:20 - len(triangle)].tolist():
             triangle.append((int(a[t]), int(b[t]), int(c[t]),
                              float(dab[t]), float(dac[t]), float(dcb[t])))
     return MetricValidationReport(
-        n_triples=n_triples,
-        symmetry_violations=tuple(symmetry),
-        range_violations=tuple(rng_viol),
-        triangle_violations=tuple(triangle),
-    )
+        n_triples=n_triples, n_symmetry_violations=n_symmetry, n_range_violations=n_range,
+        n_triangle_violations=n_triangle, symmetry_violations=tuple(symmetry),
+        range_violations=tuple(rng_viol), triangle_violations=tuple(triangle),
+        ok=n_symmetry == n_range == n_triangle == 0)

@@ -95,7 +95,7 @@ def load_dataset_csv(path) -> LabeledDataset:
         return LabeledDataset(features, labels)
     except ValidationError:
         norms = np.linalg.norm(features, axis=1)
-        bad_label = ~np.isin(labels, (-1, 1))
+        bad_label = ~((labels == 1.0) | (labels == -1.0))
         # NaN fails the comparison
         outside = ~(norms <= 1.0 + NORM_TOLERANCE)
         bad = np.flatnonzero(bad_label | outside)

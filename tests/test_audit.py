@@ -448,7 +448,10 @@ def profile_instances(draw, kinds):
         metric = ConstantMetric(draw(_grid_or_float(0.0, 1.0), label="c"))
     elif kind == "matrix":
         entries = draw(st.lists(st.sampled_from(GRID), min_size=m * m, max_size=m * m))
-        metric = MatrixMetric(np.reshape(entries, (m, m)), X)
+        # a row with the features of an earlier one is the same point, so it
+        # takes that row's matrix row and column
+        first = [[x.tobytes() for x in X].index(x.tobytes()) for x in X]
+        metric = MatrixMetric(np.reshape(entries, (m, m))[np.ix_(first, first)], X)
     elif kind == "skewed":
         metric = SkewedMetric()
     else:

@@ -1049,9 +1049,10 @@ class TestMatrixMetricPipeline:
 
 
 def _matrix_metric_files(tmp_path, matrix_text, index_text="0\n1\n2\n"):
-    """A three-row dataset and the metric files of `matrix:<path>`."""
+    """A four-row dataset, whose rows 0 and 3 have identical features, and
+    the metric files of `matrix:<path>`."""
     data = tmp_path / "data.csv"
-    data.write_text("x1,x2,y\n0.1,0.2,1\n0.3,-0.1,-1\n-0.2,0.4,1\n")
+    data.write_text("x1,x2,y\n0.1,0.2,1\n0.3,-0.1,-1\n-0.2,0.4,1\n0.1,0.2,-1\n")
     metric = tmp_path / "metric.csv"
     metric.write_text(matrix_text)
     Path(f"{metric}.idx").write_text(index_text)
@@ -1060,8 +1061,8 @@ def _matrix_metric_files(tmp_path, matrix_text, index_text="0\n1\n2\n"):
 
 class TestMatrixMetricFiles:
     """A matrix metric's entries are distances: an entry outside [0, 1], a
-    non-numeric entry or a bad index exits 2 naming the file, instead of
-    training or auditing on it."""
+    non-numeric entry, a bad index or two rows of one point that disagree
+    exits 2 naming the file, instead of training or auditing on it."""
 
     @pytest.mark.parametrize("entry, shown", [("-0.5", "-0.5"), ("nan", "nan"),
                                               ("1.5", "1.5"), ("inf", "inf")])
@@ -1096,6 +1097,9 @@ class TestMatrixMetricFiles:
          "metric file {metric}: index map entry 7 out of range"),
         ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "0\n0\n2\n",
          "metric file {metric}: index map entry 0 appears more than once"),
+        ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "0\n1\n3\n",
+         "metric file {metric}: index map entries 0 and 3 have identical features but "
+         "different matrix rows or columns"),
     ])
     def test_malformed_metric_file_exits_two_naming_file_and_line(
             self, capsys, tmp_path, matrix_text, index_text, message):

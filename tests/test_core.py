@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -51,6 +52,32 @@ class TestExamples:
     def test_rejects_bad_label(self):
         with pytest.raises(ValidationError, match="labels must be -1 or \\+1"):
             LabeledDataset(np.array([[0.1]]), np.array([0]))
+
+    @pytest.mark.parametrize("labels", [
+        ["a", "b"], [1.0, np.nan], [True, True], [True, False], np.array([1, -1], np.int8),
+        [1.0, -1.0], [1.5, 1.0], np.array([1, 1], np.uint8), np.array([1, 255], np.uint8),
+        np.array([1, 2**64 - 1], np.uint64), np.array([1, -1], object), np.array([1, "x"], object),
+    ], ids=repr)
+    def test_label_verdicts_are_membership_in_plus_minus_one(self, labels):
+        # the dataset's check is two comparisons; np.isin, which it replaced, is the oracle
+        X = np.zeros((2, 1))
+        if np.all(np.isin(labels, (-1, 1))):
+            assert LabeledDataset(X, labels).labels.tolist() == np.asarray(labels).tolist()
+        else:
+            with pytest.raises(ValidationError, match="labels must be -1 or \\+1"):
+                LabeledDataset(X, labels)
+
+    def test_int64_labels_are_shared_not_copied(self):
+        # np.isin and a copy of the labels traced 2.4 times their bytes
+        features, labels = np.zeros((10**6, 1)), np.ones(10**6, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            ds = LabeledDataset(features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.labels is labels and not labels.flags.writeable
+        assert peak <= 0.5 * labels.nbytes
 
     def test_dataset_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -589,6 +616,19 @@ class TestValidateMetric:
         with pytest.raises(MetricUndefinedError, match="metric undefined"):
             metric.distance(np.array([0.3, 0.3]), X[0])
 
+    def test_matrix_metric_rows_with_identical_features_must_agree(self):
+        # rows 0 and 1 are one point to the lookup, so d(x0, x2) and
+        # d(x1, x2) cannot differ; the later entry used to win silently
+        X = np.array([[0.1, 0.2], [0.1, 0.2], [0.3, -0.1]])
+        conflicting = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.5], [0.3, 0.5, 0.0]])
+        with pytest.raises(ValidationError, match="index map entries 0 and 1 have identical "
+                           "features but different matrix rows or columns"):
+            MatrixMetric(conflicting, X)
+        with pytest.raises(ValidationError, match="index map entries 1 and 2 have identical"):
+            MatrixMetric(conflicting, X[[2, 0, 1]], [1, 2, 0])
+        agreeing = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.3], [0.3, 0.3, 0.0]])
+        assert MatrixMetric(agreeing, X).pair_distances(X[[0, 1]], X[[2, 2]]).tolist() == [0.3, 0.3]
+
     def test_matrix_metric_pair_distances_unknown_row(self):
         X = np.array([[0.1, 0.0], [0.0, 0.1]])
         metric = MatrixMetric(np.array([[0.0, 0.4], [0.4, 0.0]]), X)
@@ -677,8 +717,17 @@ class BrokenMetric(SimilarityMetric):
         return 2.0 * xs[:, 0] - ys[:, 0] + 0.5 * xs[:, 1] * ys[:, 1] + 0.2
 
 
-def _violations(report):
-    return report.symmetry_violations, report.range_violations, report.triangle_violations
+def _record(report):
+    """The counts of a report and its lists of each kind of violation."""
+    return ((report.n_symmetry_violations, report.n_range_violations,
+             report.n_triangle_violations),
+            (report.symmetry_violations, report.range_violations, report.triangle_violations))
+
+
+def _oracle_record(violations):
+    """What a report holds of the scalar oracle's full lists: their counts
+    and the first 20 of each kind."""
+    return tuple(map(len, violations)), tuple(v[:20] for v in violations)
 
 
 class TestValidateMetricBlocks:
@@ -692,7 +741,9 @@ class TestValidateMetricBlocks:
         metric = BrokenMetric()
         with mock.patch.object(core, "_TRIPLE_BLOCK", block):
             report = validate_metric(metric, ds, n_triples, seed)
-        assert _violations(report) == scalar.validate_metric(metric.distance, ds, n_triples, seed)
+        expected = _oracle_record(scalar.validate_metric(metric.distance, ds, n_triples, seed))
+        assert _record(report) == expected
+        assert report.ok == (expected[0] == (0, 0, 0))
 
     def test_default_block_with_partial_last_block(self, rng):
         ds = random_dataset(rng, 30, 2)
@@ -701,7 +752,24 @@ class TestValidateMetricBlocks:
         report = validate_metric(metric, ds, n_triples, seed=5)
         expected = scalar.validate_metric(metric.distance, ds, n_triples, seed=5)
         assert all(expected)  # every kind of violation occurs
-        assert _violations(report) == expected
+        assert _record(report) == _oracle_record(expected)
+        assert not report.ok
+
+    def test_memory_does_not_grow_with_the_triples(self, rng):
+        # only the counts and the first 20 records of each kind are kept: it
+        # traced 9.0 MB at 20,000 triples and 88.4 MB at 200,000 when every
+        # violation was kept
+        ds = random_dataset(rng, 30, 2)
+        peaks = []
+        for n_triples in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                report = validate_metric(BrokenMetric(), ds, n_triples, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.n_triangle_violations > 20 == len(report.triangle_violations)
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_asymmetry_is_found_in_both_index_orders(self, rng):
         ds = random_dataset(rng, 10, 2)

@@ -11,11 +11,14 @@ paths, so that no output records where it ran. The benchmark trains at
 linear-audit and kernel-train also run with every ``--metric`` at
 ``euclidean:0.1``, where it does, inside ``DIR/<workload>-binding/``. No
 workload audits with a metric other than the Euclidean one, so linear-audit
-also runs at ``constant:0.2``, inside ``DIR/linear-audit-constant/``. Next
-to the files the commands write, ``NN-<command>.out`` holds each command's
-stdout and stderr, and ``commands.txt`` lists each command with its exit
-code (validate-metric exits 2 on a metric that breaks an axiom, which is an
-output like any other). metricfair is imported from PYTHONPATH, so the script runs against
+also runs at ``constant:0.2``, inside ``DIR/linear-audit-constant/``. The
+hardness metric keeps the triangle inequality at the benchmark's n = 32, so
+the hardness workload also runs at n = 4, where it breaks it, inside
+``DIR/hardness-n4/``. Next to the files the commands write,
+``NN-<command>.out`` holds each command's stdout and stderr, and
+``commands.txt`` lists each command with its exit code (validate-metric
+exits 2 on a metric that breaks an axiom, which is an output like any
+other). metricfair is imported from PYTHONPATH, so the script runs against
 another checkout's ``src`` as well; ``perfbench`` is read from this
 checkout:
 
@@ -52,6 +55,8 @@ OUTPUT_WORKLOADS = (
     rebound(WORKLOADS["linear-audit"], "euclidean:0.1", "binding"),
     rebound(WORKLOADS["kernel-train"], "euclidean:0.1", "binding"),
     rebound(WORKLOADS["linear-audit"], "constant:0.2", "constant"),
+    replace(WORKLOADS["hardness"], name="hardness-n4",
+            sizes={**WORKLOADS["hardness"].sizes, "n": 4}),
 )
 
 
