@@ -51,6 +51,10 @@ COMMANDS = (
     ("audit", "--data", "blocks.csv", "--metric", "euclidean:0.2", "--predictor", "linear.json",
      "--gamma", "0.05", "--population-pairs", "150000", "--seed", "1",
      "--out", "audit-blocks.json", *REPORT),
+    # a metric without a Gram form: the profile's generic blocks, three of them
+    ("audit", "--data", "blocks.csv", "--metric", "constant:0.2", "--predictor", "linear.json",
+     "--gamma", "0.05", "--population-pairs", "2000", "--seed", "1",
+     "--out", "audit-constant.json", *REPORT),
     ("hardness-demo", "--n", "8", "--pairs", "20", "--mode", "both", "--seed", "1",
      "--out", "hardness.json", *REPORT),
     ("gen-data", "--generator", "hardness-pairs", "--n", "8", "--m", "40", "--seed", "1",
