@@ -171,10 +171,10 @@ def _per_individual_rates(h, S: LabeledDataset, d: SimilarityMetric, gamma: floa
     and only when its gap exceeds gamma; a violation counts for both rows.
     The ranking is walked in blocks of rows of about core._PAIR_BLOCK
     entries, so memory grows with m, not m^2. The metric's block function
-    gives each block's distances: pairwise_matrix's, or for
-    ScaledEuclideanMetric itself, though not for a subclass, the Gram form
-    from one rank-ordered copy of the rows and their squared norms, within
-    rounding of its pair_distances.
+    gives each block's distances: one pair_distances call on the block's
+    near pairs, or for ScaledEuclideanMetric itself, though not for a
+    subclass, the Gram form from one rank-ordered copy of the rows and their
+    squared norms, within rounding of its pair_distances.
     """
     _check_gamma(gamma)
     values = _predictions(h, S, values)

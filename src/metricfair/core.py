@@ -151,9 +151,9 @@ class SimilarityMetric:
     """Pairwise distance with outputs in [0, 1] and d(x, x) = 0.
 
     A metric implements `pair_distances`; `distance` and `pairwise_matrix`
-    are derived from it, and no built-in metric overrides them. The audit
-    relies on d >= 0: it never evaluates a pair whose prediction gap is at
-    most gamma, since such a pair cannot violate.
+    are derived from it, and the audit's profile calls it once per block.
+    The audit relies on d >= 0: it never evaluates a pair whose prediction
+    gap is at most gamma, since such a pair cannot violate.
     """
 
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -164,39 +164,35 @@ class SimilarityMetric:
         """d(x, y) for two single points."""
         return float(self.pair_distances(x, y)[0])
 
-    def pairwise_matrix(self, xs: np.ndarray, rows=None, cols=None, where=None) -> np.ndarray:
-        """Block (rows, cols) of the m x m distance matrix over the rows of
-        `xs`; `rows` and `cols` index the rows of `xs` (all of them by
-        default). Entry (a, b) is d(xs[min(i, j)], xs[max(i, j)]) with
-        i = rows[a] and j = cols[b], and 0 where i == j. Only the entries
-        where the boolean block `where` holds are evaluated; the others are
-        +0.0. Each entry is one pair of a `pair_distances` call, made on about
-        _PAIR_BLOCK pairs at a time."""
+    def pairwise_matrix(self, xs: np.ndarray) -> np.ndarray:
+        """The m x m distance matrix over the rows of `xs`: entry (i, j) is
+        d(xs[min(i, j)], xs[max(i, j)]), and 0 on the diagonal. Each unordered
+        pair is one pair of a `pair_distances` call, made on at most about
+        _PAIR_BLOCK pairs at a time, and is mirrored."""
         xs = np.atleast_2d(xs)
-        every = np.arange(xs.shape[0])
-        rows = every if rows is None else np.asarray(rows, dtype=np.intp)
-        cols = every if cols is None else np.asarray(cols, dtype=np.intp)
-        out = np.zeros((rows.size, cols.size))
-        step = max(1, _PAIR_BLOCK // max(cols.size, 1))
-        for r0 in range(0, rows.size, step):
-            # the entries asked for that pair two different rows of xs
-            entries = rows[r0:r0 + step, None] != cols[None, :]
-            if where is not None:
-                entries &= where[r0:r0 + step]
-            a, b = np.nonzero(entries)
-            i, j = rows[r0 + a], cols[b]
-            out[r0 + a, b] = self.pair_distances(xs[np.minimum(i, j)], xs[np.maximum(i, j)])
+        m = xs.shape[0]
+        out = np.zeros((m, m))
+        step = max(1, _PAIR_BLOCK // max(m, 1))
+        for r0 in range(0, m, step):
+            i, j = np.nonzero(np.arange(r0, min(r0 + step, m))[:, None] < np.arange(m))
+            i += r0
+            out[i, j] = out[j, i] = self.pair_distances(xs[i], xs[j])
         return out
 
     def _ranked_blocks(self, xs: np.ndarray, order: np.ndarray):
         """The block function of the audit's all-pairs profile over the rows
-        of `xs` ranked by `order`: block(start, stop, first, near) is
-        pairwise_matrix(xs, order[start:stop], order[first:], where=near),
-        one call per block. The profile calls this once. Only
-        ScaledEuclideanMetric itself overrides it, with Gram-form blocks
-        within rounding of its pair_distances."""
+        of `xs` ranked by `order`: block(start, stop, first, near) holds the
+        distances between ranked rows start:stop and first: where the boolean
+        block `near` holds, and +0.0 elsewhere. Each of those entries is
+        d(xs[min(i, j)], xs[max(i, j)]) of the original rows i and j, from
+        one pair_distances call per block. The profile calls this once; a
+        closed form overrides it, as ScaledEuclideanMetric itself does."""
         def block(start, stop, first, near):
-            return self.pairwise_matrix(xs, order[start:stop], order[first:], where=near)
+            a, b = np.nonzero(near)
+            i, j = order[start + a], order[first + b]
+            out = np.zeros(near.shape)
+            out[a, b] = self.pair_distances(xs[np.minimum(i, j)], xs[np.maximum(i, j)])
+            return out
         return block
 
 
@@ -253,8 +249,7 @@ class ScaledEuclideanMetric(SimilarityMetric):
         return np.minimum(1.0, self.scale * np.sqrt(np.add.reduce(squares, axis=1)))
 
     def _ranked_blocks(self, xs, order):
-        # a subclass is called per block, through its own pair_distances or
-        # pairwise_matrix
+        # a subclass is called per block, through its own pair_distances
         if type(self) is not ScaledEuclideanMetric:
             return super()._ranked_blocks(xs, order)
         # the profile's rows are a dataset's, in the unit ball, so every Gram
@@ -279,8 +274,10 @@ class MatrixMetric(SimilarityMetric):
 
     Rows are tied to dataset rows through an index map; evaluation on raw
     vectors looks the vector up among the known points and raises
-    MetricUndefinedError for unknown ones. Every entry must be in [0, 1],
-    and the matrix rows and columns of two identical points must be equal.
+    MetricUndefinedError for unknown ones. Points are keyed by their bytes
+    with -0.0 read as 0.0, so they are identical exactly when they compare
+    equal, as in pair_distances. Every entry must be in [0, 1], and the
+    matrix rows and columns of two identical points must be equal.
     """
 
     def __init__(self, matrix: np.ndarray, points: np.ndarray, index_map: Sequence[int] | None = None):
@@ -308,7 +305,7 @@ class MatrixMetric(SimilarityMetric):
             if dataset_row in seen:
                 raise ValidationError(f"index map entry {dataset_row} appears more than once")
             seen.add(dataset_row)
-            twin = self._row_of.setdefault(points[dataset_row].tobytes(), row)
+            twin = self._row_of.setdefault((points[dataset_row] + 0.0).tobytes(), row)
             if twin != row and not (np.array_equal(matrix[twin], matrix[row])
                                     and np.array_equal(matrix[:, twin], matrix[:, row])):
                 raise ValidationError(
@@ -317,7 +314,7 @@ class MatrixMetric(SimilarityMetric):
 
     def _lookup(self, xs: np.ndarray) -> np.ndarray:
         """Matrix rows of the points in `xs`, one dictionary lookup each."""
-        xs = np.ascontiguousarray(xs)
+        xs = np.ascontiguousarray(xs) + 0.0
         try:
             return np.array([self._row_of[x.tobytes()] for x in xs], dtype=np.intp)
         except KeyError:

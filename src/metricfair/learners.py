@@ -75,7 +75,8 @@ class KernelLearner:
     B is either given explicitly or derived from the sigmoid Lipschitz cap L
     (the derivation assumes the Vovk kernel); the derived value is
     astronomically large, so it is capped at `b_max` (both values are
-    reported). Training starts from the ridge fit.
+    reported). A given B is trained as given. Training starts from the ridge
+    fit.
     """
 
     L: float | None = None
@@ -138,11 +139,11 @@ class SolverDerivedParams:
 
 
 def resolve_kernel_B(learner: KernelLearner, eps_star: float) -> tuple[float, float]:
-    """Return (derived_or_given_B, capped_B_used_for_training)."""
+    """Return (derived_or_given_B, B_used_for_training): a given B as it is,
+    a derived one capped at b_max."""
     if learner.B is not None:
-        raw = float(learner.B)
-    else:
-        raw = kernel_norm_bound_B(learner.L, eps_star)
+        return float(learner.B), float(learner.B)
+    raw = kernel_norm_bound_B(learner.L, eps_star)
     return raw, min(raw, learner.b_max)
 
 

@@ -20,9 +20,10 @@ lines and one joined and split list of cells (`load_dataset_csv` and
 bit for bit, or raise the same error.
 
 The audit's all-pairs profile is kept as it evaluated one block at a time
-(`blocked_per_individual_rates`): a `pairwise_matrix` call per block, except
-for ScaledEuclideanMetric itself, whose blocks are the Gram form of
-`gram_block_oracle`. The profile must return the same rates bit for bit.
+(`blocked_per_individual_rates`): each block read from the whole
+`pairwise_matrix`, except for ScaledEuclideanMetric itself, whose blocks are
+the Gram form of `gram_block_oracle`. The profile must return the same rates
+bit for bit.
 """
 
 import dataclasses
@@ -380,7 +381,8 @@ def gram_block_oracle(scale, xs, rows, cols, where):
 def blocked_per_individual_rates(h, S, d, gamma, *, values=None) -> np.ndarray:
     """The profile's rates as the audit computes them a block at a time: with
     `gram_block_oracle` when d is a ScaledEuclideanMetric and not a subclass
-    of it, and with one `d.pairwise_matrix` call per block otherwise.
+    of it, and otherwise with the entries of one `d.pairwise_matrix` of the
+    whole sample where the block's gap exceeds gamma, and +0 elsewhere.
 
     For each x in S, the fraction of x' in S (self included) violating the
     fairness condition at slack gamma.
@@ -398,6 +400,7 @@ def blocked_per_individual_rates(h, S, d, gamma, *, values=None) -> np.ndarray:
     order = np.argsort(values, kind="stable")
     ranked = values[order]
     counts = np.zeros(m, dtype=np.intp)
+    full = None if type(d) is ScaledEuclideanMetric else d.pairwise_matrix(S.features)
     rows = max(1, core._PAIR_BLOCK // m)
     for start in range(0, m, rows):
         stop = min(start + rows, m)
@@ -408,10 +411,10 @@ def blocked_per_individual_rates(h, S, d, gamma, *, values=None) -> np.ndarray:
         near = gaps > gamma
         if not near.any():
             continue
-        if type(d) is ScaledEuclideanMetric:
+        if full is None:
             dists = gram_block_oracle(d.scale, S.features, order[start:stop], order[first:], near)
         else:
-            dists = d.pairwise_matrix(S.features, order[start:stop], order[first:], where=near)
+            dists = np.where(near, full[np.ix_(order[start:stop], order[first:])], 0.0)
         violated = gaps > dists + gamma
         counts[order[start:stop]] += np.count_nonzero(violated, axis=1)
         counts[order[first:]] += np.count_nonzero(violated, axis=0)

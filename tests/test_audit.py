@@ -1,9 +1,10 @@
 """Fairness losses: 0/1 and l1 variants, surrogate ramp, profiles, audits."""
 
 import contextlib
+import importlib.util
 import json
 import math
-from dataclasses import dataclass, field
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -390,8 +391,8 @@ class TestGroupProfile:
 
 
 class SkewedMetric(SimilarityMetric):
-    """A distance given only by `pair_distances`, so the default
-    `pairwise_matrix` runs; it is asymmetric, so its orientation shows."""
+    """A distance given only by `pair_distances`, so the profile's generic
+    blocks run; it is asymmetric, so its orientation shows."""
 
     def pair_distances(self, xs, ys):
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
@@ -449,8 +450,9 @@ def profile_instances(draw, kinds):
     elif kind == "matrix":
         entries = draw(st.lists(st.sampled_from(GRID), min_size=m * m, max_size=m * m))
         # a row with the features of an earlier one is the same point, so it
-        # takes that row's matrix row and column
-        first = [[x.tobytes() for x in X].index(x.tobytes()) for x in X]
+        # takes that row's matrix row and column; -0.0 and 0.0 are one value
+        keys = [(x + 0.0).tobytes() for x in X]
+        first = [keys.index(key) for key in keys]
         metric = MatrixMetric(np.reshape(entries, (m, m))[np.ix_(first, first)], X)
     elif kind == "skewed":
         metric = SkewedMetric()
@@ -487,56 +489,37 @@ class TestBlockedProfile:
             h.predict, lambda x, y: metric.distance(x, y) - tol, X, gamma)
         assert np.all(farther <= got) and np.all(got <= nearer)
 
-    @given(instance=profile_instances(("constant", "matrix", "skewed", "euclidean")),
-           data=st.data())
+    @given(instance=profile_instances(("constant", "matrix", "skewed", "euclidean")))
     @settings(max_examples=200, deadline=None)
-    def test_row_range_is_a_slice_of_the_full_matrix(self, instance, data):
+    def test_full_matrix_is_each_pair_once_mirrored(self, instance):
         _, metric, X, _, _, block = instance
         m = len(X)
-        start = data.draw(st.integers(0, m), label="start")
-        stop = data.draw(st.integers(start, m), label="stop")
+        i, j = np.triu_indices(m, 1)
         with mock.patch.object(core, "_PAIR_BLOCK", block):
-            rows = metric.pairwise_matrix(X, np.arange(start, stop))
             full = metric.pairwise_matrix(X)
-        assert rows.shape == (stop - start, m) and full.shape == (m, m)
-        assert np.all(rows[np.arange(stop - start), np.arange(start, stop)] == 0.0)
-        assert np.all(np.diag(full) == 0.0)
-        assert np.array_equal(rows, full[start:stop])
-
-    @given(instance=profile_instances(("constant", "matrix", "skewed", "euclidean")),
-           data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_any_block_is_the_full_matrix_where_asked_and_0_elsewhere(self, instance, data):
-        _, metric, X, _, _, block = instance
-        m = len(X)
-        index = st.lists(st.integers(0, m - 1), max_size=m + 2).map(
-            lambda v: np.array(v, dtype=np.intp))
-        rows, cols = data.draw(index, label="rows"), data.draw(index, label="cols")
-        where = np.array(data.draw(st.lists(st.booleans(), min_size=rows.size * cols.size,
-                                            max_size=rows.size * cols.size), label="where"),
-                         dtype=bool).reshape(rows.size, cols.size)
-        with mock.patch.object(core, "_PAIR_BLOCK", block):
-            got = metric.pairwise_matrix(X, rows, cols, where=where)
-            full = metric.pairwise_matrix(X)
-        expected = np.where(where, full[np.ix_(rows, cols)], 0.0)
-        assert got.shape == (rows.size, cols.size)
-        assert np.all(got[~where] == 0.0)
-        assert np.array_equal(got, expected)
+        expected = np.zeros((m, m))
+        expected[i, j] = expected[j, i] = metric.pair_distances(X[i], X[j])
+        assert full.tobytes() == expected.tobytes()
 
 
 class CountingMetric(SimilarityMetric):
     """Records the index pairs of every pair_distances call of `inner`, a
-    metric on the distinct rows X."""
+    metric on the distinct rows X: a list of them per call in `calls`, and
+    all of them in `pairs`."""
 
     def __init__(self, inner, X):
         self.inner = inner
         self.index_of = {row.tobytes(): k for k, row in enumerate(X)}
-        self.pairs = []
+        self.calls = []
+
+    @property
+    def pairs(self):
+        return [pair for call in self.calls for pair in call]
 
     def pair_distances(self, xs, ys):
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
-        self.pairs += [(self.index_of[x.tobytes()], self.index_of[y.tobytes()])
-                       for x, y in zip(xs, ys)]
+        self.calls.append([(self.index_of[x.tobytes()], self.index_of[y.tobytes()])
+                           for x, y in zip(xs, ys)])
         return self.inner.pair_distances(xs, ys)
 
 
@@ -560,7 +543,7 @@ def _grid_instance(kind, seed, m=40):
 
 class CallLog(SimilarityMetric):
     """Forwards to `inner`, logging each pair_distances call with its pair
-    count and each pairwise_matrix call with its rows."""
+    count."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -570,9 +553,15 @@ class CallLog(SimilarityMetric):
         self.calls.append(("pair_distances", len(np.atleast_2d(xs))))
         return self.inner.pair_distances(xs, ys)
 
-    def pairwise_matrix(self, xs, rows=None, cols=None, where=None):
-        self.calls.append(("pairwise_matrix", np.asarray(rows).tolist()))
-        return self.inner.pairwise_matrix(xs, rows, cols, where=where)
+
+def _load_tracing():
+    """The benchmark's perfbench/tracing.py, loaded from its file and only
+    read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestMetricCallShape:
@@ -602,33 +591,55 @@ class TestMetricCallShape:
         M = default_matching(S, 4)
         metric = CallLog(ScaledEuclideanMetric(0.8))
         report = audit_predictor(h, S, M, metric, 0.05)
-        assert [call for call in metric.calls if call[0] == "pair_distances"] == [
-            ("pair_distances", len(M))]
+        # CallLog has no Gram form, so the profile calls it too, as it does alone
+        profile = CallLog(metric.inner)
+        _per_individual_rates(h, S, profile, 0.05)
+        assert metric.calls == [("pair_distances", len(M))] + profile.calls
         # the losses are those each computes with its own distances
         inner = metric.inner
         assert report.empirical_mf_loss == empirical_mf_loss(h, S, M, inner, 0.05)
         assert report.empirical_l1_loss == empirical_l1_loss(h, S, M, inner)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
-    def test_profile_calls_pairwise_matrix_once_per_block_with_a_near_pair(self, gamma):
+    def test_profile_calls_pair_distances_once_per_block_with_a_near_pair(self, gamma):
+        """Each call's pairs are exactly its block's near entries, in row-major
+        order, each oriented (min, max) in the original rows."""
         m, per_block = 40, 5
         rng = np.random.default_rng(9)
         X = unit_ball_points(rng, m, 2)
         values = rng.random(m)
-        metric = CallLog(ScaledEuclideanMetric(0.8))
+        metric = CountingMetric(ScaledEuclideanMetric(0.8), X)
         with mock.patch.object(core, "_PAIR_BLOCK", per_block * m + 3):
             _per_individual_rates(TablePredictor(X, values), LabeledDataset(X, np.ones(m)),
                                   metric, gamma)
-        order = np.argsort(values, kind="stable")
+        order = np.argsort(values, kind="stable").tolist()
         ranked = values[order]
-        expected = [("pairwise_matrix", order[start:start + per_block].tolist())
-                    for start in range(0, m, per_block)
-                    if any(ranked[j] - ranked[i] > gamma
-                           for i in range(start, min(start + per_block, m))
-                           for j in range(i + 1, m))]
+        blocks = [[(min(order[i], order[j]), max(order[i], order[j]))
+                   for i in range(start, min(start + per_block, m))
+                   for j in range(i + 1, m) if ranked[j] - ranked[i] > gamma]
+                  for start in range(0, m, per_block)]
+        expected = [pairs for pairs in blocks if pairs]
         assert metric.calls == expected
         # at gamma = 0.5 the highest-ranked blocks have no near pair
         assert len(expected) == m // per_block if gamma == 0.0 else 0 < len(expected) < m // per_block
+
+    def test_a_traced_generic_profile_counts_the_pairs_it_evaluates(self):
+        """The benchmark's tracer books a pair_distances call's rows under
+        core.metric_pairs. A metric without a Gram form is profiled by one
+        such call per block, so the profile books its near pairs, not m^2 per
+        block."""
+        tracer = _load_tracing().Tracer()
+        m, gamma = 401, 0.05
+        X = unit_ball_points(np.random.default_rng(2), m, 3)
+        h = LinearPredictor(np.array([0.6, -0.3, 0.2]))
+        metric = tracer.instrument_metric(ConstantMetric(0.2))
+        _per_individual_rates(h, LabeledDataset(X, np.ones(m)), metric, gamma)
+        values = h.predict_batch(X)
+        i, j = np.triu_indices(m, 1)
+        near = int(np.count_nonzero(np.abs(values[i] - values[j]) > gamma))
+        # 163 rows of 65,536 entries make three blocks
+        assert tracer.calls["core.metric"] == 3
+        assert tracer.counts["core.metric_pairs"] == near
 
 
 class TestPrunedAudit:
@@ -694,18 +705,6 @@ class TestPrunedAudit:
         assert spy.call_count == 1
 
 
-@dataclass(frozen=True)
-class OwnMatrixEuclidean(ScaledEuclideanMetric):
-    """A Euclidean metric with a pairwise_matrix of its own, which logs the
-    rows of each call: the profile must call it as it calls any metric."""
-
-    calls: list = field(default_factory=list, compare=False)
-
-    def pairwise_matrix(self, xs, rows=None, cols=None, where=None):
-        self.calls.append(np.asarray(rows).tolist())
-        return super().pairwise_matrix(xs, rows, cols, where=where)
-
-
 class HalfEuclidean(ScaledEuclideanMetric):
     """Half the Euclidean distance, given only by its own pair_distances:
     the profile must use these, not the Gram form of the parent's."""
@@ -715,7 +714,7 @@ class HalfEuclidean(ScaledEuclideanMetric):
 
 
 #: the metrics of `ranked_profiles`
-RANKED_KINDS = ("euclidean", "own-matrix", "own-distance", "skewed", "matrix", "hardness")
+RANKED_KINDS = ("euclidean", "own-distance", "skewed", "matrix", "hardness")
 
 
 @st.composite
@@ -740,8 +739,6 @@ def ranked_profiles(draw, kinds=RANKED_KINDS, most=300):
                      label="scale")
         if kind == "euclidean":
             metric = ScaledEuclideanMetric(scale)
-        elif kind == "own-matrix":
-            metric = OwnMatrixEuclidean(scale)
         elif kind == "own-distance":
             metric = HalfEuclidean(scale)
         elif kind == "skewed":
@@ -764,7 +761,7 @@ class TestRankedProfile:
     """The profile's rates are those of the per-block audit kept in
     scalar_reference, bit for bit. ScaledEuclideanMetric itself reads Gram
     blocks from one rank-ordered copy of the rows; every other metric, and
-    every subclass of it, is called once per block."""
+    every subclass of it, has its pair_distances called once per block."""
 
     @given(instance=ranked_profiles())
     @settings(max_examples=80, deadline=None)
@@ -772,11 +769,8 @@ class TestRankedProfile:
         metric, S, h, gamma, block = instance
         with mock.patch.object(core, "_PAIR_BLOCK", block):
             got = _per_individual_rates(h, S, metric, gamma)
-            calls = list(getattr(metric, "calls", ()))
             expected = scalar.blocked_per_individual_rates(h, S, metric, gamma)
         assert np.array_equal(got, expected)
-        if isinstance(metric, OwnMatrixEuclidean):
-            assert calls == metric.calls[len(calls):]
 
     @given(instance=ranked_profiles(("own-distance",), most=60))
     @settings(max_examples=40, deadline=None)
@@ -792,10 +786,11 @@ class TestRankedProfile:
     def test_block_function_is_pairwise_matrix_bit_for_bit(self, instance, data):
         """Each block of a walk over randomly ranked rows, from a random first
         column, where a random mask with a false diagonal holds, as the
-        profile asks for them: signs of zeros included. The reference is
-        pairwise_matrix, or for ScaledEuclideanMetric itself the Gram
-        expression of scalar_reference, whose order of operations and +0
-        outside the mask the tolerance-bounded tests would not check."""
+        profile asks for them: signs of zeros included. The reference is the
+        full pairwise_matrix where the mask holds and +0 elsewhere, or for
+        ScaledEuclideanMetric itself the Gram expression of scalar_reference,
+        whose order of operations and +0 outside the mask the
+        tolerance-bounded tests would not check."""
         metric, S, _, _, block = instance
         m = len(S)
         rows = max(1, block // m)
@@ -803,6 +798,7 @@ class TestRankedProfile:
         share = data.draw(st.floats(0.0, 1.0), label="share of the block asked for")
         order = rng.permutation(m)
         blocks = metric._ranked_blocks(S.features, order)
+        full = metric.pairwise_matrix(S.features)
         for start in range(0, m, rows):
             stop = min(start + rows, m)
             first = int(rng.integers(start + 1, m + 1))
@@ -813,8 +809,7 @@ class TestRankedProfile:
                 expected = scalar.gram_block_oracle(metric.scale, S.features, order[start:stop],
                                                     order[first:], near)
             else:
-                expected = metric.pairwise_matrix(S.features, order[start:stop], order[first:],
-                                                  where=near)
+                expected = np.where(near, full[np.ix_(order[start:stop], order[first:])], 0.0)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 

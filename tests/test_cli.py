@@ -684,6 +684,18 @@ class TestReportRecords:
         assert body["results"]["extras"]["B_derived"] == "inf"
         assert body["results"]["extras"]["B_used"] == 1e4
 
+    def test_a_given_kernel_b_above_b_max_is_trained_as_given(self, capsys, dataset_file,
+                                                                tmp_path):
+        # b_max caps only the B derived from --kernel-l
+        code, out, _ = run(capsys, "train", "--data", str(dataset_file),
+                           "--metric", "euclidean:0.8", "--learner", "kernel",
+                           "--kernel-b", "20000", "--alpha", "0.2", "--gamma", "0.3",
+                           "--max-iters", "20", "--seed", "1",
+                           "--predictor-out", str(tmp_path / "k.json"), "--no-timestamp")
+        assert code == 0
+        extras = strict_json(out)["results"]["extras"]
+        assert extras["B_derived"] == extras["B_used"] == 20000.0
+
 
 class TestTrainParameters:
     """Every unset training parameter takes its dataclass default, and a
@@ -1049,10 +1061,11 @@ class TestMatrixMetricPipeline:
 
 
 def _matrix_metric_files(tmp_path, matrix_text, index_text="0\n1\n2\n"):
-    """A four-row dataset, whose rows 0 and 3 have identical features, and
-    the metric files of `matrix:<path>`."""
+    """A six-row dataset, whose rows 0 and 3 have identical features, and rows
+    4 and 5 too (0.0 and -0.0), and the metric files of `matrix:<path>`."""
     data = tmp_path / "data.csv"
-    data.write_text("x1,x2,y\n0.1,0.2,1\n0.3,-0.1,-1\n-0.2,0.4,1\n0.1,0.2,-1\n")
+    data.write_text("x1,x2,y\n0.1,0.2,1\n0.3,-0.1,-1\n-0.2,0.4,1\n0.1,0.2,-1\n"
+                    "0.0,0.1,1\n-0.0,0.1,-1\n")
     metric = tmp_path / "metric.csv"
     metric.write_text(matrix_text)
     Path(f"{metric}.idx").write_text(index_text)
@@ -1099,6 +1112,9 @@ class TestMatrixMetricFiles:
          "metric file {metric}: index map entry 0 appears more than once"),
         ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "0\n1\n3\n",
          "metric file {metric}: index map entries 0 and 3 have identical features but "
+         "different matrix rows or columns"),
+        ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "2\n4\n5\n",
+         "metric file {metric}: index map entries 4 and 5 have identical features but "
          "different matrix rows or columns"),
     ])
     def test_malformed_metric_file_exits_two_naming_file_and_line(

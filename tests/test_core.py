@@ -629,6 +629,23 @@ class TestValidateMetric:
         agreeing = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.3], [0.3, 0.3, 0.0]])
         assert MatrixMetric(agreeing, X).pair_distances(X[[0, 1]], X[[2, 2]]).tolist() == [0.3, 0.3]
 
+    def test_matrix_metric_reads_negative_zero_as_zero(self):
+        # -0.0 == 0.0, so pair_distances puts rows 0 and 1 at distance 0; a
+        # lookup by raw bytes would key them apart and read d(x0, x2) = 0.3
+        # and d(x1, x2) = 0.5 from their own rows, against the triangle
+        # inequality
+        X = np.array([[0.0, 0.1], [-0.0, 0.1], [0.3, 0.3]])
+        ds = LabeledDataset(X, np.ones(3))
+        conflicting = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.5], [0.3, 0.5, 0.0]])
+        with pytest.raises(ValidationError, match="index map entries 0 and 1 have identical "
+                           "features but different matrix rows or columns"):
+            MatrixMetric(conflicting, X)
+        agreeing = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.3], [0.3, 0.3, 0.0]])
+        metric = MatrixMetric(agreeing, X)
+        assert metric.pair_distances(X[[1, 2, 2]], X[[2, 0, 1]]).tolist() == [0.3, 0.3, 0.3]
+        report = validate_metric(metric, ds, 200, seed=1)
+        assert report.ok and report.n_triangle_violations == 0
+
     def test_matrix_metric_pair_distances_unknown_row(self):
         X = np.array([[0.1, 0.0], [0.0, 0.1]])
         metric = MatrixMetric(np.array([[0.0, 0.4], [0.4, 0.0]]), X)
@@ -691,20 +708,17 @@ class TestValidateMetric:
         [[np.nan, 0.1], [0.1, 0.2], [-0.3, 0.1]],
     ], ids=["overflowing squares", "overflowing sums", "inf", "nan"])
     def test_scaled_euclidean_block_of_huge_rows_is_the_pair_form(self, rows, scale):
-        # the Gram form would make inf - inf = NaN across the block, on the
-        # diagonal and on the entries not asked for too
+        # the Gram form would make inf - inf = NaN across the matrix, on the
+        # diagonal too
         X = np.array(rows)
         i, j = np.triu_indices(len(X), 1)
         metric = ScaledEuclideanMetric(scale)
-        where = np.array([[True, False, True], [True, True, True]])
         with np.errstate(over="ignore", invalid="ignore"):
             pairs = metric.pair_distances(X[i], X[j])
             got = metric.pairwise_matrix(X)
-            block = metric.pairwise_matrix(X, [2, 0], [0, 1, 2], where=where)
         expected = np.zeros((len(X), len(X)))
         expected[i, j] = expected[j, i] = pairs
         assert got.tobytes() == expected.tobytes()
-        assert block.tobytes() == np.where(where, expected[[2, 0]], 0.0).tobytes()
 
 
 class BrokenMetric(SimilarityMetric):

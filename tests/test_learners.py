@@ -416,6 +416,7 @@ class TestTrainKernel:
         b_raw, b_used = resolve_kernel_B(learner, 0.5)
         assert b_raw > 1e30
         assert b_used == 1e4
+        assert resolve_kernel_B(KernelLearner(B=2e4, b_max=1e4), 0.5) == (2e4, 2e4)
 
     def test_requires_kernel_learner(self, rng):
         ds = random_dataset(rng, 8, 2)
