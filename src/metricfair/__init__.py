@@ -75,7 +75,6 @@ from .learners import (
     TrainConfig,
     derive_solver_params,
     gram_matrix,
-    resolve_kernel_B,
     train_fair_kernel,
     train_fair_linear,
 )

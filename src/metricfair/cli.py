@@ -96,14 +96,11 @@ _TRAIN_PARAMS = {
     "delta": (TrainConfig, "delta", float),
     "theory_mode": (TrainConfig, "theory_mode", ("empirical", "theoretical")),
     "kernel_b": (KernelLearner, "B", float),
-    "kernel_l": (KernelLearner, "L", float),
-    "b_max": (KernelLearner, "b_max", float),
     "max_iters": (SolverConfig, "max_iters", int),
     "step_c0": (SolverConfig, "step_c0", float),
     "feas_tol": (SolverConfig, "feasibility_tolerance", float),
 }
-_TRAIN_HELP = {"kernel_b": "explicit squared-RKHS-norm bound",
-               "kernel_l": "derive B from this Lipschitz cap"}
+_TRAIN_HELP = {"kernel_b": "squared-RKHS-norm bound B of the kernel ball"}
 
 
 def _build_parser() -> _Parser:
@@ -244,11 +241,8 @@ def _train_config(args, seed: int) -> TrainConfig:
         fields[cls][name] = value
     given = fields[TrainConfig]
     if given.pop("learner", None) == "kernel":
-        bounds = {"B", "L"} & set(fields[KernelLearner])
-        if not bounds:
-            raise UsageError("kernel learner needs --kernel-b or --kernel-l")
-        if len(bounds) > 1:
-            raise UsageError("kernel learner takes --kernel-b or --kernel-l, not both")
+        if "B" not in fields[KernelLearner]:
+            raise UsageError("kernel learner needs --kernel-b")
         given["learner"] = KernelLearner(**fields[KernelLearner])
     given["solver"] = SolverConfig(**fields[SolverConfig])
     for f in dataclasses.fields(TrainConfig):
@@ -260,10 +254,10 @@ def _train_config(args, seed: int) -> TrainConfig:
 def _train_record(config: TrainConfig) -> dict:
     """Every `train` parameter that `config` resolved to a value, under its
     --config key: as a --config file, with the seed given apart, the record
-    rebuilds `config`. The kernel parameters appear for a kernel learner only."""
+    rebuilds `config`. `kernel_b` appears for a kernel learner only."""
     owners = {TrainConfig: config, SolverConfig: config.solver, KernelLearner: config.learner}
     record = {key: getattr(owners[cls], name) for key, (cls, name, _) in _TRAIN_PARAMS.items()
-              if isinstance(owners[cls], cls) and getattr(owners[cls], name) is not None}
+              if isinstance(owners[cls], cls)}
     record["learner"] = "kernel" if isinstance(config.learner, KernelLearner) else "linear"
     return record
 

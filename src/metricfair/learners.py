@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .audit import empirical_mf_loss
+# kernel_norm_bound_B is unused here, but perfbench/tracing.py rebinds it on this module
 from .bounds import kernel_norm_bound_B, kernel_slack, linear_slack, uniform_convergence_rho
 from .core import (
     KernelPredictor,
@@ -70,31 +71,14 @@ class SampleTooSmallError(MetricFairError):
 
 @dataclass(frozen=True)
 class KernelLearner:
-    """Train representer coefficients in a Vovk-kernel ball of squared norm B.
+    """Train representer coefficients in a Vovk-kernel ball of squared norm
+    B, as given. Training starts from the ridge fit."""
 
-    B is either given explicitly or derived from the sigmoid Lipschitz cap L
-    (the derivation assumes the Vovk kernel); the derived value is
-    astronomically large, so it is capped at `b_max` (both values are
-    reported). A given B is trained as given. Training starts from the ridge
-    fit.
-    """
-
-    L: float | None = None
-    B: float | None = None
-    b_max: float = 1e4
+    B: float
 
     def __post_init__(self):
-        if self.B is None and self.L is None:
-            raise ValidationError("kernel learner needs an explicit B or a Lipschitz cap L")
-        for name in ("L", "B"):
-            value = getattr(self, name)
-            if value is not None and math.isnan(value):
-                raise ValidationError(f"{name} must not be NaN")
-        if self.B is not None and self.L is not None:
-            raise ValidationError("kernel learner takes an explicit B or a Lipschitz cap L, "
-                                  "not both")
-        if not self.b_max > 0:
-            raise ValidationError(f"b_max must be positive, got {self.b_max}")
+        if math.isnan(self.B):
+            raise ValidationError("B must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -138,23 +122,12 @@ class SolverDerivedParams:
     tau_theoretical: float
 
 
-def resolve_kernel_B(learner: KernelLearner, eps_star: float) -> tuple[float, float]:
-    """Return (derived_or_given_B, B_used_for_training): a given B as it is,
-    a derived one capped at b_max."""
-    if learner.B is not None:
-        return float(learner.B), float(learner.B)
-    raw = kernel_norm_bound_B(learner.L, eps_star)
-    return raw, min(raw, learner.b_max)
-
-
-def derive_solver_params(config: TrainConfig, m: int,
-                         B: float | None = None) -> SolverDerivedParams:
+def derive_solver_params(config: TrainConfig, m: int) -> SolverDerivedParams:
     """Derive the budgets for a sample of size m. A kernel learner's margin
-    rho needs B, the capped squared-norm bound it trains with."""
+    rho reads B, the squared-norm bound it trains with."""
     if isinstance(config.learner, KernelLearner):
-        if B is None:
-            raise ValidationError("a kernel learner's budgets need its capped B")
         G = 1.0 / kernel_slack(config.eps, config.eps_alpha, config.eps_gamma)
+        B = config.learner.B
     else:
         G = 1.0 / linear_slack(config.eps_alpha, config.eps_gamma)
         B = None
@@ -172,12 +145,12 @@ def derive_solver_params(config: TrainConfig, m: int,
 
 
 def _program(S: LabeledDataset, d: SimilarityMetric, config: TrainConfig,
-             matching: Matching | None, tau: float | None, B: float | None = None):
+             matching: Matching | None, tau: float | None):
     """A learner's program: the matching (the seeded default unless given), its
     edges and distances, and the budgets at len(S) with a `tau` >= 0 override."""
     M = matching if matching is not None else default_matching(S, config.solver.seed)
     left, right, dists = matching_edges(S, M, d)
-    params = derive_solver_params(config, len(S), B=B)
+    params = derive_solver_params(config, len(S))
     if tau is not None:
         tau = float(tau)
         if not tau >= 0:
@@ -275,9 +248,8 @@ def train_fair_kernel(
     if not isinstance(config.learner, KernelLearner):
         raise ValidationError("config.learner must be a KernelLearner")
     m = len(S)
-    b_raw, b_used = resolve_kernel_B(config.learner,
-                                     kernel_slack(config.eps, config.eps_alpha, config.eps_gamma))
-    M, left, right, dists, params = _program(S, d, config, matching, tau, B=b_used)
+    B = config.learner.B
+    M, left, right, dists, params = _program(S, d, config, matching, tau)
     K = gram_matrix(S, VovkHalfKernel())
     y01 = S.targets01
     init = _ridge_fit(K, y01)
@@ -350,8 +322,8 @@ def train_fair_kernel(
                 handed[1].flags.writeable = False
             raw = raw - step * (handed[1] if direction is handed[0] else K @ direction)
         q = float(beta @ raw)
-        if q > b_used:
-            scale = math.sqrt(b_used / q)
+        if q > B:
+            scale = math.sqrt(B / q)
             beta, raw = beta * scale, raw * scale
         held_beta, held_raw = beta, raw
         return beta
@@ -375,7 +347,7 @@ def train_fair_kernel(
     predictor = KernelPredictor(S.features, beta)
     report = _finalize_report(
         report, predictor, S, M, d, dists, params,
-        extras={"learner": "kernel", "B_derived": b_raw, "B_used": b_used},
+        extras={"learner": "kernel"},
         values=np.clip(raw, 0.0, 1.0),
     )
     return predictor, report

@@ -44,7 +44,7 @@ from .core import (
 )
 from .hardness import HardnessMetric, HardnessMetricHandle
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # ---------------------------------------------------------------------------
 # Dataset CSV: header x1,...,xn,y with y in {-1, 1}
@@ -340,18 +340,27 @@ def save_matrix_metric(matrix: np.ndarray, index_map, path) -> None:
     Path(str(path) + ".idx").write_text("\n".join(str(int(i)) for i in index_map) + "\n")
 
 
+def _stripped_lines(path) -> tuple[list[str], int]:
+    """The lines of the file stripped at both ends, and the 1-based number in
+    the file of the first of them."""
+    text = Path(path).read_text()
+    leading = text[:len(text) - len(text.lstrip())]
+    return text.strip().splitlines(), len((leading + "x").splitlines())
+
+
 def load_matrix_metric(path, dataset: LabeledDataset) -> MatrixMetric:
     """Errors name the file and, for a malformed line, its 1-based number."""
     plain = _plain_lines(path)
     matrix = None if plain is None else _float_table(path, 0, (plain[1], plain[1]))
     if matrix is None:
-        lines = Path(path).read_text().strip().splitlines()
-        matrix = np.array(_float_rows(lines, len(lines), f"metric file {path}", first=1))
+        lines, first = _stripped_lines(path)
+        matrix = np.array(_float_rows(lines, len(lines), f"metric file {path}", first))
     idx_path = Path(str(path) + ".idx")
     if not idx_path.exists():
         raise ValidationError(f"missing metric index file {idx_path}")
     index_map = []
-    for number, line in enumerate(idx_path.read_text().strip().splitlines(), start=1):
+    lines, first = _stripped_lines(idx_path)
+    for number, line in enumerate(lines, start=first):
         try:
             index_map.append(int(line))
         except ValueError as exc:

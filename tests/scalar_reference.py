@@ -619,15 +619,24 @@ def _float_rows(lines, width: int, what: str, first: int) -> list[list[float]]:
     return rows
 
 
+def _stripped_lines(path) -> tuple[list[str], int]:
+    """The lines of the file stripped at both ends, and the 1-based number of
+    the first of them: the file's first line that is not all whitespace."""
+    text = Path(path).read_text()
+    blank = [not line.strip() for line in text.splitlines()]
+    return text.strip().splitlines(), 1 + (blank.index(False) if False in blank else 0)
+
+
 def load_matrix_metric(path, dataset: LabeledDataset) -> MatrixMetric:
     """Errors name the file and, for a malformed line, its 1-based number."""
-    lines = Path(path).read_text().strip().splitlines()
-    matrix = _float_table(lines, len(lines), f"metric file {path}", first=1)
+    lines, first = _stripped_lines(path)
+    matrix = _float_table(lines, len(lines), f"metric file {path}", first)
     idx_path = Path(str(path) + ".idx")
     if not idx_path.exists():
         raise ValidationError(f"missing metric index file {idx_path}")
     index_map = []
-    for number, line in enumerate(idx_path.read_text().strip().splitlines(), start=1):
+    lines, first = _stripped_lines(idx_path)
+    for number, line in enumerate(lines, start=first):
         try:
             index_map.append(int(line))
         except ValueError as exc:

@@ -564,6 +564,22 @@ def _load_tracing():
     return module
 
 
+def test_the_benchmark_tracer_finds_every_name_it_rebinds():
+    # the benchmark's tracer rebinds names on cli, learners, solver, audit,
+    # datagen and hardness, and wraps metric and predictor methods by name:
+    # deleting one fails here with an AttributeError that names it, before
+    # any traced run
+    tracing = _load_tracing()
+    from metricfair import audit, cli, datagen, hardness, learners, solver
+    modules = (audit, cli, datagen, hardness, learners, solver)
+    before = [dict(vars(module)) for module in modules]
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        tracer.instrument_metric(ScaledEuclideanMetric(0.8))
+        tracer.instrument_predictor(LinearPredictor(np.array([0.6, -0.3])))
+    assert [dict(vars(module)) for module in modules] == before
+
+
 class TestMetricCallShape:
     """The audit's block loops call the metric once per block, so the calls
     and pairs a traced run counts depend on the blocks, not on how a block

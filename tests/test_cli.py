@@ -355,7 +355,7 @@ class TestAudit:
         body = json.loads(report_path.read_text())
         assert body["results"]["empirical_mf_loss"] == 0.0
         assert body["results"]["population_estimate"] == 0.0
-        assert body["schema_version"] == 2
+        assert body["schema_version"] == 3
 
 
     @pytest.mark.parametrize("grid, entry", [
@@ -668,33 +668,18 @@ class TestReportRecords:
         code, _, _ = run(capsys, "gen-data", "--generator", "unit-ball", "--n", "3",
                          "--m", "40", "--seed", "1", "--out", str(data))
         assert code == 0
-        # L = 60 derives a B that overflows to +inf; training uses the b_max cap
-        with pytest.warns(RuntimeWarning, match="overflowed"):
-            code, out, _ = run(capsys, "train", "--data", str(data),
-                               "--metric", "euclidean:0.8", "--learner", "kernel",
-                               "--kernel-l", "60", "--alpha", "0.2", "--gamma", "0.3",
-                               "--seed", "1", "--predictor-out", str(predictor),
-                               "--out", str(report), "--no-timestamp")
+        code, out, _ = run(capsys, "train", "--data", str(data),
+                           "--metric", "euclidean:0.8", "--learner", "kernel",
+                           "--kernel-b", "1e4", "--alpha", "0.2", "--gamma", "0.3",
+                           "--seed", "1", "--predictor-out", str(predictor),
+                           "--out", str(report), "--no-timestamp")
         assert code == 0
         assert out == report.read_text()
         body = strict_json(out)
         saved = strict_json(predictor.read_text())
         assert saved["report"] == body["results"]
         assert saved["training_config"] == body["params"]
-        assert body["results"]["extras"]["B_derived"] == "inf"
-        assert body["results"]["extras"]["B_used"] == 1e4
-
-    def test_a_given_kernel_b_above_b_max_is_trained_as_given(self, capsys, dataset_file,
-                                                                tmp_path):
-        # b_max caps only the B derived from --kernel-l
-        code, out, _ = run(capsys, "train", "--data", str(dataset_file),
-                           "--metric", "euclidean:0.8", "--learner", "kernel",
-                           "--kernel-b", "20000", "--alpha", "0.2", "--gamma", "0.3",
-                           "--max-iters", "20", "--seed", "1",
-                           "--predictor-out", str(tmp_path / "k.json"), "--no-timestamp")
-        assert code == 0
-        extras = strict_json(out)["results"]["extras"]
-        assert extras["B_derived"] == extras["B_used"] == 20000.0
+        assert set(body["results"]["extras"]) == {"learner", "n_feasible_iterates"}
 
 
 class TestTrainParameters:
@@ -708,8 +693,8 @@ class TestTrainParameters:
         assert tuple(re.findall(r"`(\w+)`", listing)) == tuple(cli._TRAIN_PARAMS)
 
     @pytest.mark.parametrize("learner, unset", [
-        ((), {"kernel_b", "kernel_l", "b_max"}),
-        (("--learner", "kernel", "--kernel-b", "10"), {"kernel_l"}),
+        ((), {"kernel_b"}),
+        (("--learner", "kernel", "--kernel-b", "10"), set()),
     ])
     def test_every_reported_parameter_is_a_config_key(self, capsys, dataset_file, tmp_path,
                                                       learner, unset):
@@ -746,7 +731,7 @@ class TestTrainParameters:
                   "step_c0": cfg.solver.step_c0,
                   "feas_tol": cfg.solver.feasibility_tolerance, "seed": 5}
         if kernel_b is not None:
-            params.update(kernel_b=cfg.learner.B, b_max=cfg.learner.b_max)
+            params.update(kernel_b=cfg.learner.B)
         lib_out = tmp_path / "lib.json"
         save_predictor_json(predictor, lib_out, training_config=params, report=report)
         assert cli_out.read_bytes() == lib_out.read_bytes()
@@ -771,7 +756,6 @@ class TestTrainParameters:
     @pytest.mark.parametrize("flags", [
         ("--max-iters", "40", "--feas-tol", "1e-4"),
         ("--learner", "kernel", "--kernel-b", "100", "--max-iters", "300", "--step-c0", "0.3"),
-        ("--learner", "kernel", "--kernel-l", "3", "--b-max", "50"),
     ])
     def test_report_params_as_a_config_file_reproduce_the_run(self, capsys, sample_file,
                                                               tmp_path, flags):
@@ -801,7 +785,7 @@ class TestTrainParameters:
         ("learner", "kernel", {"kernel_b": 10.0}),
         ("alpha", 0.25, {}),
         ("gamma", 0.45, {}),
-        ("eps", 0.15, {"learner": "kernel", "kernel_l": 3.0}),
+        ("eps", 0.15, {"learner": "kernel", "kernel_b": 10.0}),
         ("eps_alpha", 0.15, {}),
         ("eps_gamma", 0.3, {}),
         ("delta", 0.1, {}),
@@ -809,8 +793,6 @@ class TestTrainParameters:
         ("eps", 0.05, {"learner": "kernel", "kernel_b": 10.0}),
         ("theory_mode", "theoretical", {}),
         ("kernel_b", 10.0, {"learner": "kernel"}),
-        ("kernel_l", 3.0, {"learner": "kernel"}),
-        ("b_max", 50.0, {"learner": "kernel", "kernel_l": 3.0}),
         # a certified linear run stops long before 150 iterations, and step_c0
         # sets only the kernel learner's solver
         ("max_iters", 150, {"learner": "kernel", "kernel_b": 10.0}),
@@ -905,42 +887,35 @@ class TestTrainParameters:
         assert message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (("--kernel-b", "nan"), "error: B must not be NaN"),
-        (("--kernel-l", "nan"), "error: L must not be NaN"),
-        (("--kernel-b", "10", "--b-max", "nan"), "error: b_max must be positive, got nan"),
-        (("--kernel-b", "10", "--b-max", "-1"), "error: b_max must be positive, got -1.0"),
-    ])
-    def test_invalid_kernel_bound_exits_two(self, capsys, dataset_file, tmp_path,
-                                            flags, message):
+    def test_nan_kernel_bound_exits_two(self, capsys, dataset_file, tmp_path):
         out = tmp_path / "k.json"
         code, _, err = run(capsys, "train", "--data", str(dataset_file),
-                           "--metric", "euclidean:0.8", "--learner", "kernel", *flags,
-                           "--alpha", "0.2", "--gamma", "0.3", "--seed", "1",
-                           "--predictor-out", str(out))
+                           "--metric", "euclidean:0.8", "--learner", "kernel",
+                           "--kernel-b", "nan", "--alpha", "0.2", "--gamma", "0.3",
+                           "--seed", "1", "--predictor-out", str(out))
         assert code == 2
-        assert err == message + "\n"
+        assert err == "error: B must not be NaN\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, config", [
-        (("--kernel-b", "10", "--kernel-l", "3"), None),
-        ((), {"kernel_b": 10, "kernel_l": 3}),
-        (("--kernel-b", "10"), {"kernel_l": 3}),
-        (("--kernel-l", "3"), {"kernel_b": 10}),
-    ], ids=["flags", "config", "flag-b-config-l", "flag-l-config-b"])
-    def test_both_kernel_bounds_is_usage_error(self, capsys, dataset_file, tmp_path,
-                                               flags, config):
+    @pytest.mark.parametrize("flags, config, message", [
+        (("--kernel-l", "3"), None, "unrecognized arguments: --kernel-l 3"),
+        (("--b-max", "50"), None, "unrecognized arguments: --b-max 50"),
+        ((), {"kernel_l": 3}, "unknown config keys: ['kernel_l']"),
+        ((), {"b_max": 50}, "unknown config keys: ['b_max']"),
+    ], ids=["flag-kernel-l", "flag-b-max", "config-kernel-l", "config-b-max"])
+    def test_removed_kernel_bound_knobs_are_unknown(self, capsys, dataset_file, tmp_path,
+                                                    flags, config, message):
         argv = []
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             argv = ["--config", str(tmp_path / "config.json")]
         out = tmp_path / "k.json"
         code, _, err = run(capsys, "train", "--data", str(dataset_file),
-                           "--metric", "euclidean:0.8", "--learner", "kernel", *flags, *argv,
-                           "--alpha", "0.2", "--gamma", "0.3", "--seed", "1",
-                           "--predictor-out", str(out))
+                           "--metric", "euclidean:0.8", "--learner", "kernel",
+                           "--kernel-b", "10", *flags, *argv, "--alpha", "0.2", "--gamma", "0.3",
+                           "--seed", "1", "--predictor-out", str(out))
         assert code == 1
-        assert err == "usage error: kernel learner takes --kernel-b or --kernel-l, not both\n"
+        assert err == f"usage error: {message}\n"
         assert not out.exists()
 
 
@@ -1030,7 +1005,7 @@ class TestHardnessCommand:
         trainer = json.loads(out)["params"]["trainer"]
         assert trainer == {"alpha": 0.1, "gamma": 0.2, "eps": 0.1, "eps_alpha": 0.1,
                            "eps_gamma": 0.1, "delta": 0.05, "theory_mode": "empirical",
-                           "learner": "kernel", "kernel_b": 1e4, "b_max": 1e4,
+                           "learner": "kernel", "kernel_b": 1e4,
                            "max_iters": 7, "step_c0": 0.5, "feas_tol": 1e-6}
 
 
@@ -1116,6 +1091,11 @@ class TestMatrixMetricFiles:
         ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "2\n4\n5\n",
          "metric file {metric}: index map entries 4 and 5 have identical features but "
          "different matrix rows or columns"),
+        # a line's number is its number in the file, leading blank lines included
+        ("\n0,0.5,0.5\n0.5,0,abc\n0.5,0.5,0\n", "0\n1\n2\n",
+         "metric file {metric}, line 3: could not convert string to float: 'abc'"),
+        ("0,0.2,0.3\n0.2,0,0.4\n0.3,0.4,0\n", "\n\n0\n1\nx\n",
+         "metric index file {metric}.idx, line 5: invalid literal for int() with base 10: 'x'"),
     ])
     def test_malformed_metric_file_exits_two_naming_file_and_line(
             self, capsys, tmp_path, matrix_text, index_text, message):

@@ -224,12 +224,16 @@ class TestPerfectFairnessOnCounterparts:
 
 
 class TestExperiment:
-    def test_small_experiment_report(self):
-        trainer = TrainConfig(alpha=0.05, gamma=0.1, learner=KernelLearner(B=1e4),
-                              solver=SolverConfig(max_iters=250, seed=0))
-        report = run_hardness_experiment(
-            n=8, k_pairs=40, seed=21, trainer=trainer, n_audit_pairs=500
-        )
+    TRAINER = TrainConfig(alpha=0.05, gamma=0.1, learner=KernelLearner(B=1e4),
+                          solver=SolverConfig(max_iters=250, seed=0))
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_hardness_experiment(n=8, k_pairs=40, seed=21, trainer=self.TRAINER,
+                                       n_audit_pairs=500)
+
+    def test_small_experiment_report(self, report):
+        trainer = self.TRAINER
         assert report.averaged_fair_error_u == pytest.approx(0.5, abs=1e-12)
         assert report.reference_error["V"] == 0.0
         assert report.perfect_fairness_audit["V"]["n_violations"] == 0
@@ -241,6 +245,21 @@ class TestExperiment:
         )
         payload = json.loads(write_report({"results": report}, no_timestamp=True))["results"]
         assert payload["modes"] == ["U", "V"]
+
+    def test_mode_u_errors_against_the_budget_floor(self, report):
+        # a mode-U pair is at distance 0 with opposite labels, so its two errors
+        # sum to at least 1 - |gap|; clipping only shrinks a gap, and a
+        # predictor whose mean excess over the edges is tau + s has mean |gap|
+        # at most tau + s: its train error is at least 1/2 - (tau + s)/2
+        for name, trained in report.trained.items():
+            tau, slack = trained["tau_u"], trained["constraint_slack_u"]
+            assert trained["train_error_u"] >= 0.5 - (tau + slack) / 2 - 1e-12, name
+        tau = report.trained["linear"]["tau_u"]
+        assert report.trained["linear"]["train_error_u"] <= 0.5 - tau / 2 + 1e-9
+        # today's kernel learner stops a quarter of the budget above the floor:
+        # it returns its warm start, scaled to the solver's target of tau / 2
+        tau = report.trained["kernel"]["tau_u"]
+        assert report.trained["kernel"]["train_error_u"] <= 0.5 - tau / 4 + 1e-9
 
     def test_single_mode_run(self):
         report = run_hardness_experiment(

@@ -1,5 +1,6 @@
 """Fairness-constrained linear and kernelized training."""
 
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -31,9 +32,9 @@ from metricfair import (
     empirical_mf_loss,
     gram_matrix,
     matching_edges,
-    resolve_kernel_B,
     train_fair_kernel,
     train_fair_linear,
+    uniform_convergence_rho,
 )
 
 
@@ -87,12 +88,14 @@ class TestDeriveParams:
     def test_kernel_uses_eps_in_slope(self):
         cfg = TrainConfig(alpha=0.2, gamma=0.3, eps=0.02, eps_alpha=0.1, eps_gamma=0.1,
                           learner=KernelLearner(B=10.0))
-        assert derive_solver_params(cfg, 101, B=10.0).G == pytest.approx(50.0)
+        assert derive_solver_params(cfg, 101).G == pytest.approx(50.0)
 
-    def test_kernel_budgets_need_the_capped_B(self):
+    def test_kernel_margin_reads_the_learners_B(self):
         cfg = TrainConfig(alpha=0.2, gamma=0.3, learner=KernelLearner(B=10.0))
-        with pytest.raises(ValidationError, match="capped B"):
-            derive_solver_params(cfg, 101)
+        params = derive_solver_params(cfg, 101)
+        assert params.rho == uniform_convergence_rho(params.G, cfg.delta, 101, B=10.0)
+        wider = replace(cfg, learner=KernelLearner(B=1e4))
+        assert derive_solver_params(wider, 101).rho > params.rho
 
     def test_theoretical_mode_succeeds_at_astronomical_m(self):
         # the conservative constants demand enormous samples; at m = 10^9 the
@@ -411,34 +414,19 @@ class TestTrainKernel:
         b, _ = train_fair_kernel(ds, ConstantMetric(0.3), cfg)
         assert np.array_equal(a.beta, b.beta)
 
-    def test_B_derivation_is_capped(self):
-        learner = KernelLearner(L=3.0, b_max=1e4)
-        b_raw, b_used = resolve_kernel_B(learner, 0.5)
-        assert b_raw > 1e30
-        assert b_used == 1e4
-        assert resolve_kernel_B(KernelLearner(B=2e4, b_max=1e4), 0.5) == (2e4, 2e4)
-
     def test_requires_kernel_learner(self, rng):
         ds = random_dataset(rng, 8, 2)
         with pytest.raises(ValidationError):
             train_fair_kernel(ds, ConstantMetric(0.5), linear_config())
 
-    def test_learner_spec_needs_B_or_L(self):
-        with pytest.raises(ValidationError):
+    def test_learner_spec_needs_B(self):
+        assert [f.name for f in fields(KernelLearner)] == ["B"]
+        with pytest.raises(TypeError):
             KernelLearner()
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"B": float("nan")}, "B must not be NaN"),
-        ({"L": float("nan")}, "L must not be NaN"),
-        ({"B": 10.0, "L": float("nan")}, "L must not be NaN"),
-        ({"B": 10.0, "b_max": float("nan")}, "b_max must be positive, got nan"),
-        ({"B": 10.0, "b_max": -1.0}, "b_max must be positive, got -1.0"),
-        ({"L": 3.0, "b_max": 0.0}, "b_max must be positive, got 0.0"),
-        ({"B": 10.0, "L": 3.0}, "takes an explicit B or a Lipschitz cap L, not both"),
-    ])
-    def test_learner_spec_rejects_nan_and_non_positive_cap(self, kwargs, message):
-        with pytest.raises(ValidationError, match=message):
-            KernelLearner(**kwargs)
+    def test_learner_spec_rejects_nan_B(self):
+        with pytest.raises(ValidationError, match="B must not be NaN"):
+            KernelLearner(B=float("nan"))
 
 
 class TestLazyConstraintSubgradient:
@@ -673,7 +661,7 @@ class TestMemoisedSubgradientProducts:
         products = []
         closures = scalar.kernel_closures(K, ds.targets01, left, right, dists,
                                           report.derived_params["tau"],
-                                          report.extras["B_used"], products)
+                                          B, products)
 
         def oracle_solve(objective, constraint, project, config, initial_point):
             return solver.solve_annealed(*closures, config, initial_point)
@@ -773,8 +761,7 @@ class TestMemoisedSubgradientProducts:
         K = gram_matrix(ds, VovkHalfKernel())
         left, right, dists = matching_edges(ds, default_matching(ds, 0), metric)
         closures = scalar.bytes_memoised_kernel_closures(
-            K, ds.targets01, left, right, dists, report.derived_params["tau"],
-            report.extras["B_used"])
+            K, ds.targets01, left, right, dists, report.derived_params["tau"], B)
 
         def oracle_solve(objective, constraint, project, config, initial_point):
             return solver.solve_annealed(*closures, config, initial_point)
