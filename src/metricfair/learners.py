@@ -79,6 +79,8 @@ class KernelLearner:
     def __post_init__(self):
         if math.isnan(self.B):
             raise ValidationError("B must not be NaN")
+        if not self.B > 0:
+            raise ValidationError(f"B must be positive, got {self.B}")
 
 
 @dataclass(frozen=True)

@@ -756,6 +756,7 @@ class TestTrainParameters:
     @pytest.mark.parametrize("flags", [
         ("--max-iters", "40", "--feas-tol", "1e-4"),
         ("--learner", "kernel", "--kernel-b", "100", "--max-iters", "300", "--step-c0", "0.3"),
+        ("--eps-alpha", "0.15", "--eps-gamma", "0.3", "--delta", "0.1", "--max-iters", "40"),
     ])
     def test_report_params_as_a_config_file_reproduce_the_run(self, capsys, sample_file,
                                                               tmp_path, flags):
@@ -887,14 +888,21 @@ class TestTrainParameters:
         assert message in err
         assert not out.exists()
 
-    def test_nan_kernel_bound_exits_two(self, capsys, dataset_file, tmp_path):
+    @pytest.mark.parametrize("flags, message", [
+        (("--kernel-b", "nan"), "error: B must not be NaN"),
+        (("--kernel-b=-1",), "error: B must be positive, got -1.0"),
+        (("--kernel-b", "0"), "error: B must be positive, got 0.0"),
+        (("--kernel-b=-inf",), "error: B must be positive, got -inf"),
+    ])
+    def test_invalid_kernel_bound_exits_two(self, capsys, dataset_file, tmp_path,
+                                            flags, message):
         out = tmp_path / "k.json"
         code, _, err = run(capsys, "train", "--data", str(dataset_file),
                            "--metric", "euclidean:0.8", "--learner", "kernel",
-                           "--kernel-b", "nan", "--alpha", "0.2", "--gamma", "0.3",
+                           *flags, "--alpha", "0.2", "--gamma", "0.3",
                            "--seed", "1", "--predictor-out", str(out))
         assert code == 2
-        assert err == "error: B must not be NaN\n"
+        assert err == message + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, config, message", [

@@ -424,9 +424,15 @@ class TestTrainKernel:
         with pytest.raises(TypeError):
             KernelLearner()
 
-    def test_learner_spec_rejects_nan_B(self):
-        with pytest.raises(ValidationError, match="B must not be NaN"):
-            KernelLearner(B=float("nan"))
+    @pytest.mark.parametrize("B, message", [
+        (float("nan"), "B must not be NaN"),
+        (-1.0, "B must be positive, got -1.0"),
+        (0.0, "B must be positive, got 0.0"),
+        (float("-inf"), "B must be positive, got -inf"),
+    ])
+    def test_learner_spec_rejects_nan_and_non_positive_cap(self, B, message):
+        with pytest.raises(ValidationError, match=message):
+            KernelLearner(B=B)
 
 
 class TestLazyConstraintSubgradient:

@@ -205,6 +205,26 @@ class TestCsvReaderAgainstTheReference:
         path.write_text(f"x1,x2,y\n0.5,0.25,1\n{edge.format(other)},0.25,-1\n0.5,0,1\n")
         assert _loaded(load_dataset_csv, path) == _loaded(scalar.load_dataset_csv, path)
 
+    @pytest.mark.parametrize("padding, blank", [("\n", 1), ("\n\n", 2), (" \n\t\r\n  ", 2)])
+    @pytest.mark.parametrize("kind", ["metric file", "metric index file"])
+    def test_blank_lines_before_the_first_row_are_counted(self, kind, padding, blank, tmp_path):
+        # each file is stripped at both ends, but a bad line is named by its
+        # number in the file, on the fast and the line-by-line parse alike
+        ds = random_dataset(np.random.default_rng(3), 3, 2)
+        path = tmp_path / "metric.csv"
+        matrix, index = "0,0.5,0.25\n0.5,0,0.75\n0.25,0.75,0\n", "0\n1\n2\n"
+        if kind == "metric file":
+            matrix = padding + matrix.replace("0,0.75", "0,abc")
+        else:
+            index = padding + index.replace("1", "x")
+        path.write_text(matrix)
+        Path(f"{path}.idx").write_text(index)
+        loaded = _loaded(load_matrix_metric, path, ds)
+        assert loaded == _loaded(scalar.load_matrix_metric, path, ds)
+        assert loaded[0] is ValidationError
+        assert loaded[1].startswith(f"{kind} {path}{'.idx' * (kind != 'metric file')}, "
+                                    f"line {blank + 2}: ")
+
     @given(n=st.integers(1, 4), rows=st.integers(1, 12), block=st.integers(1, 5),
            bad=st.sampled_from([None, "label", "norm", "nan"]), at=st.integers(0, 11),
            seed=st.integers(0, 2**16))
