@@ -101,6 +101,8 @@ _TRAIN_PARAMS = {
     "feas_tol": (SolverConfig, "feasibility_tolerance", float),
 }
 _TRAIN_HELP = {"kernel_b": "squared-RKHS-norm bound B of the kernel ball"}
+# the `train` parameters that only the kernel learner reads (its slack eps*, its solver)
+_KERNEL_ONLY = ("kernel_b", "eps", "step_c0")
 
 
 def _build_parser() -> _Parser:
@@ -235,8 +237,12 @@ def _train_config(args, seed: int) -> TrainConfig:
     --config JSON file, whose values override the dataclass defaults."""
     file_cfg = _read_train_config(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key in _TRAIN_PARAMS if getattr(args, key) is not None}
+    merged = {**file_cfg, **flags}
+    stray = ["--" + k.replace("_", "-") if k in flags else k for k in _KERNEL_ONLY if k in merged]
+    if stray and merged.get("learner") != "kernel":
+        raise UsageError("kernel-only options on a linear run: " + ", ".join(stray))
     fields = {TrainConfig: {}, KernelLearner: {}, SolverConfig: {"seed": seed}}
-    for key, value in {**file_cfg, **flags}.items():
+    for key, value in merged.items():
         cls, name, _ = _TRAIN_PARAMS[key]
         fields[cls][name] = value
     given = fields[TrainConfig]
@@ -252,13 +258,13 @@ def _train_config(args, seed: int) -> TrainConfig:
 
 
 def _train_record(config: TrainConfig) -> dict:
-    """Every `train` parameter that `config` resolved to a value, under its
+    """Every `train` parameter that `config`'s learner reads, under its
     --config key: as a --config file, with the seed given apart, the record
-    rebuilds `config`. `kernel_b` appears for a kernel learner only."""
+    rebuilds `config`. The _KERNEL_ONLY keys appear for a kernel learner only."""
     owners = {TrainConfig: config, SolverConfig: config.solver, KernelLearner: config.learner}
     record = {key: getattr(owners[cls], name) for key, (cls, name, _) in _TRAIN_PARAMS.items()
-              if isinstance(owners[cls], cls)}
-    record["learner"] = "kernel" if isinstance(config.learner, KernelLearner) else "linear"
+              if config.learner is not None or key not in _KERNEL_ONLY}
+    record["learner"] = "linear" if config.learner is None else "kernel"
     return record
 
 

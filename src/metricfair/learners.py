@@ -140,8 +140,6 @@ def derive_solver_params(config: TrainConfig, m: int) -> SolverDerivedParams:
     # with alpha < rho, tau_theoretical is positive when gamma_tilde is negative
     if gamma_tilde <= 0 or tau <= 0:
         raise SampleTooSmallError("sample too small for requested fairness/error parameters")
-    if not 0.0 <= tau <= 1.0:
-        raise ValidationError(f"derived budget tau = {tau} outside [0, 1]")
     return SolverDerivedParams(G=G, rho=rho, gamma_tilde=gamma_tilde, tau=tau,
                                tau_theoretical=tau_theoretical)
 
@@ -161,7 +159,7 @@ def _program(S: LabeledDataset, d: SimilarityMetric, config: TrainConfig,
     return M, left, right, dists, params
 
 
-def _finalize_report(report: TrainingReport, predictor, S, M, d, dists, params, extras,
+def _finalize_report(report: TrainingReport, predictor, S, M, d, dists, params,
                      values=None) -> TrainingReport:
     """The report with its loss on the matching, whose edge distances
     `dists` the program already holds, and the derived budgets."""
@@ -169,9 +167,8 @@ def _finalize_report(report: TrainingReport, predictor, S, M, d, dists, params, 
         report,
         empirical_mf_loss=empirical_mf_loss(predictor, S, M, d, params.gamma_tilde,
                                             values=values, dists=dists),
-        mf_loss_bound=params.tau / params.gamma_tilde if params.gamma_tilde > 0 else None,
+        mf_loss_bound=params.tau / params.gamma_tilde,
         derived_params={**report.derived_params, **asdict(params)},
-        extras={**report.extras, **extras},
     )
 
 
@@ -194,8 +191,7 @@ def train_fair_linear(
     w, report = solve_pdhg(0.5 * X, S.targets01 - 0.5, 0.5 * (X[left] - X[right]), dists,
                            params.tau, 1.0, config.solver)
     predictor = LinearPredictor(w)
-    report = _finalize_report(report, predictor, S, M, d, dists, params,
-                              extras={"learner": "linear"})
+    report = _finalize_report(report, predictor, S, M, d, dists, params)
     return predictor, report
 
 
@@ -347,10 +343,7 @@ def train_fair_kernel(
                      final_constraint_slack=slack,
                      converged=slack <= config.solver.feasibility_tolerance)
     predictor = KernelPredictor(S.features, beta)
-    report = _finalize_report(
-        report, predictor, S, M, d, dists, params,
-        extras={"learner": "kernel"},
-        values=np.clip(raw, 0.0, 1.0),
-    )
+    report = _finalize_report(report, predictor, S, M, d, dists, params,
+                              values=np.clip(raw, 0.0, 1.0))
     return predictor, report
 

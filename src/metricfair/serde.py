@@ -44,7 +44,7 @@ from .core import (
 )
 from .hardness import HardnessMetric, HardnessMetricHandle
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # ---------------------------------------------------------------------------
 # Dataset CSV: header x1,...,xn,y with y in {-1, 1}

@@ -355,7 +355,7 @@ class TestAudit:
         body = json.loads(report_path.read_text())
         assert body["results"]["empirical_mf_loss"] == 0.0
         assert body["results"]["population_estimate"] == 0.0
-        assert body["schema_version"] == 3
+        assert body["schema_version"] == 4
 
 
     @pytest.mark.parametrize("grid, entry", [
@@ -679,7 +679,22 @@ class TestReportRecords:
         saved = strict_json(predictor.read_text())
         assert saved["report"] == body["results"]
         assert saved["training_config"] == body["params"]
-        assert set(body["results"]["extras"]) == {"learner", "n_feasible_iterates"}
+        assert set(body["results"]["extras"]) == {"n_feasible_iterates"}
+
+
+class TestKernelTrainWorkload:
+    def test_objective_at_seed_1(self, capsys, tmp_path):
+        # README quotes this objective for the benchmark's kernel-train data and flags
+        data = tmp_path / "data.csv"
+        code, _, _ = run(capsys, "gen-data", "--generator", "unit-ball", "--n", "10",
+                         "--m", "2001", "--seed", "1", "--out", str(data))
+        assert code == 0
+        code, out, err = run(capsys, "train", "--data", str(data), "--metric", "euclidean:0.8",
+                             "--learner", "kernel", "--kernel-b", "100", "--max-iters", "300",
+                             "--alpha", "0.2", "--gamma", "0.3", "--seed", "1",
+                             "--predictor-out", str(tmp_path / "p.json"), "--no-timestamp")
+        assert code == 0, err
+        assert round(json.loads(out)["results"]["final_objective"], 4) == 0.2212
 
 
 class TestTrainParameters:
@@ -691,9 +706,11 @@ class TestTrainParameters:
         text = " ".join(readme.split())
         listing = text.split("whose keys are flag names with underscores:")[1].split(". ")[0]
         assert tuple(re.findall(r"`(\w+)`", listing)) == tuple(cli._TRAIN_PARAMS)
+        kernel_only = text.split("Only the kernel learner reads")[1].split(". ")[0]
+        assert tuple(re.findall(r"`(\w+)`", kernel_only)) == cli._KERNEL_ONLY
 
     @pytest.mark.parametrize("learner, unset", [
-        ((), {"kernel_b"}),
+        ((), set(cli._KERNEL_ONLY)),
         (("--learner", "kernel", "--kernel-b", "10"), set()),
     ])
     def test_every_reported_parameter_is_a_config_key(self, capsys, dataset_file, tmp_path,
@@ -724,14 +741,13 @@ class TestTrainParameters:
             cfg = TrainConfig(0.3, 0.4, learner=KernelLearner(B=kernel_b),
                               solver=SolverConfig(seed=5))
             predictor, report = train_fair_kernel(ds, metric, cfg)
-        params = {"alpha": cfg.alpha, "gamma": cfg.gamma, "eps": cfg.eps,
+        params = {"alpha": cfg.alpha, "gamma": cfg.gamma,
                   "eps_alpha": cfg.eps_alpha, "eps_gamma": cfg.eps_gamma,
                   "delta": cfg.delta, "learner": "linear" if kernel_b is None else "kernel",
                   "theory_mode": cfg.theory_mode, "max_iters": cfg.solver.max_iters,
-                  "step_c0": cfg.solver.step_c0,
                   "feas_tol": cfg.solver.feasibility_tolerance, "seed": 5}
         if kernel_b is not None:
-            params.update(kernel_b=cfg.learner.B)
+            params.update(eps=cfg.eps, step_c0=cfg.solver.step_c0, kernel_b=cfg.learner.B)
         lib_out = tmp_path / "lib.json"
         save_predictor_json(predictor, lib_out, training_config=params, report=report)
         assert cli_out.read_bytes() == lib_out.read_bytes()
@@ -880,9 +896,11 @@ class TestTrainParameters:
     ])
     def test_invalid_solver_flag_exits_two(self, capsys, dataset_file, tmp_path,
                                            flag, value, message):
+        # a kernel run, since only the kernel learner takes --step-c0
         out = tmp_path / "m.json"
         code, _, err = run(capsys, "train", "--data", str(dataset_file),
                            "--metric", "constant:0.2", "--alpha", "0.3", "--gamma", "0.4",
+                           "--learner", "kernel", "--kernel-b", "10",
                            flag, value, "--seed", "1", "--predictor-out", str(out))
         assert code == 2
         assert message in err
@@ -904,6 +922,34 @@ class TestTrainParameters:
         assert code == 2
         assert err == message + "\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("learner", [(), ("--learner", "linear")], ids=["default", "linear"])
+    @pytest.mark.parametrize("flags, config, named", [
+        (("--kernel-b", "10"), None, "--kernel-b"),
+        (("--eps", "0.05"), None, "--eps"),
+        (("--step-c0", "0.3"), None, "--step-c0"),
+        ((), {"kernel_b": 10}, "kernel_b"),
+        ((), {"eps": 0.05}, "eps"),
+        ((), {"step_c0": 0.3}, "step_c0"),
+    ], ids=["flag-kernel-b", "flag-eps", "flag-step-c0",
+            "config-kernel-b", "config-eps", "config-step-c0"])
+    def test_kernel_only_option_on_a_linear_run_is_usage_error(
+            self, capsys, dataset_file, tmp_path, learner, flags, config, named):
+        argv = []
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "m.json"
+        train = ("train", "--data", str(dataset_file), "--metric", "euclidean:0.8",
+                 *flags, *argv, "--alpha", "0.2", "--gamma", "0.3", "--max-iters", "20",
+                 "--seed", "1", "--predictor-out", str(out))
+        code, _, err = run(capsys, *train, *learner)
+        assert code == 1
+        assert err == f"usage error: kernel-only options on a linear run: {named}\n"
+        assert not out.exists()
+        # a kernel run takes the option
+        code, _, err = run(capsys, *train, "--learner", "kernel", "--kernel-b", "10")
+        assert code == 0, err
 
     @pytest.mark.parametrize("flags, config, message", [
         (("--kernel-l", "3"), None, "unrecognized arguments: --kernel-l 3"),

@@ -237,7 +237,6 @@ class TestExperiment:
         assert report.averaged_fair_error_u == pytest.approx(0.5, abs=1e-12)
         assert report.reference_error["V"] == 0.0
         assert report.perfect_fairness_audit["V"]["n_violations"] == 0
-        assert report.headline_learner == "kernel"
         kernel = report.trained["kernel"]
         assert kernel["empirical_mf_loss_u"] <= trainer.alpha + 1e-9
         assert kernel["accuracy_gap"] == pytest.approx(
@@ -253,6 +252,7 @@ class TestExperiment:
         # at most tau + s: its train error is at least 1/2 - (tau + s)/2
         for name, trained in report.trained.items():
             tau, slack = trained["tau_u"], trained["constraint_slack_u"]
+            assert trained["train_error_floor_u"] == 0.5 - tau / 2, name
             assert trained["train_error_u"] >= 0.5 - (tau + slack) / 2 - 1e-12, name
         tau = report.trained["linear"]["tau_u"]
         assert report.trained["linear"]["train_error_u"] <= 0.5 - tau / 2 + 1e-9

@@ -388,7 +388,7 @@ class TestReports:
         b = write_report(payload, tmp_path / "b.json", no_timestamp=True)
         assert a == b
         body = json.loads(a)
-        assert body["schema_version"] == 3
+        assert body["schema_version"] == 4
         assert "timestamp" not in body
         assert body["results"]["arr"] == [1.0, 2.0]
 
@@ -409,8 +409,7 @@ RECORDS = [
                    population_ci=None, group_profile=((0.1, 0.0), (1.0, 0.5)), n_edges=7),
     HardnessReport(n=8, k_pairs=20, modes=("U", "V"), averaged_fair_error_u=0.5,
                    reference_error={"U": 0.5, "V": 0.0}, perfect_fairness_audit={},
-                   trained={"linear": {"train_error_u": 0.5}}, accuracy_gap=None,
-                   headline_learner="linear"),
+                   trained={"linear": {"train_error_u": 0.5}}, accuracy_gap=None),
     SolverDerivedParams(G=10.0, rho=3.5, gamma_tilde=0.2, tau=0.04, tau_theoretical=-0.6),
 ]
 
