@@ -67,6 +67,14 @@ COMMANDS = (
      "--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01", "--epsilon", "0.1",
      "--eps-alpha", "0.1", "--eps-gamma", "0.1", "--alpha", "0.1",
      "--rademacher-const", "0.001", "--out", "bounds.json", *REPORT),
+    ("bounds", "--formula", "delta-m-kernel", "--formula", "sigmoid-accuracy", "--g", "10",
+     "--delta", "0.05", "--m", "1001", "--c", "2", "--sup-m", "0.5", "--epsilon", "0.1",
+     "--eps-alpha", "0.1", "--eps-gamma", "0.1", "--alpha", "0.1", "--b", "100",
+     "--branch", "fairness", "--out", "bounds-kernel.json", *REPORT),
+    ("bounds", "--formula", "b-star", "--l", "3", "--eps-star", "0.05",
+     "--out", "bounds-b-star.json", *REPORT),
+    ("hardness-demo", "--n", "8", "--pairs", "10", "--mode", "u", "--seed", "1",
+     "--skip-training", "--out", "hardness-skip.json", *REPORT),
 )
 
 
