@@ -113,9 +113,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--generator", required=True, choices=GENERATORS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--margin", type=float, default=SyntheticSpec.margin)
-    p.add_argument("--noise-rate", type=float, default=SyntheticSpec.noise_rate)
-    p.add_argument("--mode", choices=["u", "v"], default=SyntheticSpec.mode.lower())
+    p.add_argument("--margin", type=float)
+    p.add_argument("--noise-rate", type=float)
+    p.add_argument("--mode", choices=["u", "v"])
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--handle-out", help="for hardness-pairs: save the metric handle here")
@@ -147,8 +147,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float)
     p.add_argument("--m", type=int)
     p.add_argument("--rhat", type=float)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--sup-m", dest="sup_m", type=float, default=1.0)
+    p.add_argument("--c", type=float)
+    p.add_argument("--sup-m", dest="sup_m", type=float)
     p.add_argument("--l", type=float)
     p.add_argument("--eps-star", type=float)
     p.add_argument("--epsilon", type=float)
@@ -156,12 +156,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps-gamma", type=float)
     p.add_argument("--alpha", type=float)
     p.add_argument("--b", type=float)
-    p.add_argument("--m-pac", type=int, default=1)
+    p.add_argument("--m-pac", type=int)
     p.add_argument("--rademacher-coeff", type=float,
                    help="inf-fpac: use R(k) = coeff / sqrt(k)")
     p.add_argument("--rademacher-const", type=float,
                    help="inf-fpac: use a constant R")
-    p.add_argument("--branch", choices=["max", "utility", "fairness"], default="max",
+    p.add_argument("--branch", choices=["max", "utility", "fairness"],
                    help="for lin-accuracy/sigmoid-accuracy: report one branch")
     _add_report_flags(p)
 
@@ -170,10 +170,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--mode", choices=["u", "v", "both"], default="both")
     p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float, default=DEMO_TRAINER.alpha)
-    p.add_argument("--gamma", type=float, default=DEMO_TRAINER.gamma)
-    p.add_argument("--audit-pairs", type=int, default=AUDIT_PAIRS)
-    p.add_argument("--max-iters", type=int, default=DEMO_TRAINER.solver.max_iters)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--audit-pairs", type=int)
+    p.add_argument("--max-iters", type=int)
     p.add_argument("--skip-training", action="store_true")
     _add_report_flags(p)
 
@@ -194,13 +194,11 @@ def _emit_report(args, params: dict, results) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.handle_out and args.generator != "hardness-pairs":
-        raise UsageError("--handle-out needs --generator hardness-pairs")
     seed = _resolve_seed(args)
-    spec = SyntheticSpec(
-        generator=args.generator, n=args.n, m=args.m, seed=seed,
-        margin=args.margin, noise_rate=args.noise_rate, mode=args.mode.upper(),
-    )
+    given = {k: getattr(args, k) for k in ("margin", "noise_rate") if getattr(args, k) is not None}
+    if args.mode:
+        given["mode"] = args.mode.upper()
+    spec = SyntheticSpec(generator=args.generator, n=args.n, m=args.m, seed=seed, **given)
     dataset, meta = generate_dataset_with_meta(spec)
     save_dataset_csv(dataset, args.out)
     if args.handle_out:
@@ -323,22 +321,52 @@ def _inf_fpac(a) -> int:
         a.eps_alpha, a.eps_gamma, a.delta, a.m_pac, rad).m
 
 
-_ACCURACY = ("epsilon", "eps_alpha", "eps_gamma", "alpha", "delta")
+_ACCURACY = ("epsilon", "eps_alpha", "eps_gamma", "alpha", "delta", "branch")
 
-# Each `bounds` formula: the flags it needs, where "b|l" needs exactly one of
-# --b and --l, and its value as a function of the parsed arguments.
+# Each `bounds` formula: the flags it reads, needing each without a default in
+# _SOME_RUNS and exactly one of --b and --l for "b|l", and its value.
 _FORMULAS = {
     "delta-m": (("g", "delta", "m", "rhat"), lambda a: bounds_mod.mf_generalization_delta(
         a.g, a.delta, a.m, a.rhat)),
-    "delta-m-kernel": (("g", "delta", "m"), lambda a: bounds_mod.mf_generalization_delta_kernel(
-        a.g, a.delta, a.m, a.c, a.sup_m)),
+    "delta-m-kernel": (("g", "delta", "m", "c", "sup_m"), lambda a: (
+        bounds_mod.mf_generalization_delta_kernel(a.g, a.delta, a.m, a.c, a.sup_m))),
     "b-star": (("l", "eps_star"), lambda a: bounds_mod.kernel_norm_bound_B(a.l, a.eps_star)),
     "lin-accuracy": (_ACCURACY, lambda a: _branch(a, bounds_mod.sample_complexity_linear(
         a.epsilon, a.eps_alpha, a.eps_gamma, a.alpha, a.delta))),
     "sigmoid-accuracy": ((*_ACCURACY, "b|l"), _sigmoid_accuracy),
-    "inf-fpac": (("eps_alpha", "eps_gamma", "delta", "rademacher_coeff|rademacher_const"),
+    "inf-fpac": (("eps_alpha", "eps_gamma", "delta", "m_pac", "rademacher_coeff|rademacher_const"),
                  _inf_fpac),
 }
+
+_TRAINS = "a run without --skip-training"
+# The options that only some runs read, by command: a function of the parsed
+# arguments names the run, and each name maps to the options that its runs read,
+# with the default an omitted one takes there (None: none, or the library's).
+_SOME_RUNS = {
+    "gen-data": (lambda a: {"--generator " + a.generator}, {
+        "--generator separable": {"margin": None, "noise_rate": None},
+        "--generator hardness-pairs": {"mode": None, "handle_out": None}}),
+    "hardness-demo": (lambda a: {"--mode " + a.mode} | (set() if a.skip_training else {_TRAINS}), {
+        _TRAINS: {"alpha": DEMO_TRAINER.alpha, "gamma": DEMO_TRAINER.gamma,
+                  "max_iters": DEMO_TRAINER.solver.max_iters},
+        **dict.fromkeys(("--mode v", "--mode both"), {"audit_pairs": AUDIT_PAIRS})}),
+    "bounds": (lambda a: {"--formula " + f for f in a.formula}, {
+        "--formula " + f: {k: {"c": 1.0, "sup_m": 1.0, "m_pac": 1, "branch": "max"}.get(k)
+                           for need in needs for k in need.split("|")}
+        for f, (needs, _) in _FORMULAS.items()}),
+}
+
+
+def _check_reads(args) -> None:
+    """Exit 1 naming each given option its run does not read; default omitted ones it reads."""
+    names, runs = _SOME_RUNS[args.command]
+    read = {k: v for name in names(args) & runs.keys() for k, v in runs[name].items()}
+    stray = [f"--{k.replace('_', '-')} needs " + " or ".join(n for n in runs if k in runs[n])
+             for k in dict.fromkeys(k for options in runs.values() for k in options)
+             if k not in read and getattr(args, k) is not None]
+    if stray:
+        raise UsageError("; ".join(stray))
+    vars(args).update({k: v for k, v in read.items() if getattr(args, k) is None})
 
 
 def _check_needs(args, formula: str, needs) -> None:
@@ -365,7 +393,7 @@ def _cmd_bounds(args) -> int:
     results = {formula: _FORMULAS[formula][1](args) for formula in args.formula}
     for formula in args.formula:
         print(f"{formula} {results[formula]:.10g}")
-    # every flag that is set, so that the report reproduces its values
+    # the values the formulas read, defaults included, so that a rerun gives the same values
     inputs = {k: v for k, v in vars(args).items()
               if v is not None and k not in ("command", "formula", "out", "no_timestamp")}
     if args.out:
@@ -378,13 +406,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_hardness(args) -> int:
     seed = _resolve_seed(args)
     modes = {"u": ("U",), "v": ("V",), "both": ("U", "V")}[args.mode]
-    solver = dataclasses.replace(DEMO_TRAINER.solver, max_iters=args.max_iters, seed=seed)
-    trainer = dataclasses.replace(DEMO_TRAINER, alpha=args.alpha, gamma=args.gamma, solver=solver)
+    params, trainer = {"mode": args.mode, "seed": seed}, DEMO_TRAINER
+    if not args.skip_training:
+        solver = dataclasses.replace(trainer.solver, max_iters=args.max_iters, seed=seed)
+        trainer = dataclasses.replace(trainer, alpha=args.alpha, gamma=args.gamma, solver=solver)
+        params["trainer"] = _train_record(trainer)
     report = run_hardness_experiment(
         n=args.n, k_pairs=args.pairs, seed=seed, trainer=trainer, modes=modes,
-        n_audit_pairs=args.audit_pairs, train=not args.skip_training,
+        n_audit_pairs=args.audit_pairs if "V" in modes else 0, train=not args.skip_training,
     )
-    params = {"mode": args.mode, "seed": seed, "trainer": _train_record(trainer)}
     _emit_report(args, params, report)
     return 0
 
@@ -416,6 +446,8 @@ def run_cli(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        if args.command in _SOME_RUNS:
+            _check_reads(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -33,6 +33,22 @@ class DimensionMismatchError(ValidationError):
     """A point's dimension does not match the consumer's."""
 
 
+class RowError(ValidationError):
+    """The first dataset row whose label is not -1 or +1 (unsigned labels cannot
+    hold -1) or whose norm is NaN or above 1 + NORM_TOLERANCE: `row`, 0-based, and `reason`."""
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        norms = np.linalg.norm(features, axis=1)
+        bad_label = ~((labels == 1.0) | (labels == -1.0))
+        self.row = k = int(np.flatnonzero(bad_label | ~(norms <= 1.0 + NORM_TOLERANCE))[0])
+        if bad_label[k]:
+            self.reason = f"label must be -1 or +1, got {labels[k:k + 1].tolist()[0]!r}"
+        else:
+            self.reason = ("features must be finite" if not np.all(np.isfinite(features[k]))
+                           else f"row norm {norms[k]:.12g} exceeds the unit ball")
+        super().__init__(f"row {k}: {self.reason}")
+
+
 class MetricUndefinedError(MetricFairError, KeyError):
     """A precomputed metric has no entry for the requested pair."""
 
@@ -46,17 +62,15 @@ def _as_float_vector(values) -> np.ndarray:
     return arr
 
 
-def _check_unit_ball_rows(rows: np.ndarray, what: str) -> None:
-    """Raise unless every row of `rows` is finite with norm at most
-    1 + NORM_TOLERANCE. The rows are checked about _PAIR_BLOCK entries at a
-    time, so the check holds no temporary the size of `rows`."""
+def _unit_ball_fault(rows: np.ndarray) -> str | None:
+    """How `rows` break the rule that each is finite with norm at most 1 +
+    NORM_TOLERANCE, or None, checked _PAIR_BLOCK entries at a time."""
     step = max(_PAIR_BLOCK // max(rows.shape[1], 1), 1)
     blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
     if not all(np.all(np.isfinite(block)) for block in blocks):
-        raise ValidationError(f"{what} must be finite")
+        return "must be finite"
     worst = max((float(np.max(np.linalg.norm(block, axis=1))) for block in blocks), default=0.0)
-    if worst > 1.0 + NORM_TOLERANCE:
-        raise ValidationError(f"{what} norm {worst:.12g} exceeds the unit ball")
+    return f"norm {worst:.12g} exceeds the unit ball" if worst > 1.0 + NORM_TOLERANCE else None
 
 
 def check_open_unit(**values: float) -> None:
@@ -93,9 +107,8 @@ class LabeledDataset:
             raise ValidationError("dataset must be non-empty")
         if labels.shape != (feats.shape[0],):
             raise ValidationError("labels must align with feature rows")
-        _check_unit_ball_rows(feats, "features")
-        if not np.all((labels == 1.0) | (labels == -1.0)):  # unsigned labels cannot hold -1
-            raise ValidationError("labels must be -1 or +1")
+        if _unit_ball_fault(feats) or not np.all((labels == 1.0) | (labels == -1.0)):
+            raise RowError(feats, labels)
         object.__setattr__(self, "features", _freeze(feats))
         object.__setattr__(self, "labels", _freeze(labels.astype(np.int64, copy=False)))
 
@@ -557,7 +570,8 @@ class KernelPredictor(Predictor):
 
     def __init__(self, support: np.ndarray, beta):
         support = np.atleast_2d(np.asarray(support, dtype=np.float64))
-        _check_unit_ball_rows(support, "support")
+        if fault := _unit_ball_fault(support):
+            raise ValidationError("support " + fault)
         beta = _as_float_vector(beta)
         if beta.shape[0] != support.shape[0]:
             raise ValidationError("beta must have one coefficient per support point")

@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    NORM_TOLERANCE,
     ConstantMetric,
     ConstantPredictor,
     KernelPredictor,
@@ -37,6 +36,7 @@ from .core import (
     LinearPredictor,
     LogisticPredictor,
     MatrixMetric,
+    RowError,
     ScaledEuclideanMetric,
     SimilarityMetric,
     ValidationError,
@@ -44,7 +44,7 @@ from .core import (
 )
 from .hardness import HardnessMetric, HardnessMetricHandle
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # ---------------------------------------------------------------------------
 # Dataset CSV: header x1,...,xn,y with y in {-1, 1}
@@ -83,32 +83,16 @@ def _write_rows(path, header: str, table: np.ndarray, row: str) -> None:
 
 
 def load_dataset_csv(path) -> LabeledDataset:
-    """Errors name the file and, for the first malformed row, the first row
-    with a label other than -1 or +1 or the first row outside the unit ball,
-    its 1-based line number. The dataset checks its rows once, and its
-    features are kept in the parsed table's own storage, so a load takes
-    about the table."""
+    """Errors name the file and, for the first bad row (RowError), its line
+    number. The dataset checks its rows once, and its features are kept in
+    the parsed table's own storage, so a load takes about the table."""
     table = _dataset_table(path)
     labels = table[:, -1].copy()
     features = _leading_columns(table)
     try:
         return LabeledDataset(features, labels)
-    except ValidationError:
-        norms = np.linalg.norm(features, axis=1)
-        bad_label = ~((labels == 1.0) | (labels == -1.0))
-        # NaN fails the comparison
-        outside = ~(norms <= 1.0 + NORM_TOLERANCE)
-        bad = np.flatnonzero(bad_label | outside)
-        if not bad.size:
-            raise
-    k = int(bad[0])
-    if bad_label[k]:
-        reason = f"label must be -1 or +1, got {float(labels[k])!r}"
-    elif not np.all(np.isfinite(features[k])):
-        reason = "features must be finite"
-    else:
-        reason = f"row norm {norms[k]:.12g} exceeds the unit ball"
-    raise ValidationError(f"dataset file {path}, line {k + 2}: {reason}")
+    except RowError as exc:
+        raise ValidationError(f"dataset file {path}, line {exc.row + 2}: {exc.reason}") from None
 
 
 def _leading_columns(table: np.ndarray) -> np.ndarray:

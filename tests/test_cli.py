@@ -180,6 +180,13 @@ class TestGenData:
                                 "--m", "5", "--seed", "1", "--out", str(tmp_path / "d.csv"))
         assert (code, stdout, err) == (2, "", "error: out of memory\n")
 
+    def test_readme_names_each_generator_only_option_with_its_generator(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = " ".join(readme.replace("\n#", "\n").split()).lower()
+        for run, options in cli._SOME_RUNS["gen-data"][1].items():
+            flags = " and ".join("--" + key.replace("_", "-") for key in options)
+            assert f"only {run} reads {flags}" in text
+
     @pytest.mark.parametrize("generator", ["unit-ball", "separable"])
     def test_handle_out_needs_the_hardness_generator(self, capsys, tmp_path, generator):
         out, handle = tmp_path / "data.csv", tmp_path / "handle.json"
@@ -296,7 +303,7 @@ class TestBounds:
                            *rademacher, "--out", str(first), "--no-timestamp")
         assert code == 0
         inputs = json.loads(first.read_text())["results"]["inputs"]
-        assert {"m_pac", "branch", rademacher[0][2:].replace("-", "_")} <= set(inputs)
+        assert {"m_pac", rademacher[0][2:].replace("-", "_")} <= set(inputs)
         argv = [arg for key, value in inputs.items()
                 for arg in ("--" + key.replace("_", "-"), str(value))]
         code, rerun, _ = run(capsys, "bounds", "--formula", "inf-fpac", *argv,
@@ -304,11 +311,17 @@ class TestBounds:
         assert code == 0 and rerun == out
         assert second.read_bytes() == first.read_bytes()
 
-    # every input a formula reads, each valid; a case then sets one to NaN
-    VALID = ("--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01",
-             "--c", "1", "--sup-m", "1", "--l", "3", "--eps-star", "0.5",
-             "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
-             "--alpha", "0.1", "--rademacher-const", "0.001")
+    # every input each formula reads, each valid; a case then sets one to NaN
+    VALID = {
+        "delta-m": ("--g", "10", "--delta", "0.05", "--m", "1001", "--rhat", "0.01"),
+        "delta-m-kernel": ("--g", "10", "--delta", "0.05", "--m", "1001", "--c", "1",
+                           "--sup-m", "1"),
+        "b-star": ("--l", "3", "--eps-star", "0.5"),
+        "sigmoid-accuracy": ("--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
+                             "--alpha", "0.1", "--delta", "0.05", "--l", "3"),
+        "inf-fpac": ("--eps-alpha", "0.1", "--eps-gamma", "0.1", "--delta", "0.05",
+                     "--rademacher-const", "0.001"),
+    }
     # a flag that VALID leaves out takes the place of the other half of its
     # either-or pair, at a valid value
     EITHER_OR = {"--b": ("--l", "100"), "--rademacher-coeff": ("--rademacher-const", "0.001")}
@@ -326,7 +339,7 @@ class TestBounds:
         ("inf-fpac", "--rademacher-coeff", "Rademacher value at matching size 1 is NaN"),
     ])
     def test_nan_input_exits_two_and_names_it(self, capsys, tmp_path, formula, flag, message):
-        valid = list(self.VALID)
+        valid = list(self.VALID[formula])
         if flag in self.EITHER_OR:
             other, value = self.EITHER_OR[flag]
             at = valid.index(other)
@@ -342,6 +355,136 @@ class TestBounds:
         assert not out.exists()
 
 
+# runs of gen-data, hardness-demo and bounds that read every option they are given
+UNIT_BALL = ("gen-data", "--generator", "unit-ball", "--n", "3", "--m", "20", "--seed", "1")
+SEPARABLE = ("gen-data", "--generator", "separable", "--n", "3", "--m", "20", "--seed", "1")
+HARD_PAIRS = ("gen-data", "--generator", "hardness-pairs", "--n", "4", "--m", "20",
+              "--seed", "1")
+DEMO = ("hardness-demo", "--n", "4", "--pairs", "6", "--mode", "both", "--seed", "1",
+        "--max-iters", "2", "--audit-pairs", "50")
+SKIP = ("hardness-demo", "--n", "4", "--pairs", "6", "--mode", "v", "--seed", "1",
+        "--skip-training")
+MODE_U = ("hardness-demo", "--n", "4", "--pairs", "6", "--mode", "u", "--seed", "1")
+DELTA_M = ("bounds", "--formula", "delta-m", "--g", "10", "--delta", "0.05", "--m", "1001",
+           "--rhat", "0.01")
+DELTA_M_KERNEL = ("bounds", "--formula", "delta-m-kernel", "--g", "10", "--delta", "0.05",
+                  "--m", "1001")
+B_STAR = ("bounds", "--formula", "b-star", "--l", "3", "--eps-star", "0.5")
+ACCURACY = ("--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1", "--alpha", "0.1",
+            "--delta", "0.05")
+LIN_ACCURACY = ("bounds", "--formula", "lin-accuracy", *ACCURACY)
+SIGMOID_ACCURACY = ("bounds", "--formula", "sigmoid-accuracy", *ACCURACY, "--b", "100")
+# eps_alpha = eps_gamma = 0.9 put the fairness term near 5,000, below an m_pac of 10^5
+INF_FPAC = ("bounds", "--formula", "inf-fpac", "--eps-alpha", "0.9", "--eps-gamma", "0.9",
+            "--delta", "0.5", "--rademacher-const", "0.001")
+INF_FPAC_COEFF = (*INF_FPAC[:-2], "--rademacher-coeff", "0.01")
+
+
+def with_option(argv, flag, value=None):
+    """`argv` with `flag` set to `value`: replaced if `argv` sets it, else
+    appended; a bare flag when `value` is None."""
+    if flag in argv:
+        at = argv.index(flag) + 1
+        return (*argv[:at], value, *argv[at + 1:])
+    return (*argv, flag) if value is None else (*argv, flag, value)
+
+
+class TestOptionsARunReads:
+    """A run exits 1 on an option that it does not read, and every option
+    changes what a run that reads it writes: together these pin which runs
+    of gen-data, hardness-demo and bounds read which options."""
+
+    @pytest.mark.parametrize("argv, flag, value, need", [
+        (UNIT_BALL, "--margin", "0.3", "--generator separable"),
+        (UNIT_BALL, "--noise-rate", "0.5", "--generator separable"),
+        (UNIT_BALL, "--mode", "v", "--generator hardness-pairs"),
+        (SEPARABLE, "--mode", "v", "--generator hardness-pairs"),
+        (HARD_PAIRS, "--margin", "0.3", "--generator separable"),
+        (HARD_PAIRS, "--noise-rate", "0.5", "--generator separable"),
+        (SKIP, "--alpha", "0.1", "a run without --skip-training"),
+        (SKIP, "--gamma", "0.2", "a run without --skip-training"),
+        (SKIP, "--max-iters", "7", "a run without --skip-training"),
+        (MODE_U, "--audit-pairs", "300", "--mode v or --mode both"),
+        (DELTA_M, "--c", "1", "--formula delta-m-kernel"),
+        (DELTA_M, "--sup-m", "1", "--formula delta-m-kernel"),
+        (DELTA_M, "--l", "3", "--formula b-star or --formula sigmoid-accuracy"),
+        (DELTA_M, "--b", "5", "--formula sigmoid-accuracy"),
+        (DELTA_M, "--branch", "max", "--formula lin-accuracy or --formula sigmoid-accuracy"),
+        (DELTA_M, "--m-pac", "1", "--formula inf-fpac"),
+        (DELTA_M, "--eps-star", "0.5", "--formula b-star"),
+        (INF_FPAC, "--branch", "max", "--formula lin-accuracy or --formula sigmoid-accuracy"),
+    ])
+    def test_an_option_its_run_does_not_read_is_a_usage_error(self, capsys, tmp_path, argv,
+                                                               flag, value, need):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, flag, value, "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"usage error: {flag} needs {need}\n")
+        assert not out.exists()
+
+    def test_every_unread_option_is_named(self, capsys, tmp_path):
+        code, _, err = run(capsys, *UNIT_BALL, "--margin", "0.3", "--noise-rate", "0.5",
+                           "--mode", "v", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == ("usage error: --margin needs --generator separable; --noise-rate needs "
+                       "--generator separable; --mode needs --generator hardness-pairs\n")
+
+    @staticmethod
+    def written(capsys, directory, argv) -> dict:
+        """What `argv` writes in `directory`: each file's bytes, or for a
+        report, its `results` (its `params` and `inputs` restate the options)."""
+        directory.mkdir()
+        report = () if argv[0] == "gen-data" else ("--no-timestamp",)
+        code, _, _ = run(capsys, *(arg.replace("{dir}", str(directory)) for arg in argv),
+                         "--out", str(directory / "out"), *report)
+        assert code == 0
+        if argv[0] == "gen-data":
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+        results = json.loads((directory / "out").read_text())["results"]
+        return results.get("formulas", results)
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (SEPARABLE, "--generator", "unit-ball"),
+        (SEPARABLE, "--n", "4"),
+        (SEPARABLE, "--m", "21"),
+        (SEPARABLE, "--seed", "2"),
+        (SEPARABLE, "--margin", "0.2"),
+        (SEPARABLE, "--noise-rate", "0.3"),
+        (HARD_PAIRS, "--mode", "v"),
+        (HARD_PAIRS, "--handle-out", "{dir}/handle.json"),
+        (DEMO, "--n", "5"),
+        (DEMO, "--pairs", "7"),
+        (DEMO, "--mode", "v"),
+        (DEMO, "--seed", "2"),
+        (DEMO, "--alpha", "0.2"),
+        (DEMO, "--gamma", "0.3"),
+        (DEMO, "--max-iters", "1"),
+        (DEMO, "--audit-pairs", "60"),
+        (SKIP[:-1], "--skip-training", None),
+        (DELTA_M, "--g", "11"),
+        (DELTA_M, "--delta", "0.1"),
+        (DELTA_M, "--m", "1003"),
+        (DELTA_M, "--rhat", "0.02"),
+        (DELTA_M_KERNEL, "--c", "2"),
+        (DELTA_M_KERNEL, "--sup-m", "2"),
+        (B_STAR, "--l", "4"),
+        (B_STAR, "--eps-star", "0.4"),
+        # the utility branch reads epsilon; at these inputs the fairness branch is the max
+        ((*LIN_ACCURACY, "--branch", "utility"), "--epsilon", "0.2"),
+        (LIN_ACCURACY, "--eps-alpha", "0.2"),
+        (LIN_ACCURACY, "--eps-gamma", "0.2"),
+        (LIN_ACCURACY, "--alpha", "0.2"),
+        (LIN_ACCURACY, "--branch", "utility"),
+        (SIGMOID_ACCURACY, "--b", "200"),
+        (INF_FPAC, "--m-pac", "100001"),
+        (INF_FPAC, "--rademacher-const", "0.002"),
+        (INF_FPAC_COEFF, "--rademacher-coeff", "0.02"),
+    ])
+    def test_an_option_changes_what_its_run_writes(self, capsys, tmp_path, argv, flag, value):
+        before = self.written(capsys, tmp_path / "before", argv)
+        after = self.written(capsys, tmp_path / "after", with_option(argv, flag, value))
+        assert after != before
+
+
 class TestAudit:
     def test_constant_predictor_report(self, capsys, dataset_file, tmp_path):
         predictor_path = tmp_path / "constant.json"
@@ -355,7 +498,7 @@ class TestAudit:
         body = json.loads(report_path.read_text())
         assert body["results"]["empirical_mf_loss"] == 0.0
         assert body["results"]["population_estimate"] == 0.0
-        assert body["schema_version"] == 4
+        assert body["schema_version"] == 5
 
 
     @pytest.mark.parametrize("grid, entry", [
@@ -1054,7 +1197,7 @@ class TestHardnessCommand:
     def test_report_records_the_trainer_its_flags_resolve(self, capsys, tmp_path):
         code, out, _ = run(capsys, "hardness-demo", "--n", "8", "--pairs", "20",
                            "--mode", "v", "--seed", "4", "--alpha", "0.1", "--gamma", "0.2",
-                           "--max-iters", "7", "--skip-training", "--no-timestamp")
+                           "--max-iters", "7", "--no-timestamp")
         assert code == 0
         trainer = json.loads(out)["params"]["trainer"]
         assert trainer == {"alpha": 0.1, "gamma": 0.2, "eps": 0.1, "eps_alpha": 0.1,

@@ -50,7 +50,7 @@ class TestExamples:
         LabeledDataset(np.array([[1.0 + 5e-10, 0.0]]), np.array([1]))
 
     def test_rejects_bad_label(self):
-        with pytest.raises(ValidationError, match="labels must be -1 or \\+1"):
+        with pytest.raises(ValidationError, match="^row 0: label must be -1 or \\+1, got 0$"):
             LabeledDataset(np.array([[0.1]]), np.array([0]))
 
     @pytest.mark.parametrize("labels", [
@@ -64,7 +64,7 @@ class TestExamples:
         if np.all(np.isin(labels, (-1, 1))):
             assert LabeledDataset(X, labels).labels.tolist() == np.asarray(labels).tolist()
         else:
-            with pytest.raises(ValidationError, match="labels must be -1 or \\+1"):
+            with pytest.raises(ValidationError, match="label must be -1 or \\+1"):
                 LabeledDataset(X, labels)
 
     def test_int64_labels_are_shared_not_copied(self):

@@ -388,7 +388,7 @@ class TestReports:
         b = write_report(payload, tmp_path / "b.json", no_timestamp=True)
         assert a == b
         body = json.loads(a)
-        assert body["schema_version"] == 4
+        assert body["schema_version"] == 5
         assert "timestamp" not in body
         assert body["results"]["arr"] == [1.0, 2.0]
 
