@@ -201,7 +201,7 @@ def _cmd_gen_data(args) -> int:
     spec = SyntheticSpec(generator=args.generator, n=args.n, m=args.m, seed=seed, **given)
     dataset, meta = generate_dataset_with_meta(spec)
     save_dataset_csv(dataset, args.out)
-    if args.handle_out:
+    if args.handle_out is not None:
         save_hardness_handle(meta["handle"], args.handle_out)
     print(f"wrote {len(dataset)} x {dataset.dimension} dataset to {args.out}")
     return 0

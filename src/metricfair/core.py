@@ -35,7 +35,7 @@ class DimensionMismatchError(ValidationError):
 
 class RowError(ValidationError):
     """The first dataset row whose label is not -1 or +1 (unsigned labels cannot
-    hold -1) or whose norm is NaN or above 1 + NORM_TOLERANCE: `row`, 0-based, and `reason`."""
+    hold -1) or whose norm is NaN or above 1 + NORM_TOLERANCE: its 0-based `row` and `reason`."""
 
     def __init__(self, features: np.ndarray, labels: np.ndarray):
         norms = np.linalg.norm(features, axis=1)
@@ -63,8 +63,8 @@ def _as_float_vector(values) -> np.ndarray:
 
 
 def _unit_ball_fault(rows: np.ndarray) -> str | None:
-    """How `rows` break the rule that each is finite with norm at most 1 +
-    NORM_TOLERANCE, or None, checked _PAIR_BLOCK entries at a time."""
+    """How `rows` break the rule that each is finite with norm at most 1 + NORM_TOLERANCE,
+    or None; it reads about _PAIR_BLOCK entries at a time, so no temporary is as large."""
     step = max(_PAIR_BLOCK // max(rows.shape[1], 1), 1)
     blocks = [rows[start:start + step] for start in range(0, len(rows), step)]
     if not all(np.all(np.isfinite(block)) for block in blocks):

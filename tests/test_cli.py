@@ -180,6 +180,13 @@ class TestGenData:
                                 "--m", "5", "--seed", "1", "--out", str(tmp_path / "d.csv"))
         assert (code, stdout, err) == (2, "", "error: out of memory\n")
 
+    def test_an_empty_handle_path_exits_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "gen-data", "--generator", "hardness-pairs", "--n", "4",
+                           "--m", "10", "--seed", "1", "--out", str(tmp_path / "d.csv"),
+                           "--handle-out", "")
+        # the path names no file it can write, so the run fails instead of dropping the handle
+        assert code == 2 and err.startswith("error: ")
+
     def test_readme_names_each_generator_only_option_with_its_generator(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         text = " ".join(readme.replace("\n#", "\n").split()).lower()
