@@ -258,7 +258,9 @@ class FairnessReport:
     Monte-Carlo estimate of S's all-ordered-pairs loss, and `population_ci`
     its half-width, which bounds only the Monte-Carlo error around that
     S-value, not the distance to the population rate (None when no pairs
-    were drawn)."""
+    were drawn). That S-value is all_pairs_mf_loss: the mean of the
+    per-individual rates behind `group_profile`, which the audit computes
+    exactly."""
 
     empirical_mf_loss: float
     empirical_l1_loss: float

@@ -143,26 +143,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="evaluate bound and sample-complexity formulas")
     p.add_argument("--formula", action="append", required=True, choices=list(_FORMULAS))
-    p.add_argument("--g", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--rhat", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--sup-m", dest="sup_m", type=float)
-    p.add_argument("--l", type=float)
-    p.add_argument("--eps-star", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--eps-alpha", type=float)
-    p.add_argument("--eps-gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--m-pac", type=int)
-    p.add_argument("--rademacher-coeff", type=float,
-                   help="inf-fpac: use R(k) = coeff / sqrt(k)")
-    p.add_argument("--rademacher-const", type=float,
-                   help="inf-fpac: use a constant R")
-    p.add_argument("--branch", choices=["max", "utility", "fairness"],
-                   help="for lin-accuracy/sigmoid-accuracy: report one branch")
+    # every input a formula reads; the parser defaults none, so that a given one is seen
+    for key in dict.fromkeys(k for needs, _ in _FORMULAS.values()
+                             for need in needs for k in need.split("|")):
+        p.add_argument("--" + key.replace("_", "-"),
+                       **{"type": float, **_BOUNDS_INPUTS.get(key, {}), "default": None})
     _add_report_flags(p)
 
     p = sub.add_parser("hardness-demo", help="run the perfect-fairness hardness experiment")
@@ -305,15 +290,6 @@ def _branch(args, sc) -> int:
     return sc.m if args.branch == "max" else sc.branches[f"{args.branch}_m"]
 
 
-def _sigmoid_accuracy(a) -> int:
-    B = a.b
-    if B is None:
-        B = bounds_mod.kernel_norm_bound_B(
-            a.l, bounds_mod.kernel_slack(a.epsilon, a.eps_alpha, a.eps_gamma))
-    return _branch(a, bounds_mod.sample_complexity_kernel(
-        a.epsilon, a.eps_alpha, a.eps_gamma, a.alpha, a.delta, B))
-
-
 def _inf_fpac(a) -> int:
     coeff = a.rademacher_coeff
     rad = a.rademacher_const if coeff is None else (lambda k: coeff / math.sqrt(k))
@@ -323,8 +299,19 @@ def _inf_fpac(a) -> int:
 
 _ACCURACY = ("epsilon", "eps_alpha", "eps_gamma", "alpha", "delta", "branch")
 
+# The `bounds` inputs that are not plain floats without a default: their flag's
+# add_argument keywords, and the default an omitted one takes in a run that reads it.
+_BOUNDS_INPUTS = {
+    "m": {"type": int}, "m_pac": {"type": int, "default": 1},
+    "c": {"default": 1.0}, "sup_m": {"default": 1.0},
+    "branch": {"type": str, "choices": ["max", "utility", "fairness"], "default": "max",
+               "help": "for lin-accuracy/sigmoid-accuracy: report one branch"},
+    "rademacher_coeff": {"help": "inf-fpac: use R(k) = coeff / sqrt(k)"},
+    "rademacher_const": {"help": "inf-fpac: use a constant R"},
+}
+
 # Each `bounds` formula: the flags it reads, needing each without a default in
-# _SOME_RUNS and exactly one of --b and --l for "b|l", and its value.
+# _BOUNDS_INPUTS and exactly one of a "|" pair, and its value.
 _FORMULAS = {
     "delta-m": (("g", "delta", "m", "rhat"), lambda a: bounds_mod.mf_generalization_delta(
         a.g, a.delta, a.m, a.rhat)),
@@ -333,7 +320,9 @@ _FORMULAS = {
     "b-star": (("l", "eps_star"), lambda a: bounds_mod.kernel_norm_bound_B(a.l, a.eps_star)),
     "lin-accuracy": (_ACCURACY, lambda a: _branch(a, bounds_mod.sample_complexity_linear(
         a.epsilon, a.eps_alpha, a.eps_gamma, a.alpha, a.delta))),
-    "sigmoid-accuracy": ((*_ACCURACY, "b|l"), _sigmoid_accuracy),
+    "sigmoid-accuracy": ((*_ACCURACY, "b"), lambda a: _branch(
+        a, bounds_mod.sample_complexity_kernel(a.epsilon, a.eps_alpha, a.eps_gamma, a.alpha,
+                                               a.delta, a.b))),
     "inf-fpac": (("eps_alpha", "eps_gamma", "delta", "m_pac", "rademacher_coeff|rademacher_const"),
                  _inf_fpac),
 }
@@ -351,7 +340,7 @@ _SOME_RUNS = {
                   "max_iters": DEMO_TRAINER.solver.max_iters},
         **dict.fromkeys(("--mode v", "--mode both"), {"audit_pairs": AUDIT_PAIRS})}),
     "bounds": (lambda a: {"--formula " + f for f in a.formula}, {
-        "--formula " + f: {k: {"c": 1.0, "sup_m": 1.0, "m_pac": 1, "branch": "max"}.get(k)
+        "--formula " + f: {k: _BOUNDS_INPUTS.get(k, {}).get("default")
                            for need in needs for k in need.split("|")}
         for f, (needs, _) in _FORMULAS.items()}),
 }
@@ -370,9 +359,8 @@ def _check_reads(args) -> None:
 
 
 def _check_needs(args, formula: str, needs) -> None:
-    """Raise a UsageError naming a choice of flags that `formula` needs and
-    whose flags are both set, or each flag, or choice of flags, that it needs
-    and that is unset."""
+    """Raise a UsageError naming a choice of flags that `formula` needs whose
+    flags are both set, or each flag or choice of flags it needs that is unset."""
     unset = []
     for need in needs:
         names = need.split("|")
@@ -388,7 +376,9 @@ def _check_needs(args, formula: str, needs) -> None:
 
 def _cmd_bounds(args) -> int:
     """Print each requested formula's value; a bad input prints none."""
-    for formula in args.formula:
+    for at, formula in enumerate(args.formula):
+        if formula in args.formula[:at]:
+            raise UsageError(f"--formula {formula} is given more than once")
         _check_needs(args, formula, _FORMULAS[formula][0])
     results = {formula: _FORMULAS[formula][1](args) for formula in args.formula}
     for formula in args.formula:
@@ -439,13 +429,8 @@ _COMMANDS = {
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         if args.command in _SOME_RUNS:
             _check_reads(args)
         return _COMMANDS[args.command](args)

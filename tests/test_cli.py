@@ -238,9 +238,26 @@ class TestBounds:
         assert out.strip() == "lin-accuracy 673"
 
     def test_missing_parameter_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "bounds", "--formula", "delta-m", "--g", "10")
-        assert code == 1
-        assert "needs" in err
+        code, out, err = run(capsys, "bounds", "--formula", "delta-m", "--g", "10")
+        assert (code, out) == (1, "")
+        assert err == "usage error: formula delta-m needs --delta, --m, --rhat\n"
+
+    def test_a_repeated_formula_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "bounds.json"
+        code, stdout, err = run(capsys, *B_STAR, "--formula", "b-star", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "usage error: --formula b-star is given more than once\n"
+        assert not out.exists()
+
+    def test_each_input_flag_has_its_type(self):
+        bounds = cli._build_parser()._subparsers._group_actions[0].choices["bounds"]
+        kinds = {a.option_strings[0]: a.choices or a.type for a in bounds._actions
+                 if a.dest not in ("help", "formula", "out", "no_timestamp")}
+        floats = ("--g", "--delta", "--rhat", "--c", "--sup-m", "--l", "--eps-star",
+                  "--epsilon", "--eps-alpha", "--eps-gamma", "--alpha", "--b",
+                  "--rademacher-coeff", "--rademacher-const")
+        assert kinds == {**dict.fromkeys(floats, float), "--m": int, "--m-pac": int,
+                         "--branch": ["max", "utility", "fairness"]}
 
     @pytest.mark.parametrize("extra, code, message", [
         ((), 1, "usage error: formula b-star needs --l"),
@@ -253,42 +270,44 @@ class TestBounds:
                             "--eps-star", "0.5", *extra)
         assert (got, out, err) == (code, "", message + "\n")
 
-    def test_sigmoid_accuracy_without_b_or_l_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "bounds", "--formula", "sigmoid-accuracy",
-                             "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
-                             "--alpha", "0.1", "--delta", "0.05")
+    def test_sigmoid_accuracy_without_b_is_usage_error(self, capsys):
+        code, out, err = run(capsys, *SIGMOID_ACCURACY[:-2])
         assert code == 1
-        assert err == "usage error: formula sigmoid-accuracy needs --b or --l\n"
+        assert err == "usage error: formula sigmoid-accuracy needs --b\n"
         assert out == ""
 
     # each half alone exits 0, or 2 for a Rademacher constant that dominates
-    @pytest.mark.parametrize("formula, flags, choice", [
-        ("sigmoid-accuracy", ("--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
-                              "--alpha", "0.1", "--delta", "0.05", "--b", "10", "--l", "3"),
-         "--b or --l"),
-        ("inf-fpac", ("--eps-alpha", "0.5", "--eps-gamma", "0.5", "--delta", "0.1",
-                      "--rademacher-coeff", "0.01", "--rademacher-const", "0.5"),
-         "--rademacher-coeff or --rademacher-const"),
-    ])
-    def test_both_halves_of_an_either_or_input_is_usage_error(self, capsys, tmp_path,
-                                                              formula, flags, choice):
+    def test_both_halves_of_an_either_or_input_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "bounds.json"
-        code, stdout, err = run(capsys, "bounds", "--formula", formula, *flags,
-                                "--out", str(out))
+        code, stdout, err = run(capsys, "bounds", "--formula", "inf-fpac", "--eps-alpha", "0.5",
+                                "--eps-gamma", "0.5", "--delta", "0.1", "--rademacher-coeff",
+                                "0.01", "--rademacher-const", "0.5", "--out", str(out))
         assert code == 1
-        assert err == f"usage error: formula {formula} takes {choice}, not both\n"
+        assert err == ("usage error: formula inf-fpac takes --rademacher-coeff or "
+                       "--rademacher-const, not both\n")
         assert stdout == "" and not out.exists()
 
-    @pytest.mark.parametrize("bound", [("--b", "100"), ("--l", "3")])
-    def test_sigmoid_accuracy_equals_the_kernel_formula(self, capsys, bound):
-        flag, value = bound
-        code, out, _ = run(capsys, "bounds", "--formula", "sigmoid-accuracy",
-                           "--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
-                           "--alpha", "0.1", "--delta", "0.05", flag, value)
-        B = 100.0 if flag == "--b" else kernel_norm_bound_B(3.0, 0.05)
-        expected = sample_complexity_kernel(0.1, 0.1, 0.1, 0.1, 0.05, B).m
+    def test_sigmoid_accuracy_equals_the_kernel_formula(self, capsys):
+        code, out, _ = run(capsys, *SIGMOID_ACCURACY)
+        expected = sample_complexity_kernel(0.1, 0.1, 0.1, 0.1, 0.05, 100.0).m
         assert code == 0
         assert out == f"sigmoid-accuracy {expected:.10g}\n"
+
+    def test_sigmoid_accuracy_reads_b_stars_value(self, capsys, tmp_path):
+        """b-star's B at L = 3 and eps* = min(eps, eps_alpha, eps_gamma / 2) =
+        0.05, passed as --b, gives the value that `sigmoid-accuracy --l 3`
+        derived before it took B only as --b."""
+        b_star, report = tmp_path / "b-star.json", tmp_path / "sigmoid.json"
+        code, _, _ = run(capsys, *with_option(B_STAR, "--eps-star", "0.05"),
+                         "--out", str(b_star))
+        assert code == 0
+        B = json.loads(b_star.read_text())["results"]["formulas"]["b-star"]
+        assert B == kernel_norm_bound_B(3.0, 0.05)
+        code, out, _ = run(capsys, *with_option(SIGMOID_ACCURACY, "--b", repr(B)),
+                           "--out", str(report))
+        assert (code, out) == (0, "sigmoid-accuracy 1.383728433e+74\n")
+        assert json.loads(report.read_text())["results"]["formulas"]["sigmoid-accuracy"] == (
+            138372843254914626097757019858032087003832793366622002512584938967762206721)
 
     @pytest.mark.parametrize("flag", ["--rademacher-const", "--rademacher-coeff"])
     def test_negative_rademacher_exits_two_and_names_it(self, capsys, tmp_path, flag):
@@ -325,13 +344,13 @@ class TestBounds:
                            "--sup-m", "1"),
         "b-star": ("--l", "3", "--eps-star", "0.5"),
         "sigmoid-accuracy": ("--epsilon", "0.1", "--eps-alpha", "0.1", "--eps-gamma", "0.1",
-                             "--alpha", "0.1", "--delta", "0.05", "--l", "3"),
+                             "--alpha", "0.1", "--delta", "0.05", "--b", "100"),
         "inf-fpac": ("--eps-alpha", "0.1", "--eps-gamma", "0.1", "--delta", "0.05",
                      "--rademacher-const", "0.001"),
     }
     # a flag that VALID leaves out takes the place of the other half of its
     # either-or pair, at a valid value
-    EITHER_OR = {"--b": ("--l", "100"), "--rademacher-coeff": ("--rademacher-const", "0.001")}
+    EITHER_OR = {"--rademacher-coeff": ("--rademacher-const", "0.001")}
 
     @pytest.mark.parametrize("formula, flag, message", [
         ("delta-m", "--g", "G must be >= 1, got nan"),
@@ -340,7 +359,6 @@ class TestBounds:
         ("delta-m-kernel", "--c", "C must be non-negative, got nan"),
         ("delta-m-kernel", "--sup-m", "M must be non-negative, got nan"),
         ("b-star", "--l", "L must be >= 3, got nan"),
-        ("sigmoid-accuracy", "--l", "L must be >= 3, got nan"),
         ("sigmoid-accuracy", "--b", "B must be positive, got nan"),
         ("inf-fpac", "--rademacher-const", "Rademacher value at matching size 1 is NaN"),
         ("inf-fpac", "--rademacher-coeff", "Rademacher value at matching size 1 is NaN"),
@@ -414,7 +432,8 @@ class TestOptionsARunReads:
         (MODE_U, "--audit-pairs", "300", "--mode v or --mode both"),
         (DELTA_M, "--c", "1", "--formula delta-m-kernel"),
         (DELTA_M, "--sup-m", "1", "--formula delta-m-kernel"),
-        (DELTA_M, "--l", "3", "--formula b-star or --formula sigmoid-accuracy"),
+        (DELTA_M, "--l", "3", "--formula b-star"),
+        (SIGMOID_ACCURACY, "--l", "3", "--formula b-star"),
         (DELTA_M, "--b", "5", "--formula sigmoid-accuracy"),
         (DELTA_M, "--branch", "max", "--formula lin-accuracy or --formula sigmoid-accuracy"),
         (DELTA_M, "--m-pac", "1", "--formula inf-fpac"),

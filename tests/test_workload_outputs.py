@@ -3,17 +3,20 @@ the runs at another metric or size, free of run paths."""
 
 import importlib.util
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "workload_outputs.py"
-TINY = {
-    "linear-audit": {"n": 3, "m": 41, "max_iters": 60, "population_pairs": 500},
-    "kernel-train": {"n": 3, "m": 41, "max_iters": 40, "population_pairs": 500},
-    "hardness": {"n": 8, "m": 40, "pairs": 20, "audit_pairs": 200, "triples": 300},
-}
-# enough triples that more than 20 break the triangle inequality
-TINY["hardness-n4"] = {**TINY["hardness"], "n": 4, "triples": 10_000}
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))  # perfbench is read from this checkout, as the tool reads it
+
+from perfbench.tests.test_perfbench import TINY as BENCHMARK_TINY  # noqa: E402
+
+TOOL = ROOT / "tools" / "workload_outputs.py"
+# the benchmark tests' sizes, and enough triples at n = 4 that more than 20
+# break the triangle inequality
+TINY = {**BENCHMARK_TINY,
+        "hardness-n4": {**BENCHMARK_TINY["hardness"], "n": 4, "triples": 10_000}}
 
 
 def _load_tool():
